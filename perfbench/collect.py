@@ -24,6 +24,7 @@ import sys
 import time
 from pathlib import Path
 
+from run import RUN_LAYER
 from tracer import LAYER_METRICS
 
 HERE = Path(__file__).resolve().parent
@@ -90,7 +91,7 @@ def main() -> int:
         entry = {"end_to_end": {}, "per_layer": {}}
         for name in bounds:
             entry["end_to_end"][name] = summarize([r["metrics"][name]["value"] for r in runs])
-        for name in [m[0] for m in LAYER_METRICS] + ["trace.overhead_frac"]:
+        for name in [m[0] for m in LAYER_METRICS] + [name for name, _unit in RUN_LAYER]:
             values = [r["metrics"][name]["value"] for r in traced]
             if values and None not in values:
                 entry["per_layer"][name] = statistics.median(values)

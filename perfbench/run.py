@@ -21,21 +21,45 @@ subset of documents is recomputed by the independent reference in
 With ``--trace 0`` the last stdout line carries the end-to-end metrics,
 each the median over the run's passes:
 
-  docs_per_s     documents scored per second of a pass's wall time, from
-                 before ``longdep`` is imported to the last command's return
-  us_per_pair    the same wall time per evaluated pair
-  setup_s        median set-up: corpus generation and writing, plus
-                 ``train-ngram`` on the n-gram workloads
-  peak_rss_mb    peak resident set of the CLI process
-  accuracy_at_k  generator positives among the top k by LDS, k = positives
-  scored_frac    scored documents over attempted ones, 1 - failed_frac
-                 (failed_frac itself is 0 on a clean run, so the table
-                 prints it but the metrics carry its complement); a
-                 failed output check counts every document as failed
+  docs_per_ref_s   documents scored per reference second of a pass (below)
+  ref_us_per_pair  the same time per evaluated pair
+  setup_s          median set-up time in reference seconds: corpus
+                   generation and writing, plus ``train-ngram`` on the
+                   n-gram workloads
+  peak_rss_mb      peak resident set of the CLI process
+  accuracy_at_k    generator positives among the top k by LDS, k = positives
+  scored_frac      scored documents over attempted ones, 1 - failed_frac
+                   (failed_frac itself is 0 on a clean run, so the table
+                   prints it but the metrics carry its complement); a
+                   failed output check counts every document as failed
+
+A pass's time is its CPU time: the CLI process's, all threads, from
+before ``longdep`` is imported to the last command's return, plus that of
+the processes it started (the stub scorer). CPU time leaves out what the
+host of a virtual machine takes from the guest (steal), which made the
+wall time of one scoring job vary by 1.5x within minutes. The host's load
+also changes how fast a CPU runs, in steps of up to 2x, so the CPU time
+is scaled by the speed probe of ``probe.py`` that runs beside the pass:
+a reference second is a CPU second at the speed at which the probe's
+fixed kernel takes ``probe.REFERENCE_S``. The benchmark, its passes and
+the probe all run on one CPU. The passes' Python threads hold the
+interpreter lock, so on an unshared machine a pass's CPU time and wall
+time agree.
 
 With ``--trace 1`` passes alternate untraced and traced and it carries
-the per-layer metrics of ``tracer.py`` plus ``trace.overhead_frac``, the
-traced passes' median wall time over the untraced ones', minus one.
+the per-layer metrics of ``tracer.py`` and these of the run:
+
+  trace.overhead_frac  the traced passes' median time over the untraced
+                       ones', minus one
+  cpu.docs_per_s       documents per CPU second, unscaled
+  wall.docs_per_s      documents per wall-clock second (the probe takes
+                       about a twentieth of the CPU)
+  machine.speed_scale  the probe's scale factor, below 1 when the CPU ran
+                       slower than the reference
+  machine.steal_frac   the share of the pass's wall time the host took
+                       from its CPU (``unmeasured`` where not reported)
+
+each the median over the untraced passes.
 """
 
 from __future__ import annotations
@@ -57,6 +81,7 @@ from pathlib import Path
 
 import reference
 import stub_scorer
+from probe import SpeedProbe
 from tracer import LAYER_METRICS, layer_metrics
 
 HERE = Path(__file__).resolve().parent
@@ -68,8 +93,8 @@ PINS = HERE / "pins.json"
 SEGMENT_LEN = 32
 GENERATOR_SEED = 2405
 # setup_s is the median of SETUPS samples. A sample repeats the set-up
-# until SETUP_SAMPLE_S seconds have passed and takes the mean, because on
-# a shared 2-vCPU VM the CPU speed was seen to switch between two levels
+# until it has taken SETUP_SAMPLE_S CPU seconds and takes the mean, because
+# on a shared 2-vCPU VM the CPU speed was seen to switch between two levels
 # about 2x apart every second or so, and a set-up of a few milliseconds
 # would land on one.
 SETUPS = 3
@@ -107,12 +132,20 @@ WORKLOADS = {
 }
 
 END_TO_END = (
-    ("docs_per_s", "docs/s"),
-    ("us_per_pair", "us"),
+    ("docs_per_ref_s", "docs/ref-s"),
+    ("ref_us_per_pair", "ref-us"),
     ("setup_s", "s"),
     ("peak_rss_mb", "MB"),
     ("accuracy_at_k", "frac"),
     ("scored_frac", "frac"),
+)
+# Per-layer metrics of the traced run that come from the run, not the tracer.
+RUN_LAYER = (
+    ("trace.overhead_frac", "ratio"),
+    ("cpu.docs_per_s", "docs/cpu-s"),
+    ("wall.docs_per_s", "docs/s"),
+    ("machine.speed_scale", "ratio"),
+    ("machine.steal_frac", "ratio"),
 )
 
 
@@ -144,6 +177,20 @@ def corpus_lines(docs) -> list[str]:
 
 def sha256_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def steal_s(cpu: int) -> float | None:
+    """Seconds the host has taken from this machine's CPU ``cpu`` since
+    boot; None where the system does not say."""
+    try:
+        with open("/proc/stat", "r", encoding="ascii") as handle:
+            for line in handle:
+                fields = line.split()
+                if fields[:1] == [f"cpu{cpu}"] and len(fields) > 8:
+                    return int(fields[8]) / os.sysconf("SC_CLK_TCK")
+    except OSError:
+        pass
+    return None
 
 
 def run_child(job: dict, job_path: Path, hash_seed: int) -> dict | None:
@@ -194,6 +241,7 @@ class Run:
         self.out = self.dir / "out"
         self.traces = WORK / "traces"
         self.problems: list[str] = []
+        self.cpu = min(os.sched_getaffinity(0))
 
     def job(self, name: str, calls: list[list[str]], traced: bool) -> dict:
         return {
@@ -202,7 +250,6 @@ class Run:
             "calls": calls,
             "result": str(self.dir / f"{name}.result.json"),
             "spans": str(self.traces / f"{self.w.name}-seed{self.seed}-{name}.json"),
-            "one_cpu": self.w.backend == "external",
         }
 
     def hash_seed(self, index: int) -> int:
@@ -224,35 +271,36 @@ class Run:
         train_raws, samples, count = [], [], 0
         while len(samples) < SETUPS:
             spent, reps = 0.0, 0
-            while reps == 0 or spent < SETUP_SAMPLE_S:
-                start = time.perf_counter()
-                testset = bench_module.generate_testset(spec)
-                lines = corpus_lines(testset.docs)
-                digest = hashlib.sha256("".join(lines).encode("utf-8")).hexdigest()
-                if digest != expected:
-                    raise Refused(
-                        f"{w.name}: generated corpus sha256 {digest} does not match the pin "
-                        f"{expected}; the workload's inputs changed"
-                    )
-                random.Random(self.seed).shuffle(lines)
-                self.corpus.write_text("".join(lines), encoding="utf-8")
-                if w.backend == "external":
-                    links = sorted([list(h), t] for h, t in testset.links)
-                    self.links.write_text(json.dumps(links), encoding="utf-8")
-                spent += time.perf_counter() - start
-                if w.backend == "ngram":
-                    calls = [["train-ngram", "--input", str(self.corpus), "--out",
-                              str(self.model), "--order", "3", "--k", "0.01"]]
-                    result = run_child(self.job(f"setup{count}", calls, self.trace),
-                                       self.dir / "setup.job.json", self.hash_seed(count))
-                    if result is None:
-                        raise Refused(f"{w.name}: train-ngram failed at set-up")
-                    spent += result["wall_s"]
-                    if self.trace:
-                        train_raws.append(result["trace"])
-                reps += 1
-                count += 1
-            samples.append(spent / reps)
+            with SpeedProbe(self.cpu) as probe:
+                while reps == 0 or spent < SETUP_SAMPLE_S:
+                    start = time.process_time()
+                    testset = bench_module.generate_testset(spec)
+                    lines = corpus_lines(testset.docs)
+                    digest = hashlib.sha256("".join(lines).encode("utf-8")).hexdigest()
+                    if digest != expected:
+                        raise Refused(
+                            f"{w.name}: generated corpus sha256 {digest} does not match the pin "
+                            f"{expected}; the workload's inputs changed"
+                        )
+                    random.Random(self.seed).shuffle(lines)
+                    self.corpus.write_text("".join(lines), encoding="utf-8")
+                    if w.backend == "external":
+                        links = sorted([list(h), t] for h, t in testset.links)
+                        self.links.write_text(json.dumps(links), encoding="utf-8")
+                    spent += time.process_time() - start
+                    if w.backend == "ngram":
+                        calls = [["train-ngram", "--input", str(self.corpus), "--out",
+                                  str(self.model), "--order", "3", "--k", "0.01"]]
+                        result = run_child(self.job(f"setup{count}", calls, self.trace),
+                                           self.dir / "setup.job.json", self.hash_seed(count))
+                        if result is None:
+                            raise Refused(f"{w.name}: train-ngram failed at set-up")
+                        spent += result["cpu_s"]
+                        if self.trace:
+                            train_raws.append(result["trace"])
+                    reps += 1
+                    count += 1
+            samples.append(spent / reps * probe.scale)
         info = {"testset": testset, "setup_s": statistics.median(samples),
                 "train_raws": train_raws}
         if w.backend == "ngram":
@@ -310,9 +358,17 @@ class Run:
             traced = self.trace and index % 2 == 1
             if self.out.exists():
                 shutil.rmtree(self.out)
-            result = run_child(self.job(f"pass{index}", self.calls(), traced),
-                               self.dir / "pass.job.json", self.hash_seed(1000 + index))
-            record = {"traced": traced, "result": result, "scored": 0, "pairs": 0, "digest": None}
+            stolen, child_start = steal_s(self.cpu), time.perf_counter()
+            with SpeedProbe(self.cpu) as probe:
+                result = run_child(self.job(f"pass{index}", self.calls(), traced),
+                                   self.dir / "pass.job.json", self.hash_seed(1000 + index))
+            steal_frac = None
+            if stolen is not None:
+                steal_frac = (steal_s(self.cpu) - stolen) / (time.perf_counter() - child_start)
+            record = {"traced": traced, "result": result, "scored": 0, "pairs": 0,
+                      "digest": None, "steal_frac": steal_frac, "scale": probe.scale}
+            if result is not None:
+                record["ref_cpu_s"] = result["cpu_s"] * probe.scale
             if result is not None and (self.out / "reports.jsonl").exists():
                 blob, rows = self.read_reports()
                 scored = [r for r in rows if r.get("status") == "scored"]
@@ -323,8 +379,11 @@ class Run:
                 )
             records.append(record)
             took.append(time.perf_counter() - pass_start)
-            wall = "failed" if result is None else f"{result['wall_s']:.3f} s"
-            print(f"{self.w.name}: pass {index}{' (traced)' if traced else ''}: {wall}",
+            took_s = "failed" if result is None else (
+                f"{record['ref_cpu_s']:.3f} s scaled CPU, {result['cpu_s']:.3f} s CPU, "
+                f"{result['wall_s']:.3f} s wall, speed scale {probe.scale:.3f}"
+            )
+            print(f"{self.w.name}: pass {index}{' (traced)' if traced else ''}: {took_s}",
                   file=sys.stderr)
         return records
 
@@ -438,8 +497,8 @@ def run_workload(w: Workload, seed: int, seconds: float, trace: bool, is_smoke: 
     metrics: dict[str, dict] = {}
     if not trace:
         values = {
-            "docs_per_s": _median(r["scored"] / r["result"]["wall_s"] for r in plain),
-            "us_per_pair": _median(r["result"]["wall_s"] * 1e6 / r["pairs"] for r in plain),
+            "docs_per_ref_s": _median(r["scored"] / r["ref_cpu_s"] for r in plain),
+            "ref_us_per_pair": _median(r["ref_cpu_s"] * 1e6 / r["pairs"] for r in plain),
             "setup_s": info["setup_s"],
             "peak_rss_mb": _median(r["result"]["peak_rss_mb"] for r in plain),
             "accuracy_at_k": accuracy,
@@ -456,10 +515,18 @@ def run_workload(w: Workload, seed: int, seconds: float, trace: bool, is_smoke: 
             else:
                 value = _median(p[name] for p in per_pass)
             metrics[name] = {"value": value, "unit": unit}
-        traced_wall = _median(r["result"]["wall_s"] for r in ok if r["traced"])
-        plain_wall = _median(r["result"]["wall_s"] for r in plain)
-        overhead = traced_wall / plain_wall - 1.0 if traced_wall and plain_wall else None
-        metrics["trace.overhead_frac"] = {"value": overhead, "unit": "ratio"}
+        traced_cpu = _median(r["ref_cpu_s"] for r in ok if r["traced"])
+        plain_cpu = _median(r["ref_cpu_s"] for r in plain)
+        values = {
+            "trace.overhead_frac":
+                traced_cpu / plain_cpu - 1.0 if traced_cpu and plain_cpu else None,
+            "cpu.docs_per_s": _median(r["scored"] / r["result"]["cpu_s"] for r in plain),
+            "wall.docs_per_s": _median(r["scored"] / r["result"]["wall_s"] for r in plain),
+            "machine.speed_scale": _median(r["scale"] for r in plain),
+            "machine.steal_frac": _median(r["steal_frac"] for r in plain),
+        }
+        for name, unit in RUN_LAYER:
+            metrics[name] = {"value": values[name], "unit": unit}
     if info.get("model_sha256") and not is_smoke:
         recorded = json.loads(PINS.read_text(encoding="utf-8"))["model_sha256_info"].get(w.name)
         same = "matches" if recorded == info["model_sha256"] else "differs from"
@@ -496,6 +563,11 @@ def main(argv: list[str] | None = None) -> int:
                         help="tiny corpora, for checking the benchmark itself")
     args = parser.parse_args(argv)
     names = list(WORKLOADS) if args.workload == "all" else [args.workload]
+    # A terminated run still stops its CLI process and speed probe.
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(128 + signal.SIGTERM))
+    # One CPU for the benchmark, the CLI processes (they inherit the mask)
+    # and the speed probe, so the probe times the CPU the pass runs on.
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     results = {}
     try:
         for name in names:

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+import probe  # noqa: E402
 import reference  # noqa: E402
 import run  # noqa: E402
 import stub_scorer  # noqa: E402
@@ -148,6 +151,21 @@ class TestStub:
         assert "error" in stub_scorer.answer(json.dumps({"req_id": "4", "target": []}), self.LINKS)
 
 
+class TestProbe:
+    def test_trimmed_mean_drops_the_ends(self):
+        samples = [1.0] * 8 + [0.0, 100.0]
+        assert probe.trimmed_mean(samples) == 1.0
+        assert probe.trimmed_mean([2.0]) == 2.0
+
+    def test_scale_is_measured_and_the_probe_stops(self):
+        cpu = min(os.sched_getaffinity(0))
+        with probe.SpeedProbe(cpu) as p:
+            time.sleep(0.2)
+            proc = p._proc
+        assert p.scale is not None and p.scale > 0
+        assert proc.returncode == 0
+
+
 class TestTracer:
     def test_missing_target_is_unmeasured(self, monkeypatch):
         monkeypatch.setattr(
@@ -170,7 +188,7 @@ class TestSmoke:
         assert proc.returncode == 0, proc.stderr
         results = json.loads(proc.stdout.strip().splitlines()[-1])
         assert set(results) == set(run.WORKLOADS)
-        names = {m[0] for m in tracer.LAYER_METRICS} | {"trace.overhead_frac"}
+        names = {m[0] for m in tracer.LAYER_METRICS} | {name for name, _unit in run.RUN_LAYER}
         for result in results.values():
             assert result["correct"] and result["failed"] == 0
             assert set(result["metrics"]) == names

@@ -57,56 +57,56 @@ BACKEND_KEYS = ("ngram.score", "backends.external_score")
 
 # (name, unit, keys it needs, the end-to-end metric and workloads the
 # layer should move). Values are per CLI process.
-E2E_PAIR = "us_per_pair on exact-pairs and sampled-ngram"
+E2E_PAIR = "ref_us_per_pair on exact-pairs and sampled-ngram"
 LAYER_METRICS = (
     ("ngram.cond_s", "s", ("ngram.score",), E2E_PAIR),
     ("ngram.cond_calls", "count", ("ngram.score",), E2E_PAIR),
-    ("ngram.uncond_s", "s", ("ngram.score",), "docs_per_s, peak_rss_mb on sampled-ngram"),
+    ("ngram.uncond_s", "s", ("ngram.score",), "docs_per_ref_s, peak_rss_mb on sampled-ngram"),
     ("ngram.uncond_calls", "count", ("ngram.score",),
-     "docs_per_s, peak_rss_mb on sampled-ngram"),
-    ("ngram.load_s", "s", ("ngram.load",), "docs_per_s on the n-gram workloads"),
+     "docs_per_ref_s, peak_rss_mb on sampled-ngram"),
+    ("ngram.load_s", "s", ("ngram.load",), "docs_per_ref_s on the n-gram workloads"),
     ("ngram.train_s", "s", ("ngram.train",), "setup_s on the n-gram workloads"),
     ("backends.ppl_cache_hit_ratio", "ratio", ("backends.cache_lookup",),
-     "docs_per_s, peak_rss_mb on sampled-ngram"),
+     "docs_per_ref_s, peak_rss_mb on sampled-ngram"),
     ("backends.ppl_cache_lookups", "count", ("backends.cache_lookup",),
      "base of backends.ppl_cache_hit_ratio"),
     ("backends.ppl_self_s", "s",
      ("backends.ppl", "backends.ppl_given", "ngram.score", "backends.external_score"),
-     "us_per_pair on all workloads"),
-    ("backends.round_trips", "count", ("backends.round_trip",), "docs_per_s on external-stdio"),
-    ("backends.wire_s", "s", ("backends.round_trip",), "docs_per_s on external-stdio"),
-    ("backends.call_p50_us", "us", BACKEND_KEYS, "docs_per_s on external-stdio"),
-    ("backends.call_p99_us", "us", BACKEND_KEYS, "docs_per_s on external-stdio"),
+     "ref_us_per_pair on all workloads"),
+    ("backends.round_trips", "count", ("backends.round_trip",), "docs_per_ref_s on external-stdio"),
+    ("backends.wire_s", "s", ("backends.round_trip",), "docs_per_ref_s on external-stdio"),
+    ("backends.call_p50_us", "us", BACKEND_KEYS, "docs_per_ref_s on external-stdio"),
+    ("backends.call_p99_us", "us", BACKEND_KEYS, "docs_per_ref_s on external-stdio"),
     ("backends.call_samples", "count", BACKEND_KEYS, "sample count of the call percentiles"),
-    ("backends.connect_s", "s", ("backends.connect",), "docs_per_s on external-stdio"),
-    ("lds.sample_pairs_s", "s", ("lds.sample_pairs",), "docs_per_s on sampled-ngram"),
+    ("backends.connect_s", "s", ("backends.connect",), "docs_per_ref_s on external-stdio"),
+    ("lds.sample_pairs_s", "s", ("lds.sample_pairs",), "docs_per_ref_s on sampled-ngram"),
     ("lds.sample_pairs_calls", "count", ("lds.sample_pairs",),
-     "docs_per_s on sampled-ngram; 0 on exact-pairs"),
-    ("lds.dsp_s", "s", ("lds.dsp",), "us_per_pair on exact-pairs"),
-    ("lds.dsp_rows", "count", ("lds.dsp",), "us_per_pair on exact-pairs"),
+     "docs_per_ref_s on sampled-ngram; 0 on exact-pairs"),
+    ("lds.dsp_s", "s", ("lds.dsp",), "ref_us_per_pair on exact-pairs"),
+    ("lds.dsp_rows", "count", ("lds.dsp",), "ref_us_per_pair on exact-pairs"),
     ("lds.accumulate_self_s", "s",
      ("lds.score_document", "lds.sample_pairs", "lds.dsp", "backends.ppl",
       "backends.ppl_given", "backends.cache_lookup"),
-     "us_per_pair on exact-pairs"),
-    ("pipeline.doc_busy_s", "s", ("pipeline.score_one",), "docs_per_s on exact-pairs"),
+     "ref_us_per_pair on exact-pairs"),
+    ("pipeline.doc_busy_s", "s", ("pipeline.score_one",), "docs_per_ref_s on exact-pairs"),
     ("pipeline.parallel_efficiency", "ratio", ("pipeline.score_one", "pipeline.score_corpus"),
-     "docs_per_s on exact-pairs"),
+     "docs_per_ref_s on exact-pairs"),
     ("pipeline.build_manifest_s", "s", ("pipeline.build_manifest",), "under 1% everywhere"),
-    ("jsonio.write_s", "s", ("jsonio.write", "jsonio.write_meta"), "docs_per_s on exact-pairs"),
+    ("jsonio.write_s", "s", ("jsonio.write", "jsonio.write_meta"), "docs_per_ref_s on exact-pairs"),
     ("jsonio.files_written", "count", ("jsonio.write", "jsonio.write_meta"),
-     "docs_per_s on exact-pairs"),
+     "docs_per_ref_s on exact-pairs"),
     ("jsonio.bytes_written", "bytes", ("jsonio.write", "jsonio.write_meta"),
-     "docs_per_s on exact-pairs"),
+     "docs_per_ref_s on exact-pairs"),
     ("corpus.ingest_s", "s", ("corpus.ingest",), "under 1% everywhere"),
     ("corpus.tokenize_s", "s", ("corpus.tokenize",), "under 1% everywhere"),
     ("corpus.segment_s", "s", ("corpus.segment",), "under 1% everywhere"),
-    ("cli.score_s", "s", ("cli.score",), "docs_per_s on all workloads"),
-    ("cli.select_s", "s", ("cli.select",), "docs_per_s on exact-pairs"),
+    ("cli.score_s", "s", ("cli.score",), "docs_per_ref_s on all workloads"),
+    ("cli.select_s", "s", ("cli.select",), "docs_per_ref_s on exact-pairs"),
     ("cli.unattributed_s", "s",
      ("cli.score", "cli.select", "ngram.load", "backends.connect",
       "pipeline.score_corpus", "jsonio.write", "jsonio.write_meta",
       "pipeline.build_manifest"),
-     "docs_per_s on all workloads"),
+     "docs_per_ref_s on all workloads"),
 )
 
 
