@@ -8,7 +8,7 @@ scorers, a selection pipeline, heatmap rendering, and a synthetic bench.
 """
 
 from .backends import (
-    CacheEntry,
+    BackendCapabilities,
     CountingBackend,
     ExternalBackend,
     PerplexityBackend,
@@ -62,14 +62,12 @@ from .lds import (
     sample_pairs,
     score_document,
 )
-from .ngram import BackendCapabilities, NGramBackend, NGramModel, train_ngram
+from .ngram import NGramBackend, NGramModel, train_ngram
 from .pipeline import (
     DocumentOutcome,
     ScoringStats,
     SelectionManifest,
     build_manifest,
-    random_baseline,
-    rank_and_select,
     reports_only,
     score_corpus,
 )
@@ -81,7 +79,6 @@ __all__ = [
     "BackendError",
     "BackendUnreachable",
     "BenchResult",
-    "CacheEntry",
     "ConfigError",
     "CountingBackend",
     "Document",
@@ -125,8 +122,6 @@ __all__ = [
     "pair_count",
     "ppl",
     "ppl_given",
-    "random_baseline",
-    "rank_and_select",
     "read_dst_csv",
     "render_heatmap",
     "repeated_token_document",

@@ -22,7 +22,12 @@ from typing import Protocol, Sequence, runtime_checkable
 
 from .corpus import SegmentGrid, Token, TokenizerSpec
 from .errors import BackendError, BackendUnreachable, ScoringError
-from .ngram import BackendCapabilities
+
+
+@dataclass(frozen=True)
+class BackendCapabilities:
+    max_context_tokens: int
+    deterministic: bool
 
 
 @runtime_checkable
@@ -102,13 +107,6 @@ class CountingBackend:
         return self.inner.score(target, context)
 
 
-@dataclass(frozen=True)
-class CacheEntry:
-    doc_id: str
-    segment_index: int
-    unconditional_ppl: float
-
-
 class PplCache:
     """Concurrent map of unconditional segment perplexities.
 
@@ -119,18 +117,18 @@ class PplCache:
     """
 
     def __init__(self):
-        self._entries: dict[tuple[Token, ...], CacheEntry] = {}
+        self._entries: dict[tuple[Token, ...], float] = {}
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def lookup(self, segment: tuple[Token, ...]) -> CacheEntry | None:
+    def lookup(self, segment: tuple[Token, ...]) -> float | None:
         return self._entries.get(segment)
 
-    def store(self, segment: tuple[Token, ...], entry: CacheEntry) -> None:
+    def store(self, segment: tuple[Token, ...], value: float) -> None:
         with self._lock:
-            self._entries[segment] = entry
+            self._entries[segment] = value
 
 
 def cached_unconditional(
@@ -144,8 +142,8 @@ def cached_unconditional(
         cache = PplCache()
     values: list[float] = []
     for idx, seg in enumerate(grid.segments):
-        entry = cache.lookup(seg)
-        if entry is None:
+        value = cache.lookup(seg)
+        if value is None:
             try:
                 value = ppl(backend, seg)
             except BackendUnreachable:
@@ -156,9 +154,8 @@ def cached_unconditional(
                     retriable=exc.retriable,
                     segment_index=idx,
                 ) from exc
-            entry = CacheEntry(grid.doc_id, idx, value)
-            cache.store(seg, entry)
-        values.append(entry.unconditional_ppl)
+            cache.store(seg, value)
+        values.append(value)
     return values
 
 
@@ -233,8 +230,9 @@ class ExternalBackend:
     own vocabulary. Context and target are sent as separate fields, so
     any separator policy is the scorer's own.
 
-    Transport failures raise retriable BackendError and are retried up to
-    ``retries`` times; an error response from the scorer is not retried.
+    Transport failures, undecodable lines and mismatched ``req_id``s raise
+    retriable BackendError and are retried up to ``retries`` times on a
+    fresh connection; an error response from the scorer is not retried.
     """
 
     def __init__(
@@ -339,8 +337,18 @@ class ExternalBackend:
                 self._discard(conn)
                 last_error = BackendError("scorer closed the stream", retriable=True)
                 continue
+            try:
+                result = self._parse_response(line, req_id)
+            except BackendError as exc:
+                if not exc.retriable:
+                    self._release(conn)
+                    raise
+                # The stream may be out of step with our requests: drop it.
+                self._discard(conn)
+                last_error = exc
+                continue
             self._release(conn)
-            return self._parse_response(line, req_id)
+            return result
         assert last_error is not None
         raise last_error
 

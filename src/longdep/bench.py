@@ -20,11 +20,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .backends import PplCache
+from .backends import BackendCapabilities, PplCache
 from .corpus import Document
 from .errors import BackendError, ConfigError
 from .lds import LdsConfig, derive_seed
-from .ngram import BackendCapabilities
 from .pipeline import ScoringStats, reports_only, score_corpus
 
 POSITIVE_KINDS = ("planted-key", "entity-chain")
@@ -304,19 +303,6 @@ class BenchResult:
     accuracy_at_k: float | None
     status: str = "ok"
     error: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "backend": self.backend,
-            "sample_size": self.sample_size,
-            "n_docs": self.n_docs,
-            "workers": self.workers,
-            "wall_time_s": self.wall_time_s,
-            "docs_per_second": self.docs_per_second,
-            "accuracy_at_k": self.accuracy_at_k,
-            "status": self.status,
-            "error": self.error,
-        }
 
 
 def accuracy_at_k(reports, labels: dict[str, int], k: int | None = None) -> float:

@@ -56,26 +56,29 @@ EXIT_INTERRUPTED = 130
 log = logging.getLogger("longdep")
 
 
-def _tokenizer(kind: str) -> TokenizerSpec:
-    return TokenizerSpec(kind=kind)
+def _external_endpoint(spec_str: str) -> str | None:
+    """The endpoint of an ``external[:<endpoint>]`` spec, falling back to
+    $LONGDEP_SCORER_ENDPOINT; None when the spec names another backend."""
+    if spec_str != "external" and not spec_str.startswith("external:"):
+        return None
+    endpoint = spec_str[len("external:"):] or os.environ.get(SCORER_ENDPOINT_ENV, "")
+    if not endpoint:
+        raise ConfigError(
+            f"no scorer endpoint for {spec_str!r}: use external:<endpoint> "
+            f"or set {SCORER_ENDPOINT_ENV}"
+        )
+    return endpoint
 
 
 def _resolve_backend(spec_str: str, tokenizer: TokenizerSpec):
-    """Backend selector: ngram:<model-file> or external[:<endpoint>],
-    the endpoint falling back to $LONGDEP_SCORER_ENDPOINT."""
+    """Backend selector: ngram:<model-file> or external[:<endpoint>]."""
     if spec_str.startswith("ngram:"):
         path = spec_str[len("ngram:"):]
         if not os.path.exists(path):
             raise ConfigError(f"model file not found: {path}")
         return NGramBackend(NGramModel.load(path))
-    if spec_str == "external" or spec_str.startswith("external:"):
-        endpoint = spec_str[len("external:"):] if ":" in spec_str else ""
-        endpoint = endpoint or os.environ.get(SCORER_ENDPOINT_ENV, "")
-        if not endpoint:
-            raise ConfigError(
-                "no scorer endpoint: use --backend external:<endpoint> "
-                f"or set {SCORER_ENDPOINT_ENV}"
-            )
+    endpoint = _external_endpoint(spec_str)
+    if endpoint is not None:
         backend = ExternalBackend(endpoint, tokenizer=tokenizer)
         backend.connect_check()
         return backend
@@ -90,35 +93,9 @@ def _sidecar_name(doc_id: str) -> str:
     return f"{safe}-{tag}.json"
 
 
-def _flags_dict(args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
-    return {k: getattr(args, k, None) for k in keys}
-
-
-_SCORE_FLAG_KEYS = (
-    "segment_len",
-    "truncate_len",
-    "tau",
-    "alpha",
-    "beta",
-    "gamma",
-    "mode",
-    "sample_size",
-    "dsp_variant",
-    "seed",
-    "workers",
-    "fraction",
-    "tokenizer",
-    "input_format",
-    "order",
-    "k",
-    "backend",
-)
-
-
 def _effective_config(args: argparse.Namespace) -> RunConfig:
-    return resolve_config(
-        _flags_dict(args, _SCORE_FLAG_KEYS), getattr(args, "config", None)
-    )
+    flags = {key: getattr(args, key, None) for key in REFERENCE_PROFILE}
+    return resolve_config(flags, getattr(args, "config", None))
 
 
 def _show_config(rc: RunConfig) -> int:
@@ -136,7 +113,7 @@ def cmd_train_ngram(args: argparse.Namespace) -> int:
         raise ConfigError(f"input not found: {args.input}")
     stats = IngestStats()
     docs = tokenized_corpus(
-        ingest(args.input, format=rc.input_format, stats=stats), _tokenizer(rc.tokenizer)
+        ingest(args.input, format=rc.input_format, stats=stats), TokenizerSpec(rc.tokenizer)
     )
     model = train_ngram(docs, order=rc.order, k=rc.k, tokenizer_kind=rc.tokenizer)
     ensure_parent(args.out)
@@ -164,7 +141,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         raise ConfigError("--input is required")
     if not os.path.exists(args.input):
         raise ConfigError(f"input not found: {args.input}")
-    tokenizer = _tokenizer(rc.tokenizer)
+    tokenizer = TokenizerSpec(rc.tokenizer)
     backend = _resolve_backend(rc.backend, tokenizer)
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -175,7 +152,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
     stats = ScoringStats()
     rows: list[dict] = []
-    interrupted = False
+    complete = interrupted = False
     docs = ingest(args.input, format=rc.input_format)
     outcomes = score_corpus(
         docs,
@@ -204,6 +181,7 @@ def cmd_score(args: argparse.Namespace) -> int:
                         "reason": outcome.reason,
                     }
                 )
+        complete = True
     except KeyboardInterrupt:
         interrupted = True
         outcomes.close()
@@ -214,7 +192,7 @@ def cmd_score(args: argparse.Namespace) -> int:
                 handle.write("\n")
         write_meta_sidecar(
             reports_path,
-            complete=not interrupted,
+            complete=complete,
             extra={
                 "config_hash": rc.fingerprint(),
                 "scored": stats.scored,
@@ -241,18 +219,7 @@ def _load_outcome_rows(path: str) -> tuple[list[ScoreReport], list[DocumentOutco
                 continue
             row = json.loads(line)
             if row.get("status") == "scored":
-                reports.append(
-                    ScoreReport(
-                        doc_id=row["doc_id"],
-                        n_segments=row["n_segments"],
-                        mode=row["mode"],
-                        lds=row["lds"],
-                        pair_count=row["pair_count"],
-                        gated_count=row["gated_count"],
-                        config_hash=row["config_hash"],
-                        source=row.get("source", ""),
-                    )
-                )
+                reports.append(ScoreReport.from_dict(row))
             else:
                 others.append(
                     DocumentOutcome(
@@ -312,18 +279,7 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
     pair_rows = data.get("pairs", [])
     if not pair_rows:
         raise ConfigError(f"sidecar {args.pairs!r} holds no pairs; nothing to render")
-    pairs = [
-        PairScore(
-            target=row["target"],
-            source=row["source"],
-            dst=row["dst"],
-            ddi=row["ddi"],
-            dsp=row["dsp"],
-            pairwise=row["pairwise"],
-            gated=row["gated"],
-        )
-        for row in pair_rows
-    ]
+    pairs = [PairScore(**row) for row in pair_rows]
     spec = HeatmapSpec(
         doc_id=data["doc_id"],
         n_segments=data["n_segments"],
@@ -354,7 +310,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     base_cfg = rc.lds.replace(
         segment_len=spec.segment_len, truncate_len=spec.doc_token_len
     )
-    tokenizer = _tokenizer(rc.tokenizer)
+    tokenizer = TokenizerSpec(rc.tokenizer)
 
     backends = []
     for token in args.backends.split(","):
@@ -364,13 +320,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             backends.append(("ngram", lambda m=model: NGramBackend(m)))
         elif token == "oracle":
             backends.append(("oracle", lambda ts=testset: OracleBackend(ts.links)))
-        elif token == "external" or token.startswith("external:"):
-            endpoint = token[len("external:"):] if ":" in token else ""
-            endpoint = endpoint or os.environ.get(SCORER_ENDPOINT_ENV, "")
-            if not endpoint:
-                raise ConfigError(
-                    f"no scorer endpoint for {token!r}; set {SCORER_ENDPOINT_ENV}"
-                )
+        elif (endpoint := _external_endpoint(token)) is not None:
             backends.append(
                 ("external", lambda ep=endpoint: ExternalBackend(ep, tokenizer=tokenizer))
             )

@@ -9,43 +9,12 @@ retention fraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 from .errors import ConfigError
 from .jsonio import fingerprint, read_json
 from .lds import LdsConfig
-
-REFERENCE_PROFILE: dict = {
-    "segment_len": 128,
-    "truncate_len": 32768,
-    "tau": 0.05,
-    "alpha": 1.0,
-    "beta": 1.0,
-    "gamma": 1.0,
-    "mode": "sampled",
-    "sample_size": 5000,
-    "dsp_variant": "multiplicative",
-    "seed": 0,
-    "fraction": 0.5,
-    "workers": 1,
-    "tokenizer": "whitespace",
-    "input_format": "jsonl",
-    "order": 3,
-    "k": 0.01,
-}
-
-_LDS_KEYS = (
-    "segment_len",
-    "truncate_len",
-    "tau",
-    "alpha",
-    "beta",
-    "gamma",
-    "mode",
-    "sample_size",
-    "dsp_variant",
-    "seed",
-)
 
 
 @dataclass(frozen=True)
@@ -62,22 +31,32 @@ class RunConfig:
     backend: str = ""
 
     def to_dict(self) -> dict:
-        out = dict(self.lds.to_dict())
-        out.update(
-            {
-                "fraction": self.fraction,
-                "workers": self.workers,
-                "tokenizer": self.tokenizer,
-                "input_format": self.input_format,
-                "order": self.order,
-                "k": self.k,
-                "backend": self.backend,
-            }
-        )
+        out = self.lds.to_dict()
+        out.update({f.name: getattr(self, f.name) for f in _RUN_FIELDS})
         return out
 
     def fingerprint(self) -> str:
         return fingerprint(self.to_dict())
+
+
+# The two dataclasses are the only schema: every key list, default and
+# type check below is read off their fields.
+_LDS_KEYS = tuple(f.name for f in fields(LdsConfig))
+_RUN_FIELDS = tuple(f for f in fields(RunConfig) if f.name != "lds")
+_KEY_TYPES = {**get_type_hints(LdsConfig), **get_type_hints(RunConfig)}
+
+REFERENCE_PROFILE: dict = {f.name: f.default for f in fields(LdsConfig) + _RUN_FIELDS}
+
+
+def _typed(key: str, value):
+    """``value`` as the schema type of ``key``. An int is accepted for a
+    float key and stored as a float, so ``0`` and ``0.0`` hash alike."""
+    kind = _KEY_TYPES[key]
+    if kind is float and type(value) is int:
+        return float(value)
+    if type(value) is not kind:
+        raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}")
+    return value
 
 
 def load_config_file(path: str) -> dict:
@@ -87,7 +66,7 @@ def load_config_file(path: str) -> dict:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path!r} must hold a JSON object")
-    unknown = set(raw) - set(REFERENCE_PROFILE) - {"backend"}
+    unknown = set(raw) - set(REFERENCE_PROFILE)
     if unknown:
         raise ConfigError(f"unknown config keys in {path!r}: {sorted(unknown)}")
     return raw
@@ -100,30 +79,17 @@ def resolve_config(
 
     ``flags`` holds only explicitly supplied values (argparse sentinels
     already stripped); the config file fills what flags leave open; the
-    reference profile fills the rest.
+    reference profile fills the rest. Every value must have its key's
+    schema type.
     """
     flags = {k: v for k, v in (flags or {}).items() if v is not None}
     file_cfg = load_config_file(config_path) if config_path else {}
-    merged = dict(REFERENCE_PROFILE)
-    merged["backend"] = ""
-    merged.update(file_cfg)
-    merged.update(flags)
+    merged = {**REFERENCE_PROFILE, **file_cfg, **flags}
+    merged = {key: _typed(key, merged[key]) for key in REFERENCE_PROFILE}
 
-    try:
-        lds = LdsConfig(**{k: merged[k] for k in _LDS_KEYS})
-    except TypeError as exc:
-        raise ConfigError(f"bad scoring parameters: {exc}") from exc
+    lds = LdsConfig(**{k: merged[k] for k in _LDS_KEYS})
     if merged["workers"] < 1:
         raise ConfigError(f"workers must be >= 1, got {merged['workers']}")
     if not (0.0 < merged["fraction"] <= 1.0):
         raise ConfigError(f"fraction must be in (0, 1], got {merged['fraction']}")
-    return RunConfig(
-        lds=lds,
-        fraction=merged["fraction"],
-        workers=merged["workers"],
-        tokenizer=merged["tokenizer"],
-        input_format=merged["input_format"],
-        order=merged["order"],
-        k=merged["k"],
-        backend=merged["backend"],
-    )
+    return RunConfig(lds=lds, **{f.name: merged[f.name] for f in _RUN_FIELDS})

@@ -29,13 +29,6 @@ def write_canonical(path: str, obj: Any) -> None:
         handle.write("\n")
 
 
-def write_jsonl(path: str, rows: list[Any]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for row in rows:
-            handle.write(canonical_dumps(row))
-            handle.write("\n")
-
-
 def write_meta_sidecar(path: str, *, complete: bool, extra: dict | None = None) -> None:
     """Run metadata next to an artifact: timestamps and completion status
     stay out of the artifact itself so reruns stay byte-identical."""

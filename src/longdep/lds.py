@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -78,18 +78,7 @@ class LdsConfig:
         return replace(self, **changes)
 
     def to_dict(self) -> dict:
-        return {
-            "segment_len": self.segment_len,
-            "truncate_len": self.truncate_len,
-            "tau": self.tau,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "mode": self.mode,
-            "sample_size": self.sample_size,
-            "dsp_variant": self.dsp_variant,
-            "seed": self.seed,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def fingerprint(self) -> str:
         return fingerprint(self.to_dict())
@@ -236,6 +225,20 @@ class ScoreReport:
         if include_pairs:
             out["pairs"] = [p.to_dict() for p in self.pairs]
         return out
+
+    @classmethod
+    def from_dict(cls, row: dict) -> "ScoreReport":
+        """Rebuild a report from a ``to_dict()`` row; pairs are not read."""
+        return cls(
+            doc_id=row["doc_id"],
+            n_segments=row["n_segments"],
+            mode=row["mode"],
+            lds=row["lds"],
+            pair_count=row["pair_count"],
+            gated_count=row["gated_count"],
+            config_hash=row["config_hash"],
+            source=row.get("source", ""),
+        )
 
 
 def _group_rows(pairs: Iterable[tuple[int, int]]) -> dict[int, list[int]]:

@@ -23,10 +23,10 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .backends import BackendCapabilities
 from .corpus import Document, Token
 from .errors import ConfigError
 
@@ -189,12 +189,6 @@ def train_ngram(
     if n_docs == 0 or not model.vocab:
         raise ConfigError("cannot train an n-gram model on an empty corpus")
     return model
-
-
-@dataclass(frozen=True)
-class BackendCapabilities:
-    max_context_tokens: int
-    deterministic: bool
 
 
 class NGramBackend:

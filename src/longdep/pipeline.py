@@ -334,43 +334,3 @@ def build_manifest(
         failed=failed,
         stats={arm: _arm_stats(values) for arm, values in pooled.items()},
     )
-
-
-def rank_and_select(
-    reports: Sequence[ScoreReport],
-    fraction: float,
-    per_source: bool = True,
-    outcomes: Sequence[DocumentOutcome] = (),
-    seed: int = 0,
-    passthrough_sources: frozenset[str] = frozenset(),
-) -> SelectionManifest:
-    """Top-fraction retention by LDS (descending, doc_id tie-break)."""
-    return build_manifest(
-        reports,
-        outcomes,
-        fraction,
-        "prolong",
-        seed=seed,
-        per_source=per_source,
-        passthrough_sources=passthrough_sources,
-    )
-
-
-def random_baseline(
-    reports: Sequence[ScoreReport],
-    fraction: float,
-    seed: int,
-    per_source: bool = True,
-    outcomes: Sequence[DocumentOutcome] = (),
-    passthrough_sources: frozenset[str] = frozenset(),
-) -> SelectionManifest:
-    """Uniform without-replacement retention at the same subset size."""
-    return build_manifest(
-        reports,
-        outcomes,
-        fraction,
-        "random",
-        seed=seed,
-        per_source=per_source,
-        passthrough_sources=passthrough_sources,
-    )

@@ -224,6 +224,23 @@ class TestExternalStdio:
         finally:
             backend.close()
 
+    def test_one_garbage_line_is_retried_on_a_fresh_connection(self, tmp_path):
+        marker = tmp_path / "garbled"
+        body = """\
+    import os
+    if not os.path.exists(MARKER):
+        open(MARKER, "w").close()
+        sys.stdout.write("{broken\\n")
+        sys.stdout.flush()
+        continue
+""".replace("MARKER", repr(str(marker))) + GOOD_BODY
+        backend = ExternalBackend(_stub(tmp_path, body))
+        try:
+            assert ppl(backend, ("x", "y")) == pytest.approx(math.e, rel=1e-9)
+            assert marker.exists()
+        finally:
+            backend.close()
+
     def test_request_id_mismatch_is_retriable(self, tmp_path):
         body = """\
     out = {"req_id": "wrong", "logprob_sum": -1.0, "token_count": 1}

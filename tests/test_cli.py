@@ -179,6 +179,60 @@ class TestScore:
         config.write_text(json.dumps({"tau": 0.5, "typo_key": 1}))
         assert main(["score", "--show-config", "--config", str(config)]) == 2
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {"workers": "2"},
+            {"fraction": "0.5"},
+            {"order": "3"},
+            {"seed": "0"},
+            {"tau": True},
+            {"workers": 2.0},
+        ],
+    )
+    def test_config_file_value_of_wrong_type_rejected(self, tmp_path, values):
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps(values))
+        assert main(["score", "--show-config", "--config", str(config)]) == 2
+
+    def test_int_for_float_key_hashes_like_the_flag(self, tmp_path, capsys):
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps({"tau": 0}))
+        assert main(["score", "--show-config", "--config", str(config)]) == 0
+        from_file = json.loads(capsys.readouterr().out)
+        assert main(["score", "--show-config", "--tau", "0"]) == 0
+        assert json.loads(capsys.readouterr().out) == from_file
+
+    def test_show_config_round_trips_through_config_file(self, tmp_path, capsys):
+        flags = ["--tau", "0.2", "--mode", "exact", "--workers", "2", "--backend", "ngram:m"]
+        assert main(["score", "--show-config", *flags]) == 0
+        shown = json.loads(capsys.readouterr().out)
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps(shown["config"]))
+        assert main(["score", "--show-config", "--config", str(config)]) == 0
+        assert json.loads(capsys.readouterr().out) == shown
+
+    def test_crashed_run_is_marked_incomplete(self, corpus, model, tmp_path, monkeypatch):
+        from longdep.ngram import NGramBackend
+
+        real_score = NGramBackend.score
+        calls = []
+
+        def crashing_score(self, target, context=None):
+            calls.append(1)
+            if len(calls) > 45:
+                raise RuntimeError("scorer blew up")
+            return real_score(self, target, context)
+
+        monkeypatch.setattr(NGramBackend, "score", crashing_score)
+        out_dir = tmp_path / "out"
+        with pytest.raises(RuntimeError):
+            run_score(corpus, model, out_dir)
+        rows = (out_dir / "reports.jsonl").read_text().splitlines()
+        assert 0 < len(rows) < 9
+        meta = json.loads((out_dir / "reports.jsonl.meta.json").read_text())
+        assert meta["complete"] is False
+
 
 class TestSelect:
     @pytest.fixture()

@@ -15,8 +15,6 @@ from longdep.pipeline import (
     DocumentOutcome,
     ScoringStats,
     build_manifest,
-    random_baseline,
-    rank_and_select,
     reports_only,
     score_corpus,
 )
@@ -270,13 +268,12 @@ class TestBuildManifest:
 class TestSelectionHelpers:
     def test_rank_and_select_is_prolong(self):
         reports = [report(f"d{i}", float(i)) for i in range(6)]
-        a = rank_and_select(reports, 0.5, seed=3)
-        b = build_manifest(reports, (), 0.5, "prolong", seed=3)
-        assert a.retained_ids == b.retained_ids
+        a = build_manifest(reports, (), 0.5, "prolong", seed=3)
+        assert a.retained_ids == ["d5", "d4", "d3"]
         assert a.strategy == "prolong"
 
     def test_random_baseline_matches_subset_size(self):
         reports = [report(f"d{i}", float(i)) for i in range(9)]
-        manifest = random_baseline(reports, 0.4, seed=2)
+        manifest = build_manifest(reports, (), 0.4, "random", seed=2)
         assert manifest.strategy == "random"
         assert len(manifest.retained_ids) == math.ceil(9 * 0.4)
