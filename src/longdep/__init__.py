@@ -12,7 +12,6 @@ from .backends import (
     CountingBackend,
     ExternalBackend,
     PerplexityBackend,
-    PplCache,
     cached_unconditional,
     ppl,
     ppl_given,
@@ -94,7 +93,6 @@ __all__ = [
     "OracleBackend",
     "PairScore",
     "PerplexityBackend",
-    "PplCache",
     "REFERENCE_PROFILE",
     "RunConfig",
     "ScoreReport",

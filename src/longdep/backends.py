@@ -15,9 +15,8 @@ import json
 import math
 import socket
 import subprocess
-import threading
 from dataclasses import dataclass
-from queue import Queue
+from queue import LifoQueue
 from typing import Protocol, Sequence, runtime_checkable
 
 from .corpus import SegmentGrid, Token, TokenizerSpec
@@ -108,38 +107,28 @@ class CountingBackend:
 
 
 class PplCache:
-    """Concurrent map of unconditional segment perplexities.
+    """Unconditional segment perplexities of one document.
 
-    Keys are the segment token contents, never document ids, so two grids
-    that share an id but differ in content can never produce a false hit.
-    Values are deterministic, so concurrent last-writer-wins races are
-    benign.
+    Keys are the segment token contents, so repeated segments of a
+    document share one backend call.
     """
 
     def __init__(self):
         self._entries: dict[tuple[Token, ...], float] = {}
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def lookup(self, segment: tuple[Token, ...]) -> float | None:
         return self._entries.get(segment)
 
     def store(self, segment: tuple[Token, ...], value: float) -> None:
-        with self._lock:
-            self._entries[segment] = value
+        self._entries[segment] = value
 
 
-def cached_unconditional(
-    backend: PerplexityBackend,
-    grid: SegmentGrid,
-    cache: PplCache | None = None,
-) -> list[float]:
+def cached_unconditional(backend: PerplexityBackend, grid: SegmentGrid) -> list[float]:
     """Unconditional perplexity of every segment, at most one backend call
-    per distinct segment content. Backend failures carry the segment index."""
-    if cache is None:
-        cache = PplCache()
+    per distinct segment content of this grid. Nothing is kept across
+    calls, so memory does not grow with the corpus. Backend failures
+    carry the segment index."""
+    cache = PplCache()
     values: list[float] = []
     for idx, seg in enumerate(grid.segments):
         value = cache.lookup(seg)
@@ -230,9 +219,10 @@ class ExternalBackend:
     own vocabulary. Context and target are sent as separate fields, so
     any separator policy is the scorer's own.
 
-    Transport failures, undecodable lines and mismatched ``req_id``s raise
-    retriable BackendError and are retried up to ``retries`` times on a
-    fresh connection; an error response from the scorer is not retried.
+    Failed connects, transport failures, undecodable lines and mismatched
+    ``req_id``s raise retriable BackendError and are retried up to
+    ``retries`` times on a fresh connection; an error response from the
+    scorer is not retried.
     """
 
     def __init__(
@@ -249,7 +239,6 @@ class ExternalBackend:
         self.timeout = timeout
         self.retries = retries
         self._max_context = max_context_tokens
-        self._lock = threading.Lock()
         if endpoint.startswith("stdio://"):
             self._mode = "stdio"
             self._command = endpoint[len("stdio://"):]
@@ -262,8 +251,14 @@ class ExternalBackend:
                 raise BackendError(f"bad endpoint {endpoint!r}; expected tcp://host:port")
             self._host, self._port = host, int(port)
             self._pool_size = max(1, pool_size)
-        self._pool: Queue = Queue()
-        self._created = 0
+        # Each slot holds an idle connection or None, a free slot that its
+        # taker fills with a fresh connection. A failed connect or a
+        # discarded connection puts its None back, so a waiting caller
+        # never blocks on a connection that will not come. Last in, first
+        # out, so an idle connection is reused before a new one is opened.
+        self._pool: LifoQueue = LifoQueue()
+        for _ in range(self._pool_size):
+            self._pool.put(None)
 
     @property
     def capabilities(self) -> BackendCapabilities:
@@ -277,37 +272,37 @@ class ExternalBackend:
         return _TcpConnection(self._host, self._port, self.timeout)
 
     def _acquire(self):
+        conn = self._pool.get()
+        if conn is not None:
+            return conn
         try:
-            return self._pool.get_nowait()
-        except Exception:
-            pass
-        with self._lock:
-            if self._created < self._pool_size:
-                self._created += 1
-                return self._new_connection()
-        return self._pool.get()
+            return self._new_connection()
+        except BaseException:
+            self._pool.put(None)
+            raise
 
     def _release(self, conn) -> None:
         self._pool.put(conn)
 
     def _discard(self, conn) -> None:
         conn.close()
-        with self._lock:
-            self._created -= 1
+        self._pool.put(None)
 
     def connect_check(self) -> None:
-        """Probe the endpoint once; raises BackendUnreachable on failure."""
+        """Open the first connection; raises BackendUnreachable on failure."""
         try:
-            conn = self._new_connection()
+            conn = self._acquire()
         except BackendError as exc:
             raise BackendUnreachable(f"scorer endpoint {self.endpoint!r} unreachable: {exc}") from exc
         self._release(conn)
-        with self._lock:
-            self._created += 1
 
     def close(self) -> None:
-        while not self._pool.empty():
-            self._pool.get_nowait().close()
+        """Close the idle connections; their slots stay free for reuse."""
+        slots = [self._pool.get_nowait() for _ in range(self._pool.qsize())]
+        for conn in slots:
+            if conn is not None:
+                conn.close()
+            self._pool.put(None)
 
     def score(
         self, target: Sequence[Token], context: Sequence[Token] | None = None
@@ -326,7 +321,11 @@ class ExternalBackend:
 
         last_error: BackendError | None = None
         for _ in range(self.retries + 1):
-            conn = self._acquire()
+            try:
+                conn = self._acquire()
+            except BackendError as exc:
+                last_error = exc
+                continue
             try:
                 line = conn.round_trip(request)
             except (OSError, BackendError) as exc:

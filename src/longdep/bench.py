@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .backends import BackendCapabilities, PplCache
+from .backends import BackendCapabilities
 from .corpus import Document
 from .errors import BackendError, ConfigError
 from .lds import LdsConfig, derive_seed
@@ -328,7 +328,7 @@ def run_bench(
     rank, and measure accuracy plus scoring throughput.
 
     Cells run sequentially so timings do not contend; each cell builds a
-    fresh backend so caches never carry over. A failing cell is recorded
+    fresh backend so no memo carries over. A failing cell is recorded
     and the remaining cells proceed.
     """
     base_cfg = base_cfg or LdsConfig(
@@ -349,7 +349,6 @@ def run_bench(
                         backend,
                         cfg,
                         workers=workers,
-                        cache=PplCache(),
                         stats=stats,
                     )
                 )

@@ -21,7 +21,7 @@ import os
 import re
 import sys
 
-from .backends import ExternalBackend, PplCache
+from .backends import ExternalBackend
 from .bench import (
     OracleBackend,
     SynthSpec,
@@ -109,6 +109,8 @@ def _show_config(rc: RunConfig) -> int:
 
 def cmd_train_ngram(args: argparse.Namespace) -> int:
     rc = _effective_config(args)
+    if args.show_config:
+        return _show_config(rc)
     if not os.path.exists(args.input):
         raise ConfigError(f"input not found: {args.input}")
     stats = IngestStats()
@@ -160,7 +162,6 @@ def cmd_score(args: argparse.Namespace) -> int:
         rc.lds,
         tokenizer=tokenizer,
         workers=rc.workers,
-        cache=PplCache(),
         stats=stats,
         keep_pairs=args.emit_pairs,
     )
@@ -388,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--order", type=int, default=None)
     train.add_argument("--k", type=float, default=None)
     _add_config_flags(train)
-    train.set_defaults(func=cmd_train_ngram, show_config=False)
+    train.set_defaults(func=cmd_train_ngram)
 
     score = commands.add_parser("score", help="score a corpus")
     score.add_argument("--input", default="")

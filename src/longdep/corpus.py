@@ -14,7 +14,7 @@ import logging
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import DocumentTooShort
 
@@ -44,13 +44,10 @@ class TokenizerSpec:
 
     kind "whitespace" splits on runs of whitespace and falls back to raw
     UTF-8 bytes for texts that do not split (single-blob code, CJK).
-    kind "byte" always yields the UTF-8 byte values. An optional frozen
-    vocabulary maps tokens to integer ids; tokens outside it map to the
-    reserved id ``len(vocabulary)``.
+    kind "byte" always yields the UTF-8 byte values.
     """
 
     kind: str = "whitespace"
-    vocabulary: Mapping[str, int] | None = None
 
     def __post_init__(self):
         if self.kind not in ("whitespace", "byte"):
@@ -58,25 +55,16 @@ class TokenizerSpec:
 
     def tokenize(self, text: str) -> tuple[Token, ...]:
         if self.kind == "byte":
-            toks: tuple[Token, ...] = tuple(text.encode("utf-8"))
-        else:
-            parts = text.split()
-            if len(parts) >= 2:
-                toks = tuple(parts)
-            else:
-                # No usable whitespace structure: byte-level fallback.
-                toks = tuple(text.strip().encode("utf-8"))
-        if self.vocabulary is not None:
-            unk = len(self.vocabulary)
-            toks = tuple(self.vocabulary.get(t, unk) for t in toks)  # type: ignore[arg-type]
-        return toks
+            return tuple(text.encode("utf-8"))
+        parts = text.split()
+        if len(parts) >= 2:
+            return tuple(parts)
+        # No usable whitespace structure: byte-level fallback.
+        return tuple(text.strip().encode("utf-8"))
 
     def detokenize(self, tokens: Sequence[Token]) -> str:
         """Best-effort inverse used when shipping segments to an external
         scorer as text."""
-        if self.vocabulary is not None:
-            inverse = {v: k for k, v in self.vocabulary.items()}
-            tokens = [inverse.get(t, "<unk>") for t in tokens]  # type: ignore[index]
         if tokens and all(isinstance(t, int) for t in tokens):
             return bytes(tokens).decode("utf-8", errors="replace")  # type: ignore[arg-type]
         return " ".join(str(t) for t in tokens)

@@ -29,7 +29,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .backends import PerplexityBackend, PplCache, cached_unconditional, ppl_given
+from .backends import PerplexityBackend, cached_unconditional, ppl_given
 from .corpus import SegmentGrid
 from .errors import BackendError, BackendUnreachable, ConfigError
 from .jsonio import fingerprint
@@ -250,15 +250,17 @@ def _group_rows(pairs: Iterable[tuple[int, int]]) -> dict[int, list[int]]:
     return rows
 
 
-def _score_rows(
+def _score(
     backend: PerplexityBackend,
     grid: SegmentGrid,
     cfg: LdsConfig,
-    rows: dict[int, list[int]],
-    unconditional: Sequence[float],
+    mode: str,
+    seed: int | None,
     keep_pairs: bool,
-) -> tuple[float, int, int, list[PairScore]]:
-    """Shared accumulation path for both modes.
+) -> ScoreReport:
+    """The one scoring path. ``exact`` rows hold every source below each
+    target; ``sampled`` rows hold the pairs drawn from ``seed`` (default:
+    the config seed).
 
     Rows are walked target-ascending and sources source-ascending, so a
     sample that happens to cover all pairs performs the identical float
@@ -267,6 +269,11 @@ def _score_rows(
     accumulated score is unaffected.
     """
     n = grid.n_segments
+    if mode == "exact":
+        rows = {t: list(range(t)) for t in range(1, n)}
+    else:
+        rows = _group_rows(sample_pairs(n, cfg.sample_size, cfg.seed if seed is None else seed))
+    unconditional = cached_unconditional(backend, grid)
     total = 0.0
     gated_count = 0
     n_pairs = 0
@@ -301,33 +308,27 @@ def _score_rows(
                 pair_scores.append(
                     PairScore(target, source, dst_value, ddi_value, dsp_value, pairwise, gated)
                 )
-    return total, gated_count, n_pairs, pair_scores
+    return ScoreReport(
+        doc_id=grid.doc_id,
+        n_segments=n,
+        mode=mode,
+        lds=total,
+        pair_count=n_pairs,
+        gated_count=gated_count,
+        config_hash=cfg.fingerprint(),
+        source=grid.source,
+        pairs=tuple(pair_scores),
+    )
 
 
 def lds_exact(
     backend: PerplexityBackend,
     grid: SegmentGrid,
     cfg: LdsConfig,
-    cache: PplCache | None = None,
     keep_pairs: bool = True,
 ) -> ScoreReport:
     """Document score over every (target, source) pair."""
-    unconditional = cached_unconditional(backend, grid, cache)
-    rows = {t: list(range(t)) for t in range(1, grid.n_segments)}
-    total, gated_count, n_pairs, pairs = _score_rows(
-        backend, grid, cfg, rows, unconditional, keep_pairs
-    )
-    return ScoreReport(
-        doc_id=grid.doc_id,
-        n_segments=grid.n_segments,
-        mode="exact",
-        lds=total,
-        pair_count=n_pairs,
-        gated_count=gated_count,
-        config_hash=cfg.fingerprint(),
-        source=grid.source,
-        pairs=tuple(pairs),
-    )
+    return _score(backend, grid, cfg, "exact", None, keep_pairs)
 
 
 def lds_sampled(
@@ -335,7 +336,6 @@ def lds_sampled(
     grid: SegmentGrid,
     cfg: LdsConfig,
     seed: int | None = None,
-    cache: PplCache | None = None,
     keep_pairs: bool = True,
 ) -> ScoreReport:
     """Document score over a uniform without-replacement pair sample.
@@ -344,25 +344,7 @@ def lds_sampled(
     document the pipeline derives a seed from (config seed, doc id) so
     results never depend on worker count or arrival order.
     """
-    if seed is None:
-        seed = cfg.seed
-    pairs = sample_pairs(grid.n_segments, cfg.sample_size, seed)
-    unconditional = cached_unconditional(backend, grid, cache)
-    rows = _group_rows(pairs)
-    total, gated_count, n_pairs, scored = _score_rows(
-        backend, grid, cfg, rows, unconditional, keep_pairs
-    )
-    return ScoreReport(
-        doc_id=grid.doc_id,
-        n_segments=grid.n_segments,
-        mode="sampled",
-        lds=total,
-        pair_count=n_pairs,
-        gated_count=gated_count,
-        config_hash=cfg.fingerprint(),
-        source=grid.source,
-        pairs=tuple(scored),
-    )
+    return _score(backend, grid, cfg, "sampled", seed, keep_pairs)
 
 
 def score_document(
@@ -370,10 +352,7 @@ def score_document(
     grid: SegmentGrid,
     cfg: LdsConfig,
     seed: int | None = None,
-    cache: PplCache | None = None,
     keep_pairs: bool = True,
 ) -> ScoreReport:
-    """Mode dispatch used by the pipeline."""
-    if cfg.mode == "exact":
-        return lds_exact(backend, grid, cfg, cache, keep_pairs=keep_pairs)
-    return lds_sampled(backend, grid, cfg, seed=seed, cache=cache, keep_pairs=keep_pairs)
+    """Score under ``cfg.mode``; the pipeline's entry point."""
+    return _score(backend, grid, cfg, cfg.mode, seed, keep_pairs)

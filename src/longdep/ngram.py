@@ -191,15 +191,22 @@ def train_ngram(
     return model
 
 
+# Memo entries kept by an NGramBackend before it starts over. Rows are
+# scored target by target, so a small memo keeps nearly every hit while
+# memory stays flat however many documents pass through.
+UNCOND_MEMO_SIZE = 1024
+
+
 class NGramBackend:
     """Perplexity backend over a trained NGramModel.
 
     Conditioning with an n-gram window only changes the first order-1
-    target tokens, so conditional scores reuse a memoized unconditional
-    sum plus a small head adjustment. Memoized paths are always taken,
-    which keeps repeated calls bit-identical. An optional separator token
-    can be inserted between context and target; by default they are
-    concatenated directly.
+    target tokens, so a conditional score is a memoized unconditional
+    sum with its head terms swapped for ones that see the context. The
+    memo holds at most ``UNCOND_MEMO_SIZE`` targets and is cleared when
+    full. Memoized paths are always taken, which keeps repeated calls
+    bit-identical. An optional separator token can be inserted between
+    context and target; by default they are concatenated directly.
     """
 
     def __init__(self, model: NGramModel, context_separator: Token | None = None):
@@ -207,8 +214,6 @@ class NGramBackend:
         self.context_separator = context_separator
         # target tuple -> (logprob_sum, per-token logprobs of the head)
         self._uncond: dict[tuple[Token, ...], tuple[float, tuple[float, ...]]] = {}
-        # (context tail, target head) -> conditional head logprob sum
-        self._cond_head: dict[tuple[tuple[Token, ...], tuple[Token, ...]], float] = {}
 
     @property
     def capabilities(self) -> BackendCapabilities:
@@ -228,23 +233,10 @@ class NGramBackend:
                 head_lps.append(lp)
             total += lp
         entry = (total, tuple(head_lps))
+        if len(self._uncond) >= UNCOND_MEMO_SIZE:
+            self._uncond.clear()
         self._uncond[target] = entry
         return entry
-
-    def _cond_head_sum(
-        self, ctx_tail: tuple[Token, ...], head: tuple[Token, ...]
-    ) -> float:
-        key = (ctx_tail, head)
-        cached = self._cond_head.get(key)
-        if cached is not None:
-            return cached
-        model = self.model
-        buf = ctx_tail + head
-        total = 0.0
-        for idx in range(len(ctx_tail), len(buf)):
-            total += math.log(model.prob(buf[idx], buf[max(0, idx - model.order + 1):idx]))
-        self._cond_head[key] = total
-        return total
 
     def score(
         self,
@@ -262,11 +254,15 @@ class NGramBackend:
         ctx = tuple(context)
         if self.context_separator is not None:
             ctx = ctx + (self.context_separator,)
-        window = self.model.order - 1
+        model = self.model
+        window = model.order - 1
         ctx_tail = ctx[-window:] if window else ()
-        head = tgt[: len(head_lps)]
+        buf = ctx_tail + tgt[: len(head_lps)]
+        head_sum = 0.0
+        for idx in range(len(ctx_tail), len(buf)):
+            head_sum += math.log(model.prob(buf[idx], buf[max(0, idx - model.order + 1):idx]))
         adjusted = base
         for lp in head_lps:
             adjusted -= lp
-        adjusted += self._cond_head_sum(ctx_tail, head)
+        adjusted += head_sum
         return adjusted, len(tgt)

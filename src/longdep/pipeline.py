@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .backends import PerplexityBackend, PplCache
+from .backends import PerplexityBackend
 from .corpus import Document, TokenizerSpec, segment, tokenize
 from .errors import (
     BackendError,
@@ -61,7 +61,6 @@ def _score_one(
     backend: PerplexityBackend,
     cfg: LdsConfig,
     tokenizer: TokenizerSpec,
-    cache: PplCache | None,
     keep_pairs: bool,
 ) -> DocumentOutcome:
     try:
@@ -75,7 +74,6 @@ def _score_one(
             grid,
             cfg,
             seed=derive_seed(cfg.seed, doc.id),
-            cache=cache,
             keep_pairs=keep_pairs,
         )
     except BackendUnreachable:
@@ -91,7 +89,6 @@ def score_corpus(
     cfg: LdsConfig,
     tokenizer: TokenizerSpec | None = None,
     workers: int = 1,
-    cache: PplCache | None = None,
     stats: ScoringStats | None = None,
     keep_pairs: bool = False,
 ) -> Iterator[DocumentOutcome]:
@@ -120,7 +117,7 @@ def score_corpus(
 
     if workers == 1:
         for doc in docs:
-            yield record(_score_one(doc, backend, cfg, tokenizer, cache, keep_pairs))
+            yield record(_score_one(doc, backend, cfg, tokenizer, keep_pairs))
         return
 
     # Bounded in-flight window; results resequence to input order.
@@ -137,7 +134,7 @@ def score_corpus(
                     exhausted = True
                     break
                 pending.append(
-                    pool.submit(_score_one, doc, backend, cfg, tokenizer, cache, keep_pairs)
+                    pool.submit(_score_one, doc, backend, cfg, tokenizer, keep_pairs)
                 )
             if not pending:
                 break

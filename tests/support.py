@@ -15,7 +15,7 @@ import statistics
 
 import numpy as np
 
-from longdep.backends import CountingBackend, PplCache, ppl, ppl_given
+from longdep.backends import CountingBackend, ppl, ppl_given
 from longdep.bench import accuracy_at_k
 from longdep.config import REFERENCE_PROFILE, resolve_config
 from longdep.corpus import Document, SegmentGrid, segment

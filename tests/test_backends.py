@@ -1,9 +1,12 @@
 """Perplexity helpers, caching, and the external scorer client."""
 
+import contextlib
+import json
 import math
 import socket
 import socketserver
 import threading
+import time
 
 import pytest
 from support import HashBackend, ScriptedBackend
@@ -11,7 +14,6 @@ from support import HashBackend, ScriptedBackend
 from longdep.backends import (
     CountingBackend,
     ExternalBackend,
-    PplCache,
     cached_unconditional,
     ppl,
     ppl_given,
@@ -110,13 +112,11 @@ class TestPplCache:
         assert values[0] == values[2] == values[3]
         assert values[0] == ppl(HashBackend(), ("a", "b"))
 
-    def test_cache_shared_across_documents(self):
+    def test_nothing_is_kept_across_documents(self):
         counting = CountingBackend(HashBackend())
-        cache = PplCache()
-        cached_unconditional(counting, _grid("one", [("a", "b"), ("c", "d")]), cache)
-        cached_unconditional(counting, _grid("two", [("c", "d"), ("a", "b")]), cache)
-        assert counting.unconditional_calls == 2
-        assert len(cache) == 2
+        cached_unconditional(counting, _grid("one", [("a", "b"), ("c", "d")]))
+        cached_unconditional(counting, _grid("two", [("c", "d"), ("a", "b")]))
+        assert counting.unconditional_calls == 4
 
     def test_failure_carries_segment_index(self):
         class Poison:
@@ -304,7 +304,103 @@ def tcp_scorer():
         server.server_close()
 
 
+class _DyingScorer:
+    """A TCP scorer that answers its first ``answers`` requests and reads
+    the rest without answering. ``kill`` closes its listener and shuts
+    every connection, so each later connect is refused."""
+
+    def __init__(self, answers):
+        self.answers = answers
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.listener.settimeout(0.05)
+        self.endpoint = f"tcp://127.0.0.1:{self.listener.getsockname()[1]}"
+        self.conns = []
+        self.seen = threading.Semaphore(0)
+        self.dead = threading.Event()
+        self.acceptor = threading.Thread(target=self._accept, daemon=True)
+        self.acceptor.start()
+
+    def _accept(self):
+        while not self.dead.is_set():
+            try:
+                conn, _ = self.listener.accept()
+            except socket.timeout:
+                continue
+            self.conns.append(conn)
+            threading.Thread(target=self._serve, args=(conn,), daemon=True).start()
+        self.listener.close()
+
+    def _serve(self, conn):
+        with conn.makefile("rw", encoding="utf-8") as stream:
+            for line in stream:
+                req = json.loads(line)
+                if self.answers > 0:
+                    self.answers -= 1
+                    out = {"req_id": req["req_id"], "logprob_sum": -1.0, "token_count": 1}
+                    stream.write(json.dumps(out) + "\n")
+                    stream.flush()
+                self.seen.release()
+
+    def kill(self):
+        self.dead.set()
+        self.acceptor.join()
+        for conn in self.conns:
+            with contextlib.suppress(OSError):
+                conn.shutdown(socket.SHUT_RDWR)
+
+
+def _start_call(fn):
+    """Run ``fn`` in a daemon thread, so a call that blocks for good
+    cannot hang the suite."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["result"] = fn()
+        except Exception as exc:
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    return thread, outcome
+
+
+def _raised_in_time(call, timeout=10.0):
+    thread, outcome = call
+    thread.join(timeout)
+    assert not thread.is_alive(), f"call still blocked after {timeout} s"
+    return outcome.get("error")
+
+
 class TestExternalTcp:
+    def test_dead_scorer_fails_each_call_without_hanging(self):
+        scorer = _DyingScorer(answers=1)
+        backend = ExternalBackend(scorer.endpoint, pool_size=2)
+        try:
+            backend.connect_check()
+            assert backend.score(("x",)) == (-1.0, 1)
+            scorer.kill()
+            for _ in range(4):
+                error = _raised_in_time(_start_call(lambda: backend.score(("x",))))
+                assert isinstance(error, BackendError)
+        finally:
+            backend.close()
+
+    def test_waiting_callers_are_released_when_connections_die(self):
+        scorer = _DyingScorer(answers=0)
+        backend = ExternalBackend(scorer.endpoint, pool_size=2)
+        try:
+            backend.connect_check()
+            calls = [_start_call(lambda: backend.score(("x",))) for _ in range(4)]
+            for _ in range(2):
+                assert scorer.seen.acquire(timeout=10.0)
+            time.sleep(0.1)  # the other two callers are waiting for a connection
+            scorer.kill()
+            for call in calls:
+                assert isinstance(_raised_in_time(call), BackendError)
+        finally:
+            backend.close()
+
     def test_round_trip_scores(self, tcp_scorer):
         backend = ExternalBackend(tcp_scorer, pool_size=2)
         try:

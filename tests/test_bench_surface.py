@@ -1,0 +1,66 @@
+"""The part of ``longdep`` that the benchmark in ``perfbench/`` calls.
+
+``perfbench/run.py``, ``child.py`` and ``test_perfbench.py`` import these
+names and read these fields. If one of them goes away, a benchmark run
+crashes before it prints its result line, so each is checked here, on a
+2-document corpus that scores in well under a second.
+"""
+
+import pytest
+
+from longdep.bench import SynthSpec, generate_testset
+from longdep.cli import main
+from longdep.corpus import SegmentGrid
+from longdep.lds import LdsConfig, derive_seed, lds_exact, lds_sampled
+from longdep.ngram import NGramBackend, NGramModel, train_ngram
+
+SPEC = SynthSpec(n_positive=1, n_negative=1, n_segments=8, segment_len=8, seed=1)
+
+
+@pytest.fixture(scope="module")
+def testset():
+    return generate_testset(SPEC)
+
+
+def _grid(doc) -> SegmentGrid:
+    n = SPEC.segment_len
+    segments = tuple(tuple(doc.tokens[i * n:(i + 1) * n]) for i in range(SPEC.n_segments))
+    return SegmentGrid(doc_id=doc.id, segment_len=n, segments=segments, source=doc.source)
+
+
+def test_cli_entry_point_is_callable():
+    assert callable(main)
+
+
+def test_testset_carries_docs_labels_and_links(testset):
+    assert len(testset.docs) == 2
+    assert set(testset.labels) == {doc.id for doc in testset.docs}
+    assert all(isinstance(doc.source, str) and doc.tokens for doc in testset.docs)
+    assert testset.links
+    for history, token in testset.links:
+        assert list(history) and token
+
+
+def test_model_round_trips_and_scores_with_context(testset, tmp_path):
+    model = train_ngram(testset.docs, order=3, k=0.01)
+    path = tmp_path / "model.json"
+    model.save(path)
+    loaded = NGramModel.load(path)
+    tokens = testset.docs[0].tokens
+    logprob_sum, count = loaded.seq_logprob(tokens[8:16], tokens[:8])
+    assert count == 8 and logprob_sum < 0.0
+    assert loaded.seq_logprob(tokens[8:16], ()) == model.seq_logprob(tokens[8:16], ())
+
+
+def test_both_modes_score_a_grid(testset):
+    model = train_ngram(testset.docs, order=3, k=0.01)
+    doc = testset.docs[0]
+    grid = _grid(doc)
+    cfg = LdsConfig(segment_len=SPEC.segment_len, truncate_len=SPEC.doc_token_len, sample_size=5)
+    exact = lds_exact(NGramBackend(model), grid, cfg.replace(mode="exact"))
+    assert exact.pair_count == 28
+    seed = derive_seed(7, doc.id)
+    assert isinstance(seed, int)
+    sampled = lds_sampled(NGramBackend(model), grid, cfg, seed=seed)
+    assert sampled.pair_count == 5
+    assert isinstance(sampled.lds, float)

@@ -115,6 +115,17 @@ class TestTrainNgram:
         assert meta["complete"] is True
         assert meta["documents"] == 9
 
+    def test_show_config_prints_and_writes_nothing(self, tmp_path, corpus, capsys):
+        out = tmp_path / "model.json"
+        code = main(
+            ["train-ngram", "--input", corpus, "--out", str(out), "--show-config", *TRAIN_FLAGS]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["config"]["order"] == 2
+        assert payload["config"]["k"] == 0.1
+        assert sorted(os.listdir(tmp_path)) == ["corpus.jsonl"]
+
 
 class TestScore:
     def test_scores_corpus_and_reports_outcomes(self, corpus, model, tmp_path, capsys):

@@ -28,10 +28,6 @@ class TestTokenizer:
         spec = TokenizerSpec("byte")
         assert spec.tokenize("hé") == tuple("hé".encode("utf-8"))
 
-    def test_vocabulary_maps_tokens_and_unknowns(self):
-        spec = TokenizerSpec("whitespace", vocabulary={"a": 0, "b": 1})
-        assert spec.tokenize("a b zz a") == (0, 1, 2, 0)
-
     def test_detokenize_inverts_whitespace(self):
         spec = TokenizerSpec("whitespace")
         assert spec.detokenize(spec.tokenize("a b c")) == "a b c"
@@ -39,10 +35,6 @@ class TestTokenizer:
     def test_detokenize_inverts_bytes(self):
         spec = TokenizerSpec("byte")
         assert spec.detokenize(spec.tokenize("hé")) == "hé"
-
-    def test_detokenize_inverts_vocabulary(self):
-        spec = TokenizerSpec("whitespace", vocabulary={"a": 0, "b": 1})
-        assert spec.detokenize((1, 0)) == "b a"
 
 
 class TestSegment:

@@ -7,7 +7,7 @@ import pytest
 
 from longdep.corpus import Document
 from longdep.errors import ConfigError
-from longdep.ngram import UNK, NGramBackend, NGramModel, train_ngram
+from longdep.ngram import UNCOND_MEMO_SIZE, UNK, NGramBackend, NGramModel, train_ngram
 
 
 @pytest.fixture()
@@ -176,6 +176,13 @@ class TestBackend:
         first = backend.score(("a", "b", "c"), ("b", "a"))
         assert backend.score(("a", "b", "c"), ("b", "a")) == first
         assert backend.score(("a", "b", "c")) == backend.score(("a", "b", "c"))
+
+    def test_memo_stays_bounded_and_bit_identical(self, bigram):
+        backend = NGramBackend(bigram)
+        targets = [(f"w{i}", "a") for i in range(UNCOND_MEMO_SIZE + 10)]
+        first = [backend.score(t, ("b",)) for t in targets]
+        assert len(backend._uncond) <= UNCOND_MEMO_SIZE
+        assert [backend.score(t, ("b",)) for t in targets] == first
 
     def test_empty_target_rejected(self, bigram):
         backend = NGramBackend(bigram)
