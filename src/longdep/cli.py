@@ -14,6 +14,7 @@ unreachable, 4 completed with per-document or per-cell failures,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import logging
@@ -76,7 +77,14 @@ def _resolve_backend(spec_str: str, tokenizer: TokenizerSpec):
         path = spec_str[len("ngram:"):]
         if not os.path.exists(path):
             raise ConfigError(f"model file not found: {path}")
-        return NGramBackend(NGramModel.load(path))
+        model = NGramModel.load(path)
+        if model.tokenizer_kind != tokenizer.kind:
+            raise ConfigError(
+                f"model {path} was trained on {model.tokenizer_kind!r} tokens, but this "
+                f"run uses the {tokenizer.kind!r} tokenizer; pass --tokenizer "
+                f"{model.tokenizer_kind} or retrain the model"
+            )
+        return NGramBackend(model)
     endpoint = _external_endpoint(spec_str)
     if endpoint is not None:
         backend = ExternalBackend(endpoint, tokenizer=tokenizer)
@@ -155,7 +163,8 @@ def cmd_score(args: argparse.Namespace) -> int:
     stats = ScoringStats()
     rows: list[dict] = []
     complete = interrupted = False
-    docs = ingest(args.input, format=rc.input_format)
+    ingest_stats = IngestStats()
+    docs = ingest(args.input, format=rc.input_format, stats=ingest_stats)
     outcomes = score_corpus(
         docs,
         backend,
@@ -199,6 +208,7 @@ def cmd_score(args: argparse.Namespace) -> int:
                 "scored": stats.scored,
                 "excluded": stats.excluded,
                 "failed": stats.failed,
+                "ingest": dataclasses.asdict(ingest_stats),
             },
         )
     print(

@@ -1,8 +1,8 @@
 """Add-k smoothed n-gram language model and its perplexity backend.
 
-This is the built-in, dependency-free scorer: deterministic, fast, and
-good enough to drive the pipeline end to end. Production-accuracy
-scoring plugs in through the external backend instead.
+This is the built-in scorer: deterministic, fast, and good enough to
+drive the pipeline end to end. Production-accuracy scoring plugs in
+through the external backend instead.
 
 Probability model: the vocabulary is frozen at training time to the
 observed token types plus one reserved unknown symbol. For a history h
@@ -16,25 +16,53 @@ Conditional distributions therefore sum to one over vocabulary plus
 unknown mass. Counts are kept for every history length from 0 to
 order-1 so the first tokens of a sequence are scored with whatever
 history actually exists.
+
+Storage: the vocabulary, sorted with ``_token_sort_key``, is interned to
+ids 0..V-1, and the unknown symbol is id V. Every observed (history,
+token) pair is one entry with the integer key ``hist_id * (V + 1) + tok``.
+The empty history has id 0; any longer history h + (t,) has id 1 + the
+index of the entry (h, t) in key order. Entries of longer histories have
+larger ids, so a key stays below ``(entries + 1) * (V + 1)`` and every
+history is spelled out by entries that sort before it. A model whose
+keys could leave int64 is refused.
+
+Model file, version 2: one line of canonical JSON holding ``format``,
+``version``, ``order``, ``k``, ``tokenizer_kind``, ``vocab`` (in id order)
+and ``entries``, then the entry keys in ascending order and their counts,
+each as ``entries`` little-endian int64 values. Identical input gives a
+byte-identical file. Version 1 files (nested JSON counts) are refused
+with a request to retrain.
+
+Scoring reads tables built once per model: the natural log-probability
+of every entry, one log-probability per history for tokens it never
+preceded, and a map from a history's token ids to its id. They are
+computed with ``math.log`` over the same float operations as the formula
+above, so a score does not depend on how the model was stored.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import Counter
+from functools import cached_property
+from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .backends import BackendCapabilities
 from .corpus import Document, Token
 from .errors import ConfigError
 
 MODEL_FORMAT = "longdep-ngram"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 # Reserved unknown symbol; never produced by the tokenizers.
 UNK = "\x00unk"
+
+_FILE_INT = np.dtype("<i8")
+_KEY_LIMIT = 2**63
 
 
 def _token_sort_key(tok: Token):
@@ -42,10 +70,87 @@ def _token_sort_key(tok: Token):
     return (0, tok) if isinstance(tok, int) else (1, tok)
 
 
-class NGramModel:
-    """Frozen add-k n-gram model over hashable tokens."""
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
-    def __init__(self, order: int, k: float, tokenizer_kind: str = "whitespace"):
+
+def _check_key_space(n_entries: int, width: int) -> None:
+    """Refuse a model whose keys, each below (n_entries + 1) * width,
+    could exceed int64."""
+    if (n_entries + 1) * width >= _KEY_LIMIT:
+        raise ConfigError(
+            f"n-gram model too large for 64-bit keys: up to {n_entries} entries "
+            f"over a vocabulary of {width - 1}"
+        )
+
+
+def _logs(ratios: np.ndarray) -> Iterator[float]:
+    """``math.log`` of each ratio. Ratios repeat a lot (every count-1
+    entry of a history shares one), so each distinct value is logged
+    once and its float object shared."""
+    distinct, which = np.unique(ratios, return_inverse=True)
+    logs = list(map(math.log, distinct.tolist()))
+    return map(logs.__getitem__, which.tolist())
+
+
+class _Tables:
+    """What scoring looks up; see the module docstring."""
+
+    __slots__ = ("ids", "unk", "width", "hist", "lp", "unseen")
+
+    def __init__(self, model: "NGramModel"):
+        vocab, keys, counts, k = model.vocab, model.keys, model.counts, model.k
+        self.ids = {tok: i for i, tok in enumerate(vocab)}
+        # A token spelled like UNK counts as one; otherwise UNK is id V.
+        self.unk = self.ids.get(UNK, len(vocab))
+        self.width = width = len(vocab) + 1
+        denom = k * width
+        hids = keys // width
+        firsts = np.flatnonzero(np.diff(hids, prepend=-1))
+        totals = np.add.reduceat(counts, firsts)
+        per_entry = np.repeat(totals, np.diff(firsts, append=len(keys)))
+        ratios = (counts + k) / (per_entry + denom)
+        self.lp = dict(zip(keys.tolist(), _logs(ratios)))
+        history_ids = hids[firsts]
+        self.unseen = dict(zip(history_ids.tolist(), _logs(k / (totals + denom))))
+        # A history never seen has id -1, which no key can reach.
+        self.unseen[-1] = math.log((0 + k) / (0 + denom))
+        self.hist = {(): 0}
+        # Spell each history out backwards, one entry (parent, token) at
+        # a time; histories of one length become tuples together.
+        spelled = history_ids[history_ids > 0]
+        cursor, lengths, backwards = spelled, np.zeros(len(spelled), dtype=np.int64), []
+        for _ in range(model.order - 1):
+            alive = cursor > 0
+            speller = keys[np.maximum(cursor - 1, 0)]
+            backwards.append(np.where(alive, speller % width, -1))
+            cursor = np.where(alive, speller // width, 0)
+            lengths += alive
+        if cursor.any():
+            raise ConfigError("model entries spell a history longer than order - 1")
+        for length in range(1, model.order):
+            rows = lengths == length
+            columns = (column[rows].tolist() for column in backwards[length - 1::-1])
+            self.hist.update(zip(zip(*columns), spelled[rows].tolist()))
+
+
+class NGramModel:
+    """Frozen add-k n-gram model over hashable tokens.
+
+    ``vocab`` lists the token types in id order; ``keys`` (ascending)
+    and ``counts`` are the int64 entry arrays described in the module
+    docstring.
+    """
+
+    def __init__(
+        self,
+        order: int,
+        k: float,
+        tokenizer_kind: str = "whitespace",
+        vocab: Sequence[Token] = (),
+        keys: np.ndarray | None = None,
+        counts: np.ndarray | None = None,
+    ):
         if not 1 <= order <= 5:
             raise ConfigError(f"order must be in [1, 5], got {order}")
         if not (k > 0 and math.isfinite(k)):
@@ -53,50 +158,43 @@ class NGramModel:
         self.order = order
         self.k = k
         self.tokenizer_kind = tokenizer_kind
-        self.vocab: set[Token] = set()
-        # history tuple (len 0..order-1) -> {next token -> count}
-        self.counts: dict[tuple[Token, ...], dict[Token, int]] = {}
-        # history tuple -> total continuations observed
-        self.totals: dict[tuple[Token, ...], int] = {}
+        self.vocab: tuple[Token, ...] = tuple(vocab)
+        empty = np.zeros(0, dtype=np.int64)
+        self.keys = empty if keys is None else keys
+        self.counts = empty if counts is None else counts
 
-    @property
-    def vocab_size(self) -> int:
-        return len(self.vocab)
+    @cached_property
+    def _tables(self) -> _Tables:
+        return _Tables(self)
 
-    def _observe(self, tokens: Sequence[Token]) -> None:
-        toks = tuple(tokens)
-        self.vocab.update(toks)
-        for hist_len in range(self.order):
-            if len(toks) <= hist_len:
-                break
-            windows = Counter(
-                zip(*(toks[i:] for i in range(hist_len + 1)))
-            )
-            for window, c in windows.items():
-                hist, tok = window[:hist_len], window[hist_len]
-                slot = self.counts.get(hist)
-                if slot is None:
-                    slot = self.counts[hist] = {}
-                    self.totals[hist] = 0
-                slot[tok] = slot.get(tok, 0) + c
-                self.totals[hist] += c
+    def _to_ids(self, tokens: Sequence[Token]) -> tuple[int, ...]:
+        tables = self._tables
+        return tuple(map(tables.ids.get, tokens, repeat(tables.unk)))
 
-    def _lookup_history(self, history: Sequence[Token]) -> tuple[Token, ...]:
-        hist = tuple(history[-(self.order - 1):]) if self.order > 1 else ()
-        return tuple(t if t in self.vocab else UNK for t in hist)
+    def _logprobs(self, ids: tuple[int, ...], start: int) -> list[float]:
+        """Log-probability of each of ``ids[start:]`` after the ids
+        before it."""
+        tables = self._tables
+        hist, n = tables.hist.get, self.order - 1
+        lp, unseen, width = tables.lp.get, tables.unseen, tables.width
+        out = []
+        for i in range(start, len(ids)):
+            h = hist(ids[i - n if i > n else 0:i], -1)
+            out.append(lp(h * width + ids[i], unseen[h]))
+        return out
 
     def prob(self, token: Token, history: Sequence[Token] = ()) -> float:
         """Smoothed conditional probability of ``token`` after ``history``."""
-        hist = self._lookup_history(history)
-        if token not in self.vocab:
-            token = UNK
-        slot = self.counts.get(hist)
-        count = slot.get(token, 0) if slot else 0
-        total = self.totals.get(hist, 0)
-        return (count + self.k) / (total + self.k * (self.vocab_size + 1))
-
-    def logprob(self, token: Token, history: Sequence[Token] = ()) -> float:
-        return math.log(self.prob(token, history))
+        n = self.order - 1
+        *hist, tok = self._to_ids((*(tuple(history)[-n:] if n else ()), token))
+        h = self._tables.hist.get(tuple(hist))
+        count = total = 0
+        if h is not None:
+            base = h * self._tables.width
+            row = slice(*np.searchsorted(self.keys, (base, base + self._tables.width)))
+            total = int(self.counts[row].sum())
+            count = int(self.counts[row][self.keys[row] == base + tok].sum())
+        return (count + self.k) / (total + self.k * (len(self.vocab) + 1))
 
     def seq_logprob(
         self, target: Sequence[Token], context: Sequence[Token] = ()
@@ -108,64 +206,98 @@ class NGramModel:
         """
         if not target:
             raise ValueError("target must be non-empty")
-        buf = list(context) + list(target)
-        start = len(buf) - len(target)
+        n = self.order - 1
+        tail = tuple(context)[-n:] if n else ()
         total = 0.0
-        for idx in range(start, len(buf)):
-            total += math.log(self.prob(buf[idx], buf[max(0, idx - self.order + 1):idx]))
+        for lp in self._logprobs(self._to_ids(tail + tuple(target)), len(tail)):
+            total += lp
         return total, len(target)
 
     # -- serialization ---------------------------------------------------
 
-    def to_payload(self) -> dict:
-        entries = []
-        for hist in sorted(self.counts, key=lambda h: tuple(map(_token_sort_key, h))):
-            slot = self.counts[hist]
-            row = [
-                [tok, slot[tok]]
-                for tok in sorted(slot, key=_token_sort_key)
-            ]
-            entries.append([list(hist), row])
-        return {
+    def save(self, path: str | Path) -> None:
+        """Write the version 2 model file; identical inputs produce a
+        byte-identical file."""
+        header = {
             "format": MODEL_FORMAT,
             "version": MODEL_VERSION,
             "order": self.order,
             "k": self.k,
             "tokenizer_kind": self.tokenizer_kind,
-            "vocab": sorted(self.vocab, key=_token_sort_key),
-            "counts": entries,
+            "vocab": list(self.vocab),
+            "entries": len(self.keys),
         }
-
-    def save(self, path: str | Path) -> None:
-        """Write the model as canonical JSON; identical inputs produce a
-        byte-identical file."""
-        payload = self.to_payload()
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-        Path(path).write_text(blob + "\n", encoding="utf-8")
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "NGramModel":
-        if payload.get("format") != MODEL_FORMAT:
-            raise ConfigError(f"not a {MODEL_FORMAT} file")
-        if payload.get("version") != MODEL_VERSION:
-            raise ConfigError(f"unsupported model version {payload.get('version')!r}")
-        model = cls(
-            order=payload["order"],
-            k=payload["k"],
-            tokenizer_kind=payload.get("tokenizer_kind", "whitespace"),
-        )
-        model.vocab = set(payload["vocab"])
-        for hist, row in payload["counts"]:
-            hist_t = tuple(hist)
-            slot = {tok: int(c) for tok, c in row}
-            model.counts[hist_t] = slot
-            model.totals[hist_t] = sum(slot.values())
-        return model
+        line = json.dumps(header, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+        with open(path, "wb") as fh:
+            fh.write(line.encode("utf-8") + b"\n")
+            fh.write(self.keys.astype(_FILE_INT).tobytes())
+            fh.write(self.counts.astype(_FILE_INT).tobytes())
 
     @classmethod
     def load(cls, path: str | Path) -> "NGramModel":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_payload(json.load(fh))
+        """Read a version 2 model file; anything else raises ConfigError."""
+        model = cls(*_read_model_file(path))
+        model._tables  # a loaded model is scored; build its tables here
+        return model
+
+
+def _read_model_file(path: str | Path) -> tuple:
+    """(order, k, tokenizer_kind, vocab, keys, counts) of a version 2
+    model file, checked."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"cannot read model file {path}: {exc}") from exc
+    line_end = data.find(b"\n")
+    try:
+        header = json.loads(data[:line_end]) if line_end >= 0 else None
+    except ValueError:
+        header = None
+    if not isinstance(header, dict) or header.get("format") != MODEL_FORMAT:
+        raise ConfigError(f"{path} is not a {MODEL_FORMAT} model file")
+    version = header.get("version")
+    if version == 1:
+        raise ConfigError(
+            f"{path} is a version 1 model file, which is no longer read; "
+            "retrain with `longdep train-ngram`"
+        )
+    if version != MODEL_VERSION:
+        raise ConfigError(f"{path}: unsupported model version {version!r}")
+    order, k, kind, vocab, n = (
+        header.get(key) for key in ("order", "k", "tokenizer_kind", "vocab", "entries")
+    )
+    if not (
+        _is_int(order)
+        and (_is_int(k) or isinstance(k, float))
+        and isinstance(kind, str)
+        and isinstance(vocab, list)
+        and all(isinstance(tok, str) or _is_int(tok) for tok in vocab)
+        and len(set(vocab)) == len(vocab) > 0
+        and _is_int(n)
+        and n > 0
+    ):
+        raise ConfigError(f"{path}: malformed model header")
+    _check_key_space(n, len(vocab) + 1)
+    body = len(data) - line_end - 1
+    if body != 2 * n * _FILE_INT.itemsize:
+        raise ConfigError(
+            f"{path}: model body holds {body} bytes, expected "
+            f"{2 * n * _FILE_INT.itemsize} for {n} entries; the file is truncated or corrupt"
+        )
+    arrays = np.frombuffer(data, dtype=_FILE_INT, offset=line_end + 1).astype(np.int64)
+    keys, counts = arrays[:n], arrays[n:]
+    width = len(vocab) + 1
+    # Keys ascend, name a vocabulary token, and name a history spelled by
+    # an earlier entry; every count is positive.
+    if not (
+        keys[0] >= 0
+        and (np.diff(keys) > 0).all()
+        and (keys % width < len(vocab)).all()
+        and (keys // width <= np.arange(n)).all()
+        and (counts > 0).all()
+    ):
+        raise ConfigError(f"{path}: inconsistent model entries")
+    return order, k, kind, vocab, keys, counts
 
 
 def train_ngram(
@@ -176,19 +308,46 @@ def train_ngram(
 ) -> NGramModel:
     """Train an add-k model from a document stream (or raw token
     sequences). Fatal on an empty corpus."""
-    model = NGramModel(order=order, k=k, tokenizer_kind=tokenizer_kind)
-    n_docs = 0
+    NGramModel(order=order, k=k)  # validates order and k before reading
+    first_seen: dict[Token, int] = {}
+    intern = first_seen.setdefault
+    sequences = []
     for item in corpus:
         tokens = item.tokens if isinstance(item, Document) else item
         if tokens is None:
             raise ValueError("documents must be tokenized before training")
-        if not tokens:
-            continue
-        model._observe(tokens)
-        n_docs += 1
-    if n_docs == 0 or not model.vocab:
+        if len(tokens):
+            sequences.append(
+                np.array([intern(tok, len(first_seen)) for tok in tokens], dtype=np.int64)
+            )
+    if not sequences:
         raise ConfigError("cannot train an n-gram model on an empty corpus")
-    return model
+    vocab = sorted(first_seen, key=_token_sort_key)
+    rank = np.empty(len(vocab), dtype=np.int64)
+    rank[[first_seen[tok] for tok in vocab]] = np.arange(len(vocab))
+    ids = rank[np.concatenate(sequences)]
+    lengths = [len(seq) for seq in sequences]
+    doc_end = np.repeat(np.cumsum(lengths), lengths)
+    width = len(vocab) + 1
+    _check_key_space(order * len(ids), width)
+    # Windows of length level + 1, one per start position that leaves the
+    # window inside its document; ``hist`` is the id of each window's
+    # history, the entry of its first ``level`` tokens.
+    starts = np.arange(len(ids))
+    hist = np.zeros(len(ids), dtype=np.int64)
+    keys, counts, n_entries = [], [], 0
+    for level in range(order):
+        inside = starts + level < doc_end[starts]
+        starts, hist = starts[inside], hist[inside]
+        window = hist * width + ids[starts + level]
+        level_keys, level_counts = np.unique(window, return_counts=True)
+        hist = n_entries + 1 + np.searchsorted(level_keys, window)
+        keys.append(level_keys)
+        counts.append(level_counts.astype(np.int64))
+        n_entries += len(level_keys)
+    return NGramModel(
+        order, k, tokenizer_kind, vocab, np.concatenate(keys), np.concatenate(counts)
+    )
 
 
 # Memo entries kept by an NGramBackend before it starts over. Rows are
@@ -209,30 +368,28 @@ class NGramBackend:
     context and target; by default they are concatenated directly.
     """
 
+    # One shared value: the scoring helpers read it on every call.
+    capabilities = BackendCapabilities(max_context_tokens=1 << 22, deterministic=True)
+
     def __init__(self, model: NGramModel, context_separator: Token | None = None):
         self.model = model
         self.context_separator = context_separator
-        # target tuple -> (logprob_sum, per-token logprobs of the head)
-        self._uncond: dict[tuple[Token, ...], tuple[float, tuple[float, ...]]] = {}
+        # target tuple -> (logprob_sum, token ids of the head, their logprobs)
+        self._uncond: dict[
+            tuple[Token, ...], tuple[float, tuple[int, ...], tuple[float, ...]]
+        ] = {}
 
-    @property
-    def capabilities(self) -> BackendCapabilities:
-        return BackendCapabilities(max_context_tokens=1 << 22, deterministic=True)
-
-    def _uncond_entry(self, target: tuple[Token, ...]) -> tuple[float, tuple[float, ...]]:
-        entry = self._uncond.get(target)
-        if entry is not None:
-            return entry
+    def _uncond_entry(
+        self, target: tuple[Token, ...]
+    ) -> tuple[float, tuple[int, ...], tuple[float, ...]]:
         model = self.model
-        head_n = min(model.order - 1, len(target))
-        head_lps = []
+        ids = model._to_ids(target)
+        lps = model._logprobs(ids, 0)
         total = 0.0
-        for idx, tok in enumerate(target):
-            lp = math.log(model.prob(tok, target[max(0, idx - model.order + 1):idx]))
-            if idx < head_n:
-                head_lps.append(lp)
+        for lp in lps:
             total += lp
-        entry = (total, tuple(head_lps))
+        head_n = min(model.order - 1, len(target))
+        entry = (total, ids[:head_n], tuple(lps[:head_n]))
         if len(self._uncond) >= UNCOND_MEMO_SIZE:
             self._uncond.clear()
         self._uncond[target] = entry
@@ -248,7 +405,10 @@ class NGramBackend:
         if not target:
             raise ValueError("target must be non-empty")
         tgt = tuple(target)
-        base, head_lps = self._uncond_entry(tgt)
+        entry = self._uncond.get(tgt)
+        if entry is None:
+            entry = self._uncond_entry(tgt)
+        base, head_ids, head_lps = entry
         if not context:
             return base, len(tgt)
         ctx = tuple(context)
@@ -257,10 +417,9 @@ class NGramBackend:
         model = self.model
         window = model.order - 1
         ctx_tail = ctx[-window:] if window else ()
-        buf = ctx_tail + tgt[: len(head_lps)]
         head_sum = 0.0
-        for idx in range(len(ctx_tail), len(buf)):
-            head_sum += math.log(model.prob(buf[idx], buf[max(0, idx - model.order + 1):idx]))
+        for lp in model._logprobs(model._to_ids(ctx_tail) + head_ids, len(ctx_tail)):
+            head_sum += lp
         adjusted = base
         for lp in head_lps:
             adjusted -= lp

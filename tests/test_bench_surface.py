@@ -3,8 +3,13 @@
 ``perfbench/run.py``, ``child.py`` and ``test_perfbench.py`` import these
 names and read these fields. If one of them goes away, a benchmark run
 crashes before it prints its result line, so each is checked here, on a
-2-document corpus that scores in well under a second.
+2-document corpus that scores in well under a second. The names
+``perfbench/tracer.py`` wraps are checked too.
 """
+
+import importlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +19,7 @@ from longdep.corpus import SegmentGrid
 from longdep.lds import LdsConfig, derive_seed, lds_exact, lds_sampled
 from longdep.ngram import NGramBackend, NGramModel, train_ngram
 
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 SPEC = SynthSpec(n_positive=1, n_negative=1, n_segments=8, segment_len=8, seed=1)
 
 
@@ -64,3 +70,18 @@ def test_both_modes_score_a_grid(testset):
     sampled = lds_sampled(NGramBackend(model), grid, cfg, seed=seed)
     assert sampled.pair_count == 5
     assert isinstance(sampled.lds, float)
+
+
+def test_every_name_the_tracer_wraps_resolves():
+    # A name the tracer cannot find turns its per-layer metrics into
+    # "unmeasured" without failing the benchmark run.
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    for module_name, path, key in tracer.TARGETS:
+        owner = importlib.import_module(module_name)
+        *parents, name = path.split(".")
+        for part in parents:
+            owner = getattr(owner, part)
+        assert callable(getattr(owner, name)), key

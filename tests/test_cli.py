@@ -108,9 +108,9 @@ class TestTrainNgram:
         out = tmp_path / "nested" / "model.json"
         code = main(["train-ngram", "--input", corpus, "--out", str(out), *TRAIN_FLAGS])
         assert code == 0
-        payload = json.loads(out.read_text())
-        assert payload["order"] == 2
-        assert payload["k"] == 0.1
+        header = json.loads(out.read_bytes().partition(b"\n")[0])
+        assert header["order"] == 2
+        assert header["k"] == 0.1
         meta = json.loads((tmp_path / "nested" / "model.json.meta.json").read_text())
         assert meta["complete"] is True
         assert meta["documents"] == 9
@@ -163,6 +163,63 @@ class TestScore:
             "dsp",
             "pairwise",
             "gated",
+        }
+
+    def test_model_trained_on_other_tokens_is_refused(self, corpus, tmp_path, caplog):
+        byte_model = tmp_path / "byte-model.bin"
+        train = ["train-ngram", "--input", corpus, "--out", str(byte_model), "--tokenizer", "byte"]
+        assert main([*train, *TRAIN_FLAGS]) == 0
+        code = run_score(corpus, byte_model, tmp_path / "o", extra=["--tokenizer", "whitespace"])
+        assert code == 2
+        assert "'byte'" in caplog.text and "'whitespace'" in caplog.text
+        assert not (tmp_path / "o" / "reports.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            ("json list", "not a longdep-ngram model file"),
+            ("bare version 1 header", "retrain with `longdep train-ngram`"),
+            ("version 1 file", "retrain with `longdep train-ngram`"),
+            ("truncated body", "truncated or corrupt"),
+            ("wrong format", "not a longdep-ngram model file"),
+            ("wrong version", "unsupported model version 3"),
+        ],
+    )
+    def test_malformed_model_file_is_a_usage_error(
+        self, corpus, model, tmp_path, caplog, damage, message
+    ):
+        path = tmp_path / "bad-model.bin"
+        line, _, body = open(model, "rb").read().partition(b"\n")
+        header = json.loads(line)
+        if damage == "json list":
+            path.write_text("[1,2]\n")
+        elif damage == "bare version 1 header":
+            path.write_text('{"format":"longdep-ngram","version":1}\n')
+        elif damage == "version 1 file":
+            v1 = {**header, "version": 1, "counts": [[[], [["w1", 3]]]]}
+            del v1["entries"]
+            path.write_text(json.dumps(v1, sort_keys=True, separators=(",", ":")) + "\n")
+        elif damage == "truncated body":
+            path.write_bytes(line + b"\n" + body[:-8])
+        else:
+            field = "format" if damage == "wrong format" else "version"
+            header[field] = "other" if field == "format" else 3
+            path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+        assert run_score(corpus, path, tmp_path / "o") == 2
+        assert message in caplog.text
+
+    def test_meta_sidecar_counts_skipped_input_lines(self, corpus, model, tmp_path):
+        with open(corpus, "a", encoding="utf-8") as handle:
+            handle.write("{not json\n")
+            handle.write(json.dumps({"id": "d000", "text": "a duplicate id"}) + "\n")
+        out_dir = tmp_path / "out"
+        assert run_score(corpus, model, out_dir) == 0
+        meta = json.loads((out_dir / "reports.jsonl.meta.json").read_text())
+        assert meta["ingest"] == {
+            "read": 11,
+            "yielded": 9,
+            "skipped_malformed": 1,
+            "skipped_duplicate_id": 1,
         }
 
     def test_show_config_prints_resolved_profile(self, capsys):

@@ -3,11 +3,90 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from longdep.corpus import Document
 from longdep.errors import ConfigError
 from longdep.ngram import UNCOND_MEMO_SIZE, UNK, NGramBackend, NGramModel, train_ngram
+
+
+class LoopNGram:
+    """The dict-of-tuples counter the array-backed model replaced, kept
+    as the reference: the same counts and the same float operations, so
+    every score must agree bit for bit."""
+
+    def __init__(self, corpus, order, k):
+        self.order, self.k = order, k
+        self.vocab, self.counts, self.totals = set(), {}, {}
+        for toks in map(tuple, corpus):
+            self.vocab.update(toks)
+            for hist_len in range(order):
+                for i in range(len(toks) - hist_len):
+                    hist, tok = toks[i:i + hist_len], toks[i + hist_len]
+                    slot = self.counts.setdefault(hist, {})
+                    slot[tok] = slot.get(tok, 0) + 1
+                    self.totals[hist] = self.totals.get(hist, 0) + 1
+
+    def prob(self, token, history=()):
+        hist = tuple(history)[-(self.order - 1):] if self.order > 1 else ()
+        hist = tuple(t if t in self.vocab else UNK for t in hist)
+        count = self.counts.get(hist, {}).get(token if token in self.vocab else UNK, 0)
+        total = self.totals.get(hist, 0)
+        return (count + self.k) / (total + self.k * (len(self.vocab) + 1))
+
+    def logprobs(self, buf, start):
+        n = self.order - 1
+        return [math.log(self.prob(buf[i], buf[max(0, i - n):i])) for i in range(start, len(buf))]
+
+    def seq_logprob(self, target, context=()):
+        total = 0.0
+        for lp in self.logprobs(tuple(context) + tuple(target), len(context)):
+            total += lp
+        return total, len(target)
+
+    def backend_score(self, target, context=None):
+        """The backend's sum: unconditional, with its head terms swapped."""
+        base, n_tokens = self.seq_logprob(target)
+        if not context:
+            return base, n_tokens
+        head_n = min(self.order - 1, len(target))
+        tail = tuple(context)[-(self.order - 1):] if self.order > 1 else ()
+        head_sum = 0.0
+        for lp in self.logprobs(tail + tuple(target[:head_n]), len(tail)):
+            head_sum += lp
+        adjusted = base
+        for lp in self.logprobs(tuple(target), 0)[:head_n]:
+            adjusted -= lp
+        adjusted += head_sum
+        return adjusted, n_tokens
+
+
+def random_corpus(rng, kind, n_docs, n_types, length):
+    """Documents of string, byte (int) or mixed tokens; the mixed kind
+    also holds a token spelled like the unknown symbol."""
+    docs = []
+    for _ in range(n_docs):
+        ids = rng.integers(0, n_types, size=int(rng.integers(1, length + 1))).tolist()
+        if kind == "byte":
+            docs.append(ids)
+        elif kind == "str":
+            docs.append([f"w{i}" for i in ids])
+        else:
+            docs.append([i if i % 3 == 0 else (UNK if i == 1 else f"w{i}") for i in ids])
+    return docs
+
+
+def saved(model, path):
+    model.save(path)
+    return path
+
+
+def rewrite_header(path, **changes):
+    """Rewrite fields of a saved model's JSON header line in place."""
+    line, _, body = path.read_bytes().partition(b"\n")
+    header = {**json.loads(line), **changes}
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
 
 
 @pytest.fixture()
@@ -82,19 +161,19 @@ class TestTraining:
             order=2,
             k=0.1,
         )
-        assert raw.to_payload() == docs.to_payload()
+        assert raw.vocab == docs.vocab == ("x", "y")
+        assert np.array_equal(raw.keys, docs.keys)
+        assert np.array_equal(raw.counts, docs.counts)
 
     def test_counts_aggregate_across_documents(self):
         one = train_ngram([["x", "y"], ["y", "x"]], order=2, k=0.1)
         assert one.prob("y", ("x",)) == pytest.approx(1.1 / (1 + 0.1 * 3), rel=1e-12)
 
-    def test_retraining_is_deterministic(self):
+    def test_retraining_is_deterministic(self, tmp_path):
         corpus = [["a", "b", "c", "a"], ["b", "c"]]
-        first = train_ngram(corpus, order=3, k=0.01)
-        second = train_ngram(corpus, order=3, k=0.01)
-        assert json.dumps(first.to_payload(), sort_keys=True) == json.dumps(
-            second.to_payload(), sort_keys=True
-        )
+        first = saved(train_ngram(corpus, order=3, k=0.01), tmp_path / "a.bin")
+        second = saved(train_ngram(corpus, order=3, k=0.01), tmp_path / "b.bin")
+        assert first.read_bytes() == second.read_bytes()
 
     def test_untokenized_document_rejected(self):
         doc = Document(id="d", source="s", text="a b")
@@ -140,23 +219,128 @@ class TestSerialization:
                 target, context
             )
 
-    def test_wrong_format_rejected(self, bigram):
-        payload = bigram.to_payload()
-        payload["format"] = "other"
-        with pytest.raises(ConfigError):
-            NGramModel.from_payload(payload)
+    def test_wrong_format_rejected(self, bigram, tmp_path):
+        path = saved(bigram, tmp_path / "model.bin")
+        rewrite_header(path, format="other")
+        with pytest.raises(ConfigError, match="not a longdep-ngram model file"):
+            NGramModel.load(path)
 
-    def test_wrong_version_rejected(self, bigram):
-        payload = bigram.to_payload()
-        payload["version"] = 99
-        with pytest.raises(ConfigError):
-            NGramModel.from_payload(payload)
+    def test_wrong_version_rejected(self, bigram, tmp_path):
+        path = saved(bigram, tmp_path / "model.bin")
+        rewrite_header(path, version=99)
+        with pytest.raises(ConfigError, match="unsupported model version 99"):
+            NGramModel.load(path)
 
-    def test_payload_round_trip_preserves_counts(self, bigram):
-        clone = NGramModel.from_payload(bigram.to_payload())
-        assert clone.counts == bigram.counts
-        assert clone.totals == bigram.totals
+    def test_payload_round_trip_preserves_counts(self, bigram, tmp_path):
+        clone = NGramModel.load(saved(bigram, tmp_path / "model.bin"))
+        assert np.array_equal(clone.keys, bigram.keys)
+        assert np.array_equal(clone.counts, bigram.counts)
         assert clone.vocab == bigram.vocab
+        assert (clone.order, clone.k, clone.tokenizer_kind) == (2, 0.5, "whitespace")
+
+    def test_file_is_header_line_then_int64_keys_and_counts(self, bigram, tmp_path):
+        line, _, body = saved(bigram, tmp_path / "model.bin").read_bytes().partition(b"\n")
+        assert json.loads(line) == {
+            "entries": 6,
+            "format": "longdep-ngram",
+            "k": 0.5,
+            "order": 2,
+            "tokenizer_kind": "whitespace",
+            "version": 2,
+            "vocab": ["a", "b", "c"],
+        }
+        # Width V + 1 = 4. Unigrams a, b, c have history 0 and are
+        # entries 0-2, so history (a,) has id 1 and (b,) id 2.
+        keys = [0, 1, 2, 4 + 1, 4 + 2, 8 + 0]
+        counts = [2, 1, 1, 1, 1, 1]
+        assert np.frombuffer(body, dtype="<i8").tolist() == keys + counts
+
+    def test_version_1_file_asks_for_retraining(self, tmp_path):
+        path = tmp_path / "model.json"
+        v1 = {
+            "format": "longdep-ngram", "version": 1, "order": 2, "k": 0.5,
+            "tokenizer_kind": "whitespace", "vocab": ["a"], "counts": [[[], [["a", 1]]]],
+        }
+        path.write_text(json.dumps(v1, sort_keys=True) + "\n")
+        with pytest.raises(ConfigError, match="retrain with `longdep train-ngram`"):
+            NGramModel.load(path)
+
+    @pytest.mark.parametrize(
+        "damage", ["truncated", "extended", "unsorted", "unknown token", "orphan", "zero count"]
+    )
+    def test_damaged_body_rejected(self, bigram, tmp_path, damage):
+        path = saved(bigram, tmp_path / "model.bin")
+        line, _, body = path.read_bytes().partition(b"\n")
+        arrays = np.frombuffer(body, dtype="<i8").copy()
+        if damage == "truncated":
+            body = body[:-3]
+        elif damage == "extended":
+            body += bytes(16)
+        else:
+            if damage == "unsorted":
+                arrays[[0, 1]] = arrays[[1, 0]]
+            elif damage == "unknown token":
+                arrays[0] = 3  # id V, the unknown symbol, is never an entry
+            elif damage == "orphan":
+                arrays[5] = 4 * 6 + 1  # history id 6 names no earlier entry
+            else:
+                arrays[6] = 0
+            body = arrays.tobytes()
+        path.write_bytes(line + b"\n" + body)
+        with pytest.raises(ConfigError):
+            NGramModel.load(path)
+
+    def test_key_overflow_refused_before_reading_entries(self, tmp_path):
+        path = tmp_path / "model.bin"
+        header = {
+            "format": "longdep-ngram", "version": 2, "order": 5, "k": 0.01,
+            "tokenizer_kind": "whitespace", "vocab": ["a", "b", "c"], "entries": 2**62,
+        }
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n")
+        with pytest.raises(ConfigError, match="64-bit"):
+            NGramModel.load(path)
+
+
+class TestMatchesLoopReference:
+    """The array-backed model against ``LoopNGram``, compared with ==."""
+
+    @pytest.mark.parametrize("kind", ["str", "byte", "mixed"])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    def test_scores_are_bit_identical(self, kind, order, tmp_path):
+        rng = np.random.default_rng(order * 10 + len(kind))
+        corpus = random_corpus(rng, kind, n_docs=6, n_types=12, length=60)
+        self.check(corpus, order, 0.05, rng, tmp_path, n_probes=150)
+
+    def test_large_vocabulary_order_5(self, tmp_path):
+        # (V + 1) ** 5 is far beyond int64 here; interned history ids
+        # keep every key below (entries + 1) * (V + 1).
+        rng = np.random.default_rng(7)
+        corpus = [[f"w{i}" for i in rng.permutation(7000)]]
+        corpus += random_corpus(rng, "str", n_docs=4, n_types=7200, length=2000)
+        model = self.check(corpus, 5, 0.01, rng, tmp_path, n_probes=300)
+        assert len(model.vocab) >= 7000 and (len(model.vocab) + 1) ** 5 > 2**63
+
+    @staticmethod
+    def check(corpus, order, k, rng, tmp_path, n_probes):
+        ref = LoopNGram(corpus, order, k)
+        trained = train_ngram(corpus, order=order, k=k)
+        loaded = NGramModel.load(saved(trained, tmp_path / "model.bin"))
+        assert set(loaded.vocab) == ref.vocab
+        pool = [tok for doc in corpus for tok in doc] + ["never-seen", 999]
+        for model in (trained, loaded):
+            backend = NGramBackend(model)
+            for _ in range(n_probes):
+                target = [pool[i] for i in rng.integers(0, len(pool), size=rng.integers(1, 9))]
+                context = [pool[i] for i in rng.integers(0, len(pool), size=rng.integers(0, 9))]
+                for i in range(len(target)):
+                    history = target[max(0, i - order - 1):i]
+                    assert model.prob(target[i], history) == ref.prob(target[i], history)
+                assert model.seq_logprob(target, context) == ref.seq_logprob(target, context)
+                want = ref.backend_score(target, context)
+                assert backend.score(target, context) == want
+                assert backend.score(target, context) == want
+                assert backend.score(target) == ref.backend_score(target)
+        return trained
 
 
 class TestBackend:
