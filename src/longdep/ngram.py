@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import json
 import math
-from functools import cached_property
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -139,7 +138,8 @@ class NGramModel:
 
     ``vocab`` lists the token types in id order; ``keys`` (ascending)
     and ``counts`` are the int64 entry arrays described in the module
-    docstring.
+    docstring. The scoring tables are built here, so a model is ready to
+    score however it was made.
     """
 
     def __init__(
@@ -162,10 +162,7 @@ class NGramModel:
         empty = np.zeros(0, dtype=np.int64)
         self.keys = empty if keys is None else keys
         self.counts = empty if counts is None else counts
-
-    @cached_property
-    def _tables(self) -> _Tables:
-        return _Tables(self)
+        self._tables = _Tables(self)
 
     def _to_ids(self, tokens: Sequence[Token]) -> tuple[int, ...]:
         tables = self._tables
@@ -236,9 +233,7 @@ class NGramModel:
     @classmethod
     def load(cls, path: str | Path) -> "NGramModel":
         """Read a version 2 model file; anything else raises ConfigError."""
-        model = cls(*_read_model_file(path))
-        model._tables  # a loaded model is scored; build its tables here
-        return model
+        return cls(*_read_model_file(path))
 
 
 def _read_model_file(path: str | Path) -> tuple:
