@@ -112,7 +112,8 @@ class _Tables:
         self.lp = dict(zip(keys.tolist(), _logs(ratios)))
         history_ids = hids[firsts]
         self.unseen = dict(zip(history_ids.tolist(), _logs(k / (totals + denom))))
-        # A history never seen has id -1, which no key can reach.
+        # A history never seen gets id -1, which no key can reach, and
+        # the formula with count = total = 0.
         self.unseen[-1] = math.log((0 + k) / (0 + denom))
         self.hist = {(): 0}
         # Spell each history out backwards, one entry (parent, token) at

@@ -255,16 +255,6 @@ class TestSerialization:
         counts = [2, 1, 1, 1, 1, 1]
         assert np.frombuffer(body, dtype="<i8").tolist() == keys + counts
 
-    def test_version_1_file_asks_for_retraining(self, tmp_path):
-        path = tmp_path / "model.json"
-        v1 = {
-            "format": "longdep-ngram", "version": 1, "order": 2, "k": 0.5,
-            "tokenizer_kind": "whitespace", "vocab": ["a"], "counts": [[[], [["a", 1]]]],
-        }
-        path.write_text(json.dumps(v1, sort_keys=True) + "\n")
-        with pytest.raises(ConfigError, match="retrain with `longdep train-ngram`"):
-            NGramModel.load(path)
-
     @pytest.mark.parametrize(
         "damage", ["truncated", "extended", "unsorted", "unknown token", "orphan", "zero count"]
     )
