@@ -15,8 +15,8 @@ import json
 import math
 import socket
 import subprocess
+import threading
 from dataclasses import dataclass
-from queue import LifoQueue
 from typing import Protocol, Sequence, runtime_checkable
 
 from .corpus import SegmentGrid, Token, TokenizerSpec
@@ -213,23 +213,24 @@ class _StdioConnection:
 class ExternalBackend:
     """Client for an external perplexity scorer.
 
-    Endpoints: ``tcp://host:port`` (a bounded pool of sockets) or
-    ``stdio://command`` (one child process, serialized). Segments are
-    detokenized to text before shipping; the scorer re-tokenizes with its
-    own vocabulary. Context and target are sent as separate fields, so
-    any separator policy is the scorer's own.
+    Endpoints: ``tcp://host:port`` (one socket) or ``stdio://command``
+    (one child process). The connection opens on first use or in
+    ``connect_check``, and calls from several threads take turns on it.
+    Segments are detokenized to text before shipping; the scorer
+    re-tokenizes with its own vocabulary. Context and target are sent as
+    separate fields, so any separator policy is the scorer's own.
 
     Failed connects, transport failures, undecodable lines and mismatched
-    ``req_id``s raise retriable BackendError and are retried up to
-    ``retries`` times on a fresh connection; an error response from the
-    scorer is not retried.
+    ``req_id``s are retried up to ``retries`` times on a fresh
+    connection; an error response from the scorer is not retried. A call
+    whose every attempt failed to open a connection raises
+    BackendUnreachable; any other failure raises BackendError.
     """
 
     def __init__(
         self,
         endpoint: str,
         tokenizer: TokenizerSpec | None = None,
-        pool_size: int = 2,
         timeout: float = 30.0,
         retries: int = 2,
         max_context_tokens: int = 1 << 16,
@@ -238,11 +239,12 @@ class ExternalBackend:
         self.tokenizer = tokenizer or TokenizerSpec()
         self.timeout = timeout
         self.retries = retries
-        self._max_context = max_context_tokens
+        self._capabilities = BackendCapabilities(
+            max_context_tokens=max_context_tokens, deterministic=False
+        )
         if endpoint.startswith("stdio://"):
             self._mode = "stdio"
             self._command = endpoint[len("stdio://"):]
-            self._pool_size = 1
         else:
             self._mode = "tcp"
             addr = endpoint[len("tcp://"):] if endpoint.startswith("tcp://") else endpoint
@@ -250,59 +252,42 @@ class ExternalBackend:
             if not host or not port.isdigit():
                 raise BackendError(f"bad endpoint {endpoint!r}; expected tcp://host:port")
             self._host, self._port = host, int(port)
-            self._pool_size = max(1, pool_size)
-        # Each slot holds an idle connection or None, a free slot that its
-        # taker fills with a fresh connection. A failed connect or a
-        # discarded connection puts its None back, so a waiting caller
-        # never blocks on a connection that will not come. Last in, first
-        # out, so an idle connection is reused before a new one is opened.
-        self._pool: LifoQueue = LifoQueue()
-        for _ in range(self._pool_size):
-            self._pool.put(None)
+        # The open connection, or None. Used and replaced only under the
+        # lock, so two callers never share its stream.
+        self._conn = None
+        self._lock = threading.Lock()
 
     @property
     def capabilities(self) -> BackendCapabilities:
-        return BackendCapabilities(
-            max_context_tokens=self._max_context, deterministic=False
-        )
+        return self._capabilities
 
-    def _new_connection(self):
-        if self._mode == "stdio":
-            return _StdioConnection(self._command)
-        return _TcpConnection(self._host, self._port, self.timeout)
+    def _connection(self):
+        if self._conn is None:
+            if self._mode == "stdio":
+                self._conn = _StdioConnection(self._command)
+            else:
+                self._conn = _TcpConnection(self._host, self._port, self.timeout)
+        return self._conn
 
-    def _acquire(self):
-        conn = self._pool.get()
-        if conn is not None:
-            return conn
-        try:
-            return self._new_connection()
-        except BaseException:
-            self._pool.put(None)
-            raise
-
-    def _release(self, conn) -> None:
-        self._pool.put(conn)
-
-    def _discard(self, conn) -> None:
-        conn.close()
-        self._pool.put(None)
+    def _drop(self) -> None:
+        self._conn.close()
+        self._conn = None
 
     def connect_check(self) -> None:
-        """Open the first connection; raises BackendUnreachable on failure."""
-        try:
-            conn = self._acquire()
-        except BackendError as exc:
-            raise BackendUnreachable(f"scorer endpoint {self.endpoint!r} unreachable: {exc}") from exc
-        self._release(conn)
+        """Open the connection; raises BackendUnreachable on failure."""
+        with self._lock:
+            try:
+                self._connection()
+            except BackendError as exc:
+                raise BackendUnreachable(
+                    f"scorer endpoint {self.endpoint!r} unreachable: {exc}"
+                ) from exc
 
     def close(self) -> None:
-        """Close the idle connections; their slots stay free for reuse."""
-        slots = [self._pool.get_nowait() for _ in range(self._pool.qsize())]
-        for conn in slots:
-            if conn is not None:
-                conn.close()
-            self._pool.put(None)
+        """Close the connection; the next call opens a fresh one."""
+        with self._lock:
+            if self._conn is not None:
+                self._drop()
 
     def score(
         self, target: Sequence[Token], context: Sequence[Token] | None = None
@@ -318,37 +303,42 @@ class ExternalBackend:
             },
             ensure_ascii=False,
         ) + "\n"
+        with self._lock:
+            return self._send(request, req_id)
 
+    def _send(self, request: str, req_id: str) -> tuple[float, int]:
         last_error: BackendError | None = None
+        connected = False
         for _ in range(self.retries + 1):
             try:
-                conn = self._acquire()
+                conn = self._connection()
             except BackendError as exc:
                 last_error = exc
                 continue
+            connected = True
             try:
                 line = conn.round_trip(request)
             except (OSError, BackendError) as exc:
-                self._discard(conn)
+                self._drop()
                 last_error = BackendError(f"transport failure: {exc}", retriable=True)
                 continue
             if not line:
-                self._discard(conn)
+                self._drop()
                 last_error = BackendError("scorer closed the stream", retriable=True)
                 continue
             try:
-                result = self._parse_response(line, req_id)
+                return self._parse_response(line, req_id)
             except BackendError as exc:
                 if not exc.retriable:
-                    self._release(conn)
                     raise
                 # The stream may be out of step with our requests: drop it.
-                self._discard(conn)
+                self._drop()
                 last_error = exc
-                continue
-            self._release(conn)
-            return result
         assert last_error is not None
+        if not connected:
+            raise BackendUnreachable(
+                f"scorer endpoint {self.endpoint!r} unreachable: {last_error}"
+            )
         raise last_error
 
     @staticmethod

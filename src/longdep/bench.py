@@ -24,7 +24,7 @@ from .backends import BackendCapabilities
 from .corpus import Document
 from .errors import BackendError, ConfigError
 from .lds import LdsConfig, derive_seed
-from .pipeline import ScoringStats, reports_only, score_corpus
+from .pipeline import reports_only, score_corpus
 
 POSITIVE_KINDS = ("planted-key", "entity-chain")
 NEGATIVE_KINDS = ("concat-shorts", "local-markov")
@@ -278,9 +278,7 @@ class OracleBackend:
         self.base_logprob = base_logprob
         self.boost_logprob = boost_logprob
 
-    @property
-    def capabilities(self) -> BackendCapabilities:
-        return BackendCapabilities(max_context_tokens=1 << 22, deterministic=True)
+    capabilities = BackendCapabilities(max_context_tokens=1 << 22, deterministic=True)
 
     def score(self, target, context=None):
         n = len(target)
@@ -297,7 +295,6 @@ class BenchResult:
     backend: str
     sample_size: int
     n_docs: int
-    workers: int
     wall_time_s: float
     docs_per_second: float
     accuracy_at_k: float | None
@@ -322,7 +319,6 @@ def run_bench(
     backends: Sequence[tuple[str, Callable[[], object]]],
     sample_sizes: Sequence[int],
     base_cfg: LdsConfig | None = None,
-    workers: int = 1,
 ) -> list[BenchResult]:
     """One cell per (backend, T): score every document in sampled mode,
     rank, and measure accuracy plus scoring throughput.
@@ -341,17 +337,8 @@ def run_bench(
             cfg = base_cfg.replace(mode="sampled", sample_size=t)
             try:
                 backend = factory()
-                stats = ScoringStats()
                 start = time.perf_counter()
-                outcomes = list(
-                    score_corpus(
-                        testset.docs,
-                        backend,
-                        cfg,
-                        workers=workers,
-                        stats=stats,
-                    )
-                )
+                outcomes = list(score_corpus(testset.docs, backend, cfg))
                 wall = time.perf_counter() - start
                 reports = reports_only(outcomes)
                 if not reports:
@@ -362,7 +349,6 @@ def run_bench(
                         backend=label,
                         sample_size=t,
                         n_docs=len(reports),
-                        workers=workers,
                         wall_time_s=wall,
                         docs_per_second=len(reports) / wall if wall > 0 else float("inf"),
                         accuracy_at_k=acc,
@@ -374,7 +360,6 @@ def run_bench(
                         backend=label,
                         sample_size=t,
                         n_docs=0,
-                        workers=workers,
                         wall_time_s=0.0,
                         docs_per_second=0.0,
                         accuracy_at_k=None,

@@ -7,8 +7,9 @@ config's hash, and identical inputs reproduce identical bytes (run
 metadata such as timestamps lives in .meta.json sidecars).
 
 Exit codes: 0 success, 2 validation or usage error, 3 scorer endpoint
-unreachable, 4 completed with per-document or per-cell failures,
-130 interrupted (partial outputs are written and marked incomplete).
+unreachable (at startup, or no connection could be reopened mid-run),
+4 completed with per-document or per-cell failures, 130 interrupted
+(partial outputs are written and marked incomplete).
 """
 
 from __future__ import annotations
@@ -153,6 +154,8 @@ def cmd_score(args: argparse.Namespace) -> int:
         raise ConfigError(f"input not found: {args.input}")
     tokenizer = TokenizerSpec(rc.tokenizer)
     backend = _resolve_backend(rc.backend, tokenizer)
+    if rc.workers > 1:
+        log.info("workers=%d: documents are scored one at a time", rc.workers)
 
     os.makedirs(args.out_dir, exist_ok=True)
     pairs_dir = os.path.join(args.out_dir, "pairs")
@@ -170,7 +173,6 @@ def cmd_score(args: argparse.Namespace) -> int:
         backend,
         rc.lds,
         tokenizer=tokenizer,
-        workers=rc.workers,
         stats=stats,
         keep_pairs=args.emit_pairs,
     )
@@ -339,7 +341,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             raise ConfigError(f"unknown bench backend {token!r}")
 
     sample_sizes = [int(t) for t in args.sample_sizes.split(",")]
-    results = run_bench(testset, backends, sample_sizes, base_cfg, workers=rc.workers)
+    results = run_bench(testset, backends, sample_sizes, base_cfg)
     print(bench_table(results), end="")
     if args.out:
         ensure_parent(args.out)

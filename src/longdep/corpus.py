@@ -135,8 +135,9 @@ def ingest(
 
     jsonl: one object per line with required string fields id and text;
     source is optional and defaults to the file's stem. Malformed lines
-    (bad JSON, missing/empty fields, duplicate ids) are skipped and
-    counted, never fatal. An unreadable path is fatal.
+    (bad JSON, missing/empty fields, fields that do not encode as UTF-8,
+    duplicate ids) are skipped and counted, never fatal. An unreadable
+    path is fatal.
 
     plain-dir: every regular file under ``path`` is one document, id is
     the path relative to the root, source defaults to the file's stem.
@@ -173,7 +174,7 @@ def _ingest_jsonl(path: Path, stats: IngestStats) -> Iterator[Document]:
             doc = _record_to_document(record, default_source)
             if doc is None:
                 stats.skipped_malformed += 1
-                logger.debug("%s:%d: missing id/text, skipped", path, lineno)
+                logger.debug("%s:%d: missing id/text or not UTF-8, skipped", path, lineno)
                 continue
             if doc.id in seen_ids:
                 stats.skipped_duplicate_id += 1
@@ -197,6 +198,13 @@ def _record_to_document(record: object, default_source: str) -> Document | None:
     source = record.get("source")
     if not isinstance(source, str) or not source:
         source = default_source
+    # A lone surrogate such as "\ud800" parses as JSON but cannot be
+    # written back out as UTF-8.
+    try:
+        for value in (doc_id, text, source):
+            value.encode("utf-8")
+    except UnicodeEncodeError:
+        return None
     return Document(id=doc_id, source=source, text=text)
 
 

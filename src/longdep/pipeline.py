@@ -1,18 +1,16 @@
-"""Corpus-level orchestration: parallel scoring, per-source ranking,
-retention selection, and reproducible manifest emission.
+"""Corpus-level orchestration: scoring, per-source ranking, retention
+selection, and reproducible manifest emission.
 
-Scoring fans out across a bounded worker pool; ranking and manifest
-construction are single-threaded reductions over the completed results.
-Per-document sampling seeds derive from (config seed, doc id), so
-results are independent of worker count and completion order.
+Documents are scored one after another, in input order; ranking and
+manifest construction are reductions over the completed results.
+Per-document sampling seeds derive from (config seed, doc id), so a
+document's score does not depend on what else the corpus holds.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -88,57 +86,29 @@ def score_corpus(
     backend: PerplexityBackend,
     cfg: LdsConfig,
     tokenizer: TokenizerSpec | None = None,
-    workers: int = 1,
     stats: ScoringStats | None = None,
     keep_pairs: bool = False,
 ) -> Iterator[DocumentOutcome]:
     """Score a document stream, yielding one outcome per document in
-    input order regardless of completion order.
+    input order.
 
     A document that is too short is excluded; a document whose scoring
     fails is marked failed; both leave the run alive. Only an unreachable
     backend is fatal. Per-pair records are dropped by default; corpus
     runs only need the document totals.
     """
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
     tokenizer = tokenizer or TokenizerSpec()
     if stats is None:
         stats = ScoringStats()
-
-    def record(outcome: DocumentOutcome) -> DocumentOutcome:
+    for doc in docs:
+        outcome = _score_one(doc, backend, cfg, tokenizer, keep_pairs)
         if outcome.status == "scored":
             stats.scored += 1
         elif outcome.status == "excluded":
             stats.excluded += 1
         else:
             stats.failed += 1
-        return outcome
-
-    if workers == 1:
-        for doc in docs:
-            yield record(_score_one(doc, backend, cfg, tokenizer, keep_pairs))
-        return
-
-    # Bounded in-flight window; results resequence to input order.
-    window = workers * 4
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending: deque = deque()
-        doc_iter = iter(docs)
-        exhausted = False
-        while True:
-            while not exhausted and len(pending) < window:
-                try:
-                    doc = next(doc_iter)
-                except StopIteration:
-                    exhausted = True
-                    break
-                pending.append(
-                    pool.submit(_score_one, doc, backend, cfg, tokenizer, keep_pairs)
-                )
-            if not pending:
-                break
-            yield record(pending.popleft().result())
+        yield outcome
 
 
 def reports_only(outcomes: Iterable[DocumentOutcome]) -> list[ScoreReport]:

@@ -8,10 +8,14 @@ acceptance gate can both run them with an explicit case count.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import json
 import math
 import os
+import socket
 import statistics
+import threading
 
 import numpy as np
 
@@ -112,6 +116,52 @@ class FailingBackend:
         if self.poison in target:
             raise BackendError("poisoned segment", retriable=self.retriable)
         return self.inner.score(target, context)
+
+
+class DyingScorer:
+    """A TCP scorer that answers its first ``answers`` requests and reads
+    the rest without answering. ``kill`` closes its listener and shuts
+    every connection, so each later connect is refused."""
+
+    def __init__(self, answers):
+        self.answers = answers
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.listener.settimeout(0.05)
+        self.endpoint = f"tcp://127.0.0.1:{self.listener.getsockname()[1]}"
+        self.conns = []
+        self.seen = threading.Semaphore(0)
+        self.dead = threading.Event()
+        self.acceptor = threading.Thread(target=self._accept, daemon=True)
+        self.acceptor.start()
+
+    def _accept(self):
+        while not self.dead.is_set():
+            try:
+                conn, _ = self.listener.accept()
+            except socket.timeout:
+                continue
+            self.conns.append(conn)
+            threading.Thread(target=self._serve, args=(conn,), daemon=True).start()
+        self.listener.close()
+
+    def _serve(self, conn):
+        # A client may reset the connection that ``kill`` shut.
+        with contextlib.suppress(OSError), conn.makefile("rw", encoding="utf-8") as stream:
+            for line in stream:
+                req = json.loads(line)
+                if self.answers > 0:
+                    self.answers -= 1
+                    out = {"req_id": req["req_id"], "logprob_sum": -1.0, "token_count": 1}
+                    stream.write(json.dumps(out) + "\n")
+                    stream.flush()
+                self.seen.release()
+
+    def kill(self):
+        self.dead.set()
+        self.acceptor.join()
+        for conn in self.conns:
+            with contextlib.suppress(OSError):
+                conn.shutdown(socket.SHUT_RDWR)
 
 
 def make_grid(

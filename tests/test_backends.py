@@ -1,6 +1,5 @@
 """Perplexity helpers, caching, and the external scorer client."""
 
-import contextlib
 import json
 import math
 import socket
@@ -9,7 +8,7 @@ import threading
 import time
 
 import pytest
-from support import HashBackend, ScriptedBackend
+from support import DyingScorer, HashBackend, ScriptedBackend
 
 from longdep.backends import (
     CountingBackend,
@@ -304,51 +303,6 @@ def tcp_scorer():
         server.server_close()
 
 
-class _DyingScorer:
-    """A TCP scorer that answers its first ``answers`` requests and reads
-    the rest without answering. ``kill`` closes its listener and shuts
-    every connection, so each later connect is refused."""
-
-    def __init__(self, answers):
-        self.answers = answers
-        self.listener = socket.create_server(("127.0.0.1", 0))
-        self.listener.settimeout(0.05)
-        self.endpoint = f"tcp://127.0.0.1:{self.listener.getsockname()[1]}"
-        self.conns = []
-        self.seen = threading.Semaphore(0)
-        self.dead = threading.Event()
-        self.acceptor = threading.Thread(target=self._accept, daemon=True)
-        self.acceptor.start()
-
-    def _accept(self):
-        while not self.dead.is_set():
-            try:
-                conn, _ = self.listener.accept()
-            except socket.timeout:
-                continue
-            self.conns.append(conn)
-            threading.Thread(target=self._serve, args=(conn,), daemon=True).start()
-        self.listener.close()
-
-    def _serve(self, conn):
-        with conn.makefile("rw", encoding="utf-8") as stream:
-            for line in stream:
-                req = json.loads(line)
-                if self.answers > 0:
-                    self.answers -= 1
-                    out = {"req_id": req["req_id"], "logprob_sum": -1.0, "token_count": 1}
-                    stream.write(json.dumps(out) + "\n")
-                    stream.flush()
-                self.seen.release()
-
-    def kill(self):
-        self.dead.set()
-        self.acceptor.join()
-        for conn in self.conns:
-            with contextlib.suppress(OSError):
-                conn.shutdown(socket.SHUT_RDWR)
-
-
 def _start_call(fn):
     """Run ``fn`` in a daemon thread, so a call that blocks for good
     cannot hang the suite."""
@@ -374,8 +328,8 @@ def _raised_in_time(call, timeout=10.0):
 
 class TestExternalTcp:
     def test_dead_scorer_fails_each_call_without_hanging(self):
-        scorer = _DyingScorer(answers=1)
-        backend = ExternalBackend(scorer.endpoint, pool_size=2)
+        scorer = DyingScorer(answers=1)
+        backend = ExternalBackend(scorer.endpoint)
         try:
             backend.connect_check()
             assert backend.score(("x",)) == (-1.0, 1)
@@ -386,15 +340,29 @@ class TestExternalTcp:
         finally:
             backend.close()
 
+    def test_refused_reconnects_raise_unreachable(self):
+        scorer = DyingScorer(answers=1)
+        backend = ExternalBackend(scorer.endpoint)
+        try:
+            assert backend.score(("x",)) == (-1.0, 1)
+            scorer.kill()
+            # The open connection is tried and found dead: a plain failure.
+            error = _raised_in_time(_start_call(lambda: backend.score(("x",))))
+            assert type(error) is BackendError
+            # No attempt of the next call gets a connection at all.
+            error = _raised_in_time(_start_call(lambda: backend.score(("x",))))
+            assert isinstance(error, BackendUnreachable)
+        finally:
+            backend.close()
+
     def test_waiting_callers_are_released_when_connections_die(self):
-        scorer = _DyingScorer(answers=0)
-        backend = ExternalBackend(scorer.endpoint, pool_size=2)
+        scorer = DyingScorer(answers=0)
+        backend = ExternalBackend(scorer.endpoint)
         try:
             backend.connect_check()
             calls = [_start_call(lambda: backend.score(("x",))) for _ in range(4)]
-            for _ in range(2):
-                assert scorer.seen.acquire(timeout=10.0)
-            time.sleep(0.1)  # the other two callers are waiting for a connection
+            assert scorer.seen.acquire(timeout=10.0)
+            time.sleep(0.1)  # the other three callers are waiting for the connection
             scorer.kill()
             for call in calls:
                 assert isinstance(_raised_in_time(call), BackendError)
@@ -402,7 +370,7 @@ class TestExternalTcp:
             backend.close()
 
     def test_round_trip_scores(self, tcp_scorer):
-        backend = ExternalBackend(tcp_scorer, pool_size=2)
+        backend = ExternalBackend(tcp_scorer)
         try:
             backend.connect_check()
             assert ppl(backend, ("x", "y", "z")) == pytest.approx(
@@ -415,7 +383,7 @@ class TestExternalTcp:
             backend.close()
 
     def test_concurrent_scores_are_correct(self, tcp_scorer):
-        backend = ExternalBackend(tcp_scorer, pool_size=3)
+        backend = ExternalBackend(tcp_scorer)
         results = [None] * 8
 
         def work(i):
@@ -426,7 +394,8 @@ class TestExternalTcp:
             for t in threads:
                 t.start()
             for t in threads:
-                t.join()
+                t.join(10.0)
+                assert not t.is_alive()
             assert all(r == (-0.5, 2) for r in results)
         finally:
             backend.close()
@@ -457,3 +426,4 @@ class TestExternalTcp:
         backend = ExternalBackend(tcp_scorer, max_context_tokens=123)
         assert backend.capabilities.deterministic is False
         assert backend.capabilities.max_context_tokens == 123
+        assert backend.capabilities is backend.capabilities

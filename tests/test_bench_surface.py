@@ -4,11 +4,16 @@
 names and read these fields. If one of them goes away, a benchmark run
 crashes before it prints its result line, so each is checked here, on a
 2-document corpus that scores in well under a second. The names
-``perfbench/tracer.py`` wraps are checked too.
+``perfbench/tracer.py`` wraps are checked too, and the benchmark's own
+smoke run must end with its JSON result line.
 """
 
 import importlib
 import importlib.util
+import json
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,7 +24,8 @@ from longdep.corpus import SegmentGrid
 from longdep.lds import LdsConfig, derive_seed, lds_exact, lds_sampled
 from longdep.ngram import NGramBackend, NGramModel, train_ngram
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 SPEC = SynthSpec(n_positive=1, n_negative=1, n_segments=8, segment_len=8, seed=1)
 
 
@@ -85,3 +91,23 @@ def test_every_name_the_tracer_wraps_resolves():
         for part in parents:
             owner = getattr(owner, part)
         assert callable(getattr(owner, name)), key
+
+
+def test_benchmark_smoke_run_prints_a_result_line(tmp_path):
+    # The benchmark prints no result line when it refuses a run or
+    # crashes, e.g. on a name it calls that is gone or a set-up step that
+    # fails. It runs from a copy, so its work directory is its own.
+    for part in ("perfbench", "src"):
+        shutil.copytree(ROOT / part, tmp_path / part,
+                        ignore=shutil.ignore_patterns("__pycache__", ".perfbench-work"))
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--smoke", "--workload", "all", "--seconds", "1"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout.strip().splitlines()[-1])
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]
+    assert set(results) == {w["name"] for w in declared}
+    for name, result in results.items():
+        assert result["correct"] is True, (name, proc.stderr)
+        assert result["failed"] == 0, (name, proc.stderr)

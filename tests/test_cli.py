@@ -3,10 +3,17 @@
 import json
 import os
 import socket
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
+from support import DyingScorer
 
 from longdep.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 SCORE_FLAGS = [
     "--segment-len",
@@ -115,6 +122,14 @@ class TestTrainNgram:
         assert meta["complete"] is True
         assert meta["documents"] == 9
 
+    def test_lone_surrogate_line_is_skipped(self, tmp_path, corpus):
+        with open(corpus, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps({"id": "bad", "text": "w1 \ud800 w2"}) + "\n")
+        out = tmp_path / "model.bin"
+        assert main(["train-ngram", "--input", corpus, "--out", str(out), *TRAIN_FLAGS]) == 0
+        meta = json.loads((tmp_path / "model.bin.meta.json").read_text())
+        assert meta["documents"] == 9
+
     def test_show_config_prints_and_writes_nothing(self, tmp_path, corpus, capsys):
         out = tmp_path / "model.json"
         code = main(
@@ -221,6 +236,36 @@ class TestScore:
             "skipped_malformed": 1,
             "skipped_duplicate_id": 1,
         }
+
+    @pytest.mark.parametrize("field", ["id", "text", "source"])
+    def test_lone_surrogate_record_is_skipped(self, corpus, model, tmp_path, field):
+        record = {"id": "bad", "text": " ".join(["w1"] * 24), "source": "web"}
+        record[field] += "\ud800"
+        with open(corpus, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(record) + "\n")
+        out_dir = tmp_path / "out"
+        assert run_score(corpus, model, out_dir) == 0
+        rows = (out_dir / "reports.jsonl").read_text(encoding="utf-8").splitlines()
+        assert len(rows) == 9
+        meta = json.loads((out_dir / "reports.jsonl.meta.json").read_text())
+        assert meta["complete"] is True
+        assert meta["ingest"]["skipped_malformed"] == 1
+
+    def test_workers_above_one_are_logged_as_sequential(self, corpus, model, tmp_path):
+        def stderr_of(*flags):
+            cmd = [
+                sys.executable, "-m", "longdep.cli", *flags, "score", "--input", corpus,
+                "--backend", f"ngram:{model}", "--out-dir", str(tmp_path / "out"),
+                "--workers", "2", *SCORE_FLAGS,
+            ]
+            env = {**os.environ, "PYTHONPATH": str(SRC)}
+            done = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+            assert done.returncode == 0, done.stderr
+            return done.stderr
+
+        line = "workers=2: documents are scored one at a time"
+        assert line in stderr_of("-v")
+        assert line not in stderr_of()
 
     def test_show_config_prints_resolved_profile(self, capsys):
         code = main(["score", "--show-config", "--tau", "0.2"])
@@ -540,3 +585,35 @@ class TestExternalBackendIntegration:
             ]
         )
         assert code == 3
+
+    def test_scorer_refusing_every_reconnect_stops_the_run(self, corpus, tmp_path):
+        scorer = DyingScorer(answers=1)
+
+        def kill_at_second_request():
+            for _ in range(2):
+                assert scorer.seen.acquire(timeout=30.0)
+            scorer.kill()
+
+        killer = threading.Thread(target=kill_at_second_request, daemon=True)
+        killer.start()
+        out_dir = tmp_path / "out"
+        code = main(
+            [
+                "score",
+                "--input",
+                corpus,
+                "--backend",
+                f"external:{scorer.endpoint}",
+                "--out-dir",
+                str(out_dir),
+                *SCORE_FLAGS,
+            ]
+        )
+        killer.join(timeout=10.0)
+        assert code == 3
+        rows = [json.loads(l) for l in (out_dir / "reports.jsonl").read_text().splitlines()]
+        # The request in flight at the kill fails its document; the next
+        # document cannot reconnect at all.
+        assert [(r["doc_id"], r["status"]) for r in rows] == [("d000", "failed")]
+        meta = json.loads((out_dir / "reports.jsonl.meta.json").read_text())
+        assert meta["complete"] is False

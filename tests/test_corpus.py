@@ -131,6 +131,26 @@ class TestIngestJsonl:
         assert stats.skipped_malformed == 5
         assert stats.yielded == 1
 
+    def test_fields_that_do_not_encode_as_utf8_are_skipped(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        lone = "\ud800"
+        self._write(
+            path,
+            [
+                json.dumps({"id": "a", "text": f"one {lone} two"}),
+                json.dumps({"id": f"b{lone}", "text": "one two"}),
+                json.dumps({"id": "c", "text": "one two", "source": lone}),
+                json.dumps({"id": "ok", "text": "fine é"}),
+            ],
+        )
+        assert '"\\ud800' in path.read_text(encoding="utf-8")
+        stats = IngestStats()
+        docs = list(ingest(path, stats=stats))
+        assert [d.id for d in docs] == ["ok"]
+        assert stats.read == 4
+        assert stats.skipped_malformed == 3
+        assert stats.yielded == 1
+
     def test_duplicate_ids_keep_first(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         self._write(

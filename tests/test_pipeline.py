@@ -1,5 +1,6 @@
 """Corpus scoring orchestration and selection manifests."""
 
+import json
 import math
 
 import pytest
@@ -7,6 +8,7 @@ from support import FailingBackend, HashBackend, make_reports
 
 import numpy as np
 
+from longdep.cli import main
 from longdep.corpus import Document, TokenizerSpec
 from longdep.errors import BackendUnreachable, ConfigError
 from longdep.jsonio import canonical_dumps
@@ -30,6 +32,35 @@ def make_docs(n, tokens_per_doc=10, source="web"):
     return docs
 
 
+CLI_SCORE_FLAGS = [
+    "--segment-len", "4", "--truncate-len", "32",
+    "--mode", "sampled", "--sample-size", "10",
+]
+
+
+@pytest.fixture()
+def corpus_and_model(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    with open(corpus, "w", encoding="utf-8") as handle:
+        for i in range(6):
+            text = " ".join(f"w{(i * 5 + j) % 11}" for j in range(24))
+            handle.write(json.dumps({"id": f"d{i:03d}", "text": text}) + "\n")
+    model = tmp_path / "model.bin"
+    assert main(["train-ngram", "--input", str(corpus), "--out", str(model)]) == 0
+    return str(corpus), str(model)
+
+
+def cli_score(corpus_and_model, out_dir, workers):
+    corpus, model = corpus_and_model
+    return main(
+        [
+            "score", "--input", corpus, "--backend", f"ngram:{model}",
+            "--out-dir", str(out_dir), "--emit-pairs", "--workers", workers,
+            *CLI_SCORE_FLAGS,
+        ]
+    )
+
+
 class TestScoreCorpus:
     def test_outcomes_in_input_order(self):
         docs = make_docs(9)
@@ -37,14 +68,24 @@ class TestScoreCorpus:
         assert [o.doc_id for o in outcomes] == [d.id for d in docs]
         assert all(o.status == "scored" for o in outcomes)
 
-    def test_worker_count_does_not_change_results(self):
-        docs = make_docs(12)
-        serial = list(score_corpus(docs, HashBackend(), CFG, workers=1))
-        threaded = list(score_corpus(docs, HashBackend(), CFG, workers=4))
-        assert [o.doc_id for o in threaded] == [o.doc_id for o in serial]
-        a = [o.report.to_dict(include_pairs=True) for o in serial]
-        b = [o.report.to_dict(include_pairs=True) for o in threaded]
-        assert a == b
+    def test_worker_count_does_not_change_results(self, corpus_and_model, tmp_path):
+        # --workers is accepted, but documents are scored one at a time.
+        outputs = []
+        for workers in ("1", "4"):
+            out_dir = tmp_path / f"w{workers}"
+            assert cli_score(corpus_and_model, out_dir, workers) == 0
+            pairs = sorted((out_dir / "pairs").iterdir())
+            outputs.append(
+                (
+                    (out_dir / "reports.jsonl").read_bytes(),
+                    [(p.name, p.read_bytes()) for p in pairs],
+                )
+            )
+        assert len(outputs[0][1]) == 6
+        assert outputs[0] == outputs[1]
+
+    def test_invalid_worker_count(self, corpus_and_model, tmp_path):
+        assert cli_score(corpus_and_model, tmp_path / "o", "0") == 2
 
     def test_short_documents_are_excluded(self):
         docs = make_docs(3) + [
@@ -96,26 +137,6 @@ class TestScoreCorpus:
         with pytest.raises(BackendUnreachable):
             list(score_corpus(make_docs(2), Unreachable(), CFG))
 
-    def test_unreachable_is_fatal_threaded(self):
-        class Unreachable:
-            capabilities = HashBackend.capabilities
-
-            def score(self, target, context=None):
-                raise BackendUnreachable("gone")
-
-        with pytest.raises(BackendUnreachable):
-            list(score_corpus(make_docs(6), Unreachable(), CFG, workers=3))
-
-    def test_invalid_worker_count(self):
-        with pytest.raises(ConfigError):
-            list(score_corpus(make_docs(1), HashBackend(), CFG, workers=0))
-
-    def test_sampled_mode_is_worker_invariant(self):
-        docs = make_docs(10, tokens_per_doc=16)
-        cfg = LdsConfig(segment_len=2, truncate_len=16, mode="sampled", sample_size=10)
-        serial = [o.report.lds for o in score_corpus(docs, HashBackend(), cfg, workers=1)]
-        threaded = [o.report.lds for o in score_corpus(docs, HashBackend(), cfg, workers=4)]
-        assert serial == threaded
 
 
 def report(doc_id, lds, source="web", config_hash="cfg"):
