@@ -39,7 +39,9 @@ class PerplexityBackend(Protocol):
     ) -> tuple[float, int]: ...
 
 
-def _to_ppl(logprob_sum: float, token_count: int) -> float:
+def ppl_from_sum(logprob_sum: float, token_count: int) -> float:
+    """``exp(-logprob_sum / token_count)``; ScoringError unless finite
+    and positive."""
     if token_count <= 0:
         raise ScoringError(f"backend returned token_count={token_count}")
     try:
@@ -58,7 +60,7 @@ def ppl(backend: PerplexityBackend, target: Sequence[Token]) -> float:
     if len(target) > backend.capabilities.max_context_tokens:
         raise ValueError("target exceeds backend context capacity")
     logprob_sum, token_count = backend.score(target, None)
-    return _to_ppl(logprob_sum, token_count)
+    return ppl_from_sum(logprob_sum, token_count)
 
 
 def ppl_given(
@@ -78,7 +80,7 @@ def ppl_given(
     if len(target) + len(context) > backend.capabilities.max_context_tokens:
         raise ValueError("context + target exceeds backend context capacity")
     logprob_sum, token_count = backend.score(target, context)
-    return _to_ppl(logprob_sum, token_count)
+    return ppl_from_sum(logprob_sum, token_count)
 
 
 class CountingBackend:

@@ -58,6 +58,29 @@ EXIT_INTERRUPTED = 130
 log = logging.getLogger("longdep")
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes each record to the ``sys.stderr`` of that moment."""
+
+    def __init__(self):
+        logging.Handler.__init__(self)
+        self.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+
+def _configure_logging(verbose: bool) -> None:
+    """Set the package logger's level and give it one stderr handler.
+
+    The root logger is left to the host program, and a second ``main``
+    call in one process adds no second handler.
+    """
+    log.setLevel(logging.DEBUG if verbose else logging.WARNING)
+    if not any(isinstance(handler, _StderrHandler) for handler in log.handlers):
+        log.addHandler(_StderrHandler())
+
+
 def _external_endpoint(spec_str: str) -> str | None:
     """The endpoint of an ``external[:<endpoint>]`` spec, falling back to
     $LONGDEP_SCORER_ENDPOINT; None when the spec names another backend."""
@@ -464,11 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
+    _configure_logging(args.verbose)
     try:
         return args.func(args)
     except BackendUnreachable as exc:

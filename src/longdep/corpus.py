@@ -134,8 +134,10 @@ def ingest(
     """Stream documents from ``path`` in input order.
 
     jsonl: one object per line with required string fields id and text;
-    source is optional and defaults to the file's stem. Malformed lines
-    (bad JSON, missing/empty fields, fields that do not encode as UTF-8,
+    source is optional and defaults to the file's stem, and tokens, when
+    present, must be a non-empty list of strings and is used instead of
+    tokenizing the text. Malformed lines (bad JSON, missing/empty fields,
+    a tokens value of any other kind, fields that do not encode as UTF-8,
     duplicate ids) are skipped and counted, never fatal. An unreadable
     path is fatal.
 
@@ -174,7 +176,9 @@ def _ingest_jsonl(path: Path, stats: IngestStats) -> Iterator[Document]:
             doc = _record_to_document(record, default_source)
             if doc is None:
                 stats.skipped_malformed += 1
-                logger.debug("%s:%d: missing id/text or not UTF-8, skipped", path, lineno)
+                logger.debug(
+                    "%s:%d: missing id/text, bad tokens or not UTF-8, skipped", path, lineno
+                )
                 continue
             if doc.id in seen_ids:
                 stats.skipped_duplicate_id += 1
@@ -198,14 +202,20 @@ def _record_to_document(record: object, default_source: str) -> Document | None:
     source = record.get("source")
     if not isinstance(source, str) or not source:
         source = default_source
+    tokens = None
+    if "tokens" in record:
+        tokens = record["tokens"]
+        if not (isinstance(tokens, list) and tokens and all(isinstance(t, str) for t in tokens)):
+            return None
+        tokens = tuple(tokens)
     # A lone surrogate such as "\ud800" parses as JSON but cannot be
     # written back out as UTF-8.
     try:
-        for value in (doc_id, text, source):
+        for value in (doc_id, text, source, *(tokens or ())):
             value.encode("utf-8")
     except UnicodeEncodeError:
         return None
-    return Document(id=doc_id, source=source, text=text)
+    return Document(id=doc_id, source=source, text=text, tokens=tokens)
 
 
 def _ingest_plain_dir(root: Path, stats: IngestStats) -> Iterator[Document]:

@@ -25,11 +25,12 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field, fields, replace
-from typing import Iterable, NamedTuple, Sequence
+from itertools import islice, repeat
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .backends import PerplexityBackend, cached_unconditional, ppl_given
+from .backends import PerplexityBackend, cached_unconditional, ppl_from_sum, ppl_given
 from .corpus import SegmentGrid
 from .errors import BackendError, BackendUnreachable, ConfigError
 from .jsonio import fingerprint
@@ -250,6 +251,49 @@ def _group_rows(pairs: Iterable[tuple[int, int]]) -> dict[int, list[int]]:
     return rows
 
 
+def _ppl_given_at(
+    backend: PerplexityBackend, grid: SegmentGrid, target: int, source: int
+) -> float:
+    try:
+        return ppl_given(backend, grid.segments[target], grid.segments[source])
+    except BackendUnreachable:
+        raise
+    except BackendError as exc:
+        raise BackendError(
+            f"conditional scoring failed at pair ({target}, {source}): {exc}",
+            retriable=exc.retriable,
+            segment_index=target,
+        ) from exc
+
+
+def _conditional(
+    backend: PerplexityBackend, grid: SegmentGrid, rows: dict[int, list[int]]
+) -> Iterator[float]:
+    """Conditional perplexity of each pair of ``rows``, target-ascending.
+
+    A backend with ``score_pairs`` scores the whole set in one call, made
+    here, before any unconditional value is read; its sums become
+    perplexities pair by pair as they are taken, so a failure surfaces at
+    the same pair as on the per-pair path. Every other backend, and a
+    grid the call cannot take (segments of several lengths, or a pair
+    beyond the backend's context), goes pair by pair through
+    ``ppl_given``.
+    """
+    order = sorted(rows)
+    batch = getattr(backend, "score_pairs", None)
+    lengths = {len(seg) for seg in grid.segments}
+    if (
+        batch is None
+        or len(lengths) != 1
+        or 2 * max(lengths) > backend.capabilities.max_context_tokens
+    ):
+        return (_ppl_given_at(backend, grid, t, s) for t in order for s in rows[t])
+    sums = batch(
+        grid.segments, [t for t in order for _ in rows[t]], [s for t in order for s in rows[t]]
+    )
+    return map(ppl_from_sum, sums, repeat(lengths.pop()))
+
+
 def _score(
     backend: PerplexityBackend,
     grid: SegmentGrid,
@@ -273,6 +317,7 @@ def _score(
         rows = {t: list(range(t)) for t in range(1, n)}
     else:
         rows = _group_rows(sample_pairs(n, cfg.sample_size, cfg.seed if seed is None else seed))
+    conditional = _conditional(backend, grid, rows)
     unconditional = cached_unconditional(backend, grid)
     total = 0.0
     gated_count = 0
@@ -280,21 +325,8 @@ def _score(
     pair_scores: list[PairScore] = []
     for target in sorted(rows):
         sources = rows[target]
-        target_seg = grid.segments[target]
         u = unconditional[target]
-        dst_row: list[float] = []
-        for source in sources:
-            try:
-                conditional = ppl_given(backend, target_seg, grid.segments[source])
-            except BackendUnreachable:
-                raise
-            except BackendError as exc:
-                raise BackendError(
-                    f"conditional scoring failed at pair ({target}, {source}): {exc}",
-                    retriable=exc.retriable,
-                    segment_index=target,
-                ) from exc
-            dst_row.append(dst(u, conditional))
+        dst_row = [dst(u, value) for value in islice(conditional, len(sources))]
         dsp_value = dsp(dst_row)
         for source, dst_value in zip(sources, dst_row):
             ddi_value = ddi(target, source, n)

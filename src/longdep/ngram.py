@@ -44,9 +44,9 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -83,19 +83,21 @@ def _check_key_space(n_entries: int, width: int) -> None:
         )
 
 
-def _logs(ratios: np.ndarray) -> Iterator[float]:
-    """``math.log`` of each ratio. Ratios repeat a lot (every count-1
-    entry of a history shares one), so each distinct value is logged
-    once and its float object shared."""
+def _logs(ratios: np.ndarray) -> tuple[list[float], np.ndarray]:
+    """``math.log`` of each distinct ratio, and which one each ratio is.
+    Ratios repeat a lot (every count-1 entry of a history shares one), so
+    each distinct value is logged once and its float object shared."""
     distinct, which = np.unique(ratios, return_inverse=True)
-    logs = list(map(math.log, distinct.tolist()))
-    return map(logs.__getitem__, which.tolist())
+    return list(map(math.log, distinct.tolist())), which
 
 
 class _Tables:
     """What scoring looks up; see the module docstring."""
 
-    __slots__ = ("ids", "unk", "width", "hist", "lp", "unseen")
+    __slots__ = (
+        "ids", "unk", "width", "hist", "lp", "unseen",
+        "entry_lp", "history_unseen", "unigram_entry", "unigram_lp",
+    )
 
     def __init__(self, model: "NGramModel"):
         vocab, keys, counts, k = model.vocab, model.keys, model.counts, model.k
@@ -108,13 +110,30 @@ class _Tables:
         firsts = np.flatnonzero(np.diff(hids, prepend=-1))
         totals = np.add.reduceat(counts, firsts)
         per_entry = np.repeat(totals, np.diff(firsts, append=len(keys)))
-        ratios = (counts + k) / (per_entry + denom)
-        self.lp = dict(zip(keys.tolist(), _logs(ratios)))
+        logs, which = _logs((counts + k) / (per_entry + denom))
+        self.lp = dict(zip(keys.tolist(), map(logs.__getitem__, which.tolist())))
         history_ids = hids[firsts]
-        self.unseen = dict(zip(history_ids.tolist(), _logs(k / (totals + denom))))
+        unseen_logs, unseen_which = _logs(k / (totals + denom))
+        self.unseen = dict(
+            zip(history_ids.tolist(), map(unseen_logs.__getitem__, unseen_which.tolist()))
+        )
         # A history never seen gets id -1, which no key can reach, and
         # the formula with count = total = 0.
         self.unseen[-1] = math.log((0 + k) / (0 + denom))
+        # The same floats as arrays, for scoring a whole grid at once:
+        # ``entry_lp`` follows ``keys``, and ``history_unseen`` is indexed
+        # by history id. Ids that begin no entry, and -1 (the last slot),
+        # hold the never-seen value.
+        self.entry_lp = np.array(logs)[which]
+        self.history_unseen = np.full(len(keys) + 2, self.unseen[-1])
+        self.history_unseen[history_ids] = np.array(unseen_logs)[unseen_which]
+        # The first lookup of every token has the empty history: one slot
+        # per token id, no search.
+        unigrams = keys[: np.searchsorted(keys, width)]
+        self.unigram_entry = np.full(width, -1)
+        self.unigram_entry[unigrams] = np.arange(1, len(unigrams) + 1)
+        self.unigram_lp = np.full(width, self.history_unseen[0])
+        self.unigram_lp[unigrams] = self.entry_lp[: len(unigrams)]
         self.hist = {(): 0}
         # Spell each history out backwards, one entry (parent, token) at
         # a time; histories of one length become tuples together.
@@ -180,6 +199,22 @@ class NGramModel:
             h = hist(ids[i - n if i > n else 0:i], -1)
             out.append(lp(h * width + ids[i], unseen[h]))
         return out
+
+    def _step(self, hist: np.ndarray, tok: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For arrays of history ids and token ids: the id of each
+        extended history (-1 where the model has no such entry) and the
+        log-probability of each token after its history, as ``_logprobs``
+        gives it. Queries are sorted before the search, which keeps it
+        cache-friendly on a large model."""
+        tables, keys = self._tables, self.keys
+        query = hist * tables.width + tok
+        order = np.argsort(query, axis=None)
+        pos = np.empty(query.size, dtype=np.int64)
+        pos[order] = np.searchsorted(keys, query.ravel()[order])
+        pos = np.minimum(pos.reshape(query.shape), len(keys) - 1)
+        found = keys[pos] == query
+        lp = np.where(found, tables.entry_lp[pos], tables.history_unseen[hist])
+        return np.where(found, pos + 1, -1), lp
 
     def prob(self, token: Token, history: Sequence[Token] = ()) -> float:
         """Smoothed conditional probability of ``token`` after ``history``."""
@@ -346,50 +381,26 @@ def train_ngram(
     )
 
 
-# Memo entries kept by an NGramBackend before it starts over. Rows are
-# scored target by target, so a small memo keeps nearly every hit while
-# memory stays flat however many documents pass through.
-UNCOND_MEMO_SIZE = 1024
-
-
 class NGramBackend:
     """Perplexity backend over a trained NGramModel.
 
     Conditioning with an n-gram window only changes the first order-1
-    target tokens, so a conditional score is a memoized unconditional
-    sum with its head terms swapped for ones that see the context. The
-    memo holds at most ``UNCOND_MEMO_SIZE`` targets and is cleared when
-    full. Memoized paths are always taken, which keeps repeated calls
-    bit-identical. An optional separator token can be inserted between
-    context and target; by default they are concatenated directly.
+    target tokens, so a conditional score is the unconditional sum with
+    its head terms swapped for ones that see the context, in the order
+    ``((base - lp0) - lp1 ...) + head_sum``.
+
+    ``score_pairs`` scores a whole document's pair set in one call and
+    keeps the unconditional sum of each of its distinct segments, keyed
+    by segment content, until the next call; ``score`` reads a target's
+    sum from there when it has one. Both give the same floats.
     """
 
     # One shared value: the scoring helpers read it on every call.
     capabilities = BackendCapabilities(max_context_tokens=1 << 22, deterministic=True)
 
-    def __init__(self, model: NGramModel, context_separator: Token | None = None):
+    def __init__(self, model: NGramModel):
         self.model = model
-        self.context_separator = context_separator
-        # target tuple -> (logprob_sum, token ids of the head, their logprobs)
-        self._uncond: dict[
-            tuple[Token, ...], tuple[float, tuple[int, ...], tuple[float, ...]]
-        ] = {}
-
-    def _uncond_entry(
-        self, target: tuple[Token, ...]
-    ) -> tuple[float, tuple[int, ...], tuple[float, ...]]:
-        model = self.model
-        ids = model._to_ids(target)
-        lps = model._logprobs(ids, 0)
-        total = 0.0
-        for lp in lps:
-            total += lp
-        head_n = min(model.order - 1, len(target))
-        entry = (total, ids[:head_n], tuple(lps[:head_n]))
-        if len(self._uncond) >= UNCOND_MEMO_SIZE:
-            self._uncond.clear()
-        self._uncond[target] = entry
-        return entry
+        self._segment_sums: dict[tuple[Token, ...], float] = {}
 
     def score(
         self,
@@ -401,23 +412,88 @@ class NGramBackend:
         if not target:
             raise ValueError("target must be non-empty")
         tgt = tuple(target)
-        entry = self._uncond.get(tgt)
-        if entry is None:
-            entry = self._uncond_entry(tgt)
-        base, head_ids, head_lps = entry
         if not context:
+            base = self._segment_sums.get(tgt)
+            if base is None:
+                base = self.model.seq_logprob(tgt)[0]
             return base, len(tgt)
-        ctx = tuple(context)
-        if self.context_separator is not None:
-            ctx = ctx + (self.context_separator,)
         model = self.model
         window = model.order - 1
-        ctx_tail = ctx[-window:] if window else ()
+        ids = model._to_ids(tgt)
+        lps = model._logprobs(ids, 0)
+        adjusted = 0.0
+        for lp in lps:
+            adjusted += lp
+        head_n = min(window, len(tgt))
+        ctx_tail = tuple(context)[-window:] if window else ()
         head_sum = 0.0
-        for lp in model._logprobs(model._to_ids(ctx_tail) + head_ids, len(ctx_tail)):
+        for lp in model._logprobs(model._to_ids(ctx_tail) + ids[:head_n], len(ctx_tail)):
             head_sum += lp
-        adjusted = base
-        for lp in head_lps:
+        for lp in lps[:head_n]:
             adjusted -= lp
         adjusted += head_sum
         return adjusted, len(tgt)
+
+    def score_pairs(
+        self,
+        segments: Sequence[Sequence[Token]],
+        targets: Sequence[int],
+        sources: Sequence[int],
+    ) -> list[float]:
+        """Summed log probability of ``segments[t]`` after context
+        ``segments[s]`` for each (t, s) of ``targets`` and ``sources``,
+        equal to ``score(segments[t], segments[s])[0]``; the token count
+        is the segment length, which every segment shares.
+
+        The grid's tokens are mapped to ids once, and one pass of array
+        lookups per history length scores every distinct segment and
+        every pair's head. Sums run in sequence, as ``score`` adds them.
+        """
+        model = self.model
+        tables, window = model._tables, model.order - 1
+        which: dict[tuple[Token, ...], int] = {}
+        row_of = [which.setdefault(tuple(seg), len(which)) for seg in segments]
+        distinct = list(which)
+        length = len(distinct[0]) if distinct else 0
+        if length == 0 or any(len(seg) != length for seg in distinct):
+            raise ValueError("segments must be non-empty and of one length")
+        ids = np.fromiter(
+            map(tables.ids.get, chain.from_iterable(distinct), repeat(tables.unk)),
+            dtype=np.int64,
+            count=len(distinct) * length,
+        ).reshape(len(distinct), length)
+        # Level h looks up each token after the h tokens before it; the
+        # entries it finds are the histories of level h + 1. A token's
+        # log-probability comes from level min(position, order - 1).
+        lps = np.empty((len(distinct), length + 1))  # after a leading 0.0
+        lps[:, 0] = 0.0
+        tails = []  # id of each segment's last h + 1 tokens, per level h
+        entry, lp = tables.unigram_entry[ids], tables.unigram_lp[ids]
+        for level in range(min(window + 1, length)):
+            if level:
+                entry, lp = model._step(hist, ids[:, level:])
+            if level < window:
+                lps[:, level + 1] = lp[:, 0]
+                tails.append(entry[:, -1])
+                hist = entry[:, :-1]
+            else:
+                lps[:, level + 1:] = lp
+        sums = np.add.accumulate(lps, axis=1)[:, -1]
+        self._segment_sums = dict(zip(distinct, sums.tolist()))
+        head_n = min(window, length)
+        stripped = sums
+        for col in range(1, head_n + 1):
+            stripped = stripped - lps[:, col]
+        # Head token q of a target sees the source's last min(order - 1 - q,
+        # length) tokens, then the q head tokens before it.
+        row_of = np.array(row_of, dtype=np.int64)
+        tgt = row_of[np.asarray(targets, dtype=np.int64)]
+        src = row_of[np.asarray(sources, dtype=np.int64)]
+        head = np.zeros((len(tgt), head_n + 1))
+        for q in range(head_n):
+            hist = tails[min(window - q, length) - 1][src]
+            for i in range(q):
+                hist, _ = model._step(hist, ids[tgt, i])
+            _, head[:, q + 1] = model._step(hist, ids[tgt, q])
+        head_sums = np.add.accumulate(head, axis=1)[:, -1]
+        return (stripped[tgt] + head_sums).tolist()

@@ -4,13 +4,15 @@
 names and read these fields. If one of them goes away, a benchmark run
 crashes before it prints its result line, so each is checked here, on a
 2-document corpus that scores in well under a second. The names
-``perfbench/tracer.py`` wraps are checked too, and the benchmark's own
-smoke run must end with its JSON result line.
+``perfbench/tracer.py`` wraps are checked too, the benchmark's own
+smoke run must end with its JSON result line, and a traced smoke run
+must measure every per-layer metric that ``BENCHMARK.json`` declares.
 """
 
 import importlib
 import importlib.util
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -93,7 +95,7 @@ def test_every_name_the_tracer_wraps_resolves():
         assert callable(getattr(owner, name)), key
 
 
-def test_benchmark_smoke_run_prints_a_result_line(tmp_path):
+def _smoke_run(tmp_path, *flags) -> dict:
     # The benchmark prints no result line when it refuses a run or
     # crashes, e.g. on a name it calls that is gone or a set-up step that
     # fails. It runs from a copy, so its work directory is its own.
@@ -101,7 +103,8 @@ def test_benchmark_smoke_run_prints_a_result_line(tmp_path):
         shutil.copytree(ROOT / part, tmp_path / part,
                         ignore=shutil.ignore_patterns("__pycache__", ".perfbench-work"))
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--smoke", "--workload", "all", "--seconds", "1"],
+        [sys.executable, "perfbench/run.py", "--smoke", "--workload", "all", "--seconds", "1",
+         *flags],
         cwd=tmp_path, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr
@@ -111,3 +114,19 @@ def test_benchmark_smoke_run_prints_a_result_line(tmp_path):
     for name, result in results.items():
         assert result["correct"] is True, (name, proc.stderr)
         assert result["failed"] == 0, (name, proc.stderr)
+    return results
+
+
+def test_benchmark_smoke_run_prints_a_result_line(tmp_path):
+    _smoke_run(tmp_path)
+
+
+def test_traced_smoke_run_measures_every_layer(tmp_path):
+    # A per-layer metric is null when a name the tracer wraps is gone or
+    # a wrapped call no longer runs (e.g. fewer than two backend calls).
+    results = _smoke_run(tmp_path, "--trace", "1")
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
+    for name, result in results.items():
+        for metric in declared:
+            value = result["metrics"][metric["name"]]["value"]
+            assert isinstance(value, (int, float)) and math.isfinite(value), (name, metric)

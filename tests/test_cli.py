@@ -1,6 +1,8 @@
 """End-to-end command-line workflow and exit-code contracts."""
 
+import io
 import json
+import logging
 import os
 import socket
 import subprocess
@@ -251,6 +253,16 @@ class TestScore:
         assert meta["complete"] is True
         assert meta["ingest"]["skipped_malformed"] == 1
 
+    def test_pretokenized_record_is_scored(self, corpus, model, tmp_path):
+        record = {"id": "pre", "text": "", "tokens": [f"w{j % 11}" for j in range(24)]}
+        with open(corpus, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(record) + "\n")
+        out_dir = tmp_path / "out"
+        assert run_score(corpus, model, out_dir) == 0
+        rows = [json.loads(line) for line in (out_dir / "reports.jsonl").read_text().splitlines()]
+        (row,) = [row for row in rows if row["doc_id"] == "pre"]
+        assert row["status"] == "scored" and row["n_segments"] == 6
+
     def test_workers_above_one_are_logged_as_sequential(self, corpus, model, tmp_path):
         def stderr_of(*flags):
             cmd = [
@@ -266,6 +278,26 @@ class TestScore:
         line = "workers=2: documents are scored one at a time"
         assert line in stderr_of("-v")
         assert line not in stderr_of()
+
+    def test_verbose_logs_under_a_host_root_handler(self, corpus, model, tmp_path, capsys):
+        # A host program that set up the root logger before calling main:
+        # -v still logs, each line once, however often main runs.
+        def score(*flags):
+            return main([
+                *flags, "score", "--input", corpus, "--backend", f"ngram:{model}",
+                "--out-dir", str(tmp_path / "out"), "--workers", "2", *SCORE_FLAGS,
+            ])
+
+        root = logging.getLogger()
+        host = logging.StreamHandler(io.StringIO())
+        root.addHandler(host)
+        try:
+            capsys.readouterr()
+            assert score("-v") == score("-v") == score() == 0
+            err = capsys.readouterr().err
+        finally:
+            root.removeHandler(host)
+        assert err.count("INFO longdep: workers=2: documents are scored one at a time") == 2
 
     def test_show_config_prints_resolved_profile(self, capsys):
         code = main(["score", "--show-config", "--tau", "0.2"])

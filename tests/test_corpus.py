@@ -151,6 +151,30 @@ class TestIngestJsonl:
         assert stats.skipped_malformed == 3
         assert stats.yielded == 1
 
+    def test_pretokenized_record_keeps_its_tokens(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        self._write(path, [json.dumps({"id": "a", "text": "", "tokens": ["x y", "é", "z"]})])
+        (doc,) = ingest(path)
+        assert doc.tokens == ("x y", "é", "z")
+        assert doc.text == ""
+
+    def test_tokens_of_any_other_kind_are_malformed(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        bad = [[], "a b", [1, 2], ["a", None], None, {"a": 1}, ["a", "\ud800"]]
+        self._write(
+            path,
+            [
+                json.dumps({"id": f"b{i}", "text": "a b", "tokens": value})
+                for i, value in enumerate(bad)
+            ]
+            + [json.dumps({"id": "ok", "text": "a b"})],
+        )
+        stats = IngestStats()
+        docs = list(ingest(path, stats=stats))
+        assert [d.id for d in docs] == ["ok"]
+        assert docs[0].tokens is None
+        assert stats.skipped_malformed == len(bad)
+
     def test_duplicate_ids_keep_first(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         self._write(

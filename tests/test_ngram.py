@@ -6,9 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from longdep.corpus import Document
+from longdep.corpus import Document, SegmentGrid
 from longdep.errors import ConfigError
-from longdep.ngram import UNCOND_MEMO_SIZE, UNK, NGramBackend, NGramModel, train_ngram
+from longdep.backends import CountingBackend
+from longdep.lds import LdsConfig, derive_seed, score_document
+from longdep.ngram import UNK, NGramBackend, NGramModel, train_ngram
+from longdep.pipeline import score_corpus
 
 
 class LoopNGram:
@@ -352,25 +355,100 @@ class TestBackend:
         assert backend.score(("a", "b", "c")) == backend.score(("a", "b", "c"))
 
     def test_memo_stays_bounded_and_bit_identical(self, bigram):
+        # score_pairs keeps the unconditional sums of one document's
+        # segments, keyed by content; the next document's replace them.
         backend = NGramBackend(bigram)
-        targets = [(f"w{i}", "a") for i in range(UNCOND_MEMO_SIZE + 10)]
-        first = [backend.score(t, ("b",)) for t in targets]
-        assert len(backend._uncond) <= UNCOND_MEMO_SIZE
-        assert [backend.score(t, ("b",)) for t in targets] == first
+        first = (("a", "b"), ("b", "c"), ("a", "b"))
+        second = (("c", "a"), ("zz", "b"))
+        want = [bigram.seq_logprob(seg) for seg in first + second]
+        backend.score_pairs(first, [1, 2], [0, 1])
+        assert set(backend._segment_sums) == set(first)
+        backend.score_pairs(second, [1], [0])
+        assert set(backend._segment_sums) == set(second)
+        assert [backend.score(seg) for seg in first + second] == want
 
     def test_empty_target_rejected(self, bigram):
         backend = NGramBackend(bigram)
         with pytest.raises(ValueError):
             backend.score(())
 
-    def test_separator_token_is_inserted(self, bigram):
-        plain = NGramBackend(bigram)
-        sep = NGramBackend(bigram, context_separator="a")
-        got = sep.score(("b",), ("c",))
-        want = plain.score(("b",), ("c", "a"))
-        assert got == want
-
     def test_capabilities_report_determinism(self, bigram):
         caps = NGramBackend(bigram).capabilities
         assert caps.deterministic
         assert caps.max_context_tokens >= 1 << 20
+
+
+def grid_of(rng, pool, n_segments, length):
+    tokens = [pool[i] for i in rng.integers(0, len(pool), size=n_segments * length)]
+    segments = tuple(
+        tuple(tokens[i * length:(i + 1) * length]) for i in range(n_segments)
+    )
+    if n_segments > 3:
+        segments = segments[:-1] + (segments[1],)  # a repeated segment
+    return SegmentGrid(doc_id="doc", segment_len=length, segments=segments)
+
+
+class TestScorePairs:
+    """One call per document against the per-pair path, compared with ==."""
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    def test_equals_per_pair_score_and_seq_logprob(self, order):
+        rng = np.random.default_rng(100 + order)
+        corpus = random_corpus(rng, "mixed", n_docs=6, n_types=12, length=80)
+        ref = LoopNGram(corpus, order, 0.05)
+        model = train_ngram(corpus, order=order, k=0.05)
+        pool = [tok for doc in corpus for tok in doc] + ["never-seen", 999, UNK]
+        # Lengths below, at and above order - 1.
+        for length in (1, 2, order - 1, order, 6):
+            grid = grid_of(rng, pool, int(rng.integers(2, 9)), max(length, 1))
+            segments, n = grid.segments, grid.n_segments
+            pairs = [(t, s) for t in range(n) for s in range(n) if rng.random() < 0.6]
+            targets, sources = [t for t, _ in pairs], [s for _, s in pairs]
+            backend = NGramBackend(model)
+            got = backend.score_pairs(segments, targets, sources)
+            assert got == [NGramBackend(model).score(segments[t], segments[s])[0] for t, s in pairs]
+            assert got == [ref.backend_score(segments[t], segments[s])[0] for t, s in pairs]
+            for seg in segments:
+                assert backend._segment_sums[seg] == model.seq_logprob(seg)[0]
+                assert backend.score(seg) == ref.seq_logprob(seg)
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    def test_document_scores_equal_the_per_pair_adapter(self, order, mode):
+        # CountingBackend has no score_pairs, so lds scores pair by pair.
+        rng = np.random.default_rng(200 + order)
+        corpus = random_corpus(rng, "mixed", n_docs=6, n_types=12, length=80)
+        model = train_ngram(corpus, order=order, k=0.05)
+        pool = [tok for doc in corpus for tok in doc] + ["never-seen", UNK]
+        for length in (1, 3, 8):
+            grid = grid_of(rng, pool, 12, length)
+            cfg = LdsConfig(
+                segment_len=length, truncate_len=2 * length, mode=mode, sample_size=20, tau=0.0
+            )
+            seed = derive_seed(0, f"{order}-{length}")
+            batch = score_document(NGramBackend(model), grid, cfg, seed=seed)
+            per_pair = score_document(CountingBackend(NGramBackend(model)), grid, cfg, seed=seed)
+            assert batch == per_pair
+            assert batch.pair_count == (66 if mode == "exact" else 20)
+
+    def test_failing_documents_fail_the_same(self):
+        # With k this small, a token never seen after its history (here c
+        # after a) or never seen at all (zz) gets an infinite perplexity.
+        model = train_ngram([["a", "b", "a", "b", "c"]], order=2, k=1e-310)
+        docs = [
+            Document(id="cond", source="s", text="", tokens=("a", "b", "c", "a", "c", "c")),
+            Document(id="uncond", source="s", text="", tokens=("a", "zz", "b", "a")),
+            Document(id="ok", source="s", text="", tokens=("a", "b")),
+        ]
+        cfg = LdsConfig(segment_len=1, truncate_len=8, mode="exact")
+        outcomes = [
+            [(o.status, o.reason, o.report) for o in score_corpus(docs, backend, cfg)]
+            for backend in (NGramBackend(model), CountingBackend(NGramBackend(model)))
+        ]
+        assert outcomes[0] == outcomes[1]
+        assert [status for status, _, _ in outcomes[0]] == ["failed", "failed", "scored"]
+        assert all("non-finite perplexity" in reason for _, reason, _ in outcomes[0][:2])
+
+    def test_segments_of_different_lengths_rejected(self, bigram):
+        with pytest.raises(ValueError):
+            NGramBackend(bigram).score_pairs((("a",), ("a", "b")), [1], [0])
