@@ -13,11 +13,14 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
+import selectors
+import signal
 import socket
 import subprocess
 import threading
 from dataclasses import dataclass
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Iterable, Iterator, Protocol, Sequence, runtime_checkable
 
 from .corpus import SegmentGrid, Token, TokenizerSpec
 from .errors import BackendError, BackendUnreachable, ScoringError
@@ -157,59 +160,150 @@ def cached_unconditional(backend: PerplexityBackend, grid: SegmentGrid) -> list[
 #   request:  {"req_id": str, "target": str, "context": str | null}
 #   response: {"req_id": str, "logprob_sum": float, "token_count": int}
 #          or {"req_id": str, "error": str}
+#
+# Requests go out in windows: the client writes every line of a window,
+# then reads one answer per request and matches them by ``req_id``, so
+# answers may come back in any order. A window holds at most
+# WINDOW_REQUESTS lines and WINDOW_BYTES bytes (one longer request goes
+# alone), so it fits in a pipe's buffer and the write cannot block on a
+# scorer that answers each line before it reads the next.
+
+WINDOW_REQUESTS = 32
+WINDOW_BYTES = 64 * 1024
+# How long a ``stdio://`` scorer gets to exit once its stdin is closed.
+CLOSE_GRACE_S = 1.0
 
 _REQ_IDS = itertools.count(1)
 
+ScoreResult = tuple[float, int] | BackendError
 
-class _TcpConnection:
+
+class _ShortRead(Exception):
+    """The stream failed before every answer of a window was read;
+    ``lines`` holds the answers read until then."""
+
+    def __init__(self, message: str, lines: list[str]):
+        super().__init__(message)
+        self.lines = lines
+
+
+class _Connection:
+    """One open stream to the scorer. Subclasses supply ``_write`` and
+    ``_read``; a read that times out raises TimeoutError."""
+
+    # True once the scorer has sent any line on this stream.
+    answered = False
+
+    def __init__(self):
+        self._buffer = bytearray()
+
+    def round_trip(self, requests: list[bytes]) -> list[str]:
+        """Write the request lines, then read one answer line per
+        request, in arrival order. Raises _ShortRead if the stream ends,
+        breaks or times out first."""
+        lines: list[str] = []
+        try:
+            self._write(b"".join(requests))
+            while len(lines) < len(requests):
+                end = self._buffer.find(b"\n") + 1
+                if end:
+                    lines.append(self._buffer[:end].decode("utf-8", "replace"))
+                    del self._buffer[:end]
+                    continue
+                chunk = self._read()
+                if not chunk:
+                    raise _ShortRead("scorer closed the stream", lines)
+                self._buffer += chunk
+        except OSError as exc:
+            raise _ShortRead(f"transport failure: {exc}", lines) from exc
+        finally:
+            if lines:
+                self.answered = True
+        return lines
+
+    def _write(self, data: bytes) -> None:
+        raise NotImplementedError
+
+    def _read(self) -> bytes:
+        raise NotImplementedError
+
+
+class _TcpConnection(_Connection):
     def __init__(self, host: str, port: int, timeout: float):
+        super().__init__()
         try:
             self.sock = socket.create_connection((host, port), timeout=timeout)
         except OSError as exc:
             raise BackendError(f"connect to {host}:{port} failed: {exc}", retriable=True) from exc
-        self.reader = self.sock.makefile("r", encoding="utf-8")
 
-    def round_trip(self, request: str) -> str:
-        self.sock.sendall(request.encode("utf-8"))
-        return self.reader.readline()
+    def _write(self, data: bytes) -> None:
+        self.sock.sendall(data)
+
+    def _read(self) -> bytes:
+        return self.sock.recv(1 << 16)
 
     def close(self) -> None:
         try:
-            self.reader.close()
             self.sock.close()
         except OSError:
             pass
 
 
-class _StdioConnection:
-    def __init__(self, command: str):
+class _StdioConnection(_Connection):
+    """A child process in its own process group, so that closing it also
+    stops whatever its shell started."""
+
+    def __init__(self, command: str, timeout: float):
+        super().__init__()
         try:
             self.proc = subprocess.Popen(
                 command,
                 shell=True,
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
-                text=True,
-                bufsize=1,
+                start_new_session=True,
             )
         except OSError as exc:
             raise BackendError(f"spawn {command!r} failed: {exc}", retriable=True) from exc
+        self.timeout = timeout
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self.proc.stdout, selectors.EVENT_READ)
 
-    def round_trip(self, request: str) -> str:
+    def _write(self, data: bytes) -> None:
         if self.proc.poll() is not None:
-            raise BackendError("scorer process exited", retriable=True)
-        assert self.proc.stdin is not None and self.proc.stdout is not None
-        self.proc.stdin.write(request)
+            raise BrokenPipeError("scorer process exited")
+        self.proc.stdin.write(data)
         self.proc.stdin.flush()
-        return self.proc.stdout.readline()
+
+    def _read(self) -> bytes:
+        if not self._selector.select(self.timeout):
+            raise TimeoutError(f"no answer within {self.timeout} s")
+        return os.read(self.proc.stdout.fileno(), 1 << 16)
 
     def close(self) -> None:
-        if self.proc.poll() is None:
-            self.proc.terminate()
+        """Close the scorer's stdin, give it CLOSE_GRACE_S to exit, then
+        terminate its process group."""
+        try:
+            self.proc.stdin.close()
+        except OSError:
+            pass
+        try:
+            self.proc.wait(timeout=CLOSE_GRACE_S)
+        except subprocess.TimeoutExpired:
+            self._signal_group(signal.SIGTERM)
             try:
                 self.proc.wait(timeout=5)
             except subprocess.TimeoutExpired:
-                self.proc.kill()
+                self._signal_group(signal.SIGKILL)
+                self.proc.wait()
+        self._selector.close()
+        self.proc.stdout.close()
+
+    def _signal_group(self, sig: int) -> None:
+        try:
+            os.killpg(self.proc.pid, sig)
+        except ProcessLookupError:
+            pass
 
 
 class ExternalBackend:
@@ -222,11 +316,16 @@ class ExternalBackend:
     re-tokenizes with its own vocabulary. Context and target are sent as
     separate fields, so any separator policy is the scorer's own.
 
-    Failed connects, transport failures, undecodable lines and mismatched
-    ``req_id``s are retried up to ``retries`` times on a fresh
-    connection; an error response from the scorer is not retried. A call
-    whose every attempt failed to open a connection raises
-    BackendUnreachable; any other failure raises BackendError.
+    ``score`` sends a one-request window; ``score_stream`` sends windows
+    of up to WINDOW_REQUESTS. Every read waits at most ``timeout``
+    seconds. An error answer from the scorer fails its own request only
+    and is not retried. Failed connects, transport failures, timeouts,
+    undecodable lines and unknown ``req_id``s drop the connection, and
+    the requests still unanswered are resent on a fresh one, up to
+    ``retries`` times. A call on which no connection could be opened, or
+    none ever answered, on any attempt raises BackendUnreachable; a call
+    that otherwise runs out of attempts fails its unanswered requests
+    with BackendError.
     """
 
     def __init__(
@@ -256,17 +355,17 @@ class ExternalBackend:
             self._host, self._port = host, int(port)
         # The open connection, or None. Used and replaced only under the
         # lock, so two callers never share its stream.
-        self._conn = None
+        self._conn: _Connection | None = None
         self._lock = threading.Lock()
 
     @property
     def capabilities(self) -> BackendCapabilities:
         return self._capabilities
 
-    def _connection(self):
+    def _connection(self) -> _Connection:
         if self._conn is None:
             if self._mode == "stdio":
-                self._conn = _StdioConnection(self._command)
+                self._conn = _StdioConnection(self._command, self.timeout)
             else:
                 self._conn = _TcpConnection(self._host, self._port, self.timeout)
         return self._conn
@@ -291,74 +390,125 @@ class ExternalBackend:
             if self._conn is not None:
                 self._drop()
 
-    def score(
-        self, target: Sequence[Token], context: Sequence[Token] | None = None
-    ) -> tuple[float, int]:
+    def _request(
+        self,
+        target: Sequence[Token],
+        context: Sequence[Token] | None,
+        texts: dict[tuple[Token, ...], bytes],
+    ) -> tuple[str, bytes]:
         if not target:
             raise ValueError("target must be non-empty")
         req_id = str(next(_REQ_IDS))
-        request = json.dumps(
-            {
-                "req_id": req_id,
-                "target": self.tokenizer.detokenize(target),
-                "context": self.tokenizer.detokenize(context) if context else None,
-            },
-            ensure_ascii=False,
-        ) + "\n"
-        with self._lock:
-            return self._send(request, req_id)
+        line = b'{"req_id": "%s", "target": %s, "context": %s}\n' % (
+            req_id.encode("ascii"),
+            self._json_text(target, texts),
+            self._json_text(context, texts) if context else b"null",
+        )
+        return req_id, line
 
-    def _send(self, request: str, req_id: str) -> tuple[float, int]:
+    def _json_text(
+        self, tokens: Sequence[Token], texts: dict[tuple[Token, ...], bytes]
+    ) -> bytes:
+        """The detokenized segment as a JSON string, kept in ``texts``:
+        a document's pairs reuse its few segments many times."""
+        key = tuple(tokens)
+        text = texts.get(key)
+        if text is None:
+            text = json.dumps(self.tokenizer.detokenize(tokens), ensure_ascii=False)
+            text = texts[key] = text.encode("utf-8")
+        return text
+
+    def score(
+        self, target: Sequence[Token], context: Sequence[Token] | None = None
+    ) -> tuple[float, int]:
+        [result] = self._exchange([self._request(target, context, {})])
+        if isinstance(result, BackendError):
+            raise result
+        return result
+
+    def score_stream(
+        self, calls: Iterable[tuple[Sequence[Token], Sequence[Token] | None]]
+    ) -> Iterator[ScoreResult]:
+        """The (logprob_sum, token_count) of each (target, context) call,
+        in call order, or the BackendError that failed that call alone.
+
+        Calls are sent in windows, and a window goes out only when the
+        consumer asks for its first result. BackendUnreachable is raised,
+        not yielded.
+        """
+        texts: dict[tuple[Token, ...], bytes] = {}
+        window: list[tuple[str, bytes]] = []
+        size = 0
+        for target, context in calls:
+            request = self._request(target, context, texts)
+            if window and (
+                len(window) == WINDOW_REQUESTS or size + len(request[1]) > WINDOW_BYTES
+            ):
+                yield from self._exchange(window)
+                window, size = [], 0
+            window.append(request)
+            size += len(request[1])
+        if window:
+            yield from self._exchange(window)
+
+    def _exchange(self, window: list[tuple[str, bytes]]) -> list[ScoreResult]:
+        results: list[ScoreResult | None] = [None] * len(window)
+        # req_id -> position of each request still unanswered, in order.
+        pending = {req_id: i for i, (req_id, _) in enumerate(window)}
         last_error: BackendError | None = None
-        connected = False
-        for _ in range(self.retries + 1):
-            try:
-                conn = self._connection()
-            except BackendError as exc:
-                last_error = exc
-                continue
-            connected = True
-            try:
-                line = conn.round_trip(request)
-            except (OSError, BackendError) as exc:
-                self._drop()
-                last_error = BackendError(f"transport failure: {exc}", retriable=True)
-                continue
-            if not line:
-                self._drop()
-                last_error = BackendError("scorer closed the stream", retriable=True)
-                continue
-            try:
-                return self._parse_response(line, req_id)
-            except BackendError as exc:
-                if not exc.retriable:
-                    raise
-                # The stream may be out of step with our requests: drop it.
-                self._drop()
-                last_error = exc
-        assert last_error is not None
-        if not connected:
-            raise BackendUnreachable(
-                f"scorer endpoint {self.endpoint!r} unreachable: {last_error}"
-            )
-        raise last_error
+        reached = False
+        with self._lock:
+            for _ in range(self.retries + 1):
+                if not pending:
+                    break
+                try:
+                    conn = self._connection()
+                except BackendError as exc:
+                    last_error = exc
+                    continue
+                failure: BackendError | None = None
+                try:
+                    lines = conn.round_trip([window[i][1] for i in pending.values()])
+                except _ShortRead as exc:
+                    lines, failure = exc.lines, BackendError(str(exc), retriable=True)
+                reached = reached or conn.answered
+                for line in lines:
+                    try:
+                        req_id, result = self._parse_response(line, pending)
+                    except BackendError as exc:
+                        failure = exc
+                        continue
+                    results[pending.pop(req_id)] = result
+                if failure is not None:
+                    # The stream may be out of step with our requests.
+                    self._drop()
+                    last_error = failure
+        if pending:
+            assert last_error is not None
+            if not reached:
+                raise BackendUnreachable(
+                    f"scorer endpoint {self.endpoint!r} unreachable: {last_error}"
+                )
+            for i in pending.values():
+                results[i] = last_error
+        return results
 
     @staticmethod
-    def _parse_response(line: str, req_id: str) -> tuple[float, int]:
+    def _parse_response(line: str, pending: dict[str, int]) -> tuple[str, ScoreResult]:
+        """The req_id of an answer and its result. Raises a retriable
+        BackendError for a line that answers no request in flight."""
         try:
             payload = json.loads(line)
         except json.JSONDecodeError as exc:
             raise BackendError(f"bad response line: {line!r}", retriable=True) from exc
-        if payload.get("req_id") != req_id:
+        req_id = payload.get("req_id") if isinstance(payload, dict) else None
+        if not isinstance(req_id, str) or req_id not in pending:
             raise BackendError(
-                f"response req_id {payload.get('req_id')!r} does not match {req_id!r}",
-                retriable=True,
+                f"response req_id {req_id!r} matches no request in flight", retriable=True
             )
         if "error" in payload:
-            raise BackendError(f"scorer error: {payload['error']}", retriable=False)
+            return req_id, BackendError(f"scorer error: {payload['error']}", retriable=False)
         try:
-            logprob_sum = float(payload["logprob_sum"])
-            token_count = int(payload["token_count"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise BackendError(f"malformed response: {line!r}", retriable=False) from exc
-        return logprob_sum, token_count
+            return req_id, (float(payload["logprob_sum"]), int(payload["token_count"]))
+        except (KeyError, TypeError, ValueError):
+            return req_id, BackendError(f"malformed response: {line!r}", retriable=False)

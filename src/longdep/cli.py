@@ -177,6 +177,17 @@ def cmd_score(args: argparse.Namespace) -> int:
         raise ConfigError(f"input not found: {args.input}")
     tokenizer = TokenizerSpec(rc.tokenizer)
     backend = _resolve_backend(rc.backend, tokenizer)
+    try:
+        return _score_into(args, rc, tokenizer, backend)
+    finally:
+        close = getattr(backend, "close", None)
+        if close is not None:
+            close()
+
+
+def _score_into(
+    args: argparse.Namespace, rc: RunConfig, tokenizer: TokenizerSpec, backend
+) -> int:
     if rc.workers > 1:
         log.info("workers=%d: documents are scored one at a time", rc.workers)
 
@@ -268,12 +279,28 @@ def _load_outcome_rows(path: str) -> tuple[list[ScoreReport], list[DocumentOutco
     return reports, others
 
 
+def _marked_complete(path: str) -> bool:
+    """Whether ``path`` has a readable ``.meta.json`` sidecar holding
+    ``complete: true``."""
+    try:
+        meta = read_json(path + ".meta.json")
+    except (OSError, ValueError):
+        return False
+    return isinstance(meta, dict) and meta.get("complete") is True
+
+
 def cmd_select(args: argparse.Namespace) -> int:
     rc = _effective_config(args)
     if args.show_config:
         return _show_config(rc)
     if not os.path.exists(args.reports):
         raise ConfigError(f"reports file not found: {args.reports}")
+    input_complete = _marked_complete(args.reports)
+    if not input_complete:
+        log.warning(
+            "%s has no sidecar marking it complete; the manifest is marked complete: false",
+            args.reports,
+        )
     reports, outcomes = _load_outcome_rows(args.reports)
     fraction = 1.0 if args.strategy == "full" else rc.fraction
     manifest = build_manifest(
@@ -295,7 +322,7 @@ def cmd_select(args: argparse.Namespace) -> int:
             handle.write("\n")
     write_meta_sidecar(
         manifest_path,
-        complete=True,
+        complete=input_complete,
         extra={"run_id": manifest.run_id, "retained": len(manifest.retained_ids)},
     )
     print(

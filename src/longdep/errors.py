@@ -34,10 +34,13 @@ class BackendError(LongdepError):
 
 
 class BackendUnreachable(BackendError):
-    """The external scorer could not be reached at startup."""
+    """The external scorer could not be reached: no connection opened, or
+    none answered, on any attempt of a call. A transport fault, so
+    ``retriable`` is true, but it stops a run instead of failing one
+    document."""
 
     def __init__(self, message: str):
-        super().__init__(message, retriable=False)
+        super().__init__(message, retriable=True)
 
 
 class ScoringError(LongdepError):

@@ -251,6 +251,14 @@ def _group_rows(pairs: Iterable[tuple[int, int]]) -> dict[int, list[int]]:
     return rows
 
 
+def _at_pair(exc: BackendError, target: int, source: int) -> BackendError:
+    return BackendError(
+        f"conditional scoring failed at pair ({target}, {source}): {exc}",
+        retriable=exc.retriable,
+        segment_index=target,
+    )
+
+
 def _ppl_given_at(
     backend: PerplexityBackend, grid: SegmentGrid, target: int, source: int
 ) -> float:
@@ -259,11 +267,16 @@ def _ppl_given_at(
     except BackendUnreachable:
         raise
     except BackendError as exc:
-        raise BackendError(
-            f"conditional scoring failed at pair ({target}, {source}): {exc}",
-            retriable=exc.retriable,
-            segment_index=target,
-        ) from exc
+        raise _at_pair(exc, target, source) from exc
+
+
+def _streamed(stream, grid: SegmentGrid, pairs: list[tuple[int, int]]) -> Iterator[float]:
+    segments = grid.segments
+    results = stream((segments[t], segments[s]) for t, s in pairs)
+    for (target, source), result in zip(pairs, results):
+        if isinstance(result, BackendError):
+            raise _at_pair(result, target, source) from result
+        yield ppl_from_sum(*result)
 
 
 def _conditional(
@@ -274,24 +287,28 @@ def _conditional(
     A backend with ``score_pairs`` scores the whole set in one call, made
     here, before any unconditional value is read; its sums become
     perplexities pair by pair as they are taken, so a failure surfaces at
-    the same pair as on the per-pair path. Every other backend, and a
-    grid the call cannot take (segments of several lengths, or a pair
-    beyond the backend's context), goes pair by pair through
-    ``ppl_given``.
+    the same pair as on the per-pair path. A backend with
+    ``score_stream`` (an external scorer) is sent the pairs in windows,
+    each when the first of its values is taken, and each answer brings
+    its own token count. Every other backend, and a grid neither call
+    can take (segments of several lengths, or a pair beyond the
+    backend's context), goes pair by pair through ``ppl_given``.
     """
     order = sorted(rows)
-    batch = getattr(backend, "score_pairs", None)
     lengths = {len(seg) for seg in grid.segments}
-    if (
-        batch is None
-        or len(lengths) != 1
-        or 2 * max(lengths) > backend.capabilities.max_context_tokens
-    ):
-        return (_ppl_given_at(backend, grid, t, s) for t in order for s in rows[t])
-    sums = batch(
-        grid.segments, [t for t in order for _ in rows[t]], [s for t in order for s in rows[t]]
-    )
-    return map(ppl_from_sum, sums, repeat(lengths.pop()))
+    if len(lengths) == 1 and 2 * max(lengths) <= backend.capabilities.max_context_tokens:
+        batch = getattr(backend, "score_pairs", None)
+        if batch is not None:
+            sums = batch(
+                grid.segments,
+                [t for t in order for _ in rows[t]],
+                [s for t in order for s in rows[t]],
+            )
+            return map(ppl_from_sum, sums, repeat(lengths.pop()))
+        stream = getattr(backend, "score_stream", None)
+        if stream is not None:
+            return _streamed(stream, grid, [(t, s) for t in order for s in rows[t]])
+    return (_ppl_given_at(backend, grid, t, s) for t in order for s in rows[t])
 
 
 def _score(

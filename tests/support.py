@@ -16,6 +16,7 @@ import os
 import socket
 import statistics
 import threading
+import time
 
 import numpy as np
 
@@ -162,6 +163,22 @@ class DyingScorer:
         for conn in self.conns:
             with contextlib.suppress(OSError):
                 conn.shutdown(socket.SHUT_RDWR)
+
+
+def process_alive(pid: int, wait_s: float = 5.0) -> bool:
+    """Whether process ``pid`` still runs, not counting a zombie, after
+    waiting up to ``wait_s`` for it to end."""
+    deadline = time.monotonic() + wait_s
+    while time.monotonic() < deadline:
+        try:
+            with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+                state = handle.read().rsplit(")", 1)[1].split()[0]
+        except FileNotFoundError:
+            return False
+        if state in ("Z", "X"):
+            return False
+        time.sleep(0.05)
+    return True
 
 
 def make_grid(

@@ -8,11 +8,14 @@ import threading
 import time
 
 import pytest
-from support import DyingScorer, HashBackend, ScriptedBackend
+from support import DyingScorer, HashBackend, ScriptedBackend, process_alive
 
 from longdep.backends import (
+    WINDOW_BYTES,
+    WINDOW_REQUESTS,
     CountingBackend,
     ExternalBackend,
+    _StdioConnection,
     cached_unconditional,
     ppl,
     ppl_given,
@@ -259,7 +262,7 @@ class TestExternalStdio:
         path.write_text("raise SystemExit(0)\n", encoding="utf-8")
         backend = ExternalBackend(f"stdio://python3 {path}", retries=1)
         try:
-            with pytest.raises(BackendError) as info:
+            with pytest.raises(BackendUnreachable) as info:
                 backend.score(("x",))
             assert info.value.retriable is True
         finally:
@@ -272,6 +275,54 @@ class TestExternalStdio:
                 backend.score(())
         finally:
             backend.close()
+
+
+class TestStdioDeadline:
+    def test_silent_scorer_times_out_as_unreachable(self, tmp_path):
+        body = """\
+    import time
+    time.sleep(600)
+"""
+        backend = ExternalBackend(_stub(tmp_path, body), timeout=0.5, retries=1)
+        try:
+            started = time.monotonic()
+            error = _raised_in_time(_start_call(lambda: backend.score(("x",))))
+            assert isinstance(error, BackendUnreachable)
+            assert "no answer within 0.5 s" in str(error)
+            assert time.monotonic() - started < 8.0
+        finally:
+            _raised_in_time(_start_call(backend.close))
+
+    def test_scorer_that_stops_answering_fails_the_call(self, tmp_path):
+        # It has answered before, so it was reached: a plain failure.
+        body = """\
+    import time
+    if req["context"]:
+        time.sleep(600)
+""" + GOOD_BODY
+        backend = ExternalBackend(_stub(tmp_path, body), timeout=0.5, retries=0)
+        try:
+            assert backend.score(("x",)) == (-1.0, 1)
+            error = _raised_in_time(_start_call(lambda: backend.score(("x",), ("c",))))
+            assert type(error) is BackendError
+            assert error.retriable is True
+        finally:
+            _raised_in_time(_start_call(backend.close))
+
+    def test_close_stops_the_whole_process_group(self, tmp_path):
+        # The scorer runs under a shell and never reads its stdin again,
+        # so neither EOF nor terminating the shell alone stops it.
+        pid_file = tmp_path / "pid"
+        body = """\
+    import os, time
+    open(PID_FILE, "w").write(str(os.getpid()))
+    time.sleep(600)
+""".replace("PID_FILE", repr(str(pid_file)))
+        backend = ExternalBackend(_stub(tmp_path, body), timeout=0.5, retries=0)
+        error = _raised_in_time(_start_call(lambda: backend.score(("x",))))
+        assert isinstance(error, BackendUnreachable)
+        _raised_in_time(_start_call(backend.close))
+        assert not process_alive(int(pid_file.read_text()))
 
 
 class _ScorerHandler(socketserver.StreamRequestHandler):
@@ -427,3 +478,189 @@ class TestExternalTcp:
         assert backend.capabilities.deterministic is False
         assert backend.capabilities.max_context_tokens == 123
         assert backend.capabilities is backend.capabilities
+
+
+# -- windows ---------------------------------------------------------------
+
+
+WINDOW_STUB_HEAD = """\
+import json, os, sys
+
+def answer(req):
+    n = len(req["target"].split())
+    rate = -0.5 if req["context"] else -1.0
+    out = {"req_id": req["req_id"], "logprob_sum": rate * n, "token_count": n}
+    return json.dumps(out) + "\\n"
+
+def log(req):
+    with open(LOG, "a") as handle:
+        handle.write(f"{os.getpid()} {req['target']}\\n")
+"""
+
+
+def _window_stub(tmp_path, body):
+    path = tmp_path / "window_stub.py"
+    log = tmp_path / "requests.log"
+    path.write_text(WINDOW_STUB_HEAD.replace("LOG", repr(str(log))) + body, encoding="utf-8")
+    return f"stdio://python3 {path}", log
+
+
+def _answer(req):
+    """The window stub's ``answer``, for scorers served from the tests."""
+    n = len(req["target"].split())
+    rate = -0.5 if req["context"] else -1.0
+    return json.dumps({"req_id": req["req_id"], "logprob_sum": rate * n, "token_count": n}) + "\n"
+
+
+def _calls(n, width=2):
+    """``n`` (target, context) calls with distinct targets ``t<i>``."""
+    return [((f"t{i}",) * width, ("c",)) for i in range(n)]
+
+
+def _expected(calls):
+    return [(-0.5 * len(target), len(target)) for target, _ in calls]
+
+
+def _targets_by_process(log):
+    seen = {}
+    for line in log.read_text().splitlines():
+        pid, target = line.split(" ", 1)
+        seen.setdefault(pid, []).append(target.split()[0])
+    return list(seen.values())
+
+
+class TestWindows:
+    def test_answers_out_of_order_are_matched(self, tmp_path):
+        endpoint, _ = _window_stub(tmp_path, """
+window = []
+for line in sys.stdin:
+    window.append(json.loads(line))
+    if len(window) == 5:
+        sys.stdout.write("".join(answer(req) for req in reversed(window)))
+        sys.stdout.flush()
+        window = []
+""")
+        backend = ExternalBackend(endpoint)
+        calls = [((f"t{i}",) * (i + 1), ("c",)) for i in range(5)]
+        try:
+            assert list(backend.score_stream(calls)) == _expected(calls)
+        finally:
+            backend.close()
+
+    def test_error_answer_fails_only_its_call(self, tmp_path):
+        endpoint, log = _window_stub(tmp_path, """
+for line in sys.stdin:
+    req = json.loads(line)
+    log(req)
+    if req["target"].startswith("t2 "):
+        sys.stdout.write(json.dumps({"req_id": req["req_id"], "error": "refused"}) + "\\n")
+    else:
+        sys.stdout.write(answer(req))
+    sys.stdout.flush()
+""")
+        backend = ExternalBackend(endpoint)
+        calls = _calls(5)
+        try:
+            results = list(backend.score_stream(calls))
+            assert isinstance(results[2], BackendError)
+            assert results[2].retriable is False
+            assert str(results[2]) == "scorer error: refused"
+            del results[2], calls[2]
+            assert results == _expected(calls)
+            # The stream is still in step: the same process answers on.
+            assert backend.score(("x",)) == (-1.0, 1)
+            assert len(_targets_by_process(log)) == 1
+        finally:
+            backend.close()
+
+    def test_garbage_line_resends_only_unanswered_requests(self, tmp_path):
+        # The first process answers t0, t1, garbage, t3, t4.
+        marker = tmp_path / "garbled"
+        endpoint, log = _window_stub(tmp_path, """
+first = not os.path.exists(MARKER)
+open(MARKER, "a").close()
+window = []
+for line in sys.stdin:
+    req = json.loads(line)
+    log(req)
+    window.append(req)
+    if first and len(window) < 5:
+        continue
+    out = [answer(req) for req in window]
+    if first:
+        out[2] = "{broken\\n"
+        first = False
+    sys.stdout.write("".join(out))
+    sys.stdout.flush()
+    window = []
+""".replace("MARKER", repr(str(marker))))
+        backend = ExternalBackend(endpoint)
+        calls = _calls(5)
+        try:
+            assert list(backend.score_stream(calls)) == _expected(calls)
+            assert _targets_by_process(log) == [["t0", "t1", "t2", "t3", "t4"], ["t2"]]
+        finally:
+            backend.close()
+
+    def test_dropped_connection_resends_only_unanswered_requests(self):
+        received = []
+
+        class Handler(socketserver.StreamRequestHandler):
+            def handle(self):
+                seen = []
+                received.append(seen)
+                dropping = len(received) == 1
+                window = []
+                for raw in self.rfile:
+                    window.append(json.loads(raw))
+                    seen.append(window[-1]["target"].split()[0])
+                    if dropping and len(window) < 5:
+                        continue
+                    # The first connection answers two of five and closes.
+                    answered = window[:2] if dropping else window
+                    self.wfile.write("".join(map(_answer, answered)).encode("utf-8"))
+                    self.wfile.flush()
+                    if dropping:
+                        return
+                    window = []
+
+        server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), Handler)
+        server.daemon_threads = True
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        backend = ExternalBackend(f"tcp://127.0.0.1:{server.server_address[1]}", timeout=5.0)
+        calls = _calls(5)
+        try:
+            assert list(backend.score_stream(calls)) == _expected(calls)
+            assert received == [["t0", "t1", "t2", "t3", "t4"], ["t2", "t3", "t4"]]
+        finally:
+            backend.close()
+            server.shutdown()
+            server.server_close()
+
+    def test_windows_stay_within_their_bounds(self, tmp_path, monkeypatch):
+        endpoint, _ = _window_stub(tmp_path, """
+for line in sys.stdin:
+    sys.stdout.write(answer(json.loads(line)))
+    sys.stdout.flush()
+""")
+        windows = []
+        round_trip = _StdioConnection.round_trip
+
+        def recording(self, requests):
+            windows.append((len(requests), sum(map(len, requests))))
+            return round_trip(self, requests)
+
+        monkeypatch.setattr(_StdioConnection, "round_trip", recording)
+        backend = ExternalBackend(endpoint)
+        # 100 small calls, then seven of about 15 KiB and one of 90 KiB.
+        calls = _calls(100) + _calls(7, width=5000) + _calls(1, width=30000)
+        try:
+            assert list(backend.score_stream(calls)) == _expected(calls)
+        finally:
+            backend.close()
+        assert [count for count, _ in windows[:3]] == [32, 32, 32]
+        for count, size in windows:
+            assert count <= WINDOW_REQUESTS == 32
+            assert size <= WINDOW_BYTES == 64 * 1024 or count == 1
+        assert windows[-1][0] == 1 and windows[-1][1] > WINDOW_BYTES
+        assert sum(count for count, _ in windows) == len(calls)

@@ -1,9 +1,11 @@
 """End-to-end command-line workflow and exit-code contracts."""
 
+import functools
 import io
 import json
 import logging
 import os
+import shlex
 import socket
 import subprocess
 import sys
@@ -11,8 +13,10 @@ import threading
 from pathlib import Path
 
 import pytest
-from support import DyingScorer
+from scripted_scorer import TcpScorer
+from support import DyingScorer, process_alive
 
+from longdep.backends import ExternalBackend
 from longdep.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -432,6 +436,31 @@ class TestSelect:
         )
         assert code == 2
 
+    def test_complete_input_gives_a_complete_manifest(self, reports, tmp_path):
+        sel = tmp_path / "sel"
+        assert main(["select", "--reports", reports, "--out-dir", str(sel)]) == 0
+        meta = json.loads((sel / "manifest.json.meta.json").read_text())
+        assert meta["complete"] is True
+
+    @pytest.mark.parametrize("sidecar", ["missing", "incomplete", "unreadable"])
+    def test_input_not_marked_complete_gives_an_incomplete_manifest(
+        self, reports, tmp_path, capsys, sidecar
+    ):
+        meta_path = Path(reports + ".meta.json")
+        if sidecar == "missing":
+            meta_path.unlink()
+        elif sidecar == "incomplete":
+            meta = json.loads(meta_path.read_text())
+            meta["complete"] = False
+            meta_path.write_text(json.dumps(meta))
+        else:
+            meta_path.write_text("{not json")
+        sel = tmp_path / "sel"
+        assert main(["select", "--reports", reports, "--out-dir", str(sel)]) == 0
+        assert "marked complete: false" in capsys.readouterr().err
+        meta = json.loads((sel / "manifest.json.meta.json").read_text())
+        assert meta["complete"] is False
+
 
 class TestHeatmap:
     def test_renders_from_sidecar(self, corpus, model, tmp_path):
@@ -524,10 +553,58 @@ for line in sys.stdin:
 
 
 class TestExternalBackendIntegration:
-    def _stub_endpoint(self, tmp_path):
+    def _stub_endpoint(self, tmp_path, source=EXTERNAL_STUB):
         stub = tmp_path / "stub.py"
-        stub.write_text(EXTERNAL_STUB, encoding="utf-8")
+        stub.write_text(source, encoding="utf-8")
         return f"stdio://python3 {stub}"
+
+    def _score(self, corpus, endpoint, out_dir):
+        return main(
+            [
+                "score",
+                "--input",
+                str(corpus),
+                "--backend",
+                f"external:{endpoint}",
+                "--out-dir",
+                str(out_dir),
+                *SCORE_FLAGS,
+            ]
+        )
+
+    def test_score_closes_its_scorer(self, corpus, tmp_path):
+        pid_file = tmp_path / "pid"
+        source = f"import os\nopen({str(pid_file)!r}, 'w').write(str(os.getpid()))\n"
+        endpoint = self._stub_endpoint(tmp_path, source + EXTERNAL_STUB)
+        assert self._score(corpus, endpoint, tmp_path / "out") == 0
+        assert not process_alive(int(pid_file.read_text()), wait_s=1.0)
+
+    def test_dead_stdio_scorer_stops_the_run(self, corpus, tmp_path):
+        endpoint = self._stub_endpoint(tmp_path, "raise SystemExit(0)\n")
+        out_dir = tmp_path / "out"
+        assert self._score(corpus, endpoint, out_dir) == 3
+        assert (out_dir / "reports.jsonl").read_text() == ""
+        meta = json.loads((out_dir / "reports.jsonl.meta.json").read_text())
+        assert meta["complete"] is False
+
+    def test_silent_stdio_scorer_stops_the_run(self, corpus, tmp_path, monkeypatch):
+        source = "import sys, time\nsys.stdin.readline()\ntime.sleep(600)\n"
+        endpoint = self._stub_endpoint(tmp_path, source)
+        monkeypatch.setattr(
+            "longdep.cli.ExternalBackend", functools.partial(ExternalBackend, timeout=0.5)
+        )
+        out_dir = tmp_path / "out"
+        outcome = {}
+        thread = threading.Thread(
+            target=lambda: outcome.update(code=self._score(corpus, endpoint, out_dir)),
+            daemon=True,
+        )
+        thread.start()
+        thread.join(30.0)
+        assert not thread.is_alive(), "score still blocked on a silent scorer"
+        assert outcome["code"] == 3
+        meta = json.loads((out_dir / "reports.jsonl.meta.json").read_text())
+        assert meta["complete"] is False
 
     def test_scores_through_external_scorer(self, corpus, tmp_path):
         out_dir = tmp_path / "ext"
@@ -649,3 +726,88 @@ class TestExternalBackendIntegration:
         assert [(r["doc_id"], r["status"]) for r in rows] == [("d000", "failed")]
         meta = json.loads((out_dir / "reports.jsonl.meta.json").read_text())
         assert meta["complete"] is False
+
+
+def write_windowed_corpus(path, poisoned=True):
+    """Six documents of 16 four-token segments (120 exact pairs, so
+    several windows each); ``d002`` carries BOOM in its segment 7."""
+    with open(path, "w", encoding="utf-8") as handle:
+        for i in range(6):
+            if i == 2 and not poisoned:
+                continue
+            words = [f"w{(i * 7 + j * j) % 13}" for j in range(64)]
+            if i == 2:
+                words[30] = "BOOM"
+            row = {"id": f"d{i:03d}", "text": " ".join(words), "source": "web"}
+            handle.write(json.dumps(row) + "\n")
+    return path
+
+
+class TestWindowedScoring:
+    """``score`` through the windowed client writes what the per-pair
+    path writes."""
+
+    @pytest.fixture(params=["stdio", "tcp"])
+    def endpoint(self, request):
+        if request.param == "stdio":
+            script = Path(__file__).parent / "scripted_scorer.py"
+            yield "stdio://" + shlex.join([sys.executable, str(script)])
+            return
+        scorer = TcpScorer()
+        try:
+            yield scorer.endpoint
+        finally:
+            scorer.close()
+
+    def _score(self, corpus, endpoint, out_dir):
+        code = main(
+            [
+                "score",
+                "--input",
+                str(corpus),
+                "--backend",
+                f"external:{endpoint}",
+                "--out-dir",
+                str(out_dir),
+                "--segment-len",
+                "4",
+                "--truncate-len",
+                "64",
+                "--mode",
+                "exact",
+            ]
+        )
+        return code, (out_dir / "reports.jsonl").read_bytes()
+
+    def test_reports_match_the_per_pair_path(self, endpoint, tmp_path, monkeypatch):
+        corpus = write_windowed_corpus(tmp_path / "corpus.jsonl")
+        windowed = self._score(corpus, endpoint, tmp_path / "windowed")
+        monkeypatch.delattr(ExternalBackend, "score_stream")
+        per_pair = self._score(corpus, endpoint, tmp_path / "per-pair")
+        assert windowed == per_pair
+        assert windowed[0] == 4
+
+    def test_error_answer_fails_its_document_only(self, endpoint, tmp_path):
+        code, reports = self._score(
+            write_windowed_corpus(tmp_path / "corpus.jsonl"), endpoint, tmp_path / "a"
+        )
+        rows = [json.loads(line) for line in reports.decode().splitlines()]
+        failed = [row for row in rows if row["status"] != "scored"]
+        assert failed == [
+            {
+                "doc_id": "d002",
+                "reason": "conditional scoring failed at pair (8, 7): scorer error: "
+                "poisoned context",
+                "source": "web",
+                "status": "failed",
+            }
+        ]
+        # The documents after it score as they do without it.
+        _, clean = self._score(
+            write_windowed_corpus(tmp_path / "clean.jsonl", poisoned=False),
+            endpoint,
+            tmp_path / "b",
+        )
+        assert [row for row in rows if row["status"] == "scored"] == [
+            json.loads(line) for line in clean.decode().splitlines()
+        ]
