@@ -9,7 +9,6 @@ scorers, a selection pipeline, heatmap rendering, and a synthetic bench.
 
 from .backends import (
     BackendCapabilities,
-    CountingBackend,
     ExternalBackend,
     PerplexityBackend,
     cached_unconditional,
@@ -79,7 +78,6 @@ __all__ = [
     "BackendUnreachable",
     "BenchResult",
     "ConfigError",
-    "CountingBackend",
     "Document",
     "DocumentOutcome",
     "DocumentTooShort",

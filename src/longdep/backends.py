@@ -86,31 +86,6 @@ def ppl_given(
     return ppl_from_sum(logprob_sum, token_count)
 
 
-class CountingBackend:
-    """Wrapper that counts calls; used by tests and the bench to verify
-    call-count contracts (N unconditional + T conditional per document)."""
-
-    def __init__(self, inner: PerplexityBackend):
-        self.inner = inner
-        self.unconditional_calls = 0
-        self.conditional_calls = 0
-
-    @property
-    def capabilities(self) -> BackendCapabilities:
-        return self.inner.capabilities
-
-    @property
-    def total_calls(self) -> int:
-        return self.unconditional_calls + self.conditional_calls
-
-    def score(self, target, context=None):
-        if context:
-            self.conditional_calls += 1
-        else:
-            self.unconditional_calls += 1
-        return self.inner.score(target, context)
-
-
 class PplCache:
     """Unconditional segment perplexities of one document.
 

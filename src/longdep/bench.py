@@ -324,8 +324,9 @@ def run_bench(
     rank, and measure accuracy plus scoring throughput.
 
     Cells run sequentially so timings do not contend; each cell builds a
-    fresh backend so no memo carries over. A failing cell is recorded
-    and the remaining cells proceed.
+    fresh backend so no memo carries over, and closes it (if it has a
+    ``close``) when done. A failing cell is recorded and the remaining
+    cells proceed.
     """
     base_cfg = base_cfg or LdsConfig(
         segment_len=testset.spec.segment_len,
@@ -335,6 +336,7 @@ def run_bench(
     for label, factory in backends:
         for t in sample_sizes:
             cfg = base_cfg.replace(mode="sampled", sample_size=t)
+            backend = None
             try:
                 backend = factory()
                 start = time.perf_counter()
@@ -367,6 +369,10 @@ def run_bench(
                         error=str(exc),
                     )
                 )
+            finally:
+                close = getattr(backend, "close", None)
+                if close is not None:
+                    close()
     return results
 
 

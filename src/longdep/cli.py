@@ -260,22 +260,25 @@ def _load_outcome_rows(path: str) -> tuple[list[ScoreReport], list[DocumentOutco
     reports: list[ScoreReport] = []
     others: list[DocumentOutcome] = []
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for number, line in enumerate(handle, 1):
             line = line.strip()
             if not line:
                 continue
-            row = json.loads(line)
-            if row.get("status") == "scored":
-                reports.append(ScoreReport.from_dict(row))
-            else:
-                others.append(
-                    DocumentOutcome(
-                        doc_id=row["doc_id"],
-                        source=row.get("source", ""),
-                        status=row.get("status", "failed"),
-                        reason=row.get("reason"),
+            try:
+                row = json.loads(line)
+                if row.get("status") == "scored":
+                    reports.append(ScoreReport.from_dict(row))
+                else:
+                    others.append(
+                        DocumentOutcome(
+                            doc_id=row["doc_id"],
+                            source=row.get("source", ""),
+                            status=row.get("status", "failed"),
+                            reason=row.get("reason"),
+                        )
                     )
-                )
+            except (AttributeError, KeyError, ValueError) as exc:
+                raise ConfigError(f"{path}:{number}: not a report row ({exc!r})") from exc
     return reports, others
 
 
@@ -338,14 +341,17 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
             f"pair sidecar not found: {args.pairs}; run "
             "'longdep score --emit-pairs' to write per-document pair records"
         )
-    data = read_json(args.pairs)
-    pair_rows = data.get("pairs", [])
-    if not pair_rows:
+    try:
+        data = read_json(args.pairs)
+        pairs = [PairScore(**row) for row in data.get("pairs", [])]
+        doc_id, n_segments = data["doc_id"], data["n_segments"]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{args.pairs} is not a pair sidecar ({exc!r})") from exc
+    if not pairs:
         raise ConfigError(f"sidecar {args.pairs!r} holds no pairs; nothing to render")
-    pairs = [PairScore(**row) for row in pair_rows]
     spec = HeatmapSpec(
-        doc_id=data["doc_id"],
-        n_segments=data["n_segments"],
+        doc_id=doc_id,
+        n_segments=n_segments,
         scale=args.scale,
         value=args.value,
         cell_size=args.cell_size,

@@ -33,11 +33,15 @@ each as ``entries`` little-endian int64 values. Identical input gives a
 byte-identical file. Version 1 files (nested JSON counts) are refused
 with a request to retrain.
 
-Scoring reads tables built once per model: the natural log-probability
-of every entry, one log-probability per history for tokens it never
-preceded, and a map from a history's token ids to its id. They are
+Scoring reads arrays built once per model: the natural log-probability
+of every entry, in key order; one log-probability per history id for
+tokens that history never preceded; and, indexed by token id, the entry
+and log-probability of each token after the empty history. They are
 computed with ``math.log`` over the same float operations as the formula
-above, so a score does not depend on how the model was stored.
+above, so a score does not depend on how the model was stored. A
+sequence is scored by walking it: each position's history id extends
+the previous position's by one token, found by a sorted search of the
+entry keys.
 """
 
 from __future__ import annotations
@@ -83,20 +87,27 @@ def _check_key_space(n_entries: int, width: int) -> None:
         )
 
 
-def _logs(ratios: np.ndarray) -> tuple[list[float], np.ndarray]:
-    """``math.log`` of each distinct ratio, and which one each ratio is.
-    Ratios repeat a lot (every count-1 entry of a history shares one), so
-    each distinct value is logged once and its float object shared."""
+def _logs(ratios: np.ndarray) -> np.ndarray:
+    """``math.log`` of each ratio. Ratios repeat a lot (every count-1
+    entry of a history shares one), so each distinct value is logged
+    once."""
     distinct, which = np.unique(ratios, return_inverse=True)
-    return list(map(math.log, distinct.tolist())), which
+    return np.array(list(map(math.log, distinct.tolist())))[which]
+
+
+def _row_sums(lps: np.ndarray) -> np.ndarray:
+    """Each row's sum, added left to right from 0.0 as a Python loop
+    adds it."""
+    if not lps.shape[1]:
+        return np.zeros(len(lps))
+    return np.add.accumulate(lps, axis=1)[:, -1]
 
 
 class _Tables:
     """What scoring looks up; see the module docstring."""
 
     __slots__ = (
-        "ids", "unk", "width", "hist", "lp", "unseen",
-        "entry_lp", "history_unseen", "unigram_entry", "unigram_lp",
+        "ids", "unk", "width", "entry_lp", "history_unseen", "unigram_entry", "unigram_lp",
     )
 
     def __init__(self, model: "NGramModel"):
@@ -109,24 +120,21 @@ class _Tables:
         hids = keys // width
         firsts = np.flatnonzero(np.diff(hids, prepend=-1))
         totals = np.add.reduceat(counts, firsts)
+        # Every history is at most order - 1 tokens long: following it
+        # back one entry at a time reaches the empty history in that
+        # many steps.
+        parent = hids[firsts]
+        for _ in range(model.order - 1):
+            parent = np.where(parent > 0, keys[parent - 1] // width, 0)
+        if parent.any():
+            raise ConfigError("model entries spell a history longer than order - 1")
         per_entry = np.repeat(totals, np.diff(firsts, append=len(keys)))
-        logs, which = _logs((counts + k) / (per_entry + denom))
-        self.lp = dict(zip(keys.tolist(), map(logs.__getitem__, which.tolist())))
-        history_ids = hids[firsts]
-        unseen_logs, unseen_which = _logs(k / (totals + denom))
-        self.unseen = dict(
-            zip(history_ids.tolist(), map(unseen_logs.__getitem__, unseen_which.tolist()))
-        )
-        # A history never seen gets id -1, which no key can reach, and
-        # the formula with count = total = 0.
-        self.unseen[-1] = math.log((0 + k) / (0 + denom))
-        # The same floats as arrays, for scoring a whole grid at once:
-        # ``entry_lp`` follows ``keys``, and ``history_unseen`` is indexed
-        # by history id. Ids that begin no entry, and -1 (the last slot),
-        # hold the never-seen value.
-        self.entry_lp = np.array(logs)[which]
-        self.history_unseen = np.full(len(keys) + 2, self.unseen[-1])
-        self.history_unseen[history_ids] = np.array(unseen_logs)[unseen_which]
+        # ``entry_lp`` follows ``keys``; ``history_unseen`` is indexed by
+        # history id. Ids that begin no entry, and -1 (the last slot) for
+        # a history never seen, hold the formula with count = total = 0.
+        self.entry_lp = _logs((counts + k) / (per_entry + denom))
+        self.history_unseen = np.full(len(keys) + 2, math.log((0 + k) / (0 + denom)))
+        self.history_unseen[hids[firsts]] = _logs(k / (totals + denom))
         # The first lookup of every token has the empty history: one slot
         # per token id, no search.
         unigrams = keys[: np.searchsorted(keys, width)]
@@ -134,23 +142,6 @@ class _Tables:
         self.unigram_entry[unigrams] = np.arange(1, len(unigrams) + 1)
         self.unigram_lp = np.full(width, self.history_unseen[0])
         self.unigram_lp[unigrams] = self.entry_lp[: len(unigrams)]
-        self.hist = {(): 0}
-        # Spell each history out backwards, one entry (parent, token) at
-        # a time; histories of one length become tuples together.
-        spelled = history_ids[history_ids > 0]
-        cursor, lengths, backwards = spelled, np.zeros(len(spelled), dtype=np.int64), []
-        for _ in range(model.order - 1):
-            alive = cursor > 0
-            speller = keys[np.maximum(cursor - 1, 0)]
-            backwards.append(np.where(alive, speller % width, -1))
-            cursor = np.where(alive, speller // width, 0)
-            lengths += alive
-        if cursor.any():
-            raise ConfigError("model entries spell a history longer than order - 1")
-        for length in range(1, model.order):
-            rows = lengths == length
-            columns = (column[rows].tolist() for column in backwards[length - 1::-1])
-            self.hist.update(zip(zip(*columns), spelled[rows].tolist()))
 
 
 class NGramModel:
@@ -184,28 +175,16 @@ class NGramModel:
         self.counts = empty if counts is None else counts
         self._tables = _Tables(self)
 
-    def _to_ids(self, tokens: Sequence[Token]) -> tuple[int, ...]:
+    def _to_ids(self, tokens: Iterable[Token]) -> np.ndarray:
         tables = self._tables
-        return tuple(map(tables.ids.get, tokens, repeat(tables.unk)))
-
-    def _logprobs(self, ids: tuple[int, ...], start: int) -> list[float]:
-        """Log-probability of each of ``ids[start:]`` after the ids
-        before it."""
-        tables = self._tables
-        hist, n = tables.hist.get, self.order - 1
-        lp, unseen, width = tables.lp.get, tables.unseen, tables.width
-        out = []
-        for i in range(start, len(ids)):
-            h = hist(ids[i - n if i > n else 0:i], -1)
-            out.append(lp(h * width + ids[i], unseen[h]))
-        return out
+        return np.fromiter(map(tables.ids.get, tokens, repeat(tables.unk)), dtype=np.int64)
 
     def _step(self, hist: np.ndarray, tok: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """For arrays of history ids and token ids: the id of each
         extended history (-1 where the model has no such entry) and the
-        log-probability of each token after its history, as ``_logprobs``
-        gives it. Queries are sorted before the search, which keeps it
-        cache-friendly on a large model."""
+        log-probability of each token after its history. Queries are
+        sorted before the search, which keeps it cache-friendly on a
+        large model."""
         tables, keys = self._tables, self.keys
         query = hist * tables.width + tok
         order = np.argsort(query, axis=None)
@@ -216,17 +195,44 @@ class NGramModel:
         lp = np.where(found, tables.entry_lp[pos], tables.history_unseen[hist])
         return np.where(found, pos + 1, -1), lp
 
+    def _walk(self, ids: np.ndarray) -> np.ndarray:
+        """Log-probability of every token of every row of the id grid
+        ``ids``, after the up to order - 1 ids before it in its row.
+
+        Level h looks up each token after the h tokens before it; the
+        entries it finds are the histories of level h + 1. A token's
+        log-probability comes from level min(position, order - 1), so
+        each level looks up only the ``width`` positions that it or a
+        later level reads.
+        """
+        tables, length = self._tables, ids.shape[1]
+        top = min(self.order - 1, length - 1)
+        width = length - top
+        lps = np.empty(ids.shape)
+        first = ids[:, :width]
+        entry, lp = tables.unigram_entry[first], tables.unigram_lp[first]
+        for level in range(top + 1):
+            if level:
+                entry, lp = self._step(entry, ids[:, level:level + width])
+            if level < top:
+                lps[:, level] = lp[:, 0]
+            else:
+                lps[:, level:] = lp
+        return lps
+
     def prob(self, token: Token, history: Sequence[Token] = ()) -> float:
         """Smoothed conditional probability of ``token`` after ``history``."""
         n = self.order - 1
-        *hist, tok = self._to_ids((*(tuple(history)[-n:] if n else ()), token))
-        h = self._tables.hist.get(tuple(hist))
+        ids = self._to_ids((*(tuple(history)[-n:] if n else ()), token))
+        hist = np.zeros(1, dtype=np.int64)
+        for i in range(len(ids) - 1):
+            hist, _ = self._step(hist, ids[i:i + 1])
+        h, width = int(hist[0]), self._tables.width
         count = total = 0
-        if h is not None:
-            base = h * self._tables.width
-            row = slice(*np.searchsorted(self.keys, (base, base + self._tables.width)))
+        if h >= 0:
+            row = slice(*np.searchsorted(self.keys, (h * width, (h + 1) * width)))
             total = int(self.counts[row].sum())
-            count = int(self.counts[row][self.keys[row] == base + tok].sum())
+            count = int(self.counts[row][self.keys[row] == h * width + ids[-1]].sum())
         return (count + self.k) / (total + self.k * (len(self.vocab) + 1))
 
     def seq_logprob(
@@ -241,10 +247,8 @@ class NGramModel:
             raise ValueError("target must be non-empty")
         n = self.order - 1
         tail = tuple(context)[-n:] if n else ()
-        total = 0.0
-        for lp in self._logprobs(self._to_ids(tail + tuple(target)), len(tail)):
-            total += lp
-        return total, len(target)
+        lps = self._walk(self._to_ids(chain(tail, target))[None, :])
+        return float(_row_sums(lps[:, len(tail):])[0]), len(target)
 
     # -- serialization ---------------------------------------------------
 
@@ -387,7 +391,9 @@ class NGramBackend:
     Conditioning with an n-gram window only changes the first order-1
     target tokens, so a conditional score is the unconditional sum with
     its head terms swapped for ones that see the context, in the order
-    ``((base - lp0) - lp1 ...) + head_sum``.
+    ``((base - lp0) - lp1 ...) + head_sum``. ``score`` with a context and
+    ``score_pairs`` both compute it from one walk of the targets and one
+    of the (context tail + target head) rows.
 
     ``score_pairs`` scores a whole document's pair set in one call and
     keeps the unconditional sum of each of its distinct segments, keyed
@@ -418,21 +424,24 @@ class NGramBackend:
                 base = self.model.seq_logprob(tgt)[0]
             return base, len(tgt)
         model = self.model
-        window = model.order - 1
-        ids = model._to_ids(tgt)
-        lps = model._logprobs(ids, 0)
-        adjusted = 0.0
-        for lp in lps:
-            adjusted += lp
-        head_n = min(window, len(tgt))
-        ctx_tail = tuple(context)[-window:] if window else ()
-        head_sum = 0.0
-        for lp in model._logprobs(model._to_ids(ctx_tail) + ids[:head_n], len(ctx_tail)):
-            head_sum += lp
-        for lp in lps[:head_n]:
-            adjusted -= lp
-        adjusted += head_sum
-        return adjusted, len(tgt)
+        n = model.order - 1
+        tail = tuple(context)[-n:] if n else ()
+        lps = model._walk(model._to_ids(tgt)[None, :])
+        heads = model._to_ids(chain(tail, tgt[:n]))[None, :]
+        return float(self._swap_heads(lps, _row_sums(lps), [0], heads, len(tail))[0]), len(tgt)
+
+    def _swap_heads(
+        self, lps: np.ndarray, sums: np.ndarray, rows: Sequence[int], heads: np.ndarray, tail: int
+    ) -> np.ndarray:
+        """The conditional sum of each pair i: ``sums[rows[i]]``, the
+        plain sum of row ``rows[i]`` of ``lps``, with its head terms
+        swapped for those of row i of the id grid ``heads``, which holds
+        ``tail`` context ids and then that target's head."""
+        head = self.model._walk(heads)[:, tail:]
+        stripped = sums
+        for col in range(head.shape[1]):
+            stripped = stripped - lps[:, col]
+        return stripped[rows] + _row_sums(head)
 
     def score_pairs(
         self,
@@ -445,55 +454,24 @@ class NGramBackend:
         equal to ``score(segments[t], segments[s])[0]``; the token count
         is the segment length, which every segment shares.
 
-        The grid's tokens are mapped to ids once, and one pass of array
-        lookups per history length scores every distinct segment and
-        every pair's head. Sums run in sequence, as ``score`` adds them.
+        The grid's tokens are mapped to ids once. One walk scores every
+        distinct segment, and one more walks each pair's source tail and
+        target head.
         """
         model = self.model
-        tables, window = model._tables, model.order - 1
         which: dict[tuple[Token, ...], int] = {}
         row_of = [which.setdefault(tuple(seg), len(which)) for seg in segments]
         distinct = list(which)
         length = len(distinct[0]) if distinct else 0
         if length == 0 or any(len(seg) != length for seg in distinct):
             raise ValueError("segments must be non-empty and of one length")
-        ids = np.fromiter(
-            map(tables.ids.get, chain.from_iterable(distinct), repeat(tables.unk)),
-            dtype=np.int64,
-            count=len(distinct) * length,
-        ).reshape(len(distinct), length)
-        # Level h looks up each token after the h tokens before it; the
-        # entries it finds are the histories of level h + 1. A token's
-        # log-probability comes from level min(position, order - 1).
-        lps = np.empty((len(distinct), length + 1))  # after a leading 0.0
-        lps[:, 0] = 0.0
-        tails = []  # id of each segment's last h + 1 tokens, per level h
-        entry, lp = tables.unigram_entry[ids], tables.unigram_lp[ids]
-        for level in range(min(window + 1, length)):
-            if level:
-                entry, lp = model._step(hist, ids[:, level:])
-            if level < window:
-                lps[:, level + 1] = lp[:, 0]
-                tails.append(entry[:, -1])
-                hist = entry[:, :-1]
-            else:
-                lps[:, level + 1:] = lp
-        sums = np.add.accumulate(lps, axis=1)[:, -1]
+        ids = model._to_ids(chain.from_iterable(distinct)).reshape(len(distinct), length)
+        lps = model._walk(ids)
+        sums = _row_sums(lps)
         self._segment_sums = dict(zip(distinct, sums.tolist()))
-        head_n = min(window, length)
-        stripped = sums
-        for col in range(1, head_n + 1):
-            stripped = stripped - lps[:, col]
-        # Head token q of a target sees the source's last min(order - 1 - q,
-        # length) tokens, then the q head tokens before it.
         row_of = np.array(row_of, dtype=np.int64)
         tgt = row_of[np.asarray(targets, dtype=np.int64)]
         src = row_of[np.asarray(sources, dtype=np.int64)]
-        head = np.zeros((len(tgt), head_n + 1))
-        for q in range(head_n):
-            hist = tails[min(window - q, length) - 1][src]
-            for i in range(q):
-                hist, _ = model._step(hist, ids[tgt, i])
-            _, head[:, q + 1] = model._step(hist, ids[tgt, q])
-        head_sums = np.add.accumulate(head, axis=1)[:, -1]
-        return (stripped[tgt] + head_sums).tolist()
+        tail = min(model.order - 1, length)
+        heads = np.concatenate((ids[src, length - tail:], ids[tgt, :tail]), axis=1)
+        return self._swap_heads(lps, sums, tgt, heads, tail).tolist()

@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from longdep.backends import CountingBackend, ppl, ppl_given
+from longdep.backends import PerplexityBackend, ppl, ppl_given
 from longdep.bench import accuracy_at_k
 from longdep.config import REFERENCE_PROFILE, resolve_config
 from longdep.corpus import Document, SegmentGrid, segment
@@ -79,6 +79,32 @@ class HashBackend:
         unit = int.from_bytes(digest.digest()[:8], "big") / float(1 << 64)
         rate = 0.5 + 2.5 * unit
         return -rate * len(target), len(target)
+
+
+class CountingBackend:
+    """Wrapper that counts calls, to check call-count contracts (N
+    unconditional + T conditional per document). It has no
+    ``score_pairs``, so lds scores through it pair by pair."""
+
+    def __init__(self, inner: PerplexityBackend):
+        self.inner = inner
+        self.unconditional_calls = 0
+        self.conditional_calls = 0
+
+    @property
+    def capabilities(self) -> BackendCapabilities:
+        return self.inner.capabilities
+
+    @property
+    def total_calls(self) -> int:
+        return self.unconditional_calls + self.conditional_calls
+
+    def score(self, target, context=None):
+        if context:
+            self.conditional_calls += 1
+        else:
+            self.unconditional_calls += 1
+        return self.inner.score(target, context)
 
 
 class ScriptedBackend:

@@ -8,12 +8,11 @@ import threading
 import time
 
 import pytest
-from support import DyingScorer, HashBackend, ScriptedBackend, process_alive
+from support import CountingBackend, DyingScorer, HashBackend, ScriptedBackend, process_alive
 
 from longdep.backends import (
     WINDOW_BYTES,
     WINDOW_REQUESTS,
-    CountingBackend,
     ExternalBackend,
     _StdioConnection,
     cached_unconditional,

@@ -1,7 +1,13 @@
 """Synthetic labeled corpus, oracle calibration, and the bench harness."""
 
-import pytest
+import shlex
+import sys
+from pathlib import Path
 
+import pytest
+from support import process_alive
+
+from longdep.backends import ExternalBackend
 from longdep.bench import (
     NEGATIVE_KINDS,
     POSITIVE_KINDS,
@@ -201,6 +207,26 @@ class TestRunBench:
         assert results[0].accuracy_at_k is None
         assert "no model file" in results[0].error
         assert results[1].status == "ok"
+
+    def test_each_cell_closes_its_scorer(self, tiny_testset, tmp_path):
+        # Each cell's scorer appends its pid; the factory keeps every
+        # backend alive, so only a close can end the processes.
+        pids = tmp_path / "pids"
+        script = Path(__file__).parent / "scripted_scorer.py"
+        endpoint = f"stdio://echo $$ >> {shlex.quote(str(pids))}; exec " + shlex.join(
+            [sys.executable, str(script)]
+        )
+        built = []
+
+        def external_factory():
+            built.append(ExternalBackend(endpoint))
+            return built[-1]
+
+        results = run_bench(tiny_testset, [("external", external_factory)], (3, 6))
+        assert [r.status for r in results] == ["ok", "ok"]
+        started = [int(pid) for pid in pids.read_text().split()]
+        assert len(started) == 2
+        assert not any(process_alive(pid, wait_s=1.0) for pid in started)
 
     def test_output_formats(self, tiny_testset):
         def oracle_factory():

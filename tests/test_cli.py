@@ -442,6 +442,15 @@ class TestSelect:
         meta = json.loads((sel / "manifest.json.meta.json").read_text())
         assert meta["complete"] is True
 
+    @pytest.mark.parametrize(
+        "row", ['{"status": "scored", "doc_id": "a"}', '{"status": "failed"}', "[1, 2]"]
+    )
+    def test_malformed_row_is_a_usage_error(self, tmp_path, caplog, row):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(row + "\n")
+        assert main(["select", "--reports", str(bad), "--out-dir", str(tmp_path / "sel")]) == 2
+        assert str(bad) in caplog.text
+
     @pytest.mark.parametrize("sidecar", ["missing", "incomplete", "unreadable"])
     def test_input_not_marked_complete_gives_an_incomplete_manifest(
         self, reports, tmp_path, capsys, sidecar
@@ -504,6 +513,22 @@ class TestHeatmap:
         bare = tmp_path / "bare.json"
         bare.write_text(json.dumps({"doc_id": "d", "n_segments": 4, "pairs": []}))
         assert main(["heatmap", "--pairs", str(bare)]) == 2
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            [1, 2],
+            {"doc_id": "d", "n_segments": 4, "pairs": [{"target": 1, "source": 0}]},
+            {"doc_id": "d", "n_segments": 4, "pairs": [[1, 0]]},
+            {"pairs": [{"target": 1, "source": 0, "dst": 0.5, "ddi": 1.0, "dsp": 1.0,
+                        "pairwise": 0.5, "gated": False}]},
+        ],
+    )
+    def test_malformed_sidecar_is_a_usage_error(self, tmp_path, caplog, content):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(content))
+        assert main(["heatmap", "--pairs", str(bad)]) == 2
+        assert str(bad) in caplog.text
 
 
 class TestBench:

@@ -3,11 +3,10 @@
 import math
 
 import pytest
-from support import HashBackend, ScriptedBackend, make_grid
+from support import CountingBackend, HashBackend, ScriptedBackend, make_grid
 
 import numpy as np
 
-from longdep.backends import CountingBackend
 from longdep.corpus import SegmentGrid
 from longdep.errors import ConfigError
 from longdep.lds import (

@@ -5,10 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from support import CountingBackend
 
 from longdep.corpus import Document, SegmentGrid
 from longdep.errors import ConfigError
-from longdep.backends import CountingBackend
 from longdep.lds import LdsConfig, derive_seed, score_document
 from longdep.ngram import UNK, NGramBackend, NGramModel, train_ngram
 from longdep.pipeline import score_corpus
@@ -259,13 +259,18 @@ class TestSerialization:
         assert np.frombuffer(body, dtype="<i8").tolist() == keys + counts
 
     @pytest.mark.parametrize(
-        "damage", ["truncated", "extended", "unsorted", "unknown token", "orphan", "zero count"]
+        "damage",
+        ["truncated", "extended", "unsorted", "unknown token", "orphan", "zero count", "too deep"],
     )
     def test_damaged_body_rejected(self, bigram, tmp_path, damage):
         path = saved(bigram, tmp_path / "model.bin")
         line, _, body = path.read_bytes().partition(b"\n")
         arrays = np.frombuffer(body, dtype="<i8").copy()
-        if damage == "truncated":
+        if damage == "too deep":
+            # The bigram entries spell one-token histories, too long for
+            # an order-1 model.
+            line = json.dumps({**json.loads(line), "order": 1}).encode("utf-8")
+        elif damage == "truncated":
             body = body[:-3]
         elif damage == "extended":
             body += bytes(16)
