@@ -43,7 +43,7 @@ from .jsonio import (
     write_canonical,
     write_meta_sidecar,
 )
-from .lds import PairScore, ScoreReport
+from .lds import ScoreReport, pair_sidecar, report_from_sidecar
 from .ngram import NGramBackend, NGramModel, train_ngram
 from .pipeline import DocumentOutcome, ScoringStats, build_manifest, score_corpus
 
@@ -217,7 +217,7 @@ def _score_into(
                 rows.append({"status": "scored", **report.to_dict()})
                 if args.emit_pairs:
                     sidecar = os.path.join(pairs_dir, _sidecar_name(report.doc_id))
-                    write_canonical(sidecar, report.to_dict(include_pairs=True))
+                    write_canonical(sidecar, pair_sidecar(report, rc.lds))
             else:
                 rows.append(
                     {
@@ -277,9 +277,13 @@ def _load_outcome_rows(path: str) -> tuple[list[ScoreReport], list[DocumentOutco
                             reason=row.get("reason"),
                         )
                     )
-            except (AttributeError, KeyError, ValueError) as exc:
-                raise ConfigError(f"{path}:{number}: not a report row ({exc!r})") from exc
+            except (AttributeError, ConfigError, KeyError, ValueError) as exc:
+                raise ConfigError(f"{path}:{number}: not a report row: {_problem(exc)}") from exc
     return reports, others
+
+
+def _problem(exc: Exception) -> str:
+    return f"no field {exc}" if isinstance(exc, KeyError) else str(exc)
 
 
 def _marked_complete(path: str) -> bool:
@@ -342,16 +346,14 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
             "'longdep score --emit-pairs' to write per-document pair records"
         )
     try:
-        data = read_json(args.pairs)
-        pairs = [PairScore(**row) for row in data.get("pairs", [])]
-        doc_id, n_segments = data["doc_id"], data["n_segments"]
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{args.pairs} is not a pair sidecar ({exc!r})") from exc
-    if not pairs:
+        report = report_from_sidecar(read_json(args.pairs))
+    except (ConfigError, KeyError, ValueError) as exc:
+        raise ConfigError(f"{args.pairs} is not a pair sidecar: {_problem(exc)}") from exc
+    if not report.pairs:
         raise ConfigError(f"sidecar {args.pairs!r} holds no pairs; nothing to render")
     spec = HeatmapSpec(
-        doc_id=doc_id,
-        n_segments=n_segments,
+        doc_id=report.doc_id,
+        n_segments=report.n_segments,
         scale=args.scale,
         value=args.value,
         cell_size=args.cell_size,
@@ -359,7 +361,7 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
     base = os.path.splitext(args.pairs)[0]
     image_path = args.out_image or base + ".ppm"
     csv_path = args.out_csv or base + ".csv"
-    render_heatmap(pairs, spec, image_path, csv_path, data.get("config_hash", ""))
+    render_heatmap(report.pairs, spec, image_path, csv_path, report.config_hash)
     print(f"wrote {image_path} and {csv_path}")
     return EXIT_OK
 

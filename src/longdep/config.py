@@ -10,11 +10,10 @@ retention fraction.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import get_type_hints
 
 from .errors import ConfigError
 from .jsonio import fingerprint, read_json
-from .lds import LdsConfig
+from .lds import LdsConfig, typed_fields
 
 
 @dataclass(frozen=True)
@@ -39,24 +38,12 @@ class RunConfig:
         return fingerprint(self.to_dict())
 
 
-# The two dataclasses are the only schema: every key list, default and
-# type check below is read off their fields.
+# The two dataclasses are the only schema: every key list and default
+# below, and the type checks of ``typed_fields``, are read off their fields.
 _LDS_KEYS = tuple(f.name for f in fields(LdsConfig))
 _RUN_FIELDS = tuple(f for f in fields(RunConfig) if f.name != "lds")
-_KEY_TYPES = {**get_type_hints(LdsConfig), **get_type_hints(RunConfig)}
 
 REFERENCE_PROFILE: dict = {f.name: f.default for f in fields(LdsConfig) + _RUN_FIELDS}
-
-
-def _typed(key: str, value):
-    """``value`` as the schema type of ``key``. An int is accepted for a
-    float key and stored as a float, so ``0`` and ``0.0`` hash alike."""
-    kind = _KEY_TYPES[key]
-    if kind is float and type(value) is int:
-        return float(value)
-    if type(value) is not kind:
-        raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}")
-    return value
 
 
 def load_config_file(path: str) -> dict:
@@ -85,11 +72,10 @@ def resolve_config(
     flags = {k: v for k, v in (flags or {}).items() if v is not None}
     file_cfg = load_config_file(config_path) if config_path else {}
     merged = {**REFERENCE_PROFILE, **file_cfg, **flags}
-    merged = {key: _typed(key, merged[key]) for key in REFERENCE_PROFILE}
-
-    lds = LdsConfig(**{k: merged[k] for k in _LDS_KEYS})
-    if merged["workers"] < 1:
-        raise ConfigError(f"workers must be >= 1, got {merged['workers']}")
-    if not (0.0 < merged["fraction"] <= 1.0):
-        raise ConfigError(f"fraction must be in (0, 1], got {merged['fraction']}")
-    return RunConfig(lds=lds, **{f.name: merged[f.name] for f in _RUN_FIELDS})
+    lds = LdsConfig(**typed_fields(LdsConfig, {k: merged[k] for k in _LDS_KEYS}))
+    run = typed_fields(RunConfig, {f.name: merged[f.name] for f in _RUN_FIELDS})
+    if run["workers"] < 1:
+        raise ConfigError(f"workers must be >= 1, got {run['workers']}")
+    if not (0.0 < run["fraction"] <= 1.0):
+        raise ConfigError(f"fraction must be in (0, 1], got {run['fraction']}")
+    return RunConfig(lds=lds, **run)

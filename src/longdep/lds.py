@@ -22,11 +22,12 @@ shift-invariant.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field, fields, replace
 from itertools import islice, repeat
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
@@ -81,8 +82,42 @@ class LdsConfig:
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
+    @classmethod
+    def from_dict(cls, data: dict) -> "LdsConfig":
+        """Inverse of ``to_dict``. Every field must be present, with its
+        declared type (see ``typed_fields``); anything else raises
+        ValueError or ConfigError."""
+        names = {f.name for f in fields(cls)}
+        if not isinstance(data, dict) or set(data) != names:
+            raise ValueError(f"an LdsConfig holds exactly the keys {sorted(names)}")
+        return cls(**typed_fields(cls, data))
+
     def fingerprint(self) -> str:
         return fingerprint(self.to_dict())
+
+
+@functools.cache
+def _field_types(cls) -> dict:
+    return get_type_hints(cls)
+
+
+def typed_fields(cls, values: dict) -> dict:
+    """``values``, each checked against the declared type of its field of
+    dataclass ``cls``; a mistyped one raises ConfigError. A float field
+    takes a finite int or float and stores it as a float, so ``0`` and
+    ``0.0`` hash alike; a bool passes for neither."""
+    types = _field_types(cls)
+    out = {}
+    for name, value in values.items():
+        kind = types[name]
+        if kind is float:
+            if not (type(value) in (int, float) and math.isfinite(value)):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+            value = float(value)
+        elif type(value) is not kind:
+            raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
+        out[name] = value
+    return out
 
 
 def dst(unconditional: float, conditional: float) -> float:
@@ -188,17 +223,6 @@ class PairScore(NamedTuple):
     pairwise: float
     gated: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "source": self.source,
-            "dst": self.dst,
-            "ddi": self.ddi,
-            "dsp": self.dsp,
-            "pairwise": self.pairwise,
-            "gated": self.gated,
-        }
-
 
 @dataclass(frozen=True)
 class ScoreReport:
@@ -212,8 +236,8 @@ class ScoreReport:
     source: str = ""
     pairs: tuple[PairScore, ...] = field(default=(), repr=False)
 
-    def to_dict(self, include_pairs: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "doc_id": self.doc_id,
             "source": self.source,
             "n_segments": self.n_segments,
@@ -223,23 +247,84 @@ class ScoreReport:
             "gated_count": self.gated_count,
             "config_hash": self.config_hash,
         }
-        if include_pairs:
-            out["pairs"] = [p.to_dict() for p in self.pairs]
-        return out
 
     @classmethod
     def from_dict(cls, row: dict) -> "ScoreReport":
-        """Rebuild a report from a ``to_dict()`` row; pairs are not read."""
-        return cls(
-            doc_id=row["doc_id"],
-            n_segments=row["n_segments"],
-            mode=row["mode"],
-            lds=row["lds"],
-            pair_count=row["pair_count"],
-            gated_count=row["gated_count"],
-            config_hash=row["config_hash"],
-            source=row.get("source", ""),
+        """Rebuild a report from a ``to_dict()`` row; pairs are not read.
+        A missing field raises KeyError, and a field of the wrong type
+        ConfigError."""
+        values = {f.name: row[f.name] for f in fields(cls) if f.name not in ("source", "pairs")}
+        values["source"] = row.get("source", "")
+        return cls(**typed_fields(cls, values))
+
+
+def pair_sidecar(report: ScoreReport, cfg: LdsConfig) -> dict:
+    """The pair sidecar of ``report``, scored under ``cfg``: the report's
+    fields, plus ``lds_config`` (``cfg.to_dict()``), ``pairs`` (one
+    ``[target, source, dst]`` per pair, in scoring order) and ``dsp``
+    (one ``[target, dsp]`` per target row). ``report_from_sidecar``
+    rebuilds every other pair value from these."""
+    dsp_rows: list[list] = []
+    for pair in report.pairs:
+        if not dsp_rows or dsp_rows[-1][0] != pair.target:
+            dsp_rows.append([pair.target, pair.dsp])
+    return {
+        **report.to_dict(),
+        "lds_config": cfg.to_dict(),
+        "pairs": [[pair.target, pair.source, pair.dst] for pair in report.pairs],
+        "dsp": dsp_rows,
+    }
+
+
+def _is_finite_float(value) -> bool:
+    return type(value) is float and math.isfinite(value)
+
+
+def report_from_sidecar(data: dict) -> ScoreReport:
+    """Rebuild a report and its ``PairScore``s from a ``pair_sidecar``
+    dict. ddi, pairwise and the gate are computed as ``_score`` computes
+    them, so every value equals the scored one.
+
+    A malformed sidecar, and one in the old format with an object per
+    pair, raises KeyError, ValueError or ConfigError.
+    """
+    if not isinstance(data, dict):
+        raise ValueError("a pair sidecar is a JSON object")
+    triples, dsp_rows = data.get("pairs"), data.get("dsp")
+    if isinstance(triples, list) and triples and isinstance(triples[0], dict):
+        raise ValueError(
+            "it holds one object per pair, a format no longer read; "
+            "re-run `longdep score --emit-pairs` to rewrite it"
         )
+    report = ScoreReport.from_dict(data)
+    n = report.n_segments
+    if n < 2:
+        raise ValueError(f"n_segments must be >= 2, got {n}")
+    cfg = LdsConfig.from_dict(data["lds_config"])
+    if cfg.fingerprint() != report.config_hash:
+        raise ValueError("the fingerprint of lds_config differs from config_hash")
+    if not (isinstance(triples, list) and isinstance(dsp_rows, list)):
+        raise ValueError("pairs and dsp must be lists")
+    dsp_of: dict[int, float] = {}
+    for row in dsp_rows:
+        if not (isinstance(row, list) and len(row) == 2 and type(row[0]) is int
+                and _is_finite_float(row[1])):
+            raise ValueError(f"dsp row {row!r} is not [target, dsp]")
+        dsp_of[row[0]] = row[1]
+    pairs = []
+    for triple in triples:
+        if not (isinstance(triple, list) and len(triple) == 3 and type(triple[0]) is int
+                and type(triple[1]) is int and _is_finite_float(triple[2])):
+            raise ValueError(f"pair {triple!r} is not [target, source, dst]")
+        target, source, dst_value = triple
+        if target not in dsp_of:
+            raise ValueError(f"target {target} has no dsp row")
+        dsp_value = dsp_of[target]
+        ddi_value = ddi(target, source, n)
+        pairwise = lds_pair(dst_value, ddi_value, dsp_value, cfg)
+        gated = dst_value > cfg.tau
+        pairs.append(PairScore(target, source, dst_value, ddi_value, dsp_value, pairwise, gated))
+    return replace(report, pairs=tuple(pairs))
 
 
 def _group_rows(pairs: Iterable[tuple[int, int]]) -> dict[int, list[int]]:

@@ -220,6 +220,36 @@ class NGramModel:
                 lps[:, level:] = lp
         return lps
 
+    def _walk_heads(self, tails: np.ndarray, rows: np.ndarray, heads: np.ndarray) -> np.ndarray:
+        """Log-probability of every token of every row i of the id grid
+        ``heads``, after the ids of row ``rows[i]`` of the grid ``tails``
+        and the heads before it, up to order - 1 ids in all: the same
+        values as ``_walk`` gives that part of each joined row.
+
+        Every history that lies inside a tail is looked up once per row
+        of ``tails``; each row of ``heads`` then looks up only the
+        histories that reach into it.
+        """
+        tables, n, tail = self._tables, self.order - 1, tails.shape[1]
+        # suffix[:, i] is the history id of tails[:, i:].
+        entry = tables.unigram_entry[tails]
+        suffix = np.empty_like(entry)
+        suffix[:, tail - 1:] = entry[:, tail - 1:]
+        for level in range(1, tail):
+            entry, _ = self._step(entry[:, :tail - level], tails[:, level:])
+            suffix[:, tail - 1 - level] = entry[:, -1]
+        # Head token j reads the tail from max(0, j + tail - n) on, then
+        # heads 0..j-1: one chain of steps per token, advanced together.
+        width = heads.shape[1]
+        starts = np.maximum(np.arange(width) + tail - n, 0)
+        entry = suffix[rows[:, None], starts]
+        lps = np.empty(heads.shape)
+        for col in range(width):
+            entry, lp = self._step(entry, heads[:, col:col + 1])
+            lps[:, col] = lp[:, 0]
+            entry = entry[:, 1:]
+        return lps
+
     def prob(self, token: Token, history: Sequence[Token] = ()) -> float:
         """Smoothed conditional probability of ``token`` after ``history``."""
         n = self.order - 1
@@ -392,8 +422,8 @@ class NGramBackend:
     target tokens, so a conditional score is the unconditional sum with
     its head terms swapped for ones that see the context, in the order
     ``((base - lp0) - lp1 ...) + head_sum``. ``score`` with a context and
-    ``score_pairs`` both compute it from one walk of the targets and one
-    of the (context tail + target head) rows.
+    ``score_pairs`` both compute it from one walk of the targets, one of
+    the context tails, and steps of each target head after its tail.
 
     ``score_pairs`` scores a whole document's pair set in one call and
     keeps the unconditional sum of each of its distinct segments, keyed
@@ -425,23 +455,31 @@ class NGramBackend:
             return base, len(tgt)
         model = self.model
         n = model.order - 1
-        tail = tuple(context)[-n:] if n else ()
-        lps = model._walk(model._to_ids(tgt)[None, :])
-        heads = model._to_ids(chain(tail, tgt[:n]))[None, :]
-        return float(self._swap_heads(lps, _row_sums(lps), [0], heads, len(tail))[0]), len(tgt)
+        ids = model._to_ids(tgt)[None, :]
+        lps = model._walk(ids)
+        tail = model._to_ids(tuple(context)[-n:] if n else ())[None, :]
+        zero = np.zeros(1, dtype=np.int64)
+        return float(self._swap_heads(lps, _row_sums(lps), zero, ids, tail, zero)[0]), len(tgt)
 
     def _swap_heads(
-        self, lps: np.ndarray, sums: np.ndarray, rows: Sequence[int], heads: np.ndarray, tail: int
+        self,
+        lps: np.ndarray,
+        sums: np.ndarray,
+        targets: np.ndarray,
+        ids: np.ndarray,
+        tails: np.ndarray,
+        sources: np.ndarray,
     ) -> np.ndarray:
-        """The conditional sum of each pair i: ``sums[rows[i]]``, the
-        plain sum of row ``rows[i]`` of ``lps``, with its head terms
-        swapped for those of row i of the id grid ``heads``, which holds
-        ``tail`` context ids and then that target's head."""
-        head = self.model._walk(heads)[:, tail:]
+        """The conditional sum of each pair i: ``sums[targets[i]]``, the
+        plain sum of row ``targets[i]`` of ``lps`` (the walk of the id
+        grid ``ids``), with its head terms swapped for ones that see the
+        context tail ``tails[sources[i]]``."""
+        width = min(self.model.order - 1, ids.shape[1])
+        head = self.model._walk_heads(tails, sources, ids[targets, :width])
         stripped = sums
-        for col in range(head.shape[1]):
+        for col in range(width):
             stripped = stripped - lps[:, col]
-        return stripped[rows] + _row_sums(head)
+        return stripped[targets] + _row_sums(head)
 
     def score_pairs(
         self,
@@ -455,8 +493,9 @@ class NGramBackend:
         is the segment length, which every segment shares.
 
         The grid's tokens are mapped to ids once. One walk scores every
-        distinct segment, and one more walks each pair's source tail and
-        target head.
+        distinct segment; the histories inside each distinct segment's
+        tail are looked up once, and each pair looks up only those that
+        reach into its target's head.
         """
         model = self.model
         which: dict[tuple[Token, ...], int] = {}
@@ -472,6 +511,5 @@ class NGramBackend:
         row_of = np.array(row_of, dtype=np.int64)
         tgt = row_of[np.asarray(targets, dtype=np.int64)]
         src = row_of[np.asarray(sources, dtype=np.int64)]
-        tail = min(model.order - 1, length)
-        heads = np.concatenate((ids[src, length - tail:], ids[tgt, :tail]), axis=1)
-        return self._swap_heads(lps, sums, tgt, heads, tail).tolist()
+        tails = ids[:, length - min(model.order - 1, length):]
+        return self._swap_heads(lps, sums, tgt, ids, tails, src).tolist()

@@ -175,16 +175,14 @@ class TestScore:
         sidecars = sorted((out_dir / "pairs").iterdir())
         assert len(sidecars) == 8
         payload = json.loads(sidecars[0].read_text())
-        assert payload["pairs"]
-        assert set(payload["pairs"][0]) == {
-            "target",
-            "source",
-            "dst",
-            "ddi",
-            "dsp",
-            "pairwise",
-            "gated",
+        row = json.loads((out_dir / "reports.jsonl").read_text().splitlines()[0])
+        assert {k: payload[k] for k in row if k != "status"} == {
+            k: v for k, v in row.items() if k != "status"
         }
+        assert len(payload["pairs"]) == payload["pair_count"]
+        assert payload["pairs"][0] == [1, 0, payload["pairs"][0][2]]
+        assert [t for t, _ in payload["dsp"]] == list(range(1, payload["n_segments"]))
+        assert set(payload["lds_config"]) >= {"tau", "alpha", "dsp_variant"}
 
     def test_model_trained_on_other_tokens_is_refused(self, corpus, tmp_path, caplog):
         byte_model = tmp_path / "byte-model.bin"
@@ -451,6 +449,32 @@ class TestSelect:
         assert main(["select", "--reports", str(bad), "--out-dir", str(tmp_path / "sel")]) == 2
         assert str(bad) in caplog.text
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("lds", "high"),
+            ("lds", float("nan")),
+            ("lds", True),
+            ("doc_id", 7),
+            ("source", None),
+            ("mode", 1),
+            ("config_hash", ["h"]),
+            ("n_segments", "4"),
+            ("pair_count", 2.0),
+            ("gated_count", True),
+        ],
+    )
+    def test_mistyped_field_is_a_usage_error(self, reports, tmp_path, caplog, field, value):
+        lines = Path(reports).read_text().splitlines()
+        row = json.loads(lines[1])
+        assert row["status"] == "scored"
+        row[field] = value
+        lines[1] = json.dumps(row)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["select", "--reports", str(bad), "--out-dir", str(tmp_path / "sel")]) == 2
+        assert f"{bad}:2" in caplog.text and field in caplog.text
+
     @pytest.mark.parametrize("sidecar", ["missing", "incomplete", "unreadable"])
     def test_input_not_marked_complete_gives_an_incomplete_manifest(
         self, reports, tmp_path, capsys, sidecar
@@ -469,6 +493,60 @@ class TestSelect:
         assert "marked complete: false" in capsys.readouterr().err
         meta = json.loads((sel / "manifest.json.meta.json").read_text())
         assert meta["complete"] is False
+
+
+OLD_SIDECAR = {
+    "doc_id": "d", "n_segments": 4, "mode": "exact", "lds": 0.5, "pair_count": 1,
+    "gated_count": 1, "config_hash": "h", "source": "",
+    "pairs": [{"target": 1, "source": 0, "dst": 0.5, "ddi": 1 / 3, "dsp": 0.0,
+               "pairwise": 0.0, "gated": True}],
+}
+
+
+def _with(key, value):
+    return lambda sidecar: {**sidecar, key: value}
+
+
+def _without(key):
+    return lambda sidecar: {k: v for k, v in sidecar.items() if k != key}
+
+
+def _first_pair(value):
+    return lambda sidecar: {**sidecar, "pairs": [value, *sidecar["pairs"][1:]]}
+
+
+def _config_with(key, value):
+    return lambda sidecar: {**sidecar, "lds_config": {**sidecar["lds_config"], key: value}}
+
+
+# Each makes a damaged copy of a sidecar written by `score --emit-pairs`.
+DAMAGED_SIDECARS = {
+    "old pair objects": lambda sidecar: OLD_SIDECAR,
+    "no doc_id": _without("doc_id"),
+    "no pairs": _without("pairs"),
+    "n_segments a string": _with("n_segments", "4"),
+    "n_segments below 2": _with("n_segments", 1),
+    "pair too short": _first_pair([1, 0]),
+    "pair a string": _first_pair("1,0,0.5"),
+    "dst a string": _first_pair([1, 0, "x"]),
+    "dst an int": _first_pair([1, 0, 1]),
+    "dst not finite": _first_pair([1, 0, float("inf")]),
+    "target a float": _first_pair([1.0, 0, 0.5]),
+    "source a bool": _first_pair([1, False, 0.5]),
+    "pair outside the grid": _first_pair([1, 1, 0.5]),
+    "no dsp": _without("dsp"),
+    "a target without a dsp row": lambda sidecar: {**sidecar, "dsp": sidecar["dsp"][1:]},
+    "dsp row mistyped": lambda sidecar: {**sidecar, "dsp": [[1, "x"], *sidecar["dsp"][1:]]},
+    "no lds_config": _without("lds_config"),
+    "lds_config a list": _with("lds_config", []),
+    "lds_config key missing": lambda sidecar: {
+        **sidecar, "lds_config": {k: v for k, v in sidecar["lds_config"].items() if k != "tau"}
+    },
+    "lds_config key unknown": _config_with("workers", 1),
+    "lds_config alpha a string": _config_with("alpha", "1"),
+    "lds_config tau negative": _config_with("tau", -1.0),
+    "lds_config another fingerprint": _config_with("tau", 0.5),
+}
 
 
 class TestHeatmap:
@@ -522,13 +600,24 @@ class TestHeatmap:
             {"doc_id": "d", "n_segments": 4, "pairs": [[1, 0]]},
             {"pairs": [{"target": 1, "source": 0, "dst": 0.5, "ddi": 1.0, "dsp": 1.0,
                         "pairwise": 0.5, "gated": False}]},
+            *(pytest.param(damage, id=name) for name, damage in DAMAGED_SIDECARS.items()),
         ],
     )
-    def test_malformed_sidecar_is_a_usage_error(self, tmp_path, caplog, content):
+    def test_malformed_sidecar_is_a_usage_error(self, corpus, model, tmp_path, caplog, content):
+        if callable(content):
+            out_dir = tmp_path / "out"
+            assert run_score(corpus, model, out_dir, extra=["--emit-pairs"]) == 0
+            content = content(json.loads(sorted((out_dir / "pairs").iterdir())[0].read_text()))
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(content))
         assert main(["heatmap", "--pairs", str(bad)]) == 2
         assert str(bad) in caplog.text
+
+    def test_old_sidecar_names_the_fix(self, tmp_path, caplog):
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(OLD_SIDECAR))
+        assert main(["heatmap", "--pairs", str(old)]) == 2
+        assert "score --emit-pairs" in caplog.text
 
 
 class TestBench:

@@ -7,12 +7,13 @@ from support import CountingBackend, HashBackend, ScriptedBackend, make_grid
 
 import numpy as np
 
+from longdep.cli import main
 from longdep.corpus import SegmentGrid
 from longdep.errors import ConfigError
+from longdep.heatmap import HeatmapSpec, render_heatmap
+from longdep.jsonio import read_json, write_canonical
 from longdep.lds import (
     LdsConfig,
-    PairScore,
-    ScoreReport,
     ddi,
     derive_seed,
     dsp,
@@ -21,6 +22,8 @@ from longdep.lds import (
     lds_pair,
     lds_sampled,
     pair_count,
+    pair_sidecar,
+    report_from_sidecar,
     sample_pairs,
     score_document,
 )
@@ -322,7 +325,7 @@ class TestSampledScoring:
         cfg = LdsConfig(segment_len=2, truncate_len=24, mode="sampled", sample_size=20)
         one = lds_sampled(HashBackend(), grid, cfg, seed=4)
         two = lds_sampled(HashBackend(), grid, cfg, seed=4)
-        assert one.to_dict(include_pairs=True) == two.to_dict(include_pairs=True)
+        assert one == two  # pairs included
 
     def test_default_seed_comes_from_config(self):
         rng = np.random.default_rng(7)
@@ -370,27 +373,74 @@ class TestReportSerialization:
         backend, grid = scripted_three_segment()
         cfg = LdsConfig(segment_len=1, truncate_len=3, mode="exact")
         report = lds_exact(backend, grid, cfg)
-        assert "pairs" not in report.to_dict()
-        with_pairs = report.to_dict(include_pairs=True)
-        assert len(with_pairs["pairs"]) == 3
-        assert set(with_pairs["pairs"][0]) == {
-            "target",
+        assert set(report.to_dict()) == {
+            "doc_id",
             "source",
-            "dst",
-            "ddi",
-            "dsp",
-            "pairwise",
-            "gated",
+            "n_segments",
+            "mode",
+            "lds",
+            "pair_count",
+            "gated_count",
+            "config_hash",
         }
+        sidecar = pair_sidecar(report, cfg)
+        assert {k: sidecar[k] for k in report.to_dict()} == report.to_dict()
+        assert sidecar["lds_config"] == cfg.to_dict()
+        assert sidecar["pairs"] == [[p.target, p.source, p.dst] for p in report.pairs]
+        assert [(t, s) for t, s, _ in sidecar["pairs"]] == [(1, 0), (2, 0), (2, 1)]
+        assert sidecar["dsp"] == [[1, report.pairs[0].dsp], [2, report.pairs[1].dsp]]
 
-    def test_pair_score_to_dict(self):
-        pair = PairScore(2, 0, 0.5, 1.0, 0.25, 0.375, True)
-        assert pair.to_dict() == {
-            "target": 2,
-            "source": 0,
-            "dst": 0.5,
-            "ddi": 1.0,
-            "dsp": 0.25,
-            "pairwise": 0.375,
-            "gated": True,
-        }
+
+def written_and_read(tmp_path, report, cfg):
+    path = str(tmp_path / "sidecar.json")
+    write_canonical(path, pair_sidecar(report, cfg))
+    return path, report_from_sidecar(read_json(path))
+
+
+ROUND_TRIP_CFG = LdsConfig(
+    segment_len=2, truncate_len=40, mode="exact", alpha=0.7, beta=1.3, gamma=0.4
+)
+
+
+class TestSidecarRoundTrip:
+    """A written pair sidecar rebuilds every PairScore exactly."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ROUND_TRIP_CFG.replace(dsp_variant="multiplicative"),
+            ROUND_TRIP_CFG.replace(dsp_variant="additive"),
+            ROUND_TRIP_CFG.replace(dsp_variant="none"),
+            ROUND_TRIP_CFG.replace(mode="sampled", sample_size=40),
+            ROUND_TRIP_CFG.replace(mode="sampled", sample_size=40, dsp_variant="additive"),
+        ],
+        ids=["multiplicative", "additive", "none", "sampled", "sampled-additive"],
+    )
+    def test_rebuilt_pairs_equal_the_scored_ones(self, tmp_path, cfg):
+        grid = make_grid(np.random.default_rng(21), n_segments=20, segment_len=2)
+        report = score_document(HashBackend(), grid, cfg, seed=5)
+        assert 0 < report.gated_count < report.pair_count
+        if cfg.mode == "sampled":
+            assert report.pair_count == 40 < pair_count(20)
+        _, rebuilt = written_and_read(tmp_path, report, cfg)
+        assert rebuilt == report
+        assert rebuilt.pairs == report.pairs
+
+    @pytest.mark.parametrize("value", ["dst", "pairwise"])
+    @pytest.mark.parametrize("scale", ["linear", "signed-diverging"])
+    def test_heatmap_from_sidecar_matches_in_memory(self, tmp_path, value, scale):
+        grid = make_grid(np.random.default_rng(22), n_segments=12, segment_len=2)
+        cfg = ROUND_TRIP_CFG.replace(mode="sampled", sample_size=30)
+        report = score_document(HashBackend(), grid, cfg, seed=6)
+        path, _ = written_and_read(tmp_path, report, cfg)
+        cli_out = [str(tmp_path / "cli.ppm"), str(tmp_path / "cli.csv")]
+        code = main(
+            ["heatmap", "--pairs", path, "--out-image", cli_out[0], "--out-csv", cli_out[1],
+             "--value", value, "--scale", scale, "--cell-size", "2"]
+        )
+        assert code == 0
+        spec = HeatmapSpec(report.doc_id, report.n_segments, scale, value, cell_size=2)
+        direct = [str(tmp_path / "direct.ppm"), str(tmp_path / "direct.csv")]
+        render_heatmap(report.pairs, spec, *direct, report.config_hash)
+        for mine, theirs in zip(cli_out, direct):
+            assert open(mine, "rb").read() == open(theirs, "rb").read()
