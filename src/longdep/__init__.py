@@ -63,7 +63,6 @@ from .lds import (
 from .ngram import NGramBackend, NGramModel, train_ngram
 from .pipeline import (
     DocumentOutcome,
-    ScoringStats,
     SelectionManifest,
     build_manifest,
     reports_only,
@@ -95,7 +94,6 @@ __all__ = [
     "RunConfig",
     "ScoreReport",
     "ScoringError",
-    "ScoringStats",
     "SegmentGrid",
     "SelectionManifest",
     "SynthSpec",

@@ -15,6 +15,8 @@ unreachable (at startup, or no connection could be reopened mid-run),
 from __future__ import annotations
 
 import argparse
+import collections
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -43,9 +45,9 @@ from .jsonio import (
     write_canonical,
     write_meta_sidecar,
 )
-from .lds import ScoreReport, pair_sidecar, report_from_sidecar
+from .lds import pair_sidecar, report_from_sidecar
 from .ngram import NGramBackend, NGramModel, train_ngram
-from .pipeline import DocumentOutcome, ScoringStats, build_manifest, score_corpus
+from .pipeline import DocumentOutcome, build_manifest, reports_only, score_corpus
 
 SCORER_ENDPOINT_ENV = "LONGDEP_SCORER_ENDPOINT"
 
@@ -197,8 +199,7 @@ def _score_into(
         os.makedirs(pairs_dir, exist_ok=True)
     reports_path = os.path.join(args.out_dir, "reports.jsonl")
 
-    stats = ScoringStats()
-    rows: list[dict] = []
+    counts = collections.Counter()
     complete = interrupted = False
     ingest_stats = IngestStats()
     docs = ingest(args.input, format=rc.input_format, stats=ingest_stats)
@@ -207,79 +208,58 @@ def _score_into(
         backend,
         rc.lds,
         tokenizer=tokenizer,
-        stats=stats,
         keep_pairs=args.emit_pairs,
     )
+    # A sidecar left by an earlier run must not vouch for this run's rows.
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(reports_path + ".meta.json")
     try:
-        for outcome in outcomes:
-            if outcome.report is not None:
-                report = outcome.report
-                rows.append({"status": "scored", **report.to_dict()})
-                if args.emit_pairs:
-                    sidecar = os.path.join(pairs_dir, _sidecar_name(report.doc_id))
-                    write_canonical(sidecar, pair_sidecar(report, rc.lds))
-            else:
-                rows.append(
-                    {
-                        "status": outcome.status,
-                        "doc_id": outcome.doc_id,
-                        "source": outcome.source,
-                        "reason": outcome.reason,
-                    }
-                )
+        with open(reports_path, "w", encoding="utf-8") as handle:
+            for outcome in outcomes:
+                if args.emit_pairs and outcome.report is not None:
+                    sidecar = os.path.join(pairs_dir, _sidecar_name(outcome.doc_id))
+                    write_canonical(sidecar, pair_sidecar(outcome.report, rc.lds))
+                handle.write(canonical_dumps(outcome.to_row()))
+                handle.write("\n")
+                handle.flush()
+                counts[outcome.status] += 1
         complete = True
     except KeyboardInterrupt:
         interrupted = True
         outcomes.close()
     finally:
-        with open(reports_path, "w", encoding="utf-8") as handle:
-            for row in rows:
-                handle.write(canonical_dumps(row))
-                handle.write("\n")
         write_meta_sidecar(
             reports_path,
             complete=complete,
             extra={
                 "config_hash": rc.fingerprint(),
-                "scored": stats.scored,
-                "excluded": stats.excluded,
-                "failed": stats.failed,
+                "scored": counts["scored"],
+                "excluded": counts["excluded"],
+                "failed": counts["failed"],
                 "ingest": dataclasses.asdict(ingest_stats),
             },
         )
     print(
-        f"scored={stats.scored} excluded={stats.excluded} failed={stats.failed} "
+        f"scored={counts['scored']} excluded={counts['excluded']} failed={counts['failed']} "
         f"-> {reports_path}"
     )
     if interrupted:
         return EXIT_INTERRUPTED
-    return EXIT_PARTIAL if stats.failed else EXIT_OK
+    return EXIT_PARTIAL if counts["failed"] else EXIT_OK
 
 
-def _load_outcome_rows(path: str) -> tuple[list[ScoreReport], list[DocumentOutcome]]:
-    reports: list[ScoreReport] = []
-    others: list[DocumentOutcome] = []
+def _load_outcomes(path: str) -> list[DocumentOutcome]:
+    outcomes: list[DocumentOutcome] = []
     with open(path, "r", encoding="utf-8") as handle:
         for number, line in enumerate(handle, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                row = json.loads(line)
-                if row.get("status") == "scored":
-                    reports.append(ScoreReport.from_dict(row))
-                else:
-                    others.append(
-                        DocumentOutcome(
-                            doc_id=row["doc_id"],
-                            source=row.get("source", ""),
-                            status=row.get("status", "failed"),
-                            reason=row.get("reason"),
-                        )
-                    )
+                outcomes.append(DocumentOutcome.from_row(json.loads(line)))
             except (AttributeError, ConfigError, KeyError, ValueError) as exc:
                 raise ConfigError(f"{path}:{number}: not a report row: {_problem(exc)}") from exc
-    return reports, others
+    return outcomes
 
 
 def _problem(exc: Exception) -> str:
@@ -308,10 +288,10 @@ def cmd_select(args: argparse.Namespace) -> int:
             "%s has no sidecar marking it complete; the manifest is marked complete: false",
             args.reports,
         )
-    reports, outcomes = _load_outcome_rows(args.reports)
+    outcomes = _load_outcomes(args.reports)
     fraction = 1.0 if args.strategy == "full" else rc.fraction
     manifest = build_manifest(
-        reports,
+        reports_only(outcomes),
         outcomes,
         fraction,
         args.strategy,

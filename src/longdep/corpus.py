@@ -27,7 +27,7 @@ Token = Union[int, str]
 
 @dataclass(frozen=True)
 class Document:
-    """One unit of corpus text. Immutable; safe to share across workers."""
+    """One unit of corpus text. Immutable."""
 
     id: str
     source: str

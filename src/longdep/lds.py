@@ -476,7 +476,7 @@ def lds_sampled(
 
     The sample is drawn from ``seed`` (default: the config seed); per
     document the pipeline derives a seed from (config seed, doc id) so
-    results never depend on worker count or arrival order.
+    a document's result does not depend on the rest of the corpus.
     """
     return _score(backend, grid, cfg, "sampled", seed, keep_pairs)
 

@@ -26,22 +26,16 @@ from .errors import (
     ScoringError,
 )
 from .jsonio import fingerprint
-from .lds import LdsConfig, ScoreReport, derive_seed, score_document
+from .lds import LdsConfig, ScoreReport, derive_seed, score_document, typed_fields
 
 STRATEGIES = ("prolong", "random", "full")
-
-
-@dataclass
-class ScoringStats:
-    scored: int = 0
-    excluded: int = 0
-    failed: int = 0
 
 
 @dataclass(frozen=True)
 class DocumentOutcome:
     """One corpus document's fate: scored, excluded before scoring, or
-    failed during scoring."""
+    failed during scoring. ``to_row``/``from_row`` are its one
+    ``reports.jsonl`` row format."""
 
     doc_id: str
     source: str
@@ -49,9 +43,31 @@ class DocumentOutcome:
     report: ScoreReport | None = None
     reason: str | None = None
 
-    @property
-    def ok(self) -> bool:
-        return self.status == "scored"
+    def to_row(self) -> dict:
+        if self.report is not None:
+            return {"status": "scored", **self.report.to_dict()}
+        return {
+            "status": self.status,
+            "doc_id": self.doc_id,
+            "source": self.source,
+            "reason": self.reason,
+        }
+
+    @classmethod
+    def from_row(cls, row: dict) -> "DocumentOutcome":
+        """Rebuild an outcome from a ``to_row()`` row. A missing field
+        raises KeyError, an unknown status ValueError and a field of the
+        wrong type ConfigError."""
+        status = row.get("status")
+        if status == "scored":
+            report = ScoreReport.from_dict(row)
+            return cls(report.doc_id, report.source, status, report=report)
+        if status not in ("excluded", "failed"):
+            raise ValueError(f"unknown status {status!r}")
+        if type(row["reason"]) is not str:
+            raise ConfigError(f"reason must be str, got {row['reason']!r}")
+        ids = typed_fields(cls, {"doc_id": row["doc_id"], "source": row.get("source", "")})
+        return cls(status=status, reason=row["reason"], **ids)
 
 
 def _score_one(
@@ -86,7 +102,6 @@ def score_corpus(
     backend: PerplexityBackend,
     cfg: LdsConfig,
     tokenizer: TokenizerSpec | None = None,
-    stats: ScoringStats | None = None,
     keep_pairs: bool = False,
 ) -> Iterator[DocumentOutcome]:
     """Score a document stream, yielding one outcome per document in
@@ -98,17 +113,8 @@ def score_corpus(
     runs only need the document totals.
     """
     tokenizer = tokenizer or TokenizerSpec()
-    if stats is None:
-        stats = ScoringStats()
     for doc in docs:
-        outcome = _score_one(doc, backend, cfg, tokenizer, keep_pairs)
-        if outcome.status == "scored":
-            stats.scored += 1
-        elif outcome.status == "excluded":
-            stats.excluded += 1
-        else:
-            stats.failed += 1
-        yield outcome
+        yield _score_one(doc, backend, cfg, tokenizer, keep_pairs)
 
 
 def reports_only(outcomes: Iterable[DocumentOutcome]) -> list[ScoreReport]:

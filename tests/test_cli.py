@@ -6,6 +6,7 @@ import json
 import logging
 import os
 import shlex
+import signal
 import socket
 import subprocess
 import sys
@@ -18,6 +19,11 @@ from support import DyingScorer, process_alive
 
 from longdep.backends import ExternalBackend
 from longdep.cli import main
+from longdep.config import resolve_config
+from longdep.corpus import ingest
+from longdep.jsonio import canonical_dumps
+from longdep.ngram import NGramBackend, NGramModel
+from longdep.pipeline import score_corpus
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -31,6 +37,26 @@ SCORE_FLAGS = [
 ]
 
 TRAIN_FLAGS = ["--order", "2", "--k", "0.1"]
+
+# Runs ``longdep.cli.main`` on its arguments and SIGKILLs its own process
+# as the 4th document starts scoring.
+KILL_ON_FOURTH_DOCUMENT = """
+import os, signal, sys
+from longdep.cli import main
+from longdep.ngram import NGramBackend
+
+real_score_pairs = NGramBackend.score_pairs
+calls = []
+
+def score_pairs(self, *args, **kwargs):
+    calls.append(1)
+    if len(calls) == 4:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real_score_pairs(self, *args, **kwargs)
+
+NGramBackend.score_pairs = score_pairs
+sys.exit(main(sys.argv[1:]))
+"""
 
 
 def write_corpus(path, n_docs=8, words=24):
@@ -168,6 +194,32 @@ class TestScore:
         assert run_score(corpus, model, a) == 0
         assert run_score(corpus, model, b) == 0
         assert (a / "reports.jsonl").read_bytes() == (b / "reports.jsonl").read_bytes()
+
+    def test_rows_are_the_outcomes_to_row(self, corpus, model, tmp_path):
+        out_dir = tmp_path / "out"
+        assert run_score(corpus, model, out_dir) == 0
+        cfg = resolve_config({"segment_len": 4, "truncate_len": 32, "mode": "exact"}).lds
+        outcomes = list(score_corpus(ingest(corpus), NGramBackend(NGramModel.load(model)), cfg))
+        assert {o.status for o in outcomes} == {"scored", "excluded"}
+        lines = (out_dir / "reports.jsonl").read_text().splitlines()
+        assert lines == [canonical_dumps(o.to_row()) for o in outcomes]
+
+    def test_killed_run_keeps_finished_rows_and_no_sidecar(self, corpus, model, tmp_path):
+        out_dir = tmp_path / "out"
+        assert run_score(corpus, model, out_dir) == 0
+        reports = out_dir / "reports.jsonl"
+        meta = out_dir / "reports.jsonl.meta.json"
+        full_rows = reports.read_bytes().splitlines(keepends=True)
+        assert json.loads(meta.read_text())["complete"] is True
+        cmd = [
+            sys.executable, "-c", KILL_ON_FOURTH_DOCUMENT, "score", "--input", corpus,
+            "--backend", f"ngram:{model}", "--out-dir", str(out_dir), *SCORE_FLAGS,
+        ]
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == -signal.SIGKILL, done.stderr
+        assert reports.read_bytes() == b"".join(full_rows[:3])
+        assert not meta.exists()
 
     def test_emit_pairs_writes_sidecars(self, corpus, model, tmp_path):
         out_dir = tmp_path / "out"
@@ -441,13 +493,20 @@ class TestSelect:
         assert meta["complete"] is True
 
     @pytest.mark.parametrize(
-        "row", ['{"status": "scored", "doc_id": "a"}', '{"status": "failed"}', "[1, 2]"]
+        "row",
+        [
+            '{"status": "scored", "doc_id": "a"}',
+            '{"status": "failed"}',
+            "[1, 2]",
+            '{"status": "weird", "doc_id": "b", "source": "s", "reason": "x"}',
+        ],
     )
-    def test_malformed_row_is_a_usage_error(self, tmp_path, caplog, row):
+    def test_malformed_row_is_a_usage_error(self, reports, tmp_path, caplog, row):
+        lines = Path(reports).read_text().splitlines()
         bad = tmp_path / "bad.jsonl"
-        bad.write_text(row + "\n")
+        bad.write_text("\n".join([*lines, row]) + "\n")
         assert main(["select", "--reports", str(bad), "--out-dir", str(tmp_path / "sel")]) == 2
-        assert str(bad) in caplog.text
+        assert f"{bad}:{len(lines) + 1}" in caplog.text
 
     @pytest.mark.parametrize(
         "field, value",
@@ -474,6 +533,20 @@ class TestSelect:
         bad.write_text("\n".join(lines) + "\n")
         assert main(["select", "--reports", str(bad), "--out-dir", str(tmp_path / "sel")]) == 2
         assert f"{bad}:2" in caplog.text and field in caplog.text
+
+    @pytest.mark.parametrize("field, value", [("doc_id", 5), ("source", 7), ("reason", ["no"])])
+    def test_mistyped_unscored_field_is_a_usage_error(
+        self, reports, tmp_path, caplog, field, value
+    ):
+        lines = Path(reports).read_text().splitlines()
+        row = json.loads(lines[-1])
+        assert row["status"] == "excluded"
+        row[field] = value
+        lines[-1] = json.dumps(row)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["select", "--reports", str(bad), "--out-dir", str(tmp_path / "sel")]) == 2
+        assert f"{bad}:{len(lines)}" in caplog.text and field in caplog.text
 
     @pytest.mark.parametrize("sidecar", ["missing", "incomplete", "unreadable"])
     def test_input_not_marked_complete_gives_an_incomplete_manifest(

@@ -1,5 +1,6 @@
 """Corpus scoring orchestration and selection manifests."""
 
+import collections
 import json
 import math
 
@@ -15,7 +16,6 @@ from longdep.jsonio import canonical_dumps
 from longdep.lds import LdsConfig, ScoreReport
 from longdep.pipeline import (
     DocumentOutcome,
-    ScoringStats,
     build_manifest,
     reports_only,
     score_corpus,
@@ -91,14 +91,12 @@ class TestScoreCorpus:
         docs = make_docs(3) + [
             Document(id="tiny", source="web", text="", tokens=("x",))
         ]
-        stats = ScoringStats()
-        outcomes = list(score_corpus(docs, HashBackend(), CFG, stats=stats))
+        outcomes = list(score_corpus(docs, HashBackend(), CFG))
         by_id = {o.doc_id: o for o in outcomes}
         assert by_id["tiny"].status == "excluded"
         assert by_id["tiny"].report is None
         assert by_id["tiny"].reason
-        assert stats.excluded == 1
-        assert stats.scored == 3
+        assert collections.Counter(o.status for o in outcomes) == {"scored": 3, "excluded": 1}
 
     def test_untokenized_text_is_tokenized_in_stream(self):
         docs = [Document(id="t", source="web", text="one two three four")]
@@ -112,20 +110,23 @@ class TestScoreCorpus:
         poisoned = Document(
             id="bad", source="web", text="", tokens=("BOOM",) * 10
         )
-        stats = ScoringStats()
-        outcomes = list(
-            score_corpus(
-                docs + [poisoned],
-                FailingBackend(HashBackend()),
-                CFG,
-                stats=stats,
-            )
-        )
+        outcomes = list(score_corpus(docs + [poisoned], FailingBackend(HashBackend()), CFG))
         by_id = {o.doc_id: o for o in outcomes}
         assert by_id["bad"].status == "failed"
-        assert stats.failed == 1
-        assert stats.scored == 4
+        assert collections.Counter(o.status for o in outcomes) == {"scored": 4, "failed": 1}
         assert len(reports_only(outcomes)) == 4
+
+    def test_outcome_rows_round_trip(self):
+        docs = make_docs(2) + [
+            Document(id="tiny", source="web", text="", tokens=("x",)),
+            Document(id="bad", source="web", text="", tokens=("BOOM",) * 10),
+        ]
+        outcomes = list(score_corpus(docs, FailingBackend(HashBackend()), CFG))
+        assert [o.status for o in outcomes] == ["scored", "scored", "excluded", "failed"]
+        for outcome in outcomes:
+            row = outcome.to_row()
+            assert DocumentOutcome.from_row(row) == outcome
+            assert DocumentOutcome.from_row(json.loads(canonical_dumps(row))) == outcome
 
     def test_unreachable_backend_is_fatal(self):
         class Unreachable:
