@@ -63,7 +63,6 @@ from .lds import (
 from .ngram import NGramBackend, NGramModel, train_ngram
 from .pipeline import (
     DocumentOutcome,
-    SelectionManifest,
     build_manifest,
     reports_only,
     score_corpus,
@@ -95,7 +94,6 @@ __all__ = [
     "ScoreReport",
     "ScoringError",
     "SegmentGrid",
-    "SelectionManifest",
     "SynthSpec",
     "TestSet",
     "Token",

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import argparse
 import collections
-import contextlib
 import dataclasses
+import glob
 import hashlib
 import json
 import logging
@@ -40,6 +40,7 @@ from .errors import BackendUnreachable, ConfigError, LongdepError
 from .heatmap import HeatmapSpec, render_heatmap
 from .jsonio import (
     canonical_dumps,
+    drop_meta_sidecar,
     ensure_parent,
     read_json,
     write_canonical,
@@ -47,7 +48,7 @@ from .jsonio import (
 )
 from .lds import pair_sidecar, report_from_sidecar
 from .ngram import NGramBackend, NGramModel, train_ngram
-from .pipeline import DocumentOutcome, build_manifest, reports_only, score_corpus
+from .pipeline import DocumentOutcome, build_manifest, reports_only, retained_ids, score_corpus
 
 SCORER_ENDPOINT_ENV = "LONGDEP_SCORER_ENDPOINT"
 
@@ -153,6 +154,7 @@ def cmd_train_ngram(args: argparse.Namespace) -> int:
     )
     model = train_ngram(docs, order=rc.order, k=rc.k, tokenizer_kind=rc.tokenizer)
     ensure_parent(args.out)
+    drop_meta_sidecar(args.out)
     model.save(args.out)
     write_meta_sidecar(
         args.out,
@@ -210,9 +212,10 @@ def _score_into(
         tokenizer=tokenizer,
         keep_pairs=args.emit_pairs,
     )
-    # A sidecar left by an earlier run must not vouch for this run's rows.
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(reports_path + ".meta.json")
+    # An earlier run's sidecar and pair files must not outlive its rows.
+    drop_meta_sidecar(reports_path)
+    for stale in glob.glob(os.path.join(glob.escape(pairs_dir), "*.json")):
+        os.remove(stale)
     try:
         with open(reports_path, "w", encoding="utf-8") as handle:
             for outcome in outcomes:
@@ -302,20 +305,20 @@ def cmd_select(args: argparse.Namespace) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     manifest_path = os.path.join(args.out_dir, "manifest.json")
     ids_path = os.path.join(args.out_dir, "retained_ids.txt")
-    write_canonical(manifest_path, manifest.to_dict())
+    drop_meta_sidecar(manifest_path)
+    write_canonical(manifest_path, manifest)
+    kept = retained_ids(manifest)
     with open(ids_path, "w", encoding="utf-8") as handle:
-        for doc_id in manifest.retained_ids:
+        for doc_id in kept:
             handle.write(doc_id)
             handle.write("\n")
     write_meta_sidecar(
         manifest_path,
         complete=input_complete,
-        extra={"run_id": manifest.run_id, "retained": len(manifest.retained_ids)},
+        extra={"run_id": manifest["run_id"], "retained": len(kept)},
     )
-    print(
-        f"strategy={manifest.strategy} retained={len(manifest.retained_ids)}"
-        f"/{sum(len(e.documents) for e in manifest.sources)} -> {manifest_path}"
-    )
+    ranked = sum(len(entry["documents"]) for entry in manifest["sources"])
+    print(f"strategy={manifest['strategy']} retained={len(kept)}/{ranked} -> {manifest_path}")
     return EXIT_OK
 
 

@@ -7,6 +7,7 @@ time-dependent lives in a ``.meta.json`` sidecar, never in the artifact.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -24,9 +25,21 @@ def fingerprint(obj: Any) -> str:
 
 
 def write_canonical(path: str, obj: Any) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(canonical_dumps(obj))
+    """All or nothing: ``path`` is replaced only by a fully written file,
+    so a failed or killed write leaves the earlier file as it was."""
+    text = canonical_dumps(obj)
+    partial = path + ".partial"
+    with open(partial, "w", encoding="utf-8") as handle:
+        handle.write(text)
         handle.write("\n")
+    os.replace(partial, path)
+
+
+def drop_meta_sidecar(path: str) -> None:
+    """Remove ``path``'s sidecar before ``path`` is rewritten, so that an
+    earlier run's ``complete: true`` cannot vouch for the new file."""
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(path + ".meta.json")
 
 
 def write_meta_sidecar(path: str, *, complete: bool, extra: dict | None = None) -> None:

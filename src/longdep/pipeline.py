@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -124,76 +124,15 @@ def reports_only(outcomes: Iterable[DocumentOutcome]) -> list[ScoreReport]:
 # -- selection ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RankedDoc:
-    doc_id: str
-    source: str
-    lds: float
-    rank: int
-    retained: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "doc_id": self.doc_id,
-            "lds": self.lds,
-            "rank": self.rank,
-            "retained": self.retained,
-        }
-
-
-@dataclass(frozen=True)
-class SourceEntry:
-    source: str
-    retention_fraction: float
-    documents: tuple[RankedDoc, ...]
-    stats: dict = field(repr=False)
-
-    @property
-    def retained_ids(self) -> list[str]:
-        return [d.doc_id for d in self.documents if d.retained]
-
-
-@dataclass(frozen=True)
-class SelectionManifest:
-    run_id: str
-    strategy: str
-    fraction: float
-    seed: int
-    per_source: bool
-    config_hash: str
-    sources: tuple[SourceEntry, ...]
-    excluded: tuple[dict, ...]
-    failed: tuple[dict, ...]
-    stats: dict = field(repr=False)
-
-    @property
-    def retained_ids(self) -> list[str]:
-        out: list[str] = []
-        for entry in self.sources:
-            out.extend(entry.retained_ids)
-        return out
-
-    def to_dict(self) -> dict:
-        return {
-            "run_id": self.run_id,
-            "strategy": self.strategy,
-            "fraction": self.fraction,
-            "seed": self.seed,
-            "per_source": self.per_source,
-            "config_hash": self.config_hash,
-            "sources": [
-                {
-                    "source": entry.source,
-                    "retention_fraction": entry.retention_fraction,
-                    "documents": [d.to_dict() for d in entry.documents],
-                    "stats": entry.stats,
-                }
-                for entry in self.sources
-            ],
-            "excluded": list(self.excluded),
-            "failed": list(self.failed),
-            "stats": self.stats,
-        }
+def retained_ids(manifest: dict) -> list[str]:
+    """The retained doc ids of a ``build_manifest`` result, in rank order,
+    source by source."""
+    return [
+        doc["doc_id"]
+        for entry in manifest["sources"]
+        for doc in entry["documents"]
+        if doc["retained"]
+    ]
 
 
 def _arm_stats(values: Sequence[float]) -> dict:
@@ -222,8 +161,9 @@ def build_manifest(
     seed: int = 0,
     per_source: bool = True,
     passthrough_sources: frozenset[str] = frozenset(),
-) -> SelectionManifest:
-    """Rank scored documents and mark retention under one strategy.
+) -> dict:
+    """Rank scored documents and mark retention under one strategy,
+    returning the ``manifest.json`` object.
 
     All three strategy arms (full, random, prolong) are summarized in the
     stats blocks for comparison; the chosen strategy decides the retained
@@ -245,7 +185,7 @@ def build_manifest(
         source = report.source if per_source else "all"
         groups.setdefault(source, []).append(report)
 
-    entries: list[SourceEntry] = []
+    entries: list[dict] = []
     pooled: dict[str, list[float]] = {"full": [], "prolong": [], "random": []}
     for source in sorted(groups):
         group = groups[source]
@@ -262,29 +202,32 @@ def build_manifest(
             "prolong": prolong_ids,
             "random": random_ids,
         }
-        retained_ids = arm_members["full" if source_fraction >= 1.0 else strategy]
+        kept = arm_members["full" if source_fraction >= 1.0 else strategy]
 
-        documents = tuple(
-            RankedDoc(doc_id, source, lds_value, rank, doc_id in retained_ids)
-            for rank, (doc_id, lds_value) in enumerate(ranked)
-        )
         stats = {}
         for arm, members in arm_members.items():
             values = [lds_value for doc_id, lds_value in ranked if doc_id in members]
             stats[arm] = _arm_stats(values)
             pooled[arm].extend(values)
-        entries.append(SourceEntry(source, source_fraction, documents, stats))
+        entries.append(
+            {
+                "source": source,
+                "retention_fraction": source_fraction,
+                "documents": [
+                    {"doc_id": doc_id, "lds": lds_value, "rank": rank, "retained": doc_id in kept}
+                    for rank, (doc_id, lds_value) in enumerate(ranked)
+                ],
+                "stats": stats,
+            }
+        )
 
-    excluded = tuple(
-        {"doc_id": o.doc_id, "source": o.source, "reason": o.reason}
-        for o in outcomes
-        if o.status == "excluded"
-    )
-    failed = tuple(
-        {"doc_id": o.doc_id, "source": o.source, "reason": o.reason}
-        for o in outcomes
-        if o.status == "failed"
-    )
+    def unscored(status: str) -> list[dict]:
+        return [
+            {"doc_id": o.doc_id, "source": o.source, "reason": o.reason}
+            for o in outcomes
+            if o.status == status
+        ]
+
     run_id = fingerprint(
         {
             "strategy": strategy,
@@ -295,15 +238,15 @@ def build_manifest(
             "doc_ids": sorted(r.doc_id for r in reports),
         }
     )[:16]
-    return SelectionManifest(
-        run_id=run_id,
-        strategy=strategy,
-        fraction=fraction,
-        seed=seed,
-        per_source=per_source,
-        config_hash=config_hash,
-        sources=tuple(entries),
-        excluded=excluded,
-        failed=failed,
-        stats={arm: _arm_stats(values) for arm, values in pooled.items()},
-    )
+    return {
+        "run_id": run_id,
+        "strategy": strategy,
+        "fraction": fraction,
+        "seed": seed,
+        "per_source": per_source,
+        "config_hash": config_hash,
+        "sources": entries,
+        "excluded": unscored("excluded"),
+        "failed": unscored("failed"),
+        "stats": {arm: _arm_stats(values) for arm, values in pooled.items()},
+    }

@@ -47,7 +47,7 @@ from longdep.lds import (
     sample_pairs,
 )
 from longdep.ngram import BackendCapabilities, NGramModel, train_ngram
-from longdep.pipeline import DocumentOutcome, build_manifest
+from longdep.pipeline import DocumentOutcome, build_manifest, retained_ids
 
 
 # -- test doubles ----------------------------------------------------------
@@ -524,10 +524,10 @@ def check_selection_mean_ordering(n_cases: int = 1000, seed: int = 14) -> None:
         manifest = build_manifest(
             reports, (), fraction, "prolong", seed=int(rng.integers(0, 2**31))
         )
-        pooled = manifest.stats
+        pooled = manifest["stats"]
         assert pooled["prolong"]["mean"] >= pooled["random"]["mean"] - 1e-12
-        for entry in manifest.sources:
-            stats = entry.stats
+        for entry in manifest["sources"]:
+            stats = entry["stats"]
             assert stats["prolong"]["mean"] >= stats["random"]["mean"] - 1e-12
 
 
@@ -541,7 +541,7 @@ def check_manifest_reproducible(n_cases: int = 1000, seed: int = 15) -> None:
         sel_seed = int(rng.integers(0, 2**31))
         first = build_manifest(reports, (), fraction, strategy, seed=sel_seed)
         second = build_manifest(list(reports), (), fraction, strategy, seed=sel_seed)
-        assert canonical_dumps(first.to_dict()) == canonical_dumps(second.to_dict())
+        assert canonical_dumps(first) == canonical_dumps(second)
 
 
 def check_manifest_partition(n_cases: int = 1000, seed: int = 16) -> None:
@@ -562,11 +562,11 @@ def check_manifest_partition(n_cases: int = 1000, seed: int = 16) -> None:
         manifest = build_manifest(
             reports, outcomes, 0.5, "prolong", seed=int(rng.integers(0, 2**31))
         )
-        retained = set(manifest.retained_ids)
-        ranked = {d.doc_id for e in manifest.sources for d in e.documents}
+        retained = set(retained_ids(manifest))
+        ranked = {d["doc_id"] for e in manifest["sources"] for d in e["documents"]}
         rejected = ranked - retained
-        excluded = {row["doc_id"] for row in manifest.excluded}
-        failed = {row["doc_id"] for row in manifest.failed}
+        excluded = {row["doc_id"] for row in manifest["excluded"]}
+        failed = {row["doc_id"] for row in manifest["failed"]}
         buckets = (retained, rejected, excluded, failed)
         everything = {o.doc_id for o in outcomes}
         assert set().union(*buckets) == everything

@@ -25,7 +25,7 @@ from longdep.bench import (
 from longdep.corpus import SegmentGrid, segment
 from longdep.lds import LdsConfig, lds_exact, lds_sampled, pair_count
 from longdep.ngram import NGramBackend, train_ngram
-from longdep.pipeline import build_manifest, reports_only, score_corpus
+from longdep.pipeline import build_manifest, reports_only, retained_ids, score_corpus
 
 REL_TOL_C1 = 1e-9
 C1_BUDGET_S = 1.0
@@ -244,7 +244,7 @@ def test_criterion_5_selection_means_order_correctly():
     reports = reports_only(outcomes)
 
     manifest = build_manifest(reports, outcomes, 0.5, "prolong", seed=0, per_source=False)
-    stats = manifest.stats
+    stats = manifest["stats"]
     full_scores = [r.lds for r in reports]
     n, k = len(full_scores), stats["random"]["count"]
     se = (
@@ -257,8 +257,8 @@ def test_criterion_5_selection_means_order_correctly():
     pooled_ok = stats["prolong"]["mean"] >= stats["random"]["mean"]
 
     scored_ids = {r.doc_id for r in reports}
-    retained = set(manifest.retained_ids)
-    ranked = {d.doc_id for e in manifest.sources for d in e.documents}
+    retained = set(retained_ids(manifest))
+    ranked = {d["doc_id"] for e in manifest["sources"] for d in e["documents"]}
     sets_ok = (
         ranked == scored_ids
         and retained <= ranked
@@ -267,8 +267,8 @@ def test_criterion_5_selection_means_order_correctly():
 
     per_source = build_manifest(reports, outcomes, 0.5, "prolong", seed=0, per_source=True)
     source_ok = all(
-        e.stats["prolong"]["mean"] >= e.stats["full"]["mean"] for e in per_source.sources
-    ) and len(per_source.sources) == 4
+        e["stats"]["prolong"]["mean"] >= e["stats"]["full"]["mean"] for e in per_source["sources"]
+    ) and len(per_source["sources"]) == 4
 
     ok = prolong_ok and random_ok and pooled_ok and sets_ok and source_ok
     verdict(

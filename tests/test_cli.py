@@ -1,5 +1,6 @@
 """End-to-end command-line workflow and exit-code contracts."""
 
+import errno
 import functools
 import io
 import json
@@ -173,6 +174,21 @@ class TestTrainNgram:
         assert payload["config"]["k"] == 0.1
         assert sorted(os.listdir(tmp_path)) == ["corpus.jsonl"]
 
+    def test_failed_rewrite_leaves_no_complete_sidecar(self, tmp_path, corpus, monkeypatch):
+        out = tmp_path / "model.json"
+        args = ["train-ngram", "--input", corpus, "--out", str(out), *TRAIN_FLAGS]
+        assert main(args) == 0
+        assert json.loads((tmp_path / "model.json.meta.json").read_text())["complete"] is True
+
+        def torn_save(self, path):
+            Path(path).write_bytes(b'{"format":')
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(NGramModel, "save", torn_save)
+        with pytest.raises(OSError):
+            main(args)
+        assert not (tmp_path / "model.json.meta.json").exists()
+
 
 class TestScore:
     def test_scores_corpus_and_reports_outcomes(self, corpus, model, tmp_path, capsys):
@@ -235,6 +251,17 @@ class TestScore:
         assert payload["pairs"][0] == [1, 0, payload["pairs"][0][2]]
         assert [t for t, _ in payload["dsp"]] == list(range(1, payload["n_segments"]))
         assert set(payload["lds_config"]) >= {"tau", "alpha", "dsp_variant"}
+
+    def test_rerun_clears_stale_pair_sidecars(self, corpus, model, tmp_path):
+        out_dir = tmp_path / "out"
+        assert run_score(corpus, model, out_dir, extra=["--emit-pairs"]) == 0
+        assert len(list((out_dir / "pairs").iterdir())) == 8
+        small = str(write_corpus(tmp_path / "small.jsonl", n_docs=3))
+        assert run_score(small, model, out_dir, extra=["--emit-pairs"]) == 0
+        rows = [json.loads(line) for line in (out_dir / "reports.jsonl").read_text().splitlines()]
+        sidecars = [json.loads(p.read_text()) for p in (out_dir / "pairs").iterdir()]
+        scored = sorted(r["doc_id"] for r in rows if r["status"] == "scored")
+        assert sorted(p["doc_id"] for p in sidecars) == scored == ["d000", "d001", "d002"]
 
     def test_model_trained_on_other_tokens_is_refused(self, corpus, tmp_path, caplog):
         byte_model = tmp_path / "byte-model.bin"
@@ -491,6 +518,21 @@ class TestSelect:
         assert main(["select", "--reports", reports, "--out-dir", str(sel)]) == 0
         meta = json.loads((sel / "manifest.json.meta.json").read_text())
         assert meta["complete"] is True
+
+    def test_failed_rewrite_leaves_no_complete_sidecar(self, reports, tmp_path, monkeypatch):
+        sel = tmp_path / "sel"
+        assert main(["select", "--reports", reports, "--out-dir", str(sel)]) == 0
+        assert json.loads((sel / "manifest.json.meta.json").read_text())["complete"] is True
+
+        def torn_write(path, obj):
+            Path(path).write_text(canonical_dumps(obj)[:11])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr("longdep.cli.write_canonical", torn_write)
+        with pytest.raises(OSError):
+            main(["select", "--reports", reports, "--out-dir", str(sel), "--fraction", "0.25"])
+        assert len((sel / "manifest.json").read_text()) == 11
+        assert not (sel / "manifest.json.meta.json").exists()
 
     @pytest.mark.parametrize(
         "row",

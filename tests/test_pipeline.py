@@ -1,6 +1,7 @@
 """Corpus scoring orchestration and selection manifests."""
 
 import collections
+import hashlib
 import json
 import math
 
@@ -18,6 +19,7 @@ from longdep.pipeline import (
     DocumentOutcome,
     build_manifest,
     reports_only,
+    retained_ids,
     score_corpus,
 )
 
@@ -157,7 +159,7 @@ class TestBuildManifest:
     def test_retention_count_rounds_up(self):
         reports = [report(f"d{i}", float(i)) for i in range(5)]
         manifest = build_manifest(reports, (), 0.5, "prolong", seed=0)
-        assert len(manifest.retained_ids) == math.ceil(5 * 0.5)
+        assert len(retained_ids(manifest)) == math.ceil(5 * 0.5)
 
     def test_top_scores_retained_with_id_tie_break(self):
         reports = [
@@ -167,16 +169,16 @@ class TestBuildManifest:
             report("d", 1.0),
         ]
         manifest = build_manifest(reports, (), 0.5, "prolong", seed=0)
-        assert manifest.retained_ids == ["c", "a"]
-        entry = manifest.sources[0]
-        assert [d.doc_id for d in entry.documents] == ["c", "a", "b", "d"]
-        assert [d.rank for d in entry.documents] == [0, 1, 2, 3]
+        assert retained_ids(manifest) == ["c", "a"]
+        entry = manifest["sources"][0]
+        assert [d["doc_id"] for d in entry["documents"]] == ["c", "a", "b", "d"]
+        assert [d["rank"] for d in entry["documents"]] == [0, 1, 2, 3]
 
     def test_full_strategy_keeps_everything(self):
         reports = [report(f"d{i}", float(i)) for i in range(4)]
         manifest = build_manifest(reports, (), 0.25, "full", seed=0)
-        assert len(manifest.retained_ids) == 4
-        assert manifest.sources[0].retention_fraction == 1.0
+        assert len(retained_ids(manifest)) == 4
+        assert manifest["sources"][0]["retention_fraction"] == 1.0
 
     def test_passthrough_source_is_never_filtered(self):
         reports = [report(f"w{i}", float(i), source="web") for i in range(4)]
@@ -189,7 +191,7 @@ class TestBuildManifest:
             seed=0,
             passthrough_sources=frozenset({"keep"}),
         )
-        retained = set(manifest.retained_ids)
+        retained = set(retained_ids(manifest))
         assert {f"k{i}" for i in range(4)} <= retained
         assert len([d for d in retained if d.startswith("w")]) == 1
 
@@ -198,25 +200,25 @@ class TestBuildManifest:
         one = build_manifest(reports, (), 0.3, "random", seed=7)
         two = build_manifest(reports, (), 0.3, "random", seed=7)
         other = build_manifest(reports, (), 0.3, "random", seed=8)
-        assert one.retained_ids == two.retained_ids
-        assert one.retained_ids != other.retained_ids
+        assert retained_ids(one) == retained_ids(two)
+        assert retained_ids(one) != retained_ids(other)
 
     def test_per_source_vs_global_pooling(self):
         reports = [report(f"w{i}", 10.0 + i, source="web") for i in range(4)]
         reports += [report(f"b{i}", float(i), source="book") for i in range(4)]
         split = build_manifest(reports, (), 0.5, "prolong", seed=0, per_source=True)
         pooled = build_manifest(reports, (), 0.5, "prolong", seed=0, per_source=False)
-        split_retained = set(split.retained_ids)
+        split_retained = set(retained_ids(split))
         assert len([d for d in split_retained if d.startswith("b")]) == 2
         # Pooled ranking lets the stronger source crowd the weaker one out.
-        assert set(pooled.retained_ids) == {"w0", "w1", "w2", "w3"}
-        assert len(pooled.sources) == 1
-        assert pooled.sources[0].source == "all"
+        assert set(retained_ids(pooled)) == {"w0", "w1", "w2", "w3"}
+        assert len(pooled["sources"]) == 1
+        assert pooled["sources"][0]["source"] == "all"
 
     def test_stats_describe_the_three_arms(self):
         reports = [report(f"d{i}", float(i)) for i in range(6)]
         manifest = build_manifest(reports, (), 0.5, "prolong", seed=0)
-        stats = manifest.stats
+        stats = manifest["stats"]
         assert stats["full"]["count"] == 6
         assert stats["full"]["mean"] == pytest.approx(2.5)
         assert stats["prolong"]["count"] == 3
@@ -232,9 +234,9 @@ class TestBuildManifest:
             DocumentOutcome("crash", "web", "failed", reason="backend"),
         ]
         manifest = build_manifest(reports, outcomes, 0.5, "prolong", seed=0)
-        assert [row["doc_id"] for row in manifest.excluded] == ["shorty"]
-        assert [row["doc_id"] for row in manifest.failed] == ["crash"]
-        assert manifest.excluded[0]["reason"] == "too short"
+        assert [row["doc_id"] for row in manifest["excluded"]] == ["shorty"]
+        assert [row["doc_id"] for row in manifest["failed"]] == ["crash"]
+        assert manifest["excluded"][0]["reason"] == "too short"
 
     def test_validation_errors(self):
         reports = [report("d0", 1.0)]
@@ -257,18 +259,18 @@ class TestBuildManifest:
         reports = make_reports(rng, 15)
         one = build_manifest(reports, (), 0.4, "prolong", seed=5)
         two = build_manifest(list(reversed(reports)), (), 0.4, "prolong", seed=5)
-        assert canonical_dumps(one.to_dict()) == canonical_dumps(two.to_dict())
+        assert canonical_dumps(one) == canonical_dumps(two)
 
     def test_run_id_tracks_inputs(self):
         reports = [report(f"d{i}", float(i)) for i in range(4)]
         base = build_manifest(reports, (), 0.5, "prolong", seed=0)
-        assert base.run_id == build_manifest(reports, (), 0.5, "prolong", seed=0).run_id
-        assert base.run_id != build_manifest(reports, (), 0.5, "prolong", seed=1).run_id
-        assert base.run_id != build_manifest(reports, (), 0.25, "prolong", seed=0).run_id
+        assert base["run_id"] == build_manifest(reports, (), 0.5, "prolong", seed=0)["run_id"]
+        assert base["run_id"] != build_manifest(reports, (), 0.5, "prolong", seed=1)["run_id"]
+        assert base["run_id"] != build_manifest(reports, (), 0.25, "prolong", seed=0)["run_id"]
 
-    def test_to_dict_shape(self):
+    def test_manifest_shape(self):
         reports = [report(f"d{i}", float(i)) for i in range(3)]
-        payload = build_manifest(reports, (), 0.5, "prolong", seed=0).to_dict()
+        payload = build_manifest(reports, (), 0.5, "prolong", seed=0)
         assert set(payload) == {
             "run_id",
             "strategy",
@@ -291,11 +293,57 @@ class TestSelectionHelpers:
     def test_rank_and_select_is_prolong(self):
         reports = [report(f"d{i}", float(i)) for i in range(6)]
         a = build_manifest(reports, (), 0.5, "prolong", seed=3)
-        assert a.retained_ids == ["d5", "d4", "d3"]
-        assert a.strategy == "prolong"
+        assert retained_ids(a) == ["d5", "d4", "d3"]
+        assert a["strategy"] == "prolong"
 
     def test_random_baseline_matches_subset_size(self):
         reports = [report(f"d{i}", float(i)) for i in range(9)]
         manifest = build_manifest(reports, (), 0.4, "random", seed=2)
-        assert manifest.strategy == "random"
-        assert len(manifest.retained_ids) == math.ceil(9 * 0.4)
+        assert manifest["strategy"] == "random"
+        assert len(retained_ids(manifest)) == math.ceil(9 * 0.4)
+
+
+# -- pinned manifest bytes ---------------------------------------------------
+
+PIN_REPORTS = [report(f"w{i}", (i * 7 % 5) / 3, source="web") for i in range(7)] + [
+    report(f"b{i}", i / 9, source="book") for i in range(5)
+]
+PIN_OUTCOMES = [
+    DocumentOutcome("short", "web", "excluded", reason="too short"),
+    *(DocumentOutcome(r.doc_id, r.source, "scored", report=r) for r in PIN_REPORTS[:6]),
+    DocumentOutcome("crash", "book", "failed", reason="backend error"),
+    *(DocumentOutcome(r.doc_id, r.source, "scored", report=r) for r in PIN_REPORTS[6:]),
+    DocumentOutcome("tiny", "book", "excluded", reason="too short"),
+]
+
+# sha256 of the canonical manifest JSON, recorded before the manifest
+# became a plain dict; (strategy, per_source, passthrough "book").
+MANIFEST_SHA256 = {
+    ("full", False, False): "da9672c971b187beb115c8014d1deb9456ae275d9db5b546f9250417394259d4",
+    ("full", False, True): "da9672c971b187beb115c8014d1deb9456ae275d9db5b546f9250417394259d4",
+    ("full", True, False): "97a3821be8cda44872450910583b56de1ca2e021b5069fa74a97a5bf53dc2f1d",
+    ("full", True, True): "97a3821be8cda44872450910583b56de1ca2e021b5069fa74a97a5bf53dc2f1d",
+    ("prolong", False, False): "6878006923173783e340925f4e39736f7cb54b2fac2617e9d4a87180e9429152",
+    ("prolong", False, True): "6878006923173783e340925f4e39736f7cb54b2fac2617e9d4a87180e9429152",
+    ("prolong", True, False): "3de49ff506b53d42a55fe68247bf9a5a3ba6f4fbb3580a128e851580d58d93bf",
+    ("prolong", True, True): "ea13607ec27a5337ce6e9d2787e63fc9bf7b59c10c406bc5dc70c52141a0a095",
+    ("random", False, False): "5c19c809dfa6f19d7328074f76b970beb99a998ebbae0eec37586d65a80b2396",
+    ("random", False, True): "5c19c809dfa6f19d7328074f76b970beb99a998ebbae0eec37586d65a80b2396",
+    ("random", True, False): "e75c0e6a050e6d0c00aea57d919135f861d49fca302725f7fd00b6972735f77f",
+    ("random", True, True): "e9916406a034235d897b8e4e2b7e55035d7c50f7f5389131884d634fa1f23559",
+}
+
+
+@pytest.mark.parametrize("strategy,per_source,passthrough", sorted(MANIFEST_SHA256))
+def test_manifest_bytes_are_pinned(strategy, per_source, passthrough):
+    manifest = build_manifest(
+        PIN_REPORTS,
+        PIN_OUTCOMES,
+        0.4,
+        strategy,
+        seed=3,
+        per_source=per_source,
+        passthrough_sources=frozenset({"book"} if passthrough else ()),
+    )
+    digest = hashlib.sha256(canonical_dumps(manifest).encode("utf-8")).hexdigest()
+    assert digest == MANIFEST_SHA256[strategy, per_source, passthrough]
