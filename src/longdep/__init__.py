@@ -53,9 +53,7 @@ from .lds import (
     derive_seed,
     dsp,
     dst,
-    lds_exact,
     lds_pair,
-    lds_sampled,
     pair_count,
     sample_pairs,
     score_document,
@@ -107,9 +105,7 @@ __all__ = [
     "dst",
     "generate_testset",
     "ingest",
-    "lds_exact",
     "lds_pair",
-    "lds_sampled",
     "matrix_from_pairs",
     "pair_count",
     "ppl",

@@ -6,10 +6,11 @@ built-in "reference" profile; every artifact carries the resolved
 config's hash, and identical inputs reproduce identical bytes (run
 metadata such as timestamps lives in .meta.json sidecars).
 
-Exit codes: 0 success, 2 validation or usage error, 3 scorer endpoint
-unreachable (at startup, or no connection could be reopened mid-run),
-4 completed with per-document or per-cell failures, 130 interrupted
-(partial outputs are written and marked incomplete).
+Exit codes: 0 success, 2 validation or usage error, or a file that
+cannot be read or written, 3 scorer endpoint unreachable (at startup,
+or no connection could be reopened mid-run), 4 completed with
+per-document or per-cell failures, 130 interrupted (partial outputs are
+written and marked incomplete).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .jsonio import (
     canonical_dumps,
     drop_meta_sidecar,
     ensure_parent,
+    open_atomic,
     read_json,
     write_canonical,
     write_meta_sidecar,
@@ -212,10 +214,12 @@ def _score_into(
         tokenizer=tokenizer,
         keep_pairs=args.emit_pairs,
     )
-    # An earlier run's sidecar and pair files must not outlive its rows.
+    # An earlier run's sidecar and pair files, and the .partial of a
+    # killed pair write, must not outlive its rows.
     drop_meta_sidecar(reports_path)
-    for stale in glob.glob(os.path.join(glob.escape(pairs_dir), "*.json")):
-        os.remove(stale)
+    for pattern in ("*.json", "*.partial"):
+        for stale in glob.glob(os.path.join(glob.escape(pairs_dir), pattern)):
+            os.remove(stale)
     try:
         with open(reports_path, "w", encoding="utf-8") as handle:
             for outcome in outcomes:
@@ -308,10 +312,8 @@ def cmd_select(args: argparse.Namespace) -> int:
     drop_meta_sidecar(manifest_path)
     write_canonical(manifest_path, manifest)
     kept = retained_ids(manifest)
-    with open(ids_path, "w", encoding="utf-8") as handle:
-        for doc_id in kept:
-            handle.write(doc_id)
-            handle.write("\n")
+    with open_atomic(ids_path) as handle:
+        handle.writelines(f"{doc_id}\n" for doc_id in kept)
     write_meta_sidecar(
         manifest_path,
         complete=input_complete,
@@ -386,7 +388,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     print(bench_table(results), end="")
     if args.out:
         ensure_parent(args.out)
-        with open(args.out, "w", encoding="utf-8") as handle:
+        drop_meta_sidecar(args.out)
+        with open_atomic(args.out) as handle:
             handle.write(bench_csv(results))
         write_meta_sidecar(args.out, complete=True, extra={"config_hash": rc.fingerprint()})
         print(f"wrote {args.out}")
@@ -511,7 +514,7 @@ def main(argv: list[str] | None = None) -> int:
     except BackendUnreachable as exc:
         log.error("%s", exc)
         return EXIT_UNREACHABLE
-    except (ConfigError, LongdepError, ValueError) as exc:
+    except (ConfigError, LongdepError, OSError, ValueError) as exc:
         log.error("%s", exc)
         return EXIT_USAGE
     except KeyboardInterrupt:

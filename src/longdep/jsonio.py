@@ -24,15 +24,28 @@ def fingerprint(obj: Any) -> str:
     return hashlib.sha256(canonical_dumps(obj).encode("utf-8")).hexdigest()
 
 
+@contextlib.contextmanager
+def open_atomic(path: str | os.PathLike, mode: str = "w"):
+    """All or nothing: the block writes ``<path>.partial``, renamed over
+    ``path`` once the block completes, so a failed or killed write leaves
+    the earlier file as it was; a failed one also removes its .partial."""
+    partial = os.fspath(path) + ".partial"
+    try:
+        with open(partial, mode, encoding=None if "b" in mode else "utf-8") as handle:
+            yield handle
+        os.replace(partial, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(partial)
+        raise
+
+
 def write_canonical(path: str, obj: Any) -> None:
-    """All or nothing: ``path`` is replaced only by a fully written file,
-    so a failed or killed write leaves the earlier file as it was."""
+    """``obj`` as one canonical JSON line, written with ``open_atomic``."""
     text = canonical_dumps(obj)
-    partial = path + ".partial"
-    with open(partial, "w", encoding="utf-8") as handle:
+    with open_atomic(path) as handle:
         handle.write(text)
         handle.write("\n")
-    os.replace(partial, path)
 
 
 def drop_meta_sidecar(path: str) -> None:

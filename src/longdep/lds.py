@@ -282,8 +282,8 @@ def _is_finite_float(value) -> bool:
 
 def report_from_sidecar(data: dict) -> ScoreReport:
     """Rebuild a report and its ``PairScore``s from a ``pair_sidecar``
-    dict. ddi, pairwise and the gate are computed as ``_score`` computes
-    them, so every value equals the scored one.
+    dict. ddi, pairwise and the gate are computed as in ``score_document``,
+    so every value equals the scored one.
 
     A malformed sidecar, and one in the old format with an object per
     pair, raises KeyError, ValueError or ConfigError.
@@ -396,17 +396,13 @@ def _conditional(
     return (_ppl_given_at(backend, grid, t, s) for t in order for s in rows[t])
 
 
-def _score(
-    backend: PerplexityBackend,
-    grid: SegmentGrid,
-    cfg: LdsConfig,
-    mode: str,
-    seed: int | None,
-    keep_pairs: bool,
+def score_document(
+    backend: PerplexityBackend, grid: SegmentGrid, cfg: LdsConfig, keep_pairs: bool = True
 ) -> ScoreReport:
-    """The one scoring path. ``exact`` rows hold every source below each
-    target; ``sampled`` rows hold the pairs drawn from ``seed`` (default:
-    the config seed).
+    """The one scoring path: ``grid``'s score under ``cfg``. ``exact``
+    rows hold every source below each target; ``sampled`` rows hold the
+    pairs drawn from the document's own seed, ``derive_seed(cfg.seed,
+    grid.doc_id)``, so a document scores the same alone as in a corpus.
 
     Rows are walked target-ascending and sources source-ascending, so a
     sample that happens to cover all pairs performs the identical float
@@ -415,10 +411,10 @@ def _score(
     accumulated score is unaffected.
     """
     n = grid.n_segments
-    if mode == "exact":
+    if cfg.mode == "exact":
         rows = {t: list(range(t)) for t in range(1, n)}
     else:
-        rows = _group_rows(sample_pairs(n, cfg.sample_size, cfg.seed if seed is None else seed))
+        rows = _group_rows(sample_pairs(n, cfg.sample_size, derive_seed(cfg.seed, grid.doc_id)))
     conditional = _conditional(backend, grid, rows)
     unconditional = cached_unconditional(backend, grid)
     total = 0.0
@@ -445,7 +441,7 @@ def _score(
     return ScoreReport(
         doc_id=grid.doc_id,
         n_segments=n,
-        mode=mode,
+        mode=cfg.mode,
         lds=total,
         pair_count=n_pairs,
         gated_count=gated_count,
@@ -455,38 +451,13 @@ def _score(
     )
 
 
-def lds_exact(
-    backend: PerplexityBackend,
-    grid: SegmentGrid,
-    cfg: LdsConfig,
-    keep_pairs: bool = True,
-) -> ScoreReport:
-    """Document score over every (target, source) pair."""
-    return _score(backend, grid, cfg, "exact", None, keep_pairs)
+# Old names, outside ``__all__``, kept only because perfbench's own tests
+# import them; each is ``score_document`` under the mode it names.
+def lds_exact(backend, grid, cfg, keep_pairs=True) -> ScoreReport:
+    return score_document(backend, grid, cfg.replace(mode="exact"), keep_pairs)
 
 
-def lds_sampled(
-    backend: PerplexityBackend,
-    grid: SegmentGrid,
-    cfg: LdsConfig,
-    seed: int | None = None,
-    keep_pairs: bool = True,
-) -> ScoreReport:
-    """Document score over a uniform without-replacement pair sample.
-
-    The sample is drawn from ``seed`` (default: the config seed); per
-    document the pipeline derives a seed from (config seed, doc id) so
-    a document's result does not depend on the rest of the corpus.
-    """
-    return _score(backend, grid, cfg, "sampled", seed, keep_pairs)
-
-
-def score_document(
-    backend: PerplexityBackend,
-    grid: SegmentGrid,
-    cfg: LdsConfig,
-    seed: int | None = None,
-    keep_pairs: bool = True,
-) -> ScoreReport:
-    """Score under ``cfg.mode``; the pipeline's entry point."""
-    return _score(backend, grid, cfg, cfg.mode, seed, keep_pairs)
+def lds_sampled(backend, grid, cfg, seed=None, keep_pairs=True) -> ScoreReport:
+    if seed not in (None, derive_seed(cfg.seed, grid.doc_id)):
+        raise ValueError("a document's sample seed is derive_seed(cfg.seed, grid.doc_id)")
+    return score_document(backend, grid, cfg.replace(mode="sampled"), keep_pairs)

@@ -57,6 +57,7 @@ import numpy as np
 from .backends import BackendCapabilities
 from .corpus import Document, Token
 from .errors import ConfigError
+from .jsonio import open_atomic
 
 MODEL_FORMAT = "longdep-ngram"
 MODEL_VERSION = 2
@@ -283,8 +284,8 @@ class NGramModel:
     # -- serialization ---------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        """Write the version 2 model file; identical inputs produce a
-        byte-identical file."""
+        """Write the version 2 model file, all or nothing; identical
+        inputs produce a byte-identical file."""
         header = {
             "format": MODEL_FORMAT,
             "version": MODEL_VERSION,
@@ -295,7 +296,7 @@ class NGramModel:
             "entries": len(self.keys),
         }
         line = json.dumps(header, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-        with open(path, "wb") as fh:
+        with open_atomic(path, "wb") as fh:
             fh.write(line.encode("utf-8") + b"\n")
             fh.write(self.keys.astype(_FILE_INT).tobytes())
             fh.write(self.counts.astype(_FILE_INT).tobytes())

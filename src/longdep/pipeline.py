@@ -83,13 +83,7 @@ def _score_one(
     except DocumentTooShort as exc:
         return DocumentOutcome(doc.id, doc.source, "excluded", reason=str(exc))
     try:
-        report = score_document(
-            backend,
-            grid,
-            cfg,
-            seed=derive_seed(cfg.seed, doc.id),
-            keep_pairs=keep_pairs,
-        )
+        report = score_document(backend, grid, cfg, keep_pairs=keep_pairs)
     except BackendUnreachable:
         raise
     except (BackendError, ScoringError) as exc:

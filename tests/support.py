@@ -9,6 +9,7 @@ acceptance gate can both run them with an explicit case count.
 from __future__ import annotations
 
 import contextlib
+import errno
 import hashlib
 import json
 import math
@@ -41,10 +42,9 @@ from longdep.lds import (
     ddi,
     dsp,
     dst,
-    lds_exact,
-    lds_sampled,
     pair_count,
     sample_pairs,
+    score_document,
 )
 from longdep.ngram import BackendCapabilities, NGramModel, train_ngram
 from longdep.pipeline import DocumentOutcome, build_manifest, retained_ids
@@ -205,6 +205,50 @@ def process_alive(pid: int, wait_s: float = 5.0) -> bool:
             return False
         time.sleep(0.05)
     return True
+
+
+class _FullFile:
+    """A file open for writing that takes ``room`` more bytes, then fails
+    every write as a full disk does."""
+
+    def __init__(self, handle, room: int):
+        self._handle = handle
+        self._room = room
+
+    def write(self, data):
+        taken = data[: self._room]
+        self._handle.write(taken)
+        self._room -= len(taken)
+        if len(taken) < len(data):
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return len(data)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._handle.close()
+
+
+def fill_disk_after(monkeypatch, room: int, name: str) -> None:
+    """From now on, the artifact writers of ``longdep`` fill the disk
+    after ``room`` bytes of a file named ``name`` or ``name.partial``."""
+
+    def opener(file, mode="r", *args, **kwargs):
+        handle = open(file, mode, *args, **kwargs)
+        if "w" in mode and os.path.basename(file) in (name, name + ".partial"):
+            return _FullFile(handle, room)
+        return handle
+
+    for module in ("longdep.cli", "longdep.jsonio", "longdep.ngram"):
+        monkeypatch.setattr(f"{module}.open", opener, raising=False)
 
 
 def make_grid(
@@ -403,7 +447,9 @@ def check_score_bounds(n_cases: int = 1000, seed: int = 7) -> None:
         assert dst(unconditional, conditional) < 1.0
 
     grid = make_grid(np.random.default_rng(seed), n_segments=5)
-    report = lds_exact(HashBackend(), grid, LdsConfig(segment_len=3, truncate_len=15, mode="exact"))
+    report = score_document(
+        HashBackend(), grid, LdsConfig(segment_len=3, truncate_len=15, mode="exact")
+    )
     assert all(isinstance(p.gated, bool) for p in report.pairs)
 
 
@@ -420,7 +466,7 @@ def check_repetition_annihilation(n_cases: int = 1000, seed: int = 8) -> None:
         cfg = LdsConfig(
             segment_len=seg_len, truncate_len=2 * seg_len, mode="exact", tau=0.0
         )
-        report = lds_exact(backend, grid, cfg, keep_pairs=False)
+        report = score_document(backend, grid, cfg, keep_pairs=False)
         assert abs(report.lds) <= 1e-9, f"repetition leaked lds={report.lds}"
 
 
@@ -442,8 +488,10 @@ def check_ranking_invariance(n_cases: int = 1000, seed: int = 9) -> None:
             scaled_scores = []
             for d in range(docs_per_batch):
                 grid = make_grid(rng, doc_id=f"d{d}", n_segments=6, segment_len=2)
-                base_scores.append(lds_exact(backend, grid, base_cfg, keep_pairs=False).lds)
-                scaled_scores.append(lds_exact(backend, grid, scaled_cfg, keep_pairs=False).lds)
+                base_scores.append(score_document(backend, grid, base_cfg, keep_pairs=False).lds)
+                scaled_scores.append(
+                    score_document(backend, grid, scaled_cfg, keep_pairs=False).lds
+                )
             for b, s in zip(base_scores, scaled_scores):
                 assert math.isclose(s, c * b, rel_tol=1e-9, abs_tol=1e-12)
             assert list(np.argsort(base_scores)) == list(np.argsort(scaled_scores))
@@ -489,8 +537,8 @@ def check_exhaustive_equals_exact(n_cases: int = 1000, seed: int = 12) -> None:
             sample_size=total + int(rng.integers(0, 5)),
             seed=int(rng.integers(0, 2**31)),
         )
-        sampled = lds_sampled(backend, grid, cfg, seed=int(rng.integers(0, 2**31)))
-        exact = lds_exact(backend, grid, cfg.replace(mode="exact"))
+        sampled = score_document(backend, grid, cfg.replace(seed=int(rng.integers(0, 2**31))))
+        exact = score_document(backend, grid, cfg.replace(mode="exact"))
         assert sampled.lds == exact.lds
         assert sampled.pair_count == exact.pair_count == total
         assert sampled.gated_count == exact.gated_count
@@ -506,7 +554,7 @@ def check_gate_semantics(n_cases: int = 1000, seed: int = 13) -> None:
         n = int(rng.integers(2, 9))
         grid = make_grid(rng, n_segments=n, segment_len=2)
         cfg = LdsConfig(segment_len=2, truncate_len=4, mode="exact", tau=1.0)
-        report = lds_exact(backend, grid, cfg, keep_pairs=False)
+        report = score_document(backend, grid, cfg, keep_pairs=False)
         assert report.lds == 0.0
         assert report.gated_count == 0
 

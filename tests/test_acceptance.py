@@ -23,7 +23,7 @@ from longdep.bench import (
     run_bench,
 )
 from longdep.corpus import SegmentGrid, segment
-from longdep.lds import LdsConfig, lds_exact, lds_sampled, pair_count
+from longdep.lds import LdsConfig, pair_count, score_document
 from longdep.ngram import NGramBackend, train_ngram
 from longdep.pipeline import build_manifest, reports_only, retained_ids, score_corpus
 
@@ -64,7 +64,7 @@ def test_criterion_1_exact_score_matches_hand_expansion():
     )
     grid = SegmentGrid(doc_id="hand", segment_len=1, segments=(s0, s1, s2))
     cfg = LdsConfig(segment_len=1, truncate_len=3, mode="exact", tau=0.05)
-    report = lds_exact(backend, grid, cfg)
+    report = score_document(backend, grid, cfg)
 
     # Target 1 sees one source: dst(5, 3) = 0.4, a single-element row
     # has sharpness 0, so the gated pair contributes exactly 0.
@@ -111,9 +111,9 @@ def test_criterion_2_repeated_token_document_annihilates():
     grid = segment(doc, 16, 64 * 16)
     base = LdsConfig(segment_len=16, truncate_len=64 * 16, mode="exact", tau=0.05)
 
-    multiplicative = lds_exact(backend, grid, base, keep_pairs=False)
-    bare = lds_exact(backend, grid, base.replace(dsp_variant="none"), keep_pairs=False)
-    additive = lds_exact(
+    multiplicative = score_document(backend, grid, base, keep_pairs=False)
+    bare = score_document(backend, grid, base.replace(dsp_variant="none"), keep_pairs=False)
+    additive = score_document(
         backend, grid, base.replace(dsp_variant="additive"), keep_pairs=False
     )
     wall = time.perf_counter() - start
@@ -183,8 +183,8 @@ def test_criterion_4_sampling_is_exact_at_coverage_and_faithful_below():
             mode="sampled",
             sample_size=total + int(rng.integers(0, 40)),
         )
-        sampled = lds_sampled(backend, grid, cfg, seed=int(rng.integers(0, 2**31)))
-        exact = lds_exact(backend, grid, cfg.replace(mode="exact"))
+        sampled = score_document(backend, grid, cfg.replace(seed=int(rng.integers(0, 2**31))))
+        exact = score_document(backend, grid, cfg.replace(mode="exact"))
         same = (
             sampled.lds == exact.lds
             and sampled.pair_count == exact.pair_count == total

@@ -23,7 +23,7 @@ import pytest
 from longdep.bench import SynthSpec, generate_testset
 from longdep.cli import main
 from longdep.corpus import SegmentGrid
-from longdep.lds import LdsConfig, derive_seed, lds_exact, lds_sampled
+from longdep.lds import LdsConfig, derive_seed, sample_pairs, score_document
 from longdep.ngram import NGramBackend, NGramModel, train_ngram
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -71,12 +71,13 @@ def test_both_modes_score_a_grid(testset):
     doc = testset.docs[0]
     grid = _grid(doc)
     cfg = LdsConfig(segment_len=SPEC.segment_len, truncate_len=SPEC.doc_token_len, sample_size=5)
-    exact = lds_exact(NGramBackend(model), grid, cfg.replace(mode="exact"))
+    exact = score_document(NGramBackend(model), grid, cfg.replace(mode="exact"))
     assert exact.pair_count == 28
     seed = derive_seed(7, doc.id)
     assert isinstance(seed, int)
-    sampled = lds_sampled(NGramBackend(model), grid, cfg, seed=seed)
+    sampled = score_document(NGramBackend(model), grid, cfg.replace(seed=7))
     assert sampled.pair_count == 5
+    assert tuple(p[:2] for p in sampled.pairs) == sample_pairs(grid.n_segments, 5, seed)
     assert isinstance(sampled.lds, float)
 
 

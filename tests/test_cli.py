@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 from scripted_scorer import TcpScorer
-from support import DyingScorer, process_alive
+from support import DyingScorer, fill_disk_after, process_alive
 
 from longdep.backends import ExternalBackend
 from longdep.cli import main
@@ -185,9 +185,19 @@ class TestTrainNgram:
             raise OSError(errno.ENOSPC, "No space left on device")
 
         monkeypatch.setattr(NGramModel, "save", torn_save)
-        with pytest.raises(OSError):
-            main(args)
+        assert main(args) == 2
         assert not (tmp_path / "model.json.meta.json").exists()
+
+    def test_full_disk_keeps_the_earlier_model(self, tmp_path, corpus, monkeypatch):
+        out = tmp_path / "model.json"
+        args = ["train-ngram", "--input", corpus, "--out", str(out), *TRAIN_FLAGS]
+        assert main(args) == 0
+        earlier = out.read_bytes()
+        fill_disk_after(monkeypatch, 20, "model.json")
+        assert main([*args, "--order", "3"]) == 2
+        assert out.read_bytes() == earlier
+        assert NGramModel.load(out).order == 2
+        assert sorted(os.listdir(tmp_path)) == ["corpus.jsonl", "model.json"]
 
 
 class TestScore:
@@ -262,6 +272,24 @@ class TestScore:
         sidecars = [json.loads(p.read_text()) for p in (out_dir / "pairs").iterdir()]
         scored = sorted(r["doc_id"] for r in rows if r["status"] == "scored")
         assert sorted(p["doc_id"] for p in sidecars) == scored == ["d000", "d001", "d002"]
+
+    def test_rerun_clears_partial_pair_sidecars(self, corpus, model, tmp_path):
+        # A run killed while writing d007's sidecar leaves its .partial.
+        pairs = tmp_path / "out" / "pairs"
+        assert run_score(corpus, model, tmp_path / "out", extra=["--emit-pairs"]) == 0
+        names = sorted(os.listdir(pairs))
+        (pairs / f"{names[-1]}.partial").write_text('{"doc_id":')
+        small = str(write_corpus(tmp_path / "small.jsonl", n_docs=3))
+        assert run_score(small, model, tmp_path / "out", extra=["--emit-pairs"]) == 0
+        assert sorted(os.listdir(pairs)) == names[:3]
+
+    def test_unreadable_input_is_a_usage_error(self, corpus, model, tmp_path, caplog):
+        # A file given as a plain-dir input cannot be listed.
+        code = run_score(corpus, model, tmp_path / "o", extra=["--input-format", "plain-dir"])
+        assert code == 2
+        assert corpus in caplog.text
+        meta = json.loads((tmp_path / "o" / "reports.jsonl.meta.json").read_text())
+        assert meta["complete"] is False
 
     def test_model_trained_on_other_tokens_is_refused(self, corpus, tmp_path, caplog):
         byte_model = tmp_path / "byte-model.bin"
@@ -529,10 +557,22 @@ class TestSelect:
             raise OSError(errno.ENOSPC, "No space left on device")
 
         monkeypatch.setattr("longdep.cli.write_canonical", torn_write)
-        with pytest.raises(OSError):
-            main(["select", "--reports", reports, "--out-dir", str(sel), "--fraction", "0.25"])
+        args = ["select", "--reports", reports, "--out-dir", str(sel), "--fraction", "0.25"]
+        assert main(args) == 2
         assert len((sel / "manifest.json").read_text()) == 11
         assert not (sel / "manifest.json.meta.json").exists()
+
+    def test_full_disk_keeps_the_earlier_retained_ids(self, reports, tmp_path, monkeypatch):
+        sel = tmp_path / "sel"
+        assert main(["select", "--reports", reports, "--out-dir", str(sel)]) == 0
+        earlier = (sel / "retained_ids.txt").read_text()
+        assert len(earlier.split()) == 4
+        fill_disk_after(monkeypatch, 3, "retained_ids.txt")
+        args = ["select", "--reports", reports, "--out-dir", str(sel), "--fraction", "0.25"]
+        assert main(args) == 2
+        assert (sel / "retained_ids.txt").read_text() == earlier
+        assert not (sel / "manifest.json.meta.json").exists()
+        assert sorted(os.listdir(sel)) == ["manifest.json", "retained_ids.txt"]
 
     @pytest.mark.parametrize(
         "row",
@@ -764,6 +804,15 @@ class TestBench:
 
     def test_unknown_backend_rejected(self):
         assert main(["bench", "--backends", "quantum"]) == 2
+
+    def test_full_disk_keeps_the_earlier_csv(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "bench.csv"
+        assert main([*self.BENCH_ARGS, "--out", str(out)]) == 0
+        earlier = out.read_text()
+        fill_disk_after(monkeypatch, 10, "bench.csv")
+        assert main([*self.BENCH_ARGS, "--sample-sizes", "4", "--out", str(out)]) == 2
+        assert out.read_text() == earlier
+        assert sorted(os.listdir(tmp_path)) == ["bench.csv"]
 
 
 EXTERNAL_STUB = """\

@@ -18,9 +18,7 @@ from longdep.lds import (
     derive_seed,
     dsp,
     dst,
-    lds_exact,
     lds_pair,
-    lds_sampled,
     pair_count,
     pair_sidecar,
     report_from_sidecar,
@@ -235,7 +233,7 @@ class TestExactScoring:
     def test_hand_expansion_multiplicative(self):
         backend, grid = scripted_three_segment()
         cfg = LdsConfig(segment_len=1, truncate_len=3, mode="exact")
-        report = lds_exact(backend, grid, cfg)
+        report = score_document(backend, grid, cfg)
 
         # Target 1 row: dst(4, 2) = 0.5; single-element row has dsp 0.
         # Target 2 row: dst(8, 4) = 0.5 and dst(8, 2) = 0.75.
@@ -253,7 +251,7 @@ class TestExactScoring:
     def test_hand_expansion_none_variant(self):
         backend, grid = scripted_three_segment()
         cfg = LdsConfig(segment_len=1, truncate_len=3, mode="exact", dsp_variant="none")
-        report = lds_exact(backend, grid, cfg)
+        report = score_document(backend, grid, cfg)
         assert report.lds == pytest.approx(1.0 + 1.5 + 1.25, rel=1e-12)
 
     def test_hand_expansion_additive(self):
@@ -262,27 +260,25 @@ class TestExactScoring:
         cfg = LdsConfig(
             segment_len=1, truncate_len=3, mode="exact", dsp_variant="additive", gamma=gamma
         )
-        mult = lds_exact(
-            backend, grid, cfg.replace(dsp_variant="multiplicative")
-        )
+        mult = score_document(backend, grid, cfg.replace(dsp_variant="multiplicative"))
         by_target = {}
         for p in mult.pairs:
             by_target[p.target] = p.dsp
         want = 3.75 + gamma * (by_target[1] + 2 * by_target[2])
-        report = lds_exact(backend, grid, cfg)
+        report = score_document(backend, grid, cfg)
         assert report.lds == pytest.approx(want, rel=1e-12)
 
     def test_gate_excludes_but_keeps_row_intact(self):
         backend, grid = scripted_three_segment()
         cfg = LdsConfig(segment_len=1, truncate_len=3, mode="exact", tau=0.6)
-        report = lds_exact(backend, grid, cfg)
+        report = score_document(backend, grid, cfg)
         # Only (2, 1) has dst 0.75 > 0.6, yet its dsp still reflects the
         # full two-element row of target 2.
         gated = [p for p in report.pairs if p.gated]
         assert [(p.target, p.source) for p in gated] == [(2, 1)]
         assert report.gated_count == 1
         assert report.pair_count == 3
-        full_row = lds_exact(backend, grid, cfg.replace(tau=0.05))
+        full_row = score_document(backend, grid, cfg.replace(tau=0.05))
         by_key = {(p.target, p.source): p.dsp for p in full_row.pairs}
         assert gated[0].dsp == by_key[(2, 1)]
         assert report.lds == pytest.approx(gated[0].pairwise, rel=1e-12)
@@ -292,7 +288,7 @@ class TestExactScoring:
         backend = ScriptedBackend({(a, None): 2.0, (b, None): 2.0, (b, a): 4.0})
         grid = SegmentGrid(doc_id="neg", segment_len=1, segments=(a, b))
         cfg = LdsConfig(segment_len=1, truncate_len=2, mode="exact", tau=0.0)
-        report = lds_exact(backend, grid, cfg)
+        report = score_document(backend, grid, cfg)
         pair = report.pairs[0]
         assert pair.dst == pytest.approx(-1.0, rel=1e-12)
         assert pair.gated is False
@@ -302,7 +298,7 @@ class TestExactScoring:
     def test_report_identity_fields(self):
         backend, grid = scripted_three_segment()
         cfg = LdsConfig(segment_len=1, truncate_len=3, mode="exact")
-        report = lds_exact(backend, grid, cfg)
+        report = score_document(backend, grid, cfg)
         assert report.doc_id == "hand"
         assert report.n_segments == 3
         assert report.config_hash == cfg.fingerprint()
@@ -313,8 +309,8 @@ class TestSampledScoring:
         rng = np.random.default_rng(5)
         grid = make_grid(rng, n_segments=10, segment_len=2)
         cfg = LdsConfig(segment_len=2, truncate_len=20, mode="sampled", sample_size=12)
-        report = lds_sampled(HashBackend(), grid, cfg, seed=99)
-        want = sample_pairs(10, 12, seed=99)
+        report = score_document(HashBackend(), grid, cfg.replace(seed=99))
+        want = sample_pairs(10, 12, seed=derive_seed(99, grid.doc_id))
         assert report.pair_count == 12
         assert tuple((p.target, p.source) for p in report.pairs) == want
         assert report.mode == "sampled"
@@ -323,20 +319,22 @@ class TestSampledScoring:
         rng = np.random.default_rng(6)
         grid = make_grid(rng, n_segments=12, segment_len=2)
         cfg = LdsConfig(segment_len=2, truncate_len=24, mode="sampled", sample_size=20)
-        one = lds_sampled(HashBackend(), grid, cfg, seed=4)
-        two = lds_sampled(HashBackend(), grid, cfg, seed=4)
+        one = score_document(HashBackend(), grid, cfg.replace(seed=4))
+        two = score_document(HashBackend(), grid, cfg.replace(seed=4))
         assert one == two  # pairs included
 
     def test_default_seed_comes_from_config(self):
+        # The sample seed is the config seed mixed with the doc id, the
+        # same per-document seed a corpus run uses.
         rng = np.random.default_rng(7)
         grid = make_grid(rng, n_segments=10, segment_len=2)
         cfg = LdsConfig(
             segment_len=2, truncate_len=20, mode="sampled", sample_size=9, seed=31
         )
-        assert (
-            lds_sampled(HashBackend(), grid, cfg).lds
-            == lds_sampled(HashBackend(), grid, cfg, seed=31).lds
-        )
+        report = score_document(HashBackend(), grid, cfg)
+        want = sample_pairs(10, 9, seed=derive_seed(31, grid.doc_id))
+        assert tuple((p.target, p.source) for p in report.pairs) == want
+        assert want != sample_pairs(10, 9, seed=31)
 
     def test_unconditional_calls_deduplicated(self):
         grid = SegmentGrid(
@@ -346,7 +344,7 @@ class TestSampledScoring:
         )
         counting = CountingBackend(HashBackend())
         cfg = LdsConfig(segment_len=1, truncate_len=2, mode="exact")
-        lds_exact(counting, grid, cfg)
+        score_document(counting, grid, cfg)
         assert counting.unconditional_calls == 2
 
     def test_score_document_dispatches_on_mode(self):
@@ -361,8 +359,8 @@ class TestSampledScoring:
         rng = np.random.default_rng(9)
         grid = make_grid(rng, n_segments=8, segment_len=2)
         cfg = LdsConfig(segment_len=2, truncate_len=16, mode="exact")
-        kept = lds_exact(HashBackend(), grid, cfg, keep_pairs=True)
-        bare = lds_exact(HashBackend(), grid, cfg, keep_pairs=False)
+        kept = score_document(HashBackend(), grid, cfg, keep_pairs=True)
+        bare = score_document(HashBackend(), grid, cfg, keep_pairs=False)
         assert bare.pairs == ()
         assert bare.lds == kept.lds
         assert bare.gated_count == kept.gated_count
@@ -372,7 +370,7 @@ class TestReportSerialization:
     def test_pairs_excluded_by_default(self):
         backend, grid = scripted_three_segment()
         cfg = LdsConfig(segment_len=1, truncate_len=3, mode="exact")
-        report = lds_exact(backend, grid, cfg)
+        report = score_document(backend, grid, cfg)
         assert set(report.to_dict()) == {
             "doc_id",
             "source",
@@ -418,7 +416,8 @@ class TestSidecarRoundTrip:
     )
     def test_rebuilt_pairs_equal_the_scored_ones(self, tmp_path, cfg):
         grid = make_grid(np.random.default_rng(21), n_segments=20, segment_len=2)
-        report = score_document(HashBackend(), grid, cfg, seed=5)
+        cfg = cfg.replace(seed=5)
+        report = score_document(HashBackend(), grid, cfg)
         assert 0 < report.gated_count < report.pair_count
         if cfg.mode == "sampled":
             assert report.pair_count == 40 < pair_count(20)
@@ -430,8 +429,8 @@ class TestSidecarRoundTrip:
     @pytest.mark.parametrize("scale", ["linear", "signed-diverging"])
     def test_heatmap_from_sidecar_matches_in_memory(self, tmp_path, value, scale):
         grid = make_grid(np.random.default_rng(22), n_segments=12, segment_len=2)
-        cfg = ROUND_TRIP_CFG.replace(mode="sampled", sample_size=30)
-        report = score_document(HashBackend(), grid, cfg, seed=6)
+        cfg = ROUND_TRIP_CFG.replace(mode="sampled", sample_size=30, seed=6)
+        report = score_document(HashBackend(), grid, cfg)
         path, _ = written_and_read(tmp_path, report, cfg)
         cli_out = [str(tmp_path / "cli.ppm"), str(tmp_path / "cli.csv")]
         code = main(

@@ -428,11 +428,11 @@ class TestScorePairs:
         for length in (1, 3, 8):
             grid = grid_of(rng, pool, 12, length)
             cfg = LdsConfig(
-                segment_len=length, truncate_len=2 * length, mode=mode, sample_size=20, tau=0.0
+                segment_len=length, truncate_len=2 * length, mode=mode, sample_size=20, tau=0.0,
+                seed=derive_seed(0, f"{order}-{length}"),
             )
-            seed = derive_seed(0, f"{order}-{length}")
-            batch = score_document(NGramBackend(model), grid, cfg, seed=seed)
-            per_pair = score_document(CountingBackend(NGramBackend(model)), grid, cfg, seed=seed)
+            batch = score_document(NGramBackend(model), grid, cfg)
+            per_pair = score_document(CountingBackend(NGramBackend(model)), grid, cfg)
             assert batch == per_pair
             assert batch.pair_count == (66 if mode == "exact" else 20)
 

@@ -11,10 +11,17 @@ from support import FailingBackend, HashBackend, make_reports
 import numpy as np
 
 from longdep.cli import main
-from longdep.corpus import Document, TokenizerSpec
+from longdep.corpus import Document, TokenizerSpec, segment, tokenize
 from longdep.errors import BackendUnreachable, ConfigError
 from longdep.jsonio import canonical_dumps
-from longdep.lds import LdsConfig, ScoreReport
+from longdep.lds import (
+    LdsConfig,
+    ScoreReport,
+    derive_seed,
+    pair_count,
+    sample_pairs,
+    score_document,
+)
 from longdep.pipeline import (
     DocumentOutcome,
     build_manifest,
@@ -140,6 +147,21 @@ class TestScoreCorpus:
         with pytest.raises(BackendUnreachable):
             list(score_corpus(make_docs(2), Unreachable(), CFG))
 
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_one_document_scores_as_in_a_corpus(self, mode):
+        doc = Document(id="doc-7", source="web", text=" ".join(f"w{j * 5 % 13}" for j in range(24)))
+        cfg = LdsConfig(segment_len=2, truncate_len=24, mode=mode, sample_size=10, seed=3)
+        grid = segment(tokenize(doc, TokenizerSpec()), cfg.segment_len, cfg.truncate_len)
+        alone = score_document(HashBackend(), grid, cfg)
+        [outcome] = score_corpus([doc], HashBackend(), cfg, keep_pairs=True)
+        assert outcome.report == alone
+        assert outcome.report.pairs == alone.pairs
+        scored = tuple((p.target, p.source) for p in alone.pairs)
+        if mode == "sampled":
+            assert len(scored) == 10 < pair_count(grid.n_segments)
+            assert scored == sample_pairs(grid.n_segments, 10, derive_seed(3, doc.id))
+        else:
+            assert len(scored) == pair_count(grid.n_segments) == 66
 
 
 def report(doc_id, lds, source="web", config_hash="cfg"):
