@@ -225,7 +225,7 @@ def _score_into(
             for outcome in outcomes:
                 if args.emit_pairs and outcome.report is not None:
                     sidecar = os.path.join(pairs_dir, _sidecar_name(outcome.doc_id))
-                    write_canonical(sidecar, pair_sidecar(outcome.report, rc.lds))
+                    write_canonical(sidecar, pair_sidecar(outcome.report))
                 handle.write(canonical_dumps(outcome.to_row()))
                 handle.write("\n")
                 handle.flush()
@@ -310,10 +310,13 @@ def cmd_select(args: argparse.Namespace) -> int:
     manifest_path = os.path.join(args.out_dir, "manifest.json")
     ids_path = os.path.join(args.out_dir, "retained_ids.txt")
     drop_meta_sidecar(manifest_path)
-    write_canonical(manifest_path, manifest)
     kept = retained_ids(manifest)
+    # Both files or neither: the ids' .partial is written and closed
+    # before the manifest is replaced, and renamed only after it is.
     with open_atomic(ids_path) as handle:
         handle.writelines(f"{doc_id}\n" for doc_id in kept)
+        handle.close()
+        write_canonical(manifest_path, manifest)
     write_meta_sidecar(
         manifest_path,
         complete=input_complete,

@@ -4,7 +4,8 @@ Renders a scored document's lower-triangular dst matrix as an
 uncompressed binary PPM raster plus a CSV of (i, j, dst) rows, keeping
 the component dependency-free. Row = target segment, column = source
 segment, both 0-based; the diagonal, the upper triangle, and any
-unsampled cells are masked with a sentinel color, never zero-filled.
+unsampled cells are masked with a sentinel color, never zero-filled. Both
+files are written all or nothing.
 
 Color scales:
   linear            per-document min-max mapped to a grayscale ramp
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .jsonio import ensure_parent
+from .jsonio import ensure_parent, open_atomic
 from .lds import PairScore
 
 SCALES = ("linear", "signed-diverging")
@@ -115,7 +116,7 @@ def write_ppm(
         f"{side} {side}\n255\n"
     )
     ensure_parent(path)
-    with open(path, "wb") as handle:
+    with open_atomic(path, "wb") as handle:
         handle.write(header.encode("ascii"))
         for row in colors:
             scan = bytearray()
@@ -141,7 +142,7 @@ def write_dst_csv(
         raise ValueError(f"value must be one of {VALUES}, got {value!r}")
     ensure_parent(path)
     ordered = sorted(pairs, key=lambda p: (p.target, p.source))
-    with open(path, "w", encoding="utf-8") as handle:
+    with open_atomic(path) as handle:
         if config_hash:
             handle.write(f"# config={config_hash}\n")
         handle.write(f"i,j,{value}\n")

@@ -15,6 +15,9 @@ the document score. ``exact`` mode evaluates every pair; ``sampled`` mode
 evaluates a uniform without-replacement subset and is bit-identical to
 exact whenever the requested sample covers all pairs.
 
+Kept pair records are columns, (target, source, dst) per pair and
+(target, dsp) per row; only ``ScoreReport.pairs`` builds ``PairScore``s.
+
 Segment indices are 0-based everywhere, in code and in artifacts. Both
 index conventions give the same arithmetic: distances and row sizes are
 shift-invariant.
@@ -27,7 +30,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field, fields, replace
 from itertools import islice, repeat
-from typing import Iterable, Iterator, NamedTuple, Sequence, get_type_hints
+from typing import Iterator, NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
@@ -226,6 +229,10 @@ class PairScore(NamedTuple):
 
 @dataclass(frozen=True)
 class ScoreReport:
+    """One document's score; the repr=True fields are its reports.jsonl
+    row. With pairs kept, it also holds the pair columns its sidecar
+    stores, and ``lds_config``, the config they were scored under."""
+
     doc_id: str
     n_segments: int
     mode: str
@@ -234,56 +241,63 @@ class ScoreReport:
     gated_count: int
     config_hash: str
     source: str = ""
-    pairs: tuple[PairScore, ...] = field(default=(), repr=False)
+    pair_triples: tuple[tuple[int, int, float], ...] = field(default=(), repr=False)
+    dsp_rows: tuple[tuple[int, float], ...] = field(default=(), repr=False)
+    lds_config: LdsConfig | None = field(default=None, repr=False)
+
+    @functools.cached_property
+    def pairs(self) -> tuple[PairScore, ...]:
+        """The pair columns as ``PairScore``s, with ddi, pairwise and the
+        gate computed as in ``score_document``, so every value equals the
+        scored one. A target without a dsp row, or a pair outside the
+        grid, raises ValueError."""
+        cfg, dsp_of, out = self.lds_config, dict(self.dsp_rows), []
+        for target, source, dst_value in self.pair_triples:
+            if target not in dsp_of:
+                raise ValueError(f"target {target} has no dsp row")
+            ddi_value, dsp_value = ddi(target, source, self.n_segments), dsp_of[target]
+            pairwise = lds_pair(dst_value, ddi_value, dsp_value, cfg)
+            out.append(PairScore(target, source, dst_value, ddi_value, dsp_value, pairwise,
+                                 dst_value > cfg.tau))
+        return tuple(out)
 
     def to_dict(self) -> dict:
-        return {
-            "doc_id": self.doc_id,
-            "source": self.source,
-            "n_segments": self.n_segments,
-            "mode": self.mode,
-            "lds": self.lds,
-            "pair_count": self.pair_count,
-            "gated_count": self.gated_count,
-            "config_hash": self.config_hash,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.repr}
 
     @classmethod
     def from_dict(cls, row: dict) -> "ScoreReport":
-        """Rebuild a report from a ``to_dict()`` row; pairs are not read.
-        A missing field raises KeyError, and a field of the wrong type
-        ConfigError."""
-        values = {f.name: row[f.name] for f in fields(cls) if f.name not in ("source", "pairs")}
+        """Rebuild a report from a ``to_dict()`` row. A missing field
+        raises KeyError, and a field of the wrong type ConfigError."""
+        values = {f.name: row[f.name] for f in fields(cls) if f.repr and f.name != "source"}
         values["source"] = row.get("source", "")
         return cls(**typed_fields(cls, values))
 
 
-def pair_sidecar(report: ScoreReport, cfg: LdsConfig) -> dict:
-    """The pair sidecar of ``report``, scored under ``cfg``: the report's
-    fields, plus ``lds_config`` (``cfg.to_dict()``), ``pairs`` (one
-    ``[target, source, dst]`` per pair, in scoring order) and ``dsp``
-    (one ``[target, dsp]`` per target row). ``report_from_sidecar``
-    rebuilds every other pair value from these."""
-    dsp_rows: list[list] = []
-    for pair in report.pairs:
-        if not dsp_rows or dsp_rows[-1][0] != pair.target:
-            dsp_rows.append([pair.target, pair.dsp])
+def pair_sidecar(report: ScoreReport) -> dict:
+    """The pair sidecar of a report scored with ``keep_pairs=True``: its
+    row, plus its pair columns as ``lds_config`` (``to_dict()``),
+    ``pairs`` and ``dsp``, written as they are."""
     return {
         **report.to_dict(),
-        "lds_config": cfg.to_dict(),
-        "pairs": [[pair.target, pair.source, pair.dst] for pair in report.pairs],
-        "dsp": dsp_rows,
+        "lds_config": report.lds_config.to_dict(),
+        "pairs": report.pair_triples,
+        "dsp": report.dsp_rows,
     }
 
 
-def _is_finite_float(value) -> bool:
-    return type(value) is float and math.isfinite(value)
+def _column(rows, kinds: tuple, shape: str) -> tuple:
+    """``rows`` as tuples, each checked to hold ``kinds`` exactly and to
+    end in a finite float."""
+    for row in rows:
+        if not (isinstance(row, list) and tuple(map(type, row)) == kinds
+                and math.isfinite(row[-1])):
+            raise ValueError(f"{row!r} is not {shape}")
+    return tuple(map(tuple, rows))
 
 
 def report_from_sidecar(data: dict) -> ScoreReport:
-    """Rebuild a report and its ``PairScore``s from a ``pair_sidecar``
-    dict. ddi, pairwise and the gate are computed as in ``score_document``,
-    so every value equals the scored one.
+    """Rebuild a report, pair columns included, from a ``pair_sidecar``
+    dict; it equals the scored report, and so do its ``pairs``.
 
     A malformed sidecar, and one in the old format with an object per
     pair, raises KeyError, ValueError or ConfigError.
@@ -297,43 +311,21 @@ def report_from_sidecar(data: dict) -> ScoreReport:
             "re-run `longdep score --emit-pairs` to rewrite it"
         )
     report = ScoreReport.from_dict(data)
-    n = report.n_segments
-    if n < 2:
-        raise ValueError(f"n_segments must be >= 2, got {n}")
+    if report.n_segments < 2:
+        raise ValueError(f"n_segments must be >= 2, got {report.n_segments}")
     cfg = LdsConfig.from_dict(data["lds_config"])
     if cfg.fingerprint() != report.config_hash:
         raise ValueError("the fingerprint of lds_config differs from config_hash")
     if not (isinstance(triples, list) and isinstance(dsp_rows, list)):
         raise ValueError("pairs and dsp must be lists")
-    dsp_of: dict[int, float] = {}
-    for row in dsp_rows:
-        if not (isinstance(row, list) and len(row) == 2 and type(row[0]) is int
-                and _is_finite_float(row[1])):
-            raise ValueError(f"dsp row {row!r} is not [target, dsp]")
-        dsp_of[row[0]] = row[1]
-    pairs = []
-    for triple in triples:
-        if not (isinstance(triple, list) and len(triple) == 3 and type(triple[0]) is int
-                and type(triple[1]) is int and _is_finite_float(triple[2])):
-            raise ValueError(f"pair {triple!r} is not [target, source, dst]")
-        target, source, dst_value = triple
-        if target not in dsp_of:
-            raise ValueError(f"target {target} has no dsp row")
-        dsp_value = dsp_of[target]
-        ddi_value = ddi(target, source, n)
-        pairwise = lds_pair(dst_value, ddi_value, dsp_value, cfg)
-        gated = dst_value > cfg.tau
-        pairs.append(PairScore(target, source, dst_value, ddi_value, dsp_value, pairwise, gated))
-    return replace(report, pairs=tuple(pairs))
-
-
-def _group_rows(pairs: Iterable[tuple[int, int]]) -> dict[int, list[int]]:
-    rows: dict[int, list[int]] = {}
-    for target, source in pairs:
-        rows.setdefault(target, []).append(source)
-    for sources in rows.values():
-        sources.sort()
-    return rows
+    report = replace(
+        report,
+        pair_triples=_column(triples, (int, int, float), "a pair [target, source, dst]"),
+        dsp_rows=_column(dsp_rows, (int, float), "a dsp row [target, dsp]"),
+        lds_config=cfg,
+    )
+    report.pairs  # checks every pair against the grid and the dsp rows
+    return report
 
 
 def _at_pair(exc: BackendError, target: int, source: int) -> BackendError:
@@ -406,21 +398,25 @@ def score_document(
 
     Rows are walked target-ascending and sources source-ascending, so a
     sample that happens to cover all pairs performs the identical float
-    operations, in the identical order, as an exact run. With
-    keep_pairs=False the per-pair records are not materialized; the
-    accumulated score is unaffected.
+    operations, in the identical order, as an exact run. keep_pairs=True
+    fills the report's pair columns, one extend per row and no
+    ``PairScore``; keep_pairs=False leaves them empty. The accumulated
+    score is the same either way.
     """
     n = grid.n_segments
     if cfg.mode == "exact":
         rows = {t: list(range(t)) for t in range(1, n)}
     else:
-        rows = _group_rows(sample_pairs(n, cfg.sample_size, derive_seed(cfg.seed, grid.doc_id)))
+        rows = {}
+        for target, source in sample_pairs(n, cfg.sample_size, derive_seed(cfg.seed, grid.doc_id)):
+            rows.setdefault(target, []).append(source)
     conditional = _conditional(backend, grid, rows)
     unconditional = cached_unconditional(backend, grid)
     total = 0.0
     gated_count = 0
     n_pairs = 0
-    pair_scores: list[PairScore] = []
+    triples: list[tuple[int, int, float]] = []
+    dsp_rows: list[tuple[int, float]] = []
     for target in sorted(rows):
         sources = rows[target]
         u = unconditional[target]
@@ -429,15 +425,13 @@ def score_document(
         for source, dst_value in zip(sources, dst_row):
             ddi_value = ddi(target, source, n)
             pairwise = lds_pair(dst_value, ddi_value, dsp_value, cfg)
-            gated = dst_value > cfg.tau
-            if gated:
+            if dst_value > cfg.tau:
                 total += pairwise
                 gated_count += 1
             n_pairs += 1
-            if keep_pairs:
-                pair_scores.append(
-                    PairScore(target, source, dst_value, ddi_value, dsp_value, pairwise, gated)
-                )
+        if keep_pairs:
+            triples.extend(zip(repeat(target), sources, dst_row))
+            dsp_rows.append((target, dsp_value))
     return ScoreReport(
         doc_id=grid.doc_id,
         n_segments=n,
@@ -447,7 +441,9 @@ def score_document(
         gated_count=gated_count,
         config_hash=cfg.fingerprint(),
         source=grid.source,
-        pairs=tuple(pair_scores),
+        pair_triples=tuple(triples),
+        dsp_rows=tuple(dsp_rows),
+        lds_config=cfg if keep_pairs else None,
     )
 
 

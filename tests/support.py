@@ -247,7 +247,7 @@ def fill_disk_after(monkeypatch, room: int, name: str) -> None:
             return _FullFile(handle, room)
         return handle
 
-    for module in ("longdep.cli", "longdep.jsonio", "longdep.ngram"):
+    for module in ("longdep.cli", "longdep.heatmap", "longdep.jsonio", "longdep.ngram"):
         monkeypatch.setattr(f"{module}.open", opener, raising=False)
 
 

@@ -574,6 +574,17 @@ class TestSelect:
         assert not (sel / "manifest.json.meta.json").exists()
         assert sorted(os.listdir(sel)) == ["manifest.json", "retained_ids.txt"]
 
+    @pytest.mark.parametrize("name, room", [("manifest.json", 50), ("retained_ids.txt", 3)])
+    def test_full_disk_keeps_both_earlier_files(self, reports, tmp_path, monkeypatch, name, room):
+        sel = tmp_path / "sel"
+        assert main(["select", "--reports", reports, "--out-dir", str(sel)]) == 0
+        earlier = {f: (sel / f).read_bytes() for f in ("manifest.json", "retained_ids.txt")}
+        fill_disk_after(monkeypatch, room, name)
+        args = ["select", "--reports", reports, "--out-dir", str(sel), "--fraction", "0.25"]
+        assert main(args) == 2
+        assert {f: (sel / f).read_bytes() for f in earlier} == earlier
+        assert sorted(os.listdir(sel)) == ["manifest.json", "retained_ids.txt"]
+
     @pytest.mark.parametrize(
         "row",
         [
@@ -734,6 +745,20 @@ class TestHeatmap:
         base = os.path.splitext(str(sidecar))[0]
         assert os.path.exists(base + ".ppm")
         assert os.path.exists(base + ".csv")
+
+    def test_full_disk_keeps_the_earlier_image_and_csv(self, corpus, model, tmp_path, monkeypatch):
+        out_dir = tmp_path / "out"
+        assert run_score(corpus, model, out_dir, extra=["--emit-pairs"]) == 0
+        sidecar = sorted((out_dir / "pairs").iterdir())[0]
+        args = ["heatmap", "--pairs", str(sidecar), "--out-image", str(tmp_path / "h.ppm"),
+                "--out-csv", str(tmp_path / "h.csv")]
+        assert main(args) == 0
+        earlier = {f: (tmp_path / f).read_bytes() for f in ("h.ppm", "h.csv")}
+        assert len(earlier["h.csv"]) > 50
+        fill_disk_after(monkeypatch, 50, "h.csv")
+        assert main(args) == 2
+        assert {f: (tmp_path / f).read_bytes() for f in earlier} == earlier
+        assert not list(tmp_path.glob("*.partial"))
 
     def test_missing_sidecar_names_the_fix(self, tmp_path, caplog):
         code = main(["heatmap", "--pairs", str(tmp_path / "nope.json")])

@@ -1,5 +1,7 @@
 """Core scoring math: dst, ddi, dsp, pair combination, and document scores."""
 
+import hashlib
+import json
 import math
 
 import pytest
@@ -11,7 +13,8 @@ from longdep.cli import main
 from longdep.corpus import SegmentGrid
 from longdep.errors import ConfigError
 from longdep.heatmap import HeatmapSpec, render_heatmap
-from longdep.jsonio import read_json, write_canonical
+from longdep.jsonio import canonical_dumps, read_json, write_canonical
+import longdep.lds
 from longdep.lds import (
     LdsConfig,
     ddi,
@@ -381,17 +384,17 @@ class TestReportSerialization:
             "gated_count",
             "config_hash",
         }
-        sidecar = pair_sidecar(report, cfg)
+        sidecar = pair_sidecar(report)
         assert {k: sidecar[k] for k in report.to_dict()} == report.to_dict()
         assert sidecar["lds_config"] == cfg.to_dict()
-        assert sidecar["pairs"] == [[p.target, p.source, p.dst] for p in report.pairs]
+        assert sidecar["pairs"] == tuple((p.target, p.source, p.dst) for p in report.pairs)
         assert [(t, s) for t, s, _ in sidecar["pairs"]] == [(1, 0), (2, 0), (2, 1)]
-        assert sidecar["dsp"] == [[1, report.pairs[0].dsp], [2, report.pairs[1].dsp]]
+        assert sidecar["dsp"] == ((1, report.pairs[0].dsp), (2, report.pairs[1].dsp))
 
 
-def written_and_read(tmp_path, report, cfg):
+def written_and_read(tmp_path, report):
     path = str(tmp_path / "sidecar.json")
-    write_canonical(path, pair_sidecar(report, cfg))
+    write_canonical(path, pair_sidecar(report))
     return path, report_from_sidecar(read_json(path))
 
 
@@ -421,7 +424,7 @@ class TestSidecarRoundTrip:
         assert 0 < report.gated_count < report.pair_count
         if cfg.mode == "sampled":
             assert report.pair_count == 40 < pair_count(20)
-        _, rebuilt = written_and_read(tmp_path, report, cfg)
+        _, rebuilt = written_and_read(tmp_path, report)
         assert rebuilt == report
         assert rebuilt.pairs == report.pairs
 
@@ -431,7 +434,7 @@ class TestSidecarRoundTrip:
         grid = make_grid(np.random.default_rng(22), n_segments=12, segment_len=2)
         cfg = ROUND_TRIP_CFG.replace(mode="sampled", sample_size=30, seed=6)
         report = score_document(HashBackend(), grid, cfg)
-        path, _ = written_and_read(tmp_path, report, cfg)
+        path, _ = written_and_read(tmp_path, report)
         cli_out = [str(tmp_path / "cli.ppm"), str(tmp_path / "cli.csv")]
         code = main(
             ["heatmap", "--pairs", path, "--out-image", cli_out[0], "--out-csv", cli_out[1],
@@ -443,3 +446,41 @@ class TestSidecarRoundTrip:
         render_heatmap(report.pairs, spec, *direct, report.config_hash)
         for mine, theirs in zip(cli_out, direct):
             assert open(mine, "rb").read() == open(theirs, "rb").read()
+
+
+PIN_CFG = LdsConfig(
+    segment_len=2, truncate_len=20, alpha=0.7, beta=1.3, gamma=0.4, sample_size=20, seed=5
+)
+SIDECAR_SHA256 = {
+    ("exact", "multiplicative"): "037557a9a6e4f4107a066d30a431dff6d4ebf1a0fff212c4b5d2deb493bdf21c",
+    ("exact", "additive"): "414a67496ac7ecb9ecdd850f4d7033a0c71e19a04c9f5530c1ae085b42fa4625",
+    ("exact", "none"): "7cc3af634e52dc766debc5db0175680df522cfd01f80c66d2ed28b9b20a9bc9e",
+    ("sampled", "multiplicative"):
+        "d695caede742229baf7a4dd956e8842c75832e143a9f4e2c82a0a343074b95e7",
+    ("sampled", "additive"): "dc56bc395c78c75d2faaf2dcb6f0214ab21a692752437390c49cba2344e499ab",
+    ("sampled", "none"): "80984800e09ba71b86f15bd57e925cc084678a9c486fa1bcbfe301c4d4e390c3",
+}
+
+
+@pytest.mark.parametrize("mode,dsp_variant", sorted(SIDECAR_SHA256))
+def test_sidecar_bytes_are_pinned(mode, dsp_variant):
+    grid = make_grid(np.random.default_rng(31), n_segments=10, segment_len=2)
+    cfg = PIN_CFG.replace(mode=mode, dsp_variant=dsp_variant)
+    report = score_document(HashBackend(), grid, cfg)
+    text = canonical_dumps(pair_sidecar(report))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SIDECAR_SHA256[mode, dsp_variant]
+    assert report_from_sidecar(json.loads(text)).pairs == report.pairs
+
+
+def test_scoring_and_sidecar_build_no_pair_score(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a PairScore was built")
+
+    grid = make_grid(np.random.default_rng(32), n_segments=12, segment_len=2)
+    monkeypatch.setattr(longdep.lds, "PairScore", refuse)
+    for mode in ("exact", "sampled"):
+        report = score_document(HashBackend(), grid, PIN_CFG.replace(mode=mode, truncate_len=24))
+        sidecar = pair_sidecar(report)
+        assert len(sidecar["pairs"]) == report.pair_count
+        with pytest.raises(AssertionError, match="a PairScore was built"):
+            report.pairs
