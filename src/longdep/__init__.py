@@ -8,7 +8,6 @@ scorers, a selection pipeline, heatmap rendering, and a synthetic bench.
 """
 
 from .backends import (
-    BackendCapabilities,
     ExternalBackend,
     PerplexityBackend,
     cached_unconditional,
@@ -69,7 +68,6 @@ from .pipeline import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BackendCapabilities",
     "BackendError",
     "BackendUnreachable",
     "BenchResult",

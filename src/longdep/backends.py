@@ -19,23 +19,17 @@ import signal
 import socket
 import subprocess
 import threading
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Protocol, Sequence, runtime_checkable
+from typing import Iterable, Iterator, Protocol, Sequence
 
 from .corpus import SegmentGrid, Token, TokenizerSpec
 from .errors import BackendError, BackendUnreachable, ScoringError
 
 
-@dataclass(frozen=True)
-class BackendCapabilities:
-    max_context_tokens: int
-    deterministic: bool
-
-
-@runtime_checkable
 class PerplexityBackend(Protocol):
-    @property
-    def capabilities(self) -> BackendCapabilities: ...
+    """``score`` is the one required call. A backend refuses a request it
+    cannot take, such as one beyond its context limit, with BackendError.
+    Optional calls, looked up with ``getattr``: ``score_pairs``,
+    ``score_stream`` and ``close``."""
 
     def score(
         self, target: Sequence[Token], context: Sequence[Token] | None = None
@@ -60,8 +54,6 @@ def ppl(backend: PerplexityBackend, target: Sequence[Token]) -> float:
     """Perplexity of ``target`` with no context."""
     if not target:
         raise ValueError("target must be non-empty")
-    if len(target) > backend.capabilities.max_context_tokens:
-        raise ValueError("target exceeds backend context capacity")
     logprob_sum, token_count = backend.score(target, None)
     return ppl_from_sum(logprob_sum, token_count)
 
@@ -80,8 +72,6 @@ def ppl_given(
         return ppl(backend, target)
     if not target:
         raise ValueError("target must be non-empty")
-    if len(target) + len(context) > backend.capabilities.max_context_tokens:
-        raise ValueError("context + target exceeds backend context capacity")
     logprob_sum, token_count = backend.score(target, context)
     return ppl_from_sum(logprob_sum, token_count)
 
@@ -309,15 +299,11 @@ class ExternalBackend:
         tokenizer: TokenizerSpec | None = None,
         timeout: float = 30.0,
         retries: int = 2,
-        max_context_tokens: int = 1 << 16,
     ):
         self.endpoint = endpoint
         self.tokenizer = tokenizer or TokenizerSpec()
         self.timeout = timeout
         self.retries = retries
-        self._capabilities = BackendCapabilities(
-            max_context_tokens=max_context_tokens, deterministic=False
-        )
         if endpoint.startswith("stdio://"):
             self._mode = "stdio"
             self._command = endpoint[len("stdio://"):]
@@ -325,17 +311,15 @@ class ExternalBackend:
             self._mode = "tcp"
             addr = endpoint[len("tcp://"):] if endpoint.startswith("tcp://") else endpoint
             host, _, port = addr.rpartition(":")
-            if not host or not port.isdigit():
-                raise BackendError(f"bad endpoint {endpoint!r}; expected tcp://host:port")
+            if not (host and port.isascii() and port.isdigit() and 1 <= int(port) <= 65535):
+                raise BackendError(
+                    f"bad endpoint {endpoint!r}; expected tcp://host:port, port 1-65535"
+                )
             self._host, self._port = host, int(port)
         # The open connection, or None. Used and replaced only under the
         # lock, so two callers never share its stream.
         self._conn: _Connection | None = None
         self._lock = threading.Lock()
-
-    @property
-    def capabilities(self) -> BackendCapabilities:
-        return self._capabilities
 
     def _connection(self) -> _Connection:
         if self._conn is None:

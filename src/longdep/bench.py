@@ -20,7 +20,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .backends import BackendCapabilities
 from .corpus import Document
 from .errors import BackendError, ConfigError
 from .lds import LdsConfig, derive_seed
@@ -277,8 +276,6 @@ class OracleBackend:
         self.links = links
         self.base_logprob = base_logprob
         self.boost_logprob = boost_logprob
-
-    capabilities = BackendCapabilities(max_context_tokens=1 << 22, deterministic=True)
 
     def score(self, target, context=None):
         n = len(target)

@@ -36,9 +36,11 @@ from .bench import (
     run_bench,
 )
 from .config import REFERENCE_PROFILE, RunConfig, resolve_config
-from .corpus import TokenizerSpec, ingest, IngestStats, tokenized_corpus
+from .corpus import (
+    INPUT_FORMATS, TOKENIZER_KINDS, IngestStats, TokenizerSpec, ingest, tokenized_corpus,
+)
 from .errors import BackendUnreachable, ConfigError, LongdepError
-from .heatmap import HeatmapSpec, render_heatmap
+from .heatmap import SCALES, VALUES, HeatmapSpec, render_heatmap
 from .jsonio import (
     canonical_dumps,
     drop_meta_sidecar,
@@ -48,9 +50,11 @@ from .jsonio import (
     write_canonical,
     write_meta_sidecar,
 )
-from .lds import pair_sidecar, report_from_sidecar
+from .lds import DSP_VARIANTS, MODES, pair_sidecar, report_from_sidecar
 from .ngram import NGramBackend, NGramModel, train_ngram
-from .pipeline import DocumentOutcome, build_manifest, reports_only, retained_ids, score_corpus
+from .pipeline import (
+    STRATEGIES, DocumentOutcome, build_manifest, reports_only, retained_ids, score_corpus,
+)
 
 SCORER_ENDPOINT_ENV = "LONGDEP_SCORER_ENDPOINT"
 
@@ -410,10 +414,8 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
         help="print the resolved configuration and exit",
     )
     sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--tokenizer", choices=("whitespace", "byte"), default=None)
-    sub.add_argument(
-        "--input-format", dest="input_format", choices=("jsonl", "plain-dir"), default=None
-    )
+    sub.add_argument("--tokenizer", choices=TOKENIZER_KINDS, default=None)
+    sub.add_argument("--input-format", dest="input_format", choices=INPUT_FORMATS, default=None)
     sub.add_argument("--workers", type=int, default=None)
 
 
@@ -424,14 +426,9 @@ def _add_scoring_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--alpha", type=float, default=None)
     sub.add_argument("--beta", type=float, default=None)
     sub.add_argument("--gamma", type=float, default=None)
-    sub.add_argument("--mode", choices=("exact", "sampled"), default=None)
+    sub.add_argument("--mode", choices=MODES, default=None)
     sub.add_argument("--sample-size", dest="sample_size", type=int, default=None)
-    sub.add_argument(
-        "--dsp-variant",
-        dest="dsp_variant",
-        choices=("multiplicative", "additive", "none"),
-        default=None,
-    )
+    sub.add_argument("--dsp-variant", dest="dsp_variant", choices=DSP_VARIANTS, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -466,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     select = commands.add_parser("select", help="rank and select documents")
     select.add_argument("--reports", required=True)
     select.add_argument("--out-dir", dest="out_dir", default="longdep-out")
-    select.add_argument("--strategy", choices=("prolong", "random", "full"), default="prolong")
+    select.add_argument("--strategy", choices=STRATEGIES, default="prolong")
     select.add_argument("--fraction", type=float, default=None)
     select.add_argument(
         "--global-ranking",
@@ -486,8 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
     heat.add_argument("--pairs", required=True, help="pair sidecar from score --emit-pairs")
     heat.add_argument("--out-image", dest="out_image", default="")
     heat.add_argument("--out-csv", dest="out_csv", default="")
-    heat.add_argument("--scale", choices=("linear", "signed-diverging"), default="linear")
-    heat.add_argument("--value", choices=("dst", "pairwise"), default="dst")
+    heat.add_argument("--scale", choices=SCALES, default="linear")
+    heat.add_argument("--value", choices=VALUES, default="dst")
     heat.add_argument("--cell-size", dest="cell_size", type=int, default=4)
     heat.set_defaults(func=cmd_heatmap)
 

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from .corpus import INPUT_FORMATS, TOKENIZER_KINDS
 from .errors import ConfigError
 from .jsonio import fingerprint, read_json
 from .lds import LdsConfig, typed_fields
+from .ngram import check_order_and_k
 
 
 @dataclass(frozen=True)
@@ -28,6 +30,16 @@ class RunConfig:
     order: int = 3
     k: float = 0.01
     backend: str = ""
+
+    def __post_init__(self):
+        if self.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        if not (0.0 < self.fraction <= 1.0):
+            raise ConfigError(f"fraction must be in (0, 1], got {self.fraction}")
+        for name, choices in (("tokenizer", TOKENIZER_KINDS), ("input_format", INPUT_FORMATS)):
+            if getattr(self, name) not in choices:
+                raise ConfigError(f"{name} must be one of {choices}, got {getattr(self, name)!r}")
+        check_order_and_k(self.order, self.k)
 
     def to_dict(self) -> dict:
         out = self.lds.to_dict()
@@ -74,8 +86,4 @@ def resolve_config(
     merged = {**REFERENCE_PROFILE, **file_cfg, **flags}
     lds = LdsConfig(**typed_fields(LdsConfig, {k: merged[k] for k in _LDS_KEYS}))
     run = typed_fields(RunConfig, {f.name: merged[f.name] for f in _RUN_FIELDS})
-    if run["workers"] < 1:
-        raise ConfigError(f"workers must be >= 1, got {run['workers']}")
-    if not (0.0 < run["fraction"] <= 1.0):
-        raise ConfigError(f"fraction must be in (0, 1], got {run['fraction']}")
     return RunConfig(lds=lds, **run)

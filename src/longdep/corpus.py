@@ -24,6 +24,9 @@ logger = logging.getLogger(__name__)
 # in 0..255. The two kinds never collide as dict keys.
 Token = Union[int, str]
 
+TOKENIZER_KINDS = ("whitespace", "byte")
+INPUT_FORMATS = ("jsonl", "plain-dir")
+
 
 @dataclass(frozen=True)
 class Document:
@@ -50,8 +53,8 @@ class TokenizerSpec:
     kind: str = "whitespace"
 
     def __post_init__(self):
-        if self.kind not in ("whitespace", "byte"):
-            raise ValueError(f"unknown tokenizer kind {self.kind!r}")
+        if self.kind not in TOKENIZER_KINDS:
+            raise ValueError(f"tokenizer must be one of {TOKENIZER_KINDS}, got {self.kind!r}")
 
     def tokenize(self, text: str) -> tuple[Token, ...]:
         if self.kind == "byte":
@@ -85,6 +88,10 @@ class SegmentGrid:
     segment_len: int
     segments: tuple[tuple[Token, ...], ...]
     source: str = ""
+
+    def __post_init__(self):
+        if any(len(seg) != self.segment_len for seg in self.segments):
+            raise ValueError(f"a segment of {self.doc_id!r} is not {self.segment_len} tokens long")
 
     @property
     def n_segments(self) -> int:
@@ -155,7 +162,7 @@ def ingest(
     elif format == "plain-dir":
         yield from _ingest_plain_dir(p, stats)
     else:
-        raise ValueError(f"unknown ingest format {format!r}")
+        raise ValueError(f"input format must be one of {INPUT_FORMATS}, got {format!r}")
 
 
 def _ingest_jsonl(path: Path, stats: IngestStats) -> Iterator[Document]:

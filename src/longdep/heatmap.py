@@ -4,8 +4,9 @@ Renders a scored document's lower-triangular dst matrix as an
 uncompressed binary PPM raster plus a CSV of (i, j, dst) rows, keeping
 the component dependency-free. Row = target segment, column = source
 segment, both 0-based; the diagonal, the upper triangle, and any
-unsampled cells are masked with a sentinel color, never zero-filled. Both
-files are written all or nothing.
+unsampled cells are masked with a sentinel color, never zero-filled. Each
+file is written all or nothing, and a failed write of either keeps both
+earlier files.
 
 Color scales:
   linear            per-document min-max mapped to a grayscale ramp
@@ -16,7 +17,7 @@ Color scales:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .jsonio import ensure_parent, open_atomic
 from .lds import PairScore
@@ -107,22 +108,26 @@ def write_ppm(
     config_hash: str = "",
 ) -> None:
     """Binary PPM (P6), one cell_size x cell_size block per matrix cell."""
+    ensure_parent(path)
+    with open_atomic(path, "wb") as handle:
+        handle.writelines(_ppm_chunks(matrix, spec, config_hash))
+
+
+def _ppm_chunks(
+    matrix: list[list[float | None]], spec: HeatmapSpec, config_hash: str
+) -> Iterator[bytes]:
     colors = _cell_colors(matrix, spec.scale)
-    n = len(matrix)
-    side = n * spec.cell_size
-    header = (
+    side = len(matrix) * spec.cell_size
+    yield (
         f"P6\n"
         f"# doc={spec.doc_id} scale={spec.scale} value={spec.value} config={config_hash}\n"
         f"{side} {side}\n255\n"
-    )
-    ensure_parent(path)
-    with open_atomic(path, "wb") as handle:
-        handle.write(header.encode("ascii"))
-        for row in colors:
-            scan = bytearray()
-            for rgb in row:
-                scan.extend(bytes(rgb) * spec.cell_size)
-            handle.write(bytes(scan) * spec.cell_size)
+    ).encode("ascii")
+    for row in colors:
+        scan = bytearray()
+        for rgb in row:
+            scan.extend(bytes(rgb) * spec.cell_size)
+        yield bytes(scan) * spec.cell_size
 
 
 def write_dst_csv(
@@ -170,7 +175,12 @@ def render_heatmap(
     csv_path: str,
     config_hash: str = "",
 ) -> None:
-    """Emit both artifacts for one scored document."""
+    """Emit both artifacts for one scored document, in ``select``'s
+    order: the image's .partial is written and closed, the CSV is
+    written and replaced, and only then is the image renamed."""
     matrix = matrix_from_pairs(pairs, spec.n_segments, spec.value)
-    write_ppm(image_path, matrix, spec, config_hash)
-    write_dst_csv(csv_path, pairs, spec.value, config_hash)
+    ensure_parent(image_path)
+    with open_atomic(image_path, "wb") as handle:
+        handle.writelines(_ppm_chunks(matrix, spec, config_hash))
+        handle.close()
+        write_dst_csv(csv_path, pairs, spec.value, config_hash)

@@ -367,24 +367,21 @@ def _conditional(
     the same pair as on the per-pair path. A backend with
     ``score_stream`` (an external scorer) is sent the pairs in windows,
     each when the first of its values is taken, and each answer brings
-    its own token count. Every other backend, and a grid neither call
-    can take (segments of several lengths, or a pair beyond the
-    backend's context), goes pair by pair through ``ppl_given``.
+    its own token count. Every other backend goes pair by pair through
+    ``ppl_given``.
     """
     order = sorted(rows)
-    lengths = {len(seg) for seg in grid.segments}
-    if len(lengths) == 1 and 2 * max(lengths) <= backend.capabilities.max_context_tokens:
-        batch = getattr(backend, "score_pairs", None)
-        if batch is not None:
-            sums = batch(
-                grid.segments,
-                [t for t in order for _ in rows[t]],
-                [s for t in order for s in rows[t]],
-            )
-            return map(ppl_from_sum, sums, repeat(lengths.pop()))
-        stream = getattr(backend, "score_stream", None)
-        if stream is not None:
-            return _streamed(stream, grid, [(t, s) for t in order for s in rows[t]])
+    batch = getattr(backend, "score_pairs", None)
+    if batch is not None:
+        sums = batch(
+            grid.segments,
+            [t for t in order for _ in rows[t]],
+            [s for t in order for s in rows[t]],
+        )
+        return map(ppl_from_sum, sums, repeat(grid.segment_len))
+    stream = getattr(backend, "score_stream", None)
+    if stream is not None:
+        return _streamed(stream, grid, [(t, s) for t in order for s in rows[t]])
     return (_ppl_given_at(backend, grid, t, s) for t in order for s in rows[t])
 
 

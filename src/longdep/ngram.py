@@ -54,7 +54,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .backends import BackendCapabilities
 from .corpus import Document, Token
 from .errors import ConfigError
 from .jsonio import open_atomic
@@ -145,6 +144,14 @@ class _Tables:
         self.unigram_lp[unigrams] = self.entry_lp[: len(unigrams)]
 
 
+def check_order_and_k(order: int, k: float) -> None:
+    """Raise ConfigError unless ``order`` and ``k`` can make a model."""
+    if not 1 <= order <= 5:
+        raise ConfigError(f"order must be in [1, 5], got {order}")
+    if not (k > 0 and math.isfinite(k)):
+        raise ConfigError(f"smoothing constant k must be positive, got {k}")
+
+
 class NGramModel:
     """Frozen add-k n-gram model over hashable tokens.
 
@@ -163,10 +170,7 @@ class NGramModel:
         keys: np.ndarray | None = None,
         counts: np.ndarray | None = None,
     ):
-        if not 1 <= order <= 5:
-            raise ConfigError(f"order must be in [1, 5], got {order}")
-        if not (k > 0 and math.isfinite(k)):
-            raise ConfigError(f"smoothing constant k must be positive, got {k}")
+        check_order_and_k(order, k)
         self.order = order
         self.k = k
         self.tokenizer_kind = tokenizer_kind
@@ -374,7 +378,7 @@ def train_ngram(
 ) -> NGramModel:
     """Train an add-k model from a document stream (or raw token
     sequences). Fatal on an empty corpus."""
-    NGramModel(order=order, k=k)  # validates order and k before reading
+    check_order_and_k(order, k)
     first_seen: dict[Token, int] = {}
     intern = first_seen.setdefault
     sequences = []
@@ -431,9 +435,6 @@ class NGramBackend:
     by segment content, until the next call; ``score`` reads a target's
     sum from there when it has one. Both give the same floats.
     """
-
-    # One shared value: the scoring helpers read it on every call.
-    capabilities = BackendCapabilities(max_context_tokens=1 << 22, deterministic=True)
 
     def __init__(self, model: NGramModel):
         self.model = model

@@ -46,7 +46,7 @@ from longdep.lds import (
     sample_pairs,
     score_document,
 )
-from longdep.ngram import BackendCapabilities, NGramModel, train_ngram
+from longdep.ngram import NGramModel, train_ngram
 from longdep.pipeline import DocumentOutcome, build_manifest, retained_ids
 
 
@@ -60,8 +60,6 @@ class HashBackend:
     probability in [-3, -0.5], so perplexities land in [e^0.5, e^3] and
     identical inputs always score identically, across runs and machines.
     """
-
-    capabilities = BackendCapabilities(max_context_tokens=1 << 20, deterministic=True)
 
     def __init__(self, salt: str = ""):
         self.salt = salt
@@ -92,10 +90,6 @@ class CountingBackend:
         self.conditional_calls = 0
 
     @property
-    def capabilities(self) -> BackendCapabilities:
-        return self.inner.capabilities
-
-    @property
     def total_calls(self) -> int:
         return self.unconditional_calls + self.conditional_calls
 
@@ -113,8 +107,6 @@ class ScriptedBackend:
     The table maps (tuple(target), tuple(context) | None) to a
     perplexity value; anything unscripted raises KeyError.
     """
-
-    capabilities = BackendCapabilities(max_context_tokens=1 << 20, deterministic=True)
 
     def __init__(self, table: dict):
         self.table = dict(table)
@@ -134,10 +126,6 @@ class FailingBackend:
         self.inner = inner
         self.poison = poison
         self.retriable = retriable
-
-    @property
-    def capabilities(self):
-        return self.inner.capabilities
 
     def score(self, target, context=None):
         if self.poison in target:
@@ -355,8 +343,6 @@ def check_ppl_positive(n_cases: int = 1000, seed: int = 3) -> None:
     model = _tiny_model(rng)
 
     class FlatBackend:
-        capabilities = BackendCapabilities(max_context_tokens=1 << 20, deterministic=True)
-
         def score(self, target, context=None):
             return 0.0, len(target)
 

@@ -21,13 +21,10 @@ from longdep.backends import (
 )
 from longdep.corpus import SegmentGrid
 from longdep.errors import BackendError, BackendUnreachable, ScoringError
-from longdep.ngram import BackendCapabilities
 
 
 class RateBackend:
     """Constant per-token log probability, chosen per construction."""
-
-    capabilities = BackendCapabilities(max_context_tokens=8, deterministic=True)
 
     def __init__(self, rate, count_override=None):
         self.rate = rate
@@ -52,13 +49,6 @@ class TestPplConversion:
             ppl(RateBackend(-1.0), ())
         with pytest.raises(ValueError):
             ppl_given(RateBackend(-1.0), (), ("c",))
-
-    def test_capacity_enforced(self):
-        backend = RateBackend(-1.0)
-        with pytest.raises(ValueError):
-            ppl(backend, tuple("abcdefghi"))
-        with pytest.raises(ValueError):
-            ppl_given(backend, tuple("abcde"), tuple("wxyz"))
 
     def test_zero_token_count_is_scoring_error(self):
         with pytest.raises(ScoringError):
@@ -121,8 +111,6 @@ class TestPplCache:
 
     def test_failure_carries_segment_index(self):
         class Poison:
-            capabilities = BackendCapabilities(1 << 20, True)
-
             def score(self, target, context=None):
                 if "bad" in target:
                     raise BackendError("refused", retriable=False)
@@ -472,11 +460,14 @@ class TestExternalTcp:
         with pytest.raises(BackendError):
             ExternalBackend("just-words")
 
-    def test_capabilities_not_deterministic(self, tcp_scorer):
-        backend = ExternalBackend(tcp_scorer, max_context_tokens=123)
-        assert backend.capabilities.deterministic is False
-        assert backend.capabilities.max_context_tokens == 123
-        assert backend.capabilities is backend.capabilities
+    @pytest.mark.parametrize("port", ["0", "65536", "99999"])
+    def test_port_outside_range_is_a_bad_endpoint(self, port):
+        # getaddrinfo would wrap 99999 to port 34463 and connect there.
+        with pytest.raises(BackendError, match="bad endpoint") as info:
+            ExternalBackend(f"tcp://127.0.0.1:{port}")
+        assert not isinstance(info.value, BackendUnreachable)
+        for edge in ("1", "65535"):
+            ExternalBackend(f"tcp://127.0.0.1:{edge}")
 
 
 # -- windows ---------------------------------------------------------------

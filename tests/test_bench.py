@@ -102,10 +102,6 @@ class TestOracleBackend:
         oracle = OracleBackend(self.links)
         assert oracle.score(("z", "q"), ("a", "x", "y")) == (-1.0, 2)
 
-    def test_capabilities_are_built_once(self):
-        oracle = OracleBackend(self.links)
-        assert oracle.capabilities is oracle.capabilities
-
     def test_base_rate_otherwise(self):
         oracle = OracleBackend(self.links)
         assert oracle.score(("z",), ("y", "x")) == (-2.0, 1)

@@ -449,6 +449,23 @@ class TestScore:
         config.write_text(json.dumps(values))
         assert main(["score", "--show-config", "--config", str(config)]) == 2
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {"tokenizer": "bpe"},
+            {"input_format": "csv"},
+            {"order": 9},
+            {"k": -1},
+            {"workers": 0},
+            {"fraction": 1.5},
+        ],
+    )
+    def test_show_config_refuses_a_value_every_command_refuses(self, tmp_path, capsys, values):
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps(values))
+        assert main(["score", "--show-config", "--config", str(config)]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_int_for_float_key_hashes_like_the_flag(self, tmp_path, capsys):
         config = tmp_path / "conf.json"
         config.write_text(json.dumps({"tau": 0}))
@@ -756,7 +773,7 @@ class TestHeatmap:
         earlier = {f: (tmp_path / f).read_bytes() for f in ("h.ppm", "h.csv")}
         assert len(earlier["h.csv"]) > 50
         fill_disk_after(monkeypatch, 50, "h.csv")
-        assert main(args) == 2
+        assert main([*args, "--value", "pairwise"]) == 2
         assert {f: (tmp_path / f).read_bytes() for f in earlier} == earlier
         assert not list(tmp_path.glob("*.partial"))
 

@@ -7,6 +7,7 @@ import pytest
 from longdep.corpus import (
     Document,
     IngestStats,
+    SegmentGrid,
     TokenizerSpec,
     ingest,
     segment,
@@ -79,6 +80,13 @@ class TestSegment:
         assert grid.doc_id == "d9"
         assert grid.source == "web"
         assert grid.segment_len == 4
+
+    @pytest.mark.parametrize(
+        "segments", [((0, 1, 2, 3), (4, 5, 6)), ((0, 1, 2), (3, 4, 5)), ((0, 1, 2, 3, 4),)]
+    )
+    def test_grid_refuses_a_segment_of_another_length(self, segments):
+        with pytest.raises(ValueError, match="is not 4 tokens long"):
+            SegmentGrid(doc_id="d", segment_len=4, segments=segments)
 
 
 class TestIngestJsonl:

@@ -377,11 +377,6 @@ class TestBackend:
         with pytest.raises(ValueError):
             backend.score(())
 
-    def test_capabilities_report_determinism(self, bigram):
-        caps = NGramBackend(bigram).capabilities
-        assert caps.deterministic
-        assert caps.max_context_tokens >= 1 << 20
-
 
 def grid_of(rng, pool, n_segments, length):
     tokens = [pool[i] for i in rng.integers(0, len(pool), size=n_segments * length)]

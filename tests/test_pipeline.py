@@ -139,8 +139,6 @@ class TestScoreCorpus:
 
     def test_unreachable_backend_is_fatal(self):
         class Unreachable:
-            capabilities = HashBackend.capabilities
-
             def score(self, target, context=None):
                 raise BackendUnreachable("gone")
 
