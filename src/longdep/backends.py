@@ -10,6 +10,7 @@ exp/normalize step, so rounding behavior is centralized here:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -123,7 +124,7 @@ def cached_unconditional(backend: PerplexityBackend, grid: SegmentGrid) -> list[
 # Wire protocol, one JSON object per line over a stream socket or a child
 # process's stdio:
 #   request:  {"req_id": str, "target": str, "context": str | null}
-#   response: {"req_id": str, "logprob_sum": float, "token_count": int}
+#   response: {"req_id": str, "logprob_sum": number, "token_count": integer}
 #          or {"req_id": str, "error": str}
 #
 # Requests go out in windows: the client writes every line of a window,
@@ -305,17 +306,15 @@ class ExternalBackend:
         self.timeout = timeout
         self.retries = retries
         if endpoint.startswith("stdio://"):
-            self._mode = "stdio"
-            self._command = endpoint[len("stdio://"):]
+            self._open = functools.partial(_StdioConnection, endpoint[len("stdio://"):])
         else:
-            self._mode = "tcp"
             addr = endpoint[len("tcp://"):] if endpoint.startswith("tcp://") else endpoint
             host, _, port = addr.rpartition(":")
             if not (host and port.isascii() and port.isdigit() and 1 <= int(port) <= 65535):
                 raise BackendError(
                     f"bad endpoint {endpoint!r}; expected tcp://host:port, port 1-65535"
                 )
-            self._host, self._port = host, int(port)
+            self._open = functools.partial(_TcpConnection, host, int(port))
         # The open connection, or None. Used and replaced only under the
         # lock, so two callers never share its stream.
         self._conn: _Connection | None = None
@@ -323,10 +322,7 @@ class ExternalBackend:
 
     def _connection(self) -> _Connection:
         if self._conn is None:
-            if self._mode == "stdio":
-                self._conn = _StdioConnection(self._command, self.timeout)
-            else:
-                self._conn = _TcpConnection(self._host, self._port, self.timeout)
+            self._conn = self._open(self.timeout)
         return self._conn
 
     def _drop(self) -> None:
@@ -467,7 +463,7 @@ class ExternalBackend:
             )
         if "error" in payload:
             return req_id, BackendError(f"scorer error: {payload['error']}", retriable=False)
-        try:
-            return req_id, (float(payload["logprob_sum"]), int(payload["token_count"]))
-        except (KeyError, TypeError, ValueError):
-            return req_id, BackendError(f"malformed response: {line!r}", retriable=False)
+        logprob_sum, token_count = payload.get("logprob_sum"), payload.get("token_count")
+        if type(logprob_sum) in (int, float) and type(token_count) is int:
+            return req_id, (float(logprob_sum), token_count)
+        return req_id, BackendError(f"malformed response: {line!r}", retriable=False)

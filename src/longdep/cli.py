@@ -36,9 +36,7 @@ from .bench import (
     run_bench,
 )
 from .config import REFERENCE_PROFILE, RunConfig, resolve_config
-from .corpus import (
-    INPUT_FORMATS, TOKENIZER_KINDS, IngestStats, TokenizerSpec, ingest, tokenized_corpus,
-)
+from .corpus import IngestStats, TokenizerSpec, ingest, tokenized_corpus
 from .errors import BackendUnreachable, ConfigError, LongdepError
 from .heatmap import SCALES, VALUES, HeatmapSpec, render_heatmap
 from .jsonio import (
@@ -50,7 +48,7 @@ from .jsonio import (
     write_canonical,
     write_meta_sidecar,
 )
-from .lds import DSP_VARIANTS, MODES, pair_sidecar, report_from_sidecar
+from .lds import LdsConfig, field_types, pair_sidecar, report_from_sidecar
 from .ngram import NGramBackend, NGramModel, train_ngram
 from .pipeline import (
     STRATEGIES, DocumentOutcome, build_manifest, reports_only, retained_ids, score_corpus,
@@ -134,24 +132,10 @@ def _sidecar_name(doc_id: str) -> str:
     return f"{safe}-{tag}.json"
 
 
-def _effective_config(args: argparse.Namespace) -> RunConfig:
-    flags = {key: getattr(args, key, None) for key in REFERENCE_PROFILE}
-    return resolve_config(flags, getattr(args, "config", None))
-
-
-def _show_config(rc: RunConfig) -> int:
-    payload = {"profile": "reference", "config": rc.to_dict(), "hash": rc.fingerprint()}
-    print(canonical_dumps(payload))
-    return EXIT_OK
-
-
 # -- subcommands -----------------------------------------------------------
 
 
-def cmd_train_ngram(args: argparse.Namespace) -> int:
-    rc = _effective_config(args)
-    if args.show_config:
-        return _show_config(rc)
+def cmd_train_ngram(args: argparse.Namespace, rc: RunConfig) -> int:
     if not os.path.exists(args.input):
         raise ConfigError(f"input not found: {args.input}")
     stats = IngestStats()
@@ -175,10 +159,7 @@ def cmd_train_ngram(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_score(args: argparse.Namespace) -> int:
-    rc = _effective_config(args)
-    if args.show_config:
-        return _show_config(rc)
+def cmd_score(args: argparse.Namespace, rc: RunConfig) -> int:
     if not rc.backend:
         raise ConfigError("--backend is required (ngram:<model-file> or external[:<endpoint>])")
     if not args.input:
@@ -287,10 +268,7 @@ def _marked_complete(path: str) -> bool:
     return isinstance(meta, dict) and meta.get("complete") is True
 
 
-def cmd_select(args: argparse.Namespace) -> int:
-    rc = _effective_config(args)
-    if args.show_config:
-        return _show_config(rc)
+def cmd_select(args: argparse.Namespace, rc: RunConfig) -> int:
     if not os.path.exists(args.reports):
         raise ConfigError(f"reports file not found: {args.reports}")
     input_complete = _marked_complete(args.reports)
@@ -358,10 +336,7 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    rc = _effective_config(args)
-    if args.show_config:
-        return _show_config(rc)
+def cmd_bench(args: argparse.Namespace, rc: RunConfig) -> int:
     spec = SynthSpec(
         n_positive=args.n_positive,
         n_negative=args.n_negative,
@@ -406,29 +381,30 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # -- parser ----------------------------------------------------------------
 
 
-def _add_config_flags(sub: argparse.ArgumentParser) -> None:
+# Config keys every config-taking command has a flag for.
+_COMMON_KEYS = ("seed", "tokenizer", "input_format", "workers")
+
+
+def _add_config_flags(sub: argparse.ArgumentParser, *keys: str) -> None:
+    """``--config``, ``--show-config``, and a flag for each config key of
+    ``keys`` and _COMMON_KEYS, typed and checked as its field declares."""
     sub.add_argument("--config", help="JSON config file (flags override it)")
     sub.add_argument(
         "--show-config",
         action="store_true",
         help="print the resolved configuration and exit",
     )
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--tokenizer", choices=TOKENIZER_KINDS, default=None)
-    sub.add_argument("--input-format", dest="input_format", choices=INPUT_FORMATS, default=None)
-    sub.add_argument("--workers", type=int, default=None)
-
-
-def _add_scoring_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--segment-len", dest="segment_len", type=int, default=None)
-    sub.add_argument("--truncate-len", dest="truncate_len", type=int, default=None)
-    sub.add_argument("--tau", type=float, default=None)
-    sub.add_argument("--alpha", type=float, default=None)
-    sub.add_argument("--beta", type=float, default=None)
-    sub.add_argument("--gamma", type=float, default=None)
-    sub.add_argument("--mode", choices=MODES, default=None)
-    sub.add_argument("--sample-size", dest="sample_size", type=int, default=None)
-    sub.add_argument("--dsp-variant", dest="dsp_variant", choices=DSP_VARIANTS, default=None)
+    for cls in (LdsConfig, RunConfig):
+        types = field_types(cls)
+        for f in dataclasses.fields(cls):
+            if f.name in keys or f.name in _COMMON_KEYS:
+                sub.add_argument(
+                    "--" + f.name.replace("_", "-"),
+                    dest=f.name,
+                    type=types[f.name],
+                    choices=f.metadata.get("choices"),
+                    default=None,
+                )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -442,29 +418,24 @@ def build_parser() -> argparse.ArgumentParser:
     train = commands.add_parser("train-ngram", help="train the built-in scorer model")
     train.add_argument("--input", required=True)
     train.add_argument("--out", required=True)
-    train.add_argument("--order", type=int, default=None)
-    train.add_argument("--k", type=float, default=None)
-    _add_config_flags(train)
+    _add_config_flags(train, "order", "k")
     train.set_defaults(func=cmd_train_ngram)
 
     score = commands.add_parser("score", help="score a corpus")
     score.add_argument("--input", default="")
     score.add_argument("--out-dir", dest="out_dir", default="longdep-out")
-    score.add_argument("--backend", default=None)
     score.add_argument(
         "--emit-pairs",
         action="store_true",
         help="write per-document pair sidecars (heatmap input)",
     )
-    _add_config_flags(score)
-    _add_scoring_flags(score)
+    _add_config_flags(score, "backend", *(f.name for f in dataclasses.fields(LdsConfig)))
     score.set_defaults(func=cmd_score)
 
     select = commands.add_parser("select", help="rank and select documents")
     select.add_argument("--reports", required=True)
     select.add_argument("--out-dir", dest="out_dir", default="longdep-out")
     select.add_argument("--strategy", choices=STRATEGIES, default="prolong")
-    select.add_argument("--fraction", type=float, default=None)
     select.add_argument(
         "--global-ranking",
         dest="global_ranking",
@@ -476,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         help="source retained whole regardless of strategy (repeatable)",
     )
-    _add_config_flags(select)
+    _add_config_flags(select, "fraction")
     select.set_defaults(func=cmd_select)
 
     heat = commands.add_parser("heatmap", help="render a scored document's dst matrix")
@@ -497,10 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--segment-len", dest="bench_segment_len", type=int, default=16
     )
-    bench.add_argument("--order", type=int, default=None)
-    bench.add_argument("--k", type=float, default=None)
     bench.add_argument("--out", default="")
-    _add_config_flags(bench)
+    _add_config_flags(bench, "order", "k")
     bench.set_defaults(func=cmd_bench)
 
     return parser
@@ -510,7 +479,15 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     _configure_logging(args.verbose)
     try:
-        return args.func(args)
+        if "show_config" not in args:
+            return args.func(args)
+        flags = {key: getattr(args, key, None) for key in REFERENCE_PROFILE}
+        rc = resolve_config(flags, args.config)
+        if args.show_config:
+            payload = {"profile": "reference", "config": rc.to_dict(), "hash": rc.fingerprint()}
+            print(canonical_dumps(payload))
+            return EXIT_OK
+        return args.func(args, rc)
     except BackendUnreachable as exc:
         log.error("%s", exc)
         return EXIT_UNREACHABLE

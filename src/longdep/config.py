@@ -9,12 +9,12 @@ retention fraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .corpus import INPUT_FORMATS, TOKENIZER_KINDS
 from .errors import ConfigError
 from .jsonio import fingerprint, read_json
-from .lds import LdsConfig, typed_fields
+from .lds import LdsConfig, check_choices, typed_fields
 from .ngram import check_order_and_k
 
 
@@ -25,8 +25,8 @@ class RunConfig:
     lds: LdsConfig
     fraction: float = 0.5
     workers: int = 1
-    tokenizer: str = "whitespace"
-    input_format: str = "jsonl"
+    tokenizer: str = field(default="whitespace", metadata={"choices": TOKENIZER_KINDS})
+    input_format: str = field(default="jsonl", metadata={"choices": INPUT_FORMATS})
     order: int = 3
     k: float = 0.01
     backend: str = ""
@@ -36,9 +36,7 @@ class RunConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if not (0.0 < self.fraction <= 1.0):
             raise ConfigError(f"fraction must be in (0, 1], got {self.fraction}")
-        for name, choices in (("tokenizer", TOKENIZER_KINDS), ("input_format", INPUT_FORMATS)):
-            if getattr(self, name) not in choices:
-                raise ConfigError(f"{name} must be one of {choices}, got {getattr(self, name)!r}")
+        check_choices(self)
         check_order_and_k(self.order, self.k)
 
     def to_dict(self) -> dict:
@@ -51,7 +49,8 @@ class RunConfig:
 
 
 # The two dataclasses are the only schema: every key list and default
-# below, and the type checks of ``typed_fields``, are read off their fields.
+# below, the type checks of ``typed_fields``, the choice checks of
+# ``check_choices`` and the CLI's config flags are read off their fields.
 _LDS_KEYS = tuple(f.name for f in fields(LdsConfig))
 _RUN_FIELDS = tuple(f for f in fields(RunConfig) if f.name != "lds")
 

@@ -34,6 +34,7 @@ from typing import Iterator, NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
+# ppl_given is not called here; perfbench's tracer times longdep.lds.ppl_given.
 from .backends import PerplexityBackend, cached_unconditional, ppl_from_sum, ppl_given
 from .corpus import SegmentGrid
 from .errors import BackendError, BackendUnreachable, ConfigError
@@ -53,9 +54,9 @@ class LdsConfig:
     alpha: float = 1.0
     beta: float = 1.0
     gamma: float = 1.0
-    mode: str = "sampled"
+    mode: str = field(default="sampled", metadata={"choices": MODES})
     sample_size: int = 5000
-    dsp_variant: str = "multiplicative"
+    dsp_variant: str = field(default="multiplicative", metadata={"choices": DSP_VARIANTS})
     seed: int = 0
 
     def __post_init__(self):
@@ -70,14 +71,9 @@ class LdsConfig:
         for name in ("alpha", "beta", "gamma"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        check_choices(self)
         if self.sample_size < 1:
             raise ConfigError(f"sample_size must be >= 1, got {self.sample_size}")
-        if self.dsp_variant not in DSP_VARIANTS:
-            raise ConfigError(
-                f"dsp_variant must be one of {DSP_VARIANTS}, got {self.dsp_variant!r}"
-            )
 
     def replace(self, **changes) -> "LdsConfig":
         return replace(self, **changes)
@@ -100,7 +96,7 @@ class LdsConfig:
 
 
 @functools.cache
-def _field_types(cls) -> dict:
+def field_types(cls) -> dict:
     return get_type_hints(cls)
 
 
@@ -109,7 +105,7 @@ def typed_fields(cls, values: dict) -> dict:
     dataclass ``cls``; a mistyped one raises ConfigError. A float field
     takes a finite int or float and stores it as a float, so ``0`` and
     ``0.0`` hash alike; a bool passes for neither."""
-    types = _field_types(cls)
+    types = field_types(cls)
     out = {}
     for name, value in values.items():
         kind = types[name]
@@ -121,6 +117,15 @@ def typed_fields(cls, values: dict) -> dict:
             raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
         out[name] = value
     return out
+
+
+def check_choices(obj) -> None:
+    """ConfigError unless every field of dataclass ``obj`` that declares
+    ``choices`` in its metadata holds one of them."""
+    for f in fields(obj):
+        choices = f.metadata.get("choices")
+        if choices is not None and getattr(obj, f.name) not in choices:
+            raise ConfigError(f"{f.name} must be one of {choices}, got {getattr(obj, f.name)!r}")
 
 
 def dst(unconditional: float, conditional: float) -> float:
@@ -328,23 +333,17 @@ def report_from_sidecar(data: dict) -> ScoreReport:
     return report
 
 
-def _at_pair(exc: BackendError, target: int, source: int) -> BackendError:
-    return BackendError(
-        f"conditional scoring failed at pair ({target}, {source}): {exc}",
-        retriable=exc.retriable,
-        segment_index=target,
-    )
-
-
-def _ppl_given_at(
-    backend: PerplexityBackend, grid: SegmentGrid, target: int, source: int
-) -> float:
-    try:
-        return ppl_given(backend, grid.segments[target], grid.segments[source])
-    except BackendUnreachable:
-        raise
-    except BackendError as exc:
-        raise _at_pair(exc, target, source) from exc
+def _one_at_a_time(backend: PerplexityBackend, calls) -> Iterator:
+    """``score_stream`` for a backend with only ``score``: each call's
+    result, or the BackendError that failed it; BackendUnreachable is
+    raised."""
+    for target, context in calls:
+        try:
+            yield backend.score(target, context)
+        except BackendUnreachable:
+            raise
+        except BackendError as exc:
+            yield exc
 
 
 def _streamed(stream, grid: SegmentGrid, pairs: list[tuple[int, int]]) -> Iterator[float]:
@@ -352,7 +351,11 @@ def _streamed(stream, grid: SegmentGrid, pairs: list[tuple[int, int]]) -> Iterat
     results = stream((segments[t], segments[s]) for t, s in pairs)
     for (target, source), result in zip(pairs, results):
         if isinstance(result, BackendError):
-            raise _at_pair(result, target, source) from result
+            raise BackendError(
+                f"conditional scoring failed at pair ({target}, {source}): {result}",
+                retriable=result.retriable,
+                segment_index=target,
+            ) from result
         yield ppl_from_sum(*result)
 
 
@@ -364,11 +367,11 @@ def _conditional(
     A backend with ``score_pairs`` scores the whole set in one call, made
     here, before any unconditional value is read; its sums become
     perplexities pair by pair as they are taken, so a failure surfaces at
-    the same pair as on the per-pair path. A backend with
-    ``score_stream`` (an external scorer) is sent the pairs in windows,
-    each when the first of its values is taken, and each answer brings
-    its own token count. Every other backend goes pair by pair through
-    ``ppl_given``.
+    the same pair as on the streamed path. Every other backend streams:
+    one with ``score_stream`` (an external scorer) is sent the pairs in
+    windows, each when the first of its values is taken, and one with
+    only ``score`` is called pair by pair as each value is taken. Each
+    answer brings its own token count.
     """
     order = sorted(rows)
     batch = getattr(backend, "score_pairs", None)
@@ -379,10 +382,8 @@ def _conditional(
             [s for t in order for s in rows[t]],
         )
         return map(ppl_from_sum, sums, repeat(grid.segment_len))
-    stream = getattr(backend, "score_stream", None)
-    if stream is not None:
-        return _streamed(stream, grid, [(t, s) for t in order for s in rows[t]])
-    return (_ppl_given_at(backend, grid, t, s) for t in order for s in rows[t])
+    stream = getattr(backend, "score_stream", None) or functools.partial(_one_at_a_time, backend)
+    return _streamed(stream, grid, [(t, s) for t in order for s in rows[t]])
 
 
 def score_document(

@@ -200,6 +200,27 @@ class TestExternalStdio:
         finally:
             backend.close()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("token_count", True), ("token_count", 12.9), ("token_count", "12"),
+         ("logprob_sum", "-3.5")],
+    )
+    def test_answer_of_the_wrong_type_is_malformed(self, tmp_path, field, value):
+        # float() and int() would read these as a count of 1 or 12, or a sum of -3.5.
+        answer = {"logprob_sum": -3.5, "token_count": 12, field: value}
+        body = f"""\
+    out = {{"req_id": req["req_id"], **{answer!r}}}
+    sys.stdout.write(json.dumps(out) + "\\n")
+    sys.stdout.flush()
+"""
+        backend = ExternalBackend(_stub(tmp_path, body))
+        try:
+            with pytest.raises(BackendError, match="malformed response") as info:
+                backend.score(("x",))
+            assert info.value.retriable is False
+        finally:
+            backend.close()
+
     def test_garbage_line_is_retriable(self, tmp_path):
         body = """\
     sys.stdout.write("{broken\\n")

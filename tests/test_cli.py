@@ -1,5 +1,6 @@
 """End-to-end command-line workflow and exit-code contracts."""
 
+import argparse
 import errno
 import functools
 import io
@@ -19,7 +20,7 @@ from scripted_scorer import TcpScorer
 from support import DyingScorer, fill_disk_after, process_alive
 
 from longdep.backends import ExternalBackend
-from longdep.cli import main
+from longdep.cli import build_parser, main
 from longdep.config import resolve_config
 from longdep.corpus import ingest
 from longdep.jsonio import canonical_dumps
@@ -38,6 +39,93 @@ SCORE_FLAGS = [
 ]
 
 TRAIN_FLAGS = ["--order", "2", "--k", "0.1"]
+
+# Every option of the parser and of each subcommand: option strings ->
+# (dest, choices, default), as the parser declared them when each config
+# flag was still written out by hand.
+CLI_OPTIONS = {
+    "longdep": {
+        "-h --help": ("help", None, "==SUPPRESS=="),
+        "-v --verbose": ("verbose", None, False),
+    },
+    "train-ngram": {
+        "--config": ("config", None, None),
+        "--input": ("input", None, None),
+        "--input-format": ("input_format", ("jsonl", "plain-dir"), None),
+        "--k": ("k", None, None),
+        "--order": ("order", None, None),
+        "--out": ("out", None, None),
+        "--seed": ("seed", None, None),
+        "--show-config": ("show_config", None, False),
+        "--tokenizer": ("tokenizer", ("whitespace", "byte"), None),
+        "--workers": ("workers", None, None),
+        "-h --help": ("help", None, "==SUPPRESS=="),
+    },
+    "score": {
+        "--alpha": ("alpha", None, None),
+        "--backend": ("backend", None, None),
+        "--beta": ("beta", None, None),
+        "--config": ("config", None, None),
+        "--dsp-variant": ("dsp_variant", ("multiplicative", "additive", "none"), None),
+        "--emit-pairs": ("emit_pairs", None, False),
+        "--gamma": ("gamma", None, None),
+        "--input": ("input", None, ""),
+        "--input-format": ("input_format", ("jsonl", "plain-dir"), None),
+        "--mode": ("mode", ("exact", "sampled"), None),
+        "--out-dir": ("out_dir", None, "longdep-out"),
+        "--sample-size": ("sample_size", None, None),
+        "--seed": ("seed", None, None),
+        "--segment-len": ("segment_len", None, None),
+        "--show-config": ("show_config", None, False),
+        "--tau": ("tau", None, None),
+        "--tokenizer": ("tokenizer", ("whitespace", "byte"), None),
+        "--truncate-len": ("truncate_len", None, None),
+        "--workers": ("workers", None, None),
+        "-h --help": ("help", None, "==SUPPRESS=="),
+    },
+    "select": {
+        "--config": ("config", None, None),
+        "--fraction": ("fraction", None, None),
+        "--global-ranking": ("global_ranking", None, False),
+        "--input-format": ("input_format", ("jsonl", "plain-dir"), None),
+        "--out-dir": ("out_dir", None, "longdep-out"),
+        "--passthrough": ("passthrough", None, None),
+        "--reports": ("reports", None, None),
+        "--seed": ("seed", None, None),
+        "--show-config": ("show_config", None, False),
+        "--strategy": ("strategy", ("prolong", "random", "full"), "prolong"),
+        "--tokenizer": ("tokenizer", ("whitespace", "byte"), None),
+        "--workers": ("workers", None, None),
+        "-h --help": ("help", None, "==SUPPRESS=="),
+    },
+    "heatmap": {
+        "--cell-size": ("cell_size", None, 4),
+        "--out-csv": ("out_csv", None, ""),
+        "--out-image": ("out_image", None, ""),
+        "--pairs": ("pairs", None, None),
+        "--scale": ("scale", ("linear", "signed-diverging"), "linear"),
+        "--value": ("value", ("dst", "pairwise"), "dst"),
+        "-h --help": ("help", None, "==SUPPRESS=="),
+    },
+    "bench": {
+        "--backends": ("backends", None, "ngram"),
+        "--config": ("config", None, None),
+        "--input-format": ("input_format", ("jsonl", "plain-dir"), None),
+        "--k": ("k", None, None),
+        "--n-negative": ("n_negative", None, 100),
+        "--n-positive": ("n_positive", None, 100),
+        "--n-segments": ("n_segments", None, 64),
+        "--order": ("order", None, None),
+        "--out": ("out", None, ""),
+        "--sample-sizes": ("sample_sizes", None, "500,5000"),
+        "--seed": ("seed", None, None),
+        "--segment-len": ("bench_segment_len", None, 16),
+        "--show-config": ("show_config", None, False),
+        "--tokenizer": ("tokenizer", ("whitespace", "byte"), None),
+        "--workers": ("workers", None, None),
+        "-h --help": ("help", None, "==SUPPRESS=="),
+    },
+}
 
 # Runs ``longdep.cli.main`` on its arguments and SIGKILLs its own process
 # as the 4th document starts scoring.
@@ -102,6 +190,19 @@ def run_score(corpus, model, out_dir, extra=()):
 
 
 class TestUsage:
+    def test_every_option_keeps_its_strings_dest_choices_and_default(self):
+        parser = build_parser()
+        [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        options = {
+            name: {
+                " ".join(a.option_strings): (a.dest, a.choices, a.default)
+                for a in sub._actions
+                if a.option_strings
+            }
+            for name, sub in {"longdep": parser, **commands.choices}.items()
+        }
+        assert options == CLI_OPTIONS
+
     def test_no_arguments_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
             main([])

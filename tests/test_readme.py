@@ -1,10 +1,12 @@
-"""The README's code examples run as written."""
+"""The README's code examples run as written, and its Configuration table
+shows the schema's defaults."""
 
 import ast
 import json
 from pathlib import Path
 
 from longdep.cli import main
+from longdep.config import REFERENCE_PROFILE
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -26,3 +28,23 @@ def test_library_example_runs(tmp_path, monkeypatch, capsys):
     retained = ast.literal_eval(capsys.readouterr().out)
     assert len(retained) == 3
     assert set(retained) <= {f"d{i}" for i in range(6)}
+
+
+def config_table() -> list[tuple[str, str]]:
+    """(key, default) of every key in the Configuration table; a row may
+    name several keys, and their defaults, comma-separated."""
+    section = README.read_text(encoding="utf-8").split("## Configuration", 1)[1]
+    rows = [line for line in section.split("\n## ", 1)[0].splitlines() if line.startswith("|")]
+    pairs = []
+    for row in rows[2:]:
+        keys, defaults = (cell.strip() for cell in row.split("|")[1:3])
+        pairs += zip(keys.split(", "), defaults.split(", "), strict=True)
+    return pairs
+
+
+def test_configuration_table_lists_every_key_once_with_its_default():
+    table = config_table()
+    assert sorted(key for key, _ in table) == sorted(REFERENCE_PROFILE)
+    for key, shown in table:
+        default = REFERENCE_PROFILE[key]
+        assert shown == ("(none)" if default == "" else str(default)), key
