@@ -20,7 +20,7 @@ import signal
 import socket
 import subprocess
 import threading
-from typing import Iterable, Iterator, Protocol, Sequence
+from typing import Iterator, Protocol, Sequence
 
 from .corpus import SegmentGrid, Token, TokenizerSpec
 from .errors import BackendError, BackendUnreachable, ScoringError
@@ -29,8 +29,10 @@ from .errors import BackendError, BackendUnreachable, ScoringError
 class PerplexityBackend(Protocol):
     """``score`` is the one required call. A backend refuses a request it
     cannot take, such as one beyond its context limit, with BackendError.
-    Optional calls, looked up with ``getattr``: ``score_pairs``,
-    ``score_stream`` and ``close``."""
+    Optional calls, looked up with ``getattr``: ``close`` and
+    ``score_pairs(segments, targets, sources)``, an iterable of the
+    ``score(segments[t], segments[s])`` of each (t, s) pair, in order; a
+    pair that fails raises ``pair_failed`` when its result is taken."""
 
     def score(
         self, target: Sequence[Token], context: Sequence[Token] | None = None
@@ -49,6 +51,15 @@ def ppl_from_sum(logprob_sum: float, token_count: int) -> float:
     if not (math.isfinite(value) and value > 0.0):
         raise ScoringError(f"non-finite perplexity from logprob_sum={logprob_sum}")
     return value
+
+
+def pair_failed(target: int, source: int, exc: BackendError) -> BackendError:
+    """``exc`` as the failure of conditional pair (target, source)."""
+    return BackendError(
+        f"conditional scoring failed at pair ({target}, {source}): {exc}",
+        retriable=exc.retriable,
+        segment_index=target,
+    )
 
 
 def ppl(backend: PerplexityBackend, target: Sequence[Token]) -> float:
@@ -282,10 +293,12 @@ class ExternalBackend:
     re-tokenizes with its own vocabulary. Context and target are sent as
     separate fields, so any separator policy is the scorer's own.
 
-    ``score`` sends a one-request window; ``score_stream`` sends windows
-    of up to WINDOW_REQUESTS. Every read waits at most ``timeout``
-    seconds. An error answer from the scorer fails its own request only
-    and is not retried. Failed connects, transport failures, timeouts,
+    ``score`` sends a one-request window; ``score_pairs`` sends a
+    document's pairs in windows of up to WINDOW_REQUESTS. Every read
+    waits at most ``timeout`` seconds. An error answer from the scorer
+    fails its own request only and is not retried: ``score`` raises it,
+    and ``score_pairs`` raises it as ``pair_failed`` when that pair's
+    result is taken. Failed connects, transport failures, timeouts,
     undecodable lines and unknown ``req_id``s drop the connection, and
     the requests still unanswered are resent on a fresh one, up to
     ``retries`` times. A call on which no connection could be opened, or
@@ -345,66 +358,73 @@ class ExternalBackend:
             if self._conn is not None:
                 self._drop()
 
-    def _request(
-        self,
-        target: Sequence[Token],
-        context: Sequence[Token] | None,
-        texts: dict[tuple[Token, ...], bytes],
-    ) -> tuple[str, bytes]:
-        if not target:
-            raise ValueError("target must be non-empty")
+    @staticmethod
+    def _request(target: bytes, context: bytes) -> tuple[str, bytes]:
+        """A request line for JSON texts ``target`` and ``context``."""
         req_id = str(next(_REQ_IDS))
-        line = b'{"req_id": "%s", "target": %s, "context": %s}\n' % (
-            req_id.encode("ascii"),
-            self._json_text(target, texts),
-            self._json_text(context, texts) if context else b"null",
-        )
-        return req_id, line
+        return req_id, b'{"req_id": "%s", "target": %s, "context": %s}\n' % (
+            req_id.encode("ascii"), target, context)
 
-    def _json_text(
-        self, tokens: Sequence[Token], texts: dict[tuple[Token, ...], bytes]
-    ) -> bytes:
-        """The detokenized segment as a JSON string, kept in ``texts``:
-        a document's pairs reuse its few segments many times."""
-        key = tuple(tokens)
-        text = texts.get(key)
-        if text is None:
-            text = json.dumps(self.tokenizer.detokenize(tokens), ensure_ascii=False)
-            text = texts[key] = text.encode("utf-8")
-        return text
+    def _json_text(self, tokens: Sequence[Token]) -> bytes:
+        """The detokenized segment as a JSON string."""
+        return json.dumps(self.tokenizer.detokenize(tokens), ensure_ascii=False).encode("utf-8")
 
     def score(
         self, target: Sequence[Token], context: Sequence[Token] | None = None
     ) -> tuple[float, int]:
-        [result] = self._exchange([self._request(target, context, {})])
+        if not target:
+            raise ValueError("target must be non-empty")
+        context_text = self._json_text(context) if context else b"null"
+        [result] = self._exchange([self._request(self._json_text(target), context_text)])
         if isinstance(result, BackendError):
             raise result
         return result
 
-    def score_stream(
-        self, calls: Iterable[tuple[Sequence[Token], Sequence[Token] | None]]
-    ) -> Iterator[ScoreResult]:
-        """The (logprob_sum, token_count) of each (target, context) call,
-        in call order, or the BackendError that failed that call alone.
+    def score_pairs(
+        self,
+        segments: Sequence[Sequence[Token]],
+        targets: Sequence[int],
+        sources: Sequence[int],
+    ) -> Iterator[tuple[float, int]]:
+        """The (logprob_sum, token_count) of ``segments[t]`` after context
+        ``segments[s]`` for each (t, s) of ``targets`` and ``sources``, in
+        order. An empty segment raises ValueError here.
 
-        Calls are sent in windows, and a window goes out only when the
-        consumer asks for its first result. BackendUnreachable is raised,
-        not yielded.
+        Pairs are sent in windows, and a window goes out only when its
+        first result is taken. A pair the scorer answers with an error
+        raises ``pair_failed`` when its result is taken; BackendUnreachable
+        is raised as it is.
         """
-        texts: dict[tuple[Token, ...], bytes] = {}
+        if not all(segments):
+            raise ValueError("segments must be non-empty")
+        return self._pair_results(segments, targets, sources)
+
+    def _pair_results(self, segments, targets, sources) -> Iterator[tuple[float, int]]:
+        # Each segment is detokenized once; a document's pairs reuse it often.
+        texts = list(map(self._json_text, segments))
+        pairs: list[tuple[int, int]] = []
         window: list[tuple[str, bytes]] = []
         size = 0
-        for target, context in calls:
-            request = self._request(target, context, texts)
+        for pair in zip(targets, sources):
+            request = self._request(texts[pair[0]], texts[pair[1]])
             if window and (
                 len(window) == WINDOW_REQUESTS or size + len(request[1]) > WINDOW_BYTES
             ):
-                yield from self._exchange(window)
-                window, size = [], 0
+                yield from self._checked(pairs, window)
+                pairs, window, size = [], [], 0
+            pairs.append(pair)
             window.append(request)
             size += len(request[1])
         if window:
-            yield from self._exchange(window)
+            yield from self._checked(pairs, window)
+
+    def _checked(
+        self, pairs: list[tuple[int, int]], window: list[tuple[str, bytes]]
+    ) -> Iterator[tuple[float, int]]:
+        for (target, source), result in zip(pairs, self._exchange(window)):
+            if isinstance(result, BackendError):
+                raise pair_failed(target, source, result) from result
+            yield result
 
     def _exchange(self, window: list[tuple[str, bytes]]) -> list[ScoreResult]:
         results: list[ScoreResult | None] = [None] * len(window)

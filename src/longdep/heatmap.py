@@ -101,21 +101,10 @@ def _cell_colors(
     return out
 
 
-def write_ppm(
-    path: str,
-    matrix: list[list[float | None]],
-    spec: HeatmapSpec,
-    config_hash: str = "",
-) -> None:
-    """Binary PPM (P6), one cell_size x cell_size block per matrix cell."""
-    ensure_parent(path)
-    with open_atomic(path, "wb") as handle:
-        handle.writelines(_ppm_chunks(matrix, spec, config_hash))
-
-
 def _ppm_chunks(
     matrix: list[list[float | None]], spec: HeatmapSpec, config_hash: str
 ) -> Iterator[bytes]:
+    """Binary PPM (P6), one cell_size x cell_size block per matrix cell."""
     colors = _cell_colors(matrix, spec.scale)
     side = len(matrix) * spec.cell_size
     yield (

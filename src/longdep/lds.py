@@ -29,13 +29,13 @@ import functools
 import hashlib
 import math
 from dataclasses import dataclass, field, fields, replace
-from itertools import islice, repeat
+from itertools import islice, repeat, starmap
 from typing import Iterator, NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
 # ppl_given is not called here; perfbench's tracer times longdep.lds.ppl_given.
-from .backends import PerplexityBackend, cached_unconditional, ppl_from_sum, ppl_given
+from .backends import PerplexityBackend, cached_unconditional, pair_failed, ppl_from_sum, ppl_given
 from .corpus import SegmentGrid
 from .errors import BackendError, BackendUnreachable, ConfigError
 from .jsonio import fingerprint
@@ -333,30 +333,17 @@ def report_from_sidecar(data: dict) -> ScoreReport:
     return report
 
 
-def _one_at_a_time(backend: PerplexityBackend, calls) -> Iterator:
-    """``score_stream`` for a backend with only ``score``: each call's
-    result, or the BackendError that failed it; BackendUnreachable is
-    raised."""
-    for target, context in calls:
+def _one_at_a_time(backend: PerplexityBackend, segments, targets, sources) -> Iterator:
+    """``score_pairs`` for a backend with only ``score``: each pair is
+    scored when its result is taken, and a failing one raises
+    ``pair_failed``; BackendUnreachable is raised as it is."""
+    for target, source in zip(targets, sources):
         try:
-            yield backend.score(target, context)
+            yield backend.score(segments[target], segments[source])
         except BackendUnreachable:
             raise
         except BackendError as exc:
-            yield exc
-
-
-def _streamed(stream, grid: SegmentGrid, pairs: list[tuple[int, int]]) -> Iterator[float]:
-    segments = grid.segments
-    results = stream((segments[t], segments[s]) for t, s in pairs)
-    for (target, source), result in zip(pairs, results):
-        if isinstance(result, BackendError):
-            raise BackendError(
-                f"conditional scoring failed at pair ({target}, {source}): {result}",
-                retriable=result.retriable,
-                segment_index=target,
-            ) from result
-        yield ppl_from_sum(*result)
+            raise pair_failed(target, source, exc) from exc
 
 
 def _conditional(
@@ -364,26 +351,19 @@ def _conditional(
 ) -> Iterator[float]:
     """Conditional perplexity of each pair of ``rows``, target-ascending.
 
-    A backend with ``score_pairs`` scores the whole set in one call, made
-    here, before any unconditional value is read; its sums become
-    perplexities pair by pair as they are taken, so a failure surfaces at
-    the same pair as on the streamed path. Every other backend streams:
-    one with ``score_stream`` (an external scorer) is sent the pairs in
-    windows, each when the first of its values is taken, and one with
-    only ``score`` is called pair by pair as each value is taken. Each
-    answer brings its own token count.
+    The backend's ``score_pairs``, or ``_one_at_a_time`` for a backend
+    with only ``score``, is called here, before any unconditional value
+    is read. Each (sum, count) it returns becomes a perplexity when it
+    is taken, so a lazy batch (an external scorer's windows, or one
+    pair at a time) is scored no further than the document gets.
     """
     order = sorted(rows)
-    batch = getattr(backend, "score_pairs", None)
-    if batch is not None:
-        sums = batch(
-            grid.segments,
-            [t for t in order for _ in rows[t]],
-            [s for t in order for s in rows[t]],
-        )
-        return map(ppl_from_sum, sums, repeat(grid.segment_len))
-    stream = getattr(backend, "score_stream", None) or functools.partial(_one_at_a_time, backend)
-    return _streamed(stream, grid, [(t, s) for t in order for s in rows[t]])
+    batch = getattr(backend, "score_pairs", None) or functools.partial(_one_at_a_time, backend)
+    return starmap(ppl_from_sum, batch(
+        grid.segments,
+        [t for t in order for _ in rows[t]],
+        [s for t in order for s in rows[t]],
+    ))
 
 
 def score_document(

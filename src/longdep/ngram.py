@@ -50,7 +50,7 @@ import json
 import math
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -488,11 +488,11 @@ class NGramBackend:
         segments: Sequence[Sequence[Token]],
         targets: Sequence[int],
         sources: Sequence[int],
-    ) -> list[float]:
-        """Summed log probability of ``segments[t]`` after context
-        ``segments[s]`` for each (t, s) of ``targets`` and ``sources``,
-        equal to ``score(segments[t], segments[s])[0]``; the token count
-        is the segment length, which every segment shares.
+    ) -> Iterator[tuple[float, int]]:
+        """(summed log probability, token count) of ``segments[t]`` after
+        context ``segments[s]`` for each (t, s) of ``targets`` and
+        ``sources``, equal to ``score(segments[t], segments[s])``; the
+        token count is the segment length, which every segment shares.
 
         The grid's tokens are mapped to ids once. One walk scores every
         distinct segment; the histories inside each distinct segment's
@@ -514,4 +514,4 @@ class NGramBackend:
         tgt = row_of[np.asarray(targets, dtype=np.int64)]
         src = row_of[np.asarray(sources, dtype=np.int64)]
         tails = ids[:, length - min(model.order - 1, length):]
-        return self._swap_heads(lps, sums, tgt, ids, tails, src).tolist()
+        return zip(self._swap_heads(lps, sums, tgt, ids, tails, src).tolist(), repeat(length))

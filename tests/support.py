@@ -29,10 +29,9 @@ from longdep.errors import BackendError, DocumentTooShort
 from longdep.heatmap import (
     MASK_COLOR,
     HeatmapSpec,
-    matrix_from_pairs,
     read_dst_csv,
+    render_heatmap,
     write_dst_csv,
-    write_ppm,
 )
 from longdep.jsonio import canonical_dumps, fingerprint
 from longdep.lds import (
@@ -672,8 +671,7 @@ def check_ppm_geometry(n_cases: int = 1000, seed: int = 18, tmp_dir: str | None 
             if not pairs:
                 pairs = [PairScore(1, 0, 0.5, 1.0, 0.5, 0.25, True)]
             spec = HeatmapSpec(doc_id="d", n_segments=n, cell_size=cell)
-            matrix = matrix_from_pairs(pairs, n, "dst")
-            write_ppm(path, matrix, spec, config_hash="h")
+            render_heatmap(pairs, spec, path, os.path.join(tmp, "probe.csv"), config_hash="h")
             blob = open(path, "rb").read()
             magic, comment, dims, maxval, raster = blob.split(b"\n", 4)
             assert magic == b"P6"

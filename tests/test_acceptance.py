@@ -38,6 +38,7 @@ C4_BUDGET_S = 1800.0
 C5_SE_MULT = 3.0
 C6_SPEEDUP = 2.0
 C6_P = 0.01
+C6_REPEATS = 3
 C7_CASES = 1000
 C7_BUDGET_S = 600.0
 
@@ -282,18 +283,26 @@ def test_criterion_5_selection_means_order_correctly():
 
 def test_criterion_6_throughput_scales_and_accuracy_beats_chance():
     """Smaller pair budgets speed scoring at least 2x, and ranking
-    accuracy on the labeled corpus beats the random-ranking null."""
+    accuracy on the labeled corpus beats the random-ranking null.
+
+    The speedup is the median over C6_REPEATS runs of the T=500/T=5000
+    cell pair, the cells alternating, so that one burst of load on the
+    machine cannot decide the ratio."""
     spec = SynthSpec(n_positive=50, n_negative=50, seed=0)
     testset = generate_testset(spec)
     model = train_ngram(testset.docs, order=3, k=0.01)
-    results = run_bench(
-        testset,
-        [("ngram", lambda: NGramBackend(model))],
-        sample_sizes=(500, 5000),
-    )
-    by_t = {r.sample_size: r for r in results}
-    fast, slow = by_t[500], by_t[5000]
-    speedup = fast.docs_per_second / slow.docs_per_second
+    speedups, statuses = [], set()
+    for _ in range(C6_REPEATS):
+        results = run_bench(
+            testset,
+            [("ngram", lambda: NGramBackend(model))],
+            sample_sizes=(500, 5000),
+        )
+        by_t = {r.sample_size: r for r in results}
+        fast, slow = by_t[500], by_t[5000]
+        statuses.update((fast.status, slow.status))
+        speedups.append(fast.docs_per_second / slow.docs_per_second)
+    speedup = statistics.median(speedups)
 
     k = testset.n_positive
     hits = round(slow.accuracy_at_k * k)
@@ -301,7 +310,7 @@ def test_criterion_6_throughput_scales_and_accuracy_beats_chance():
     pvalue = float(hypergeom.sf(hits - 1, 100, 50, k))
 
     ok = (
-        fast.status == slow.status == "ok"
+        statuses == {"ok"}
         and speedup >= C6_SPEEDUP
         and slow.accuracy_at_k > 0.5
         and pvalue < C6_P
@@ -309,8 +318,8 @@ def test_criterion_6_throughput_scales_and_accuracy_beats_chance():
     verdict(
         "criterion 6",
         ok,
-        f"docs/s {fast.docs_per_second:.2f} vs {slow.docs_per_second:.2f} "
-        f"(speedup {speedup:.2f}x >= {C6_SPEEDUP}x), "
+        f"speedups {', '.join(f'{x:.2f}x' for x in speedups)} "
+        f"(median {speedup:.2f}x >= {C6_SPEEDUP}x), "
         f"accuracy@{k}={slow.accuracy_at_k:.3f} ({hits}/{k}), p={pvalue:.3e} < {C6_P}",
     )
 

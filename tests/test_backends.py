@@ -21,6 +21,7 @@ from longdep.backends import (
 )
 from longdep.corpus import SegmentGrid
 from longdep.errors import BackendError, BackendUnreachable, ScoringError
+from longdep.lds import LdsConfig, score_document
 
 
 class RateBackend:
@@ -523,13 +524,19 @@ def _answer(req):
     return json.dumps({"req_id": req["req_id"], "logprob_sum": rate * n, "token_count": n}) + "\n"
 
 
-def _calls(n, width=2):
-    """``n`` (target, context) calls with distinct targets ``t<i>``."""
-    return [((f"t{i}",) * width, ("c",)) for i in range(n)]
+def _targets(n, width=2):
+    """``n`` distinct targets ``t<i>``, ``width`` tokens each."""
+    return [(f"t{i}",) * width for i in range(n)]
 
 
-def _expected(calls):
-    return [(-0.5 * len(target), len(target)) for target, _ in calls]
+def _batch(targets):
+    """``score_pairs`` arguments that score each of ``targets``, in
+    order, after the context segment ``c``."""
+    return [("c",), *targets], list(range(1, len(targets) + 1)), [0] * len(targets)
+
+
+def _expected(targets):
+    return [(-0.5 * len(target), len(target)) for target in targets]
 
 
 def _targets_by_process(log):
@@ -552,9 +559,9 @@ for line in sys.stdin:
         window = []
 """)
         backend = ExternalBackend(endpoint)
-        calls = [((f"t{i}",) * (i + 1), ("c",)) for i in range(5)]
+        targets = [(f"t{i}",) * (i + 1) for i in range(5)]
         try:
-            assert list(backend.score_stream(calls)) == _expected(calls)
+            assert list(backend.score_pairs(*_batch(targets))) == _expected(targets)
         finally:
             backend.close()
 
@@ -570,19 +577,53 @@ for line in sys.stdin:
     sys.stdout.flush()
 """)
         backend = ExternalBackend(endpoint)
-        calls = _calls(5)
+        targets = _targets(5)
         try:
-            results = list(backend.score_stream(calls))
-            assert isinstance(results[2], BackendError)
-            assert results[2].retriable is False
-            assert str(results[2]) == "scorer error: refused"
-            del results[2], calls[2]
-            assert results == _expected(calls)
+            results = backend.score_pairs(*_batch(targets))
+            assert [next(results), next(results)] == _expected(targets[:2])
+            with pytest.raises(BackendError) as raised:
+                next(results)
+            assert str(raised.value) == (
+                "conditional scoring failed at pair (3, 0): scorer error: refused"
+            )
+            assert raised.value.retriable is False
+            assert raised.value.segment_index == 3
             # The stream is still in step: the same process answers on.
             assert backend.score(("x",)) == (-1.0, 1)
+            assert list(backend.score_pairs(*_batch(targets[3:]))) == _expected(targets[3:])
             assert len(_targets_by_process(log)) == 1
         finally:
             backend.close()
+
+    def test_failing_pair_sends_no_later_window(self, tmp_path):
+        endpoint, log = _window_stub(tmp_path, """
+for line in sys.stdin:
+    req = json.loads(line)
+    log(req)
+    if "BOOM" in (req["context"] or ""):
+        sys.stdout.write(json.dumps({"req_id": req["req_id"], "error": "refused"}) + "\\n")
+    else:
+        sys.stdout.write(answer(req))
+    sys.stdout.flush()
+""")
+        # 16 distinct segments, so 120 exact pairs in 4 windows; the
+        # first pair, (1, 0), has the poisoned context.
+        segments = (("BOOM",) * 4,) + tuple((f"s{i}",) * 4 for i in range(1, 16))
+        grid = SegmentGrid(doc_id="d", segment_len=4, segments=segments)
+        backend = ExternalBackend(endpoint)
+        try:
+            with pytest.raises(BackendError, match=r"pair \(1, 0\): scorer error: refused"):
+                score_document(backend, grid, LdsConfig(segment_len=4, truncate_len=64,
+                                                        mode="exact"))
+        finally:
+            backend.close()
+        # The 16 unconditional requests, then the first window only.
+        assert len(log.read_text().splitlines()) == 16 + WINDOW_REQUESTS
+
+    def test_empty_segment_rejected_before_any_request(self):
+        backend = ExternalBackend("tcp://127.0.0.1:1")
+        with pytest.raises(ValueError):
+            backend.score_pairs((("a",), ()), [1], [0])
 
     def test_garbage_line_resends_only_unanswered_requests(self, tmp_path):
         # The first process answers t0, t1, garbage, t3, t4.
@@ -606,9 +647,9 @@ for line in sys.stdin:
     window = []
 """.replace("MARKER", repr(str(marker))))
         backend = ExternalBackend(endpoint)
-        calls = _calls(5)
+        targets = _targets(5)
         try:
-            assert list(backend.score_stream(calls)) == _expected(calls)
+            assert list(backend.score_pairs(*_batch(targets))) == _expected(targets)
             assert _targets_by_process(log) == [["t0", "t1", "t2", "t3", "t4"], ["t2"]]
         finally:
             backend.close()
@@ -639,9 +680,9 @@ for line in sys.stdin:
         server.daemon_threads = True
         threading.Thread(target=server.serve_forever, daemon=True).start()
         backend = ExternalBackend(f"tcp://127.0.0.1:{server.server_address[1]}", timeout=5.0)
-        calls = _calls(5)
+        targets = _targets(5)
         try:
-            assert list(backend.score_stream(calls)) == _expected(calls)
+            assert list(backend.score_pairs(*_batch(targets))) == _expected(targets)
             assert received == [["t0", "t1", "t2", "t3", "t4"], ["t2", "t3", "t4"]]
         finally:
             backend.close()
@@ -663,10 +704,10 @@ for line in sys.stdin:
 
         monkeypatch.setattr(_StdioConnection, "round_trip", recording)
         backend = ExternalBackend(endpoint)
-        # 100 small calls, then seven of about 15 KiB and one of 90 KiB.
-        calls = _calls(100) + _calls(7, width=5000) + _calls(1, width=30000)
+        # 100 small pairs, then seven of about 15 KiB and one of 90 KiB.
+        targets = _targets(100) + _targets(7, width=5000) + _targets(1, width=30000)
         try:
-            assert list(backend.score_stream(calls)) == _expected(calls)
+            assert list(backend.score_pairs(*_batch(targets))) == _expected(targets)
         finally:
             backend.close()
         assert [count for count, _ in windows[:3]] == [32, 32, 32]
@@ -674,4 +715,4 @@ for line in sys.stdin:
             assert count <= WINDOW_REQUESTS == 32
             assert size <= WINDOW_BYTES == 64 * 1024 or count == 1
         assert windows[-1][0] == 1 and windows[-1][1] > WINDOW_BYTES
-        assert sum(count for count, _ in windows) == len(calls)
+        assert sum(count for count, _ in windows) == len(targets)

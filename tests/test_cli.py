@@ -1203,7 +1203,7 @@ class TestWindowedScoring:
     def test_reports_match_the_per_pair_path(self, endpoint, tmp_path, monkeypatch):
         corpus = write_windowed_corpus(tmp_path / "corpus.jsonl")
         windowed = self._score(corpus, endpoint, tmp_path / "windowed")
-        monkeypatch.delattr(ExternalBackend, "score_stream")
+        monkeypatch.delattr(ExternalBackend, "score_pairs")
         per_pair = self._score(corpus, endpoint, tmp_path / "per-pair")
         assert windowed == per_pair
         assert windowed[0] == 4

@@ -11,7 +11,6 @@ from longdep.heatmap import (
     read_dst_csv,
     render_heatmap,
     write_dst_csv,
-    write_ppm,
 )
 from longdep.lds import PairScore
 
@@ -42,6 +41,13 @@ def read_ppm(path):
     ]
     rows = [pixels[r * width : (r + 1) * width] for r in range(height)]
     return comment.decode(), width, height, rows
+
+
+def render_ppm(tmp_path, pairs, spec, config_hash=""):
+    """``read_ppm`` of the image ``render_heatmap`` writes for ``pairs``."""
+    path = tmp_path / "img.ppm"
+    render_heatmap(pairs, spec, str(path), str(tmp_path / "img.csv"), config_hash)
+    return read_ppm(path)
 
 
 class TestMatrix:
@@ -108,29 +114,23 @@ class TestCsv:
 
 class TestPpm:
     def test_header_and_dimensions(self, tmp_path):
-        path = tmp_path / "img.ppm"
         spec = HeatmapSpec(doc_id="d7", n_segments=4, cell_size=3)
-        write_ppm(path, matrix_from_pairs(THREE_PAIRS, 4), spec, config_hash="h9")
-        comment, width, height, _ = read_ppm(path)
+        comment, width, height, _ = render_ppm(tmp_path, THREE_PAIRS, spec, config_hash="h9")
         assert width == height == 12
         assert "doc=d7" in comment
         assert "config=h9" in comment
         assert "scale=linear" in comment
 
     def test_masked_cells_use_sentinel_color(self, tmp_path):
-        path = tmp_path / "img.ppm"
         spec = HeatmapSpec(doc_id="d", n_segments=4)
-        write_ppm(path, matrix_from_pairs(THREE_PAIRS, 4), spec)
-        _, _, _, rows = read_ppm(path)
+        _, _, _, rows = render_ppm(tmp_path, THREE_PAIRS, spec)
         assert rows[0][0] == MASK_COLOR
         assert rows[0][3] == MASK_COLOR
         assert rows[2][1] != MASK_COLOR
 
     def test_linear_scale_is_grayscale_ramp(self, tmp_path):
-        path = tmp_path / "img.ppm"
         spec = HeatmapSpec(doc_id="d", n_segments=4, scale="linear")
-        write_ppm(path, matrix_from_pairs(THREE_PAIRS, 4), spec)
-        _, _, _, rows = read_ppm(path)
+        _, _, _, rows = render_ppm(tmp_path, THREE_PAIRS, spec)
         # Values -0.2, 0.0, 0.5 map to 0, 73, 255 gray levels.
         assert rows[3][2] == (0, 0, 0)
         assert rows[2][1] == (255, 255, 255)
@@ -139,17 +139,13 @@ class TestPpm:
         assert g == round(255 * 0.2 / 0.7)
 
     def test_constant_matrix_renders_mid_gray(self, tmp_path):
-        path = tmp_path / "img.ppm"
         spec = HeatmapSpec(doc_id="d", n_segments=2)
-        write_ppm(path, matrix_from_pairs([pair(1, 0, 0.4)], 2), spec)
-        _, _, _, rows = read_ppm(path)
+        _, _, _, rows = render_ppm(tmp_path, [pair(1, 0, 0.4)], spec)
         assert rows[1][0] == (128, 128, 128)
 
     def test_diverging_scale_signs_and_zero(self, tmp_path):
-        path = tmp_path / "img.ppm"
         spec = HeatmapSpec(doc_id="d", n_segments=4, scale="signed-diverging")
-        write_ppm(path, matrix_from_pairs(THREE_PAIRS, 4), spec)
-        _, _, _, rows = read_ppm(path)
+        _, _, _, rows = render_ppm(tmp_path, THREE_PAIRS, spec)
         r, g, b = rows[2][1]
         assert r == 255 and g == b and g < 255
         r, g, b = rows[3][2]
@@ -157,10 +153,8 @@ class TestPpm:
         assert rows[3][1] == (255, 255, 255)
 
     def test_cells_upscale_as_blocks(self, tmp_path):
-        path = tmp_path / "img.ppm"
         spec = HeatmapSpec(doc_id="d", n_segments=2, cell_size=4)
-        write_ppm(path, matrix_from_pairs([pair(1, 0, 0.4)], 2), spec)
-        _, width, height, rows = read_ppm(path)
+        _, width, height, rows = render_ppm(tmp_path, [pair(1, 0, 0.4)], spec)
         assert width == height == 8
         for r in range(4, 8):
             for c in range(0, 4):

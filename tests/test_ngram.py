@@ -405,9 +405,9 @@ class TestScorePairs:
             pairs = [(t, s) for t in range(n) for s in range(n) if rng.random() < 0.6]
             targets, sources = [t for t, _ in pairs], [s for _, s in pairs]
             backend = NGramBackend(model)
-            got = backend.score_pairs(segments, targets, sources)
-            assert got == [NGramBackend(model).score(segments[t], segments[s])[0] for t, s in pairs]
-            assert got == [ref.backend_score(segments[t], segments[s])[0] for t, s in pairs]
+            got = list(backend.score_pairs(segments, targets, sources))
+            assert got == [NGramBackend(model).score(segments[t], segments[s]) for t, s in pairs]
+            assert got == [ref.backend_score(segments[t], segments[s]) for t, s in pairs]
             for seg in segments:
                 assert backend._segment_sums[seg] == model.seq_logprob(seg)[0]
                 assert backend.score(seg) == ref.seq_logprob(seg)
