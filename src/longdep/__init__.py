@@ -43,7 +43,7 @@ from .errors import (
     LongdepError,
     ScoringError,
 )
-from .heatmap import HeatmapSpec, matrix_from_pairs, read_dst_csv, render_heatmap
+from .heatmap import render_heatmap
 from .lds import (
     LdsConfig,
     PairScore,
@@ -76,7 +76,6 @@ __all__ = [
     "DocumentOutcome",
     "DocumentTooShort",
     "ExternalBackend",
-    "HeatmapSpec",
     "IngestStats",
     "LdsConfig",
     "LongdepError",
@@ -104,11 +103,9 @@ __all__ = [
     "generate_testset",
     "ingest",
     "lds_pair",
-    "matrix_from_pairs",
     "pair_count",
     "ppl",
     "ppl_given",
-    "read_dst_csv",
     "render_heatmap",
     "repeated_token_document",
     "reports_only",

@@ -22,7 +22,7 @@ import subprocess
 import threading
 from typing import Iterator, Protocol, Sequence
 
-from .corpus import SegmentGrid, Token, TokenizerSpec
+from .corpus import SegmentGrid, Token, detokenize
 from .errors import BackendError, BackendUnreachable, ScoringError
 
 
@@ -283,6 +283,11 @@ class _StdioConnection(_Connection):
             pass
 
 
+def _json_text(tokens: Sequence[Token]) -> bytes:
+    """The detokenized segment as a JSON string."""
+    return json.dumps(detokenize(tokens), ensure_ascii=False).encode("utf-8")
+
+
 class ExternalBackend:
     """Client for an external perplexity scorer.
 
@@ -310,12 +315,10 @@ class ExternalBackend:
     def __init__(
         self,
         endpoint: str,
-        tokenizer: TokenizerSpec | None = None,
         timeout: float = 30.0,
         retries: int = 2,
     ):
         self.endpoint = endpoint
-        self.tokenizer = tokenizer or TokenizerSpec()
         self.timeout = timeout
         self.retries = retries
         if endpoint.startswith("stdio://"):
@@ -365,17 +368,13 @@ class ExternalBackend:
         return req_id, b'{"req_id": "%s", "target": %s, "context": %s}\n' % (
             req_id.encode("ascii"), target, context)
 
-    def _json_text(self, tokens: Sequence[Token]) -> bytes:
-        """The detokenized segment as a JSON string."""
-        return json.dumps(self.tokenizer.detokenize(tokens), ensure_ascii=False).encode("utf-8")
-
     def score(
         self, target: Sequence[Token], context: Sequence[Token] | None = None
     ) -> tuple[float, int]:
         if not target:
             raise ValueError("target must be non-empty")
-        context_text = self._json_text(context) if context else b"null"
-        [result] = self._exchange([self._request(self._json_text(target), context_text)])
+        context_text = _json_text(context) if context else b"null"
+        [result] = self._exchange([self._request(_json_text(target), context_text)])
         if isinstance(result, BackendError):
             raise result
         return result
@@ -401,7 +400,7 @@ class ExternalBackend:
 
     def _pair_results(self, segments, targets, sources) -> Iterator[tuple[float, int]]:
         # Each segment is detokenized once; a document's pairs reuse it often.
-        texts = list(map(self._json_text, segments))
+        texts = list(map(_json_text, segments))
         pairs: list[tuple[int, int]] = []
         window: list[tuple[str, bytes]] = []
         size = 0

@@ -267,21 +267,25 @@ def generate_testset(
     return TestSet(spec=spec, docs=tuple(docs), labels=labels, links=frozenset(links))
 
 
+# Per-token log-probabilities of OracleBackend: a target its context
+# predicts, and any other.
+ORACLE_BOOST_LOGPROB = -0.5
+ORACLE_BASE_LOGPROB = -2.0
+
+
 class OracleBackend:
     """Label-reading upper bound: scores a conditional pair well exactly
     when the context's closing bigram is registered as predicting the
     target's opening token. Calibrates the bench's accuracy ceiling."""
 
-    def __init__(self, links: frozenset, base_logprob: float = -2.0, boost_logprob: float = -0.5):
+    def __init__(self, links: frozenset):
         self.links = links
-        self.base_logprob = base_logprob
-        self.boost_logprob = boost_logprob
 
     def score(self, target, context=None):
         n = len(target)
         if context and len(context) >= 2 and ((context[-2], context[-1]), target[0]) in self.links:
-            return (n * self.boost_logprob, n)
-        return (n * self.base_logprob, n)
+            return (n * ORACLE_BOOST_LOGPROB, n)
+        return (n * ORACLE_BASE_LOGPROB, n)
 
 
 # -- bench ----------------------------------------------------------------

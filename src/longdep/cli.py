@@ -38,7 +38,7 @@ from .bench import (
 from .config import REFERENCE_PROFILE, RunConfig, resolve_config
 from .corpus import IngestStats, TokenizerSpec, ingest, tokenized_corpus
 from .errors import BackendUnreachable, ConfigError, LongdepError
-from .heatmap import SCALES, VALUES, HeatmapSpec, render_heatmap
+from .heatmap import SCALES, VALUES, render_heatmap
 from .jsonio import (
     canonical_dumps,
     drop_meta_sidecar,
@@ -118,7 +118,7 @@ def _resolve_backend(spec_str: str, tokenizer: TokenizerSpec):
         return NGramBackend(model)
     endpoint = _external_endpoint(spec_str)
     if endpoint is not None:
-        backend = ExternalBackend(endpoint, tokenizer=tokenizer)
+        backend = ExternalBackend(endpoint)
         backend.connect_check()
         return backend
     raise ConfigError(
@@ -319,19 +319,10 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
         report = report_from_sidecar(read_json(args.pairs))
     except (ConfigError, KeyError, ValueError) as exc:
         raise ConfigError(f"{args.pairs} is not a pair sidecar: {_problem(exc)}") from exc
-    if not report.pairs:
-        raise ConfigError(f"sidecar {args.pairs!r} holds no pairs; nothing to render")
-    spec = HeatmapSpec(
-        doc_id=report.doc_id,
-        n_segments=report.n_segments,
-        scale=args.scale,
-        value=args.value,
-        cell_size=args.cell_size,
-    )
     base = os.path.splitext(args.pairs)[0]
     image_path = args.out_image or base + ".ppm"
     csv_path = args.out_csv or base + ".csv"
-    render_heatmap(report.pairs, spec, image_path, csv_path, report.config_hash)
+    render_heatmap(report, image_path, csv_path, args.scale, args.value, args.cell_size)
     print(f"wrote {image_path} and {csv_path}")
     return EXIT_OK
 
@@ -348,8 +339,6 @@ def cmd_bench(args: argparse.Namespace, rc: RunConfig) -> int:
     base_cfg = rc.lds.replace(
         segment_len=spec.segment_len, truncate_len=spec.doc_token_len
     )
-    tokenizer = TokenizerSpec(rc.tokenizer)
-
     backends = []
     for token in args.backends.split(","):
         token = token.strip()
@@ -359,9 +348,7 @@ def cmd_bench(args: argparse.Namespace, rc: RunConfig) -> int:
         elif token == "oracle":
             backends.append(("oracle", lambda ts=testset: OracleBackend(ts.links)))
         elif (endpoint := _external_endpoint(token)) is not None:
-            backends.append(
-                ("external", lambda ep=endpoint: ExternalBackend(ep, tokenizer=tokenizer))
-            )
+            backends.append(("external", lambda ep=endpoint: ExternalBackend(ep)))
         else:
             raise ConfigError(f"unknown bench backend {token!r}")
 

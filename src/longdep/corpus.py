@@ -65,12 +65,14 @@ class TokenizerSpec:
         # No usable whitespace structure: byte-level fallback.
         return tuple(text.strip().encode("utf-8"))
 
-    def detokenize(self, tokens: Sequence[Token]) -> str:
-        """Best-effort inverse used when shipping segments to an external
-        scorer as text."""
-        if tokens and all(isinstance(t, int) for t in tokens):
-            return bytes(tokens).decode("utf-8", errors="replace")  # type: ignore[arg-type]
-        return " ".join(str(t) for t in tokens)
+
+def detokenize(tokens: Sequence[Token]) -> str:
+    """Best-effort inverse of either tokenizer, used when shipping
+    segments to an external scorer as text: int tokens decode as UTF-8
+    bytes, anything else is joined with spaces."""
+    if tokens and all(isinstance(t, int) for t in tokens):
+        return bytes(tokens).decode("utf-8", errors="replace")  # type: ignore[arg-type]
+    return " ".join(str(t) for t in tokens)
 
 
 def tokenize(doc: Document, spec: TokenizerSpec) -> Document:

@@ -16,50 +16,12 @@ Color scales:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence
-
 from .jsonio import ensure_parent, open_atomic
-from .lds import PairScore
+from .lds import ScoreReport
 
 SCALES = ("linear", "signed-diverging")
 VALUES = ("dst", "pairwise")
 MASK_COLOR = (255, 0, 255)
-
-
-@dataclass(frozen=True)
-class HeatmapSpec:
-    doc_id: str
-    n_segments: int
-    scale: str = "linear"
-    value: str = "dst"
-    cell_size: int = 1
-
-    def __post_init__(self):
-        if self.n_segments < 2:
-            raise ValueError("n_segments must be >= 2")
-        if self.scale not in SCALES:
-            raise ValueError(f"scale must be one of {SCALES}, got {self.scale!r}")
-        if self.value not in VALUES:
-            raise ValueError(f"value must be one of {VALUES}, got {self.value!r}")
-        if self.cell_size < 1:
-            raise ValueError("cell_size must be >= 1")
-
-
-def matrix_from_pairs(
-    pairs: Sequence[PairScore], n_segments: int, value: str = "dst"
-) -> list[list[float | None]]:
-    """N x N matrix with None in every cell no pair covers."""
-    if not pairs:
-        raise ValueError("no pairs to render")
-    grid: list[list[float | None]] = [[None] * n_segments for _ in range(n_segments)]
-    for pair in pairs:
-        if not 0 <= pair.source < pair.target < n_segments:
-            raise ValueError(
-                f"pair ({pair.target}, {pair.source}) outside {n_segments}-segment grid"
-            )
-        grid[pair.target][pair.source] = getattr(pair, value)
-    return grid
 
 
 def _linear_color(v: float, vmin: float, vmax: float) -> tuple[int, int, int]:
@@ -101,75 +63,55 @@ def _cell_colors(
     return out
 
 
-def _ppm_chunks(
-    matrix: list[list[float | None]], spec: HeatmapSpec, config_hash: str
-) -> Iterator[bytes]:
-    """Binary PPM (P6), one cell_size x cell_size block per matrix cell."""
-    colors = _cell_colors(matrix, spec.scale)
-    side = len(matrix) * spec.cell_size
-    yield (
-        f"P6\n"
-        f"# doc={spec.doc_id} scale={spec.scale} value={spec.value} config={config_hash}\n"
-        f"{side} {side}\n255\n"
-    ).encode("ascii")
-    for row in colors:
-        scan = bytearray()
-        for rgb in row:
-            scan.extend(bytes(rgb) * spec.cell_size)
-        yield bytes(scan) * spec.cell_size
-
-
-def write_dst_csv(
-    path: str,
-    pairs: Sequence[PairScore],
-    value: str = "dst",
-    config_hash: str = "",
-) -> None:
-    """CSV of (i, j, value) rows, target-major, 0-based indices.
-
-    Floats are written with repr, so parsing the file reproduces the
-    original values exactly.
-    """
-    if not pairs:
-        raise ValueError("no pairs to write")
-    if value not in VALUES:
-        raise ValueError(f"value must be one of {VALUES}, got {value!r}")
-    ensure_parent(path)
-    ordered = sorted(pairs, key=lambda p: (p.target, p.source))
-    with open_atomic(path) as handle:
-        if config_hash:
-            handle.write(f"# config={config_hash}\n")
-        handle.write(f"i,j,{value}\n")
-        for pair in ordered:
-            handle.write(f"{pair.target},{pair.source},{getattr(pair, value)!r}\n")
-
-
-def read_dst_csv(path: str) -> list[tuple[int, int, float]]:
-    """Parse a heatmap CSV back into (target, source, value) rows."""
-    rows: list[tuple[int, int, float]] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("i,"):
-                continue
-            i_str, j_str, v_str = line.split(",")
-            rows.append((int(i_str), int(j_str), float(v_str)))
-    return rows
-
-
 def render_heatmap(
-    pairs: Sequence[PairScore],
-    spec: HeatmapSpec,
+    report: ScoreReport,
     image_path: str,
     csv_path: str,
-    config_hash: str = "",
+    scale: str = "linear",
+    value: str = "dst",
+    cell_size: int = 1,
 ) -> None:
-    """Emit both artifacts for one scored document, in ``select``'s
-    order: the image's .partial is written and closed, the CSV is
-    written and replaced, and only then is the image renamed."""
-    matrix = matrix_from_pairs(pairs, spec.n_segments, spec.value)
+    """Emit both artifacts for a report scored with its pairs kept.
+
+    The image is a binary PPM (P6), one cell_size x cell_size block per
+    cell of the N x N matrix of ``value``. The CSV holds (i, j, value)
+    rows, target-major, with floats written by repr, so parsing it
+    reproduces the values exactly. Both carry the report's config hash.
+    A report without pairs raises ValueError, and so does a pair outside
+    the grid (through ``report.pairs``).
+
+    The files are written in ``select``'s order: the image's .partial is
+    written and closed, the CSV is written and replaced, and only then
+    is the image renamed.
+    """
+    if scale not in SCALES:
+        raise ValueError(f"scale must be one of {SCALES}, got {scale!r}")
+    if value not in VALUES:
+        raise ValueError(f"value must be one of {VALUES}, got {value!r}")
+    if cell_size < 1:
+        raise ValueError("cell_size must be >= 1")
+    pairs = report.pairs
+    if not pairs:
+        raise ValueError(f"report {report.doc_id!r} holds no pairs; nothing to render")
+    n = report.n_segments
+    matrix: list[list[float | None]] = [[None] * n for _ in range(n)]
+    for pair in pairs:
+        matrix[pair.target][pair.source] = getattr(pair, value)
+    side = n * cell_size
+    header = (
+        f"P6\n# doc={report.doc_id} scale={scale} value={value} config={report.config_hash}\n"
+        f"{side} {side}\n255\n"
+    )
     ensure_parent(image_path)
-    with open_atomic(image_path, "wb") as handle:
-        handle.writelines(_ppm_chunks(matrix, spec, config_hash))
-        handle.close()
-        write_dst_csv(csv_path, pairs, spec.value, config_hash)
+    with open_atomic(image_path, "wb") as image:
+        image.write(header.encode("ascii"))
+        for row in _cell_colors(matrix, scale):
+            image.write(b"".join(bytes(rgb) * cell_size for rgb in row) * cell_size)
+        image.close()
+        ensure_parent(csv_path)
+        with open_atomic(csv_path) as table:
+            if report.config_hash:
+                table.write(f"# config={report.config_hash}\n")
+            table.write(f"i,j,{value}\n")
+            for pair in sorted(pairs, key=lambda p: (p.target, p.source)):
+                table.write(f"{pair.target},{pair.source},{getattr(pair, value)!r}\n")

@@ -57,11 +57,12 @@ def drop_meta_sidecar(path: str) -> None:
 
 def write_meta_sidecar(path: str, *, complete: bool, extra: dict | None = None) -> None:
     """Run metadata next to an artifact: timestamps and completion status
-    stay out of the artifact itself so reruns stay byte-identical."""
+    stay out of the artifact itself so reruns stay byte-identical. The
+    sidecar is written with ``open_atomic``."""
     meta = {"complete": complete, "written_at": time.strftime("%Y-%m-%dT%H:%M:%S%z")}
     if extra:
         meta.update(extra)
-    with open(path + ".meta.json", "w", encoding="utf-8") as handle:
+    with open_atomic(path + ".meta.json") as handle:
         json.dump(meta, handle, sort_keys=True, indent=2)
         handle.write("\n")
 

@@ -304,8 +304,10 @@ def report_from_sidecar(data: dict) -> ScoreReport:
     """Rebuild a report, pair columns included, from a ``pair_sidecar``
     dict; it equals the scored report, and so do its ``pairs``.
 
-    A malformed sidecar, and one in the old format with an object per
-    pair, raises KeyError, ValueError or ConfigError.
+    A malformed sidecar, one in the old format with an object per pair,
+    and one whose row (``pair_count``, ``gated_count``, ``lds``,
+    ``mode``) disagrees with its own columns, raises KeyError,
+    ValueError or ConfigError.
     """
     if not isinstance(data, dict):
         raise ValueError("a pair sidecar is a JSON object")
@@ -329,7 +331,20 @@ def report_from_sidecar(data: dict) -> ScoreReport:
         dsp_rows=_column(dsp_rows, (int, float), "a dsp row [target, dsp]"),
         lds_config=cfg,
     )
-    report.pairs  # checks every pair against the grid and the dsp rows
+    pairs = report.pairs  # checks every pair against the grid and the dsp rows
+    lds, gated = 0.0, 0
+    for pair in pairs:  # score_document's order, from 0.0: the same bits
+        if pair.gated:
+            lds += pair.pairwise
+            gated += 1
+    for name, stored, recomputed in (
+        ("pair_count", report.pair_count, len(pairs)),
+        ("gated_count", report.gated_count, gated),
+        ("lds", report.lds, lds),
+        ("mode", report.mode, cfg.mode),
+    ):
+        if stored != recomputed:
+            raise ValueError(f"{name} is {stored!r}, but its columns give {recomputed!r}")
     return report
 
 

@@ -165,19 +165,18 @@ class NGramModel:
         self,
         order: int,
         k: float,
-        tokenizer_kind: str = "whitespace",
-        vocab: Sequence[Token] = (),
-        keys: np.ndarray | None = None,
-        counts: np.ndarray | None = None,
+        tokenizer_kind: str,
+        vocab: Sequence[Token],
+        keys: np.ndarray,
+        counts: np.ndarray,
     ):
         check_order_and_k(order, k)
         self.order = order
         self.k = k
         self.tokenizer_kind = tokenizer_kind
         self.vocab: tuple[Token, ...] = tuple(vocab)
-        empty = np.zeros(0, dtype=np.int64)
-        self.keys = empty if keys is None else keys
-        self.counts = empty if counts is None else counts
+        self.keys = keys
+        self.counts = counts
         self._tables = _Tables(self)
 
     def _to_ids(self, tokens: Iterable[Token]) -> np.ndarray:

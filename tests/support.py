@@ -26,17 +26,10 @@ from longdep.bench import accuracy_at_k
 from longdep.config import REFERENCE_PROFILE, resolve_config
 from longdep.corpus import Document, SegmentGrid, segment
 from longdep.errors import BackendError, DocumentTooShort
-from longdep.heatmap import (
-    MASK_COLOR,
-    HeatmapSpec,
-    read_dst_csv,
-    render_heatmap,
-    write_dst_csv,
-)
+from longdep.heatmap import MASK_COLOR, render_heatmap
 from longdep.jsonio import canonical_dumps, fingerprint
 from longdep.lds import (
     LdsConfig,
-    PairScore,
     ScoreReport,
     ddi,
     dsp,
@@ -611,6 +604,28 @@ def check_manifest_partition(n_cases: int = 1000, seed: int = 16) -> None:
 # -- heatmap invariants --------------------------------------------------------
 
 
+def pair_report(triples, n_segments: int, doc_id: str = "d", config_hash: str = "h",
+                dsp_value: float = 0.5) -> ScoreReport:
+    """A report holding the pair columns ``triples`` of (target, source,
+    dst), with a dsp row of ``dsp_value`` for each target, scored under
+    the reference ``LdsConfig``; its row fields are placeholders."""
+    targets = sorted({target for target, _, _ in triples})
+    return ScoreReport(
+        doc_id=doc_id, n_segments=n_segments, mode="exact", lds=0.0,
+        pair_count=len(triples), gated_count=0, config_hash=config_hash,
+        pair_triples=tuple(triples), dsp_rows=tuple((t, dsp_value) for t in targets),
+        lds_config=LdsConfig(),
+    )
+
+
+def read_csv_rows(path) -> list[tuple[int, int, float]]:
+    """A heatmap CSV's (target, source, value) rows, in file order."""
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    body = lines[2:] if lines[0].startswith("# config=") else lines[1:]
+    return [(int(i), int(j), float(v)) for i, j, v in (line.split(",") for line in body)]
+
+
 def check_csv_roundtrip(n_cases: int = 1000, seed: int = 17, tmp_dir: str | None = None) -> None:
     """Parsing the CSV reproduces the written values exactly."""
     import tempfile
@@ -628,16 +643,13 @@ def check_csv_roundtrip(n_cases: int = 1000, seed: int = 17, tmp_dir: str | None
         else:
             values.append(0.1 + 0.2 if rng.random() < 0.5 else -0.0)
     n = len(values) + 1
-    pairs = [
-        PairScore(target=i + 1, source=0, dst=v, ddi=0.5, dsp=0.5, pairwise=v, gated=True)
-        for i, v in enumerate(values)
-    ]
+    report = pair_report([(i + 1, 0, v) for i, v in enumerate(values)], n)
     with tempfile.TemporaryDirectory(dir=tmp_dir) as tmp:
         path = os.path.join(tmp, "roundtrip.csv")
-        write_dst_csv(path, pairs, value="dst", config_hash="h")
-        rows = read_dst_csv(path)
-    assert len(rows) == len(pairs)
-    for (i, j, v), pair in zip(rows, pairs):
+        render_heatmap(report, os.path.join(tmp, "roundtrip.ppm"), path, value="dst")
+        rows = read_csv_rows(path)
+    assert len(rows) == len(report.pairs)
+    for (i, j, v), pair in zip(rows, report.pairs):
         assert (i, j) == (pair.target, pair.source)
         assert v == pair.dst or (math.isnan(v) and math.isnan(pair.dst)), (v, pair.dst)
     assert n - 1 == len(rows)
@@ -654,24 +666,14 @@ def check_ppm_geometry(n_cases: int = 1000, seed: int = 18, tmp_dir: str | None 
         for _ in range(n_cases):
             n = int(rng.integers(2, 8))
             cell = int(rng.integers(1, 4))
-            pairs = [
-                PairScore(
-                    target=t,
-                    source=s,
-                    dst=float(rng.uniform(-1, 1)),
-                    ddi=0.5,
-                    dsp=0.5,
-                    pairwise=0.0,
-                    gated=True,
-                )
+            triples = [
+                (t, s, float(rng.uniform(-1, 1)))
                 for t in range(1, n)
                 for s in range(t)
                 if rng.random() < 0.7
             ]
-            if not pairs:
-                pairs = [PairScore(1, 0, 0.5, 1.0, 0.5, 0.25, True)]
-            spec = HeatmapSpec(doc_id="d", n_segments=n, cell_size=cell)
-            render_heatmap(pairs, spec, path, os.path.join(tmp, "probe.csv"), config_hash="h")
+            report = pair_report(triples or [(1, 0, 0.5)], n)
+            render_heatmap(report, path, os.path.join(tmp, "probe.csv"), cell_size=cell)
             blob = open(path, "rb").read()
             magic, comment, dims, maxval, raster = blob.split(b"\n", 4)
             assert magic == b"P6"

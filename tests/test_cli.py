@@ -322,6 +322,12 @@ class TestScore:
         assert run_score(corpus, model, b) == 0
         assert (a / "reports.jsonl").read_bytes() == (b / "reports.jsonl").read_bytes()
 
+    def test_full_disk_leaves_no_torn_meta_sidecar(self, corpus, model, tmp_path, monkeypatch):
+        out_dir = tmp_path / "out"
+        fill_disk_after(monkeypatch, 10, "reports.jsonl.meta.json")
+        assert run_score(corpus, model, out_dir) == 2
+        assert sorted(os.listdir(out_dir)) == ["reports.jsonl"]
+
     def test_rows_are_the_outcomes_to_row(self, corpus, model, tmp_path):
         out_dir = tmp_path / "out"
         assert run_score(corpus, model, out_dir) == 0
@@ -830,6 +836,12 @@ DAMAGED_SIDECARS = {
     "lds_config alpha a string": _config_with("alpha", "1"),
     "lds_config tau negative": _config_with("tau", -1.0),
     "lds_config another fingerprint": _config_with("tau", 0.5),
+    "pair_count one too many": lambda sidecar: {**sidecar, "pair_count": sidecar["pair_count"] + 1},
+    "gated_count three too many": lambda sidecar: {
+        **sidecar, "gated_count": sidecar["gated_count"] + 3
+    },
+    "lds doubled": lambda sidecar: {**sidecar, "lds": sidecar["lds"] * 2},
+    "mode sampled on exact pairs": _with("mode", "sampled"),
 }
 
 
@@ -883,12 +895,22 @@ class TestHeatmap:
         assert code == 2
         assert "--emit-pairs" in caplog.text
 
-    def test_sidecar_without_pairs_rejected(self, corpus, model, tmp_path):
+    def test_sidecar_without_pairs_rejected(self, corpus, model, tmp_path, caplog):
         out_dir = tmp_path / "out"
-        assert run_score(corpus, model, out_dir) == 0
+        assert run_score(corpus, model, out_dir, extra=["--emit-pairs"]) == 0
         bare = tmp_path / "bare.json"
         bare.write_text(json.dumps({"doc_id": "d", "n_segments": 4, "pairs": []}))
         assert main(["heatmap", "--pairs", str(bare)]) == 2
+        # A sidecar whose row agrees with its empty columns is read, and
+        # then refused by the renderer.
+        sidecar = json.loads(sorted((out_dir / "pairs").iterdir())[0].read_text())
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps(
+            {**sidecar, "pairs": [], "dsp": [], "pair_count": 0, "gated_count": 0, "lds": 0.0}
+        ))
+        assert main(["heatmap", "--pairs", str(empty)]) == 2
+        assert "holds no pairs" in caplog.text
+        assert [p.name for p in tmp_path.glob("empty.*")] == ["empty.json"]
 
     @pytest.mark.parametrize(
         "content",

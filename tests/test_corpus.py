@@ -9,6 +9,7 @@ from longdep.corpus import (
     IngestStats,
     SegmentGrid,
     TokenizerSpec,
+    detokenize,
     ingest,
     segment,
     tokenized_corpus,
@@ -30,12 +31,10 @@ class TestTokenizer:
         assert spec.tokenize("hé") == tuple("hé".encode("utf-8"))
 
     def test_detokenize_inverts_whitespace(self):
-        spec = TokenizerSpec("whitespace")
-        assert spec.detokenize(spec.tokenize("a b c")) == "a b c"
+        assert detokenize(TokenizerSpec("whitespace").tokenize("a b c")) == "a b c"
 
     def test_detokenize_inverts_bytes(self):
-        spec = TokenizerSpec("byte")
-        assert spec.detokenize(spec.tokenize("hé")) == "hé"
+        assert detokenize(TokenizerSpec("byte").tokenize("hé")) == "hé"
 
 
 class TestSegment:

@@ -1,33 +1,12 @@
 """Pair-matrix rendering: CSV sidecar and PPM image."""
 
-import math
-
 import pytest
 
-from longdep.heatmap import (
-    MASK_COLOR,
-    HeatmapSpec,
-    matrix_from_pairs,
-    read_dst_csv,
-    render_heatmap,
-    write_dst_csv,
-)
-from longdep.lds import PairScore
+from longdep.heatmap import MASK_COLOR, render_heatmap
 
+from support import pair_report, read_csv_rows
 
-def pair(target, source, dst, pairwise=0.0):
-    return PairScore(
-        target=target,
-        source=source,
-        dst=dst,
-        ddi=0.5,
-        dsp=0.5,
-        pairwise=pairwise,
-        gated=dst > 0.05,
-    )
-
-
-THREE_PAIRS = [pair(2, 1, 0.5), pair(3, 1, 0.0), pair(3, 2, -0.2)]
+THREE_PAIRS = [(2, 1, 0.5), (3, 1, 0.0), (3, 2, -0.2)]
 
 
 def read_ppm(path):
@@ -43,94 +22,97 @@ def read_ppm(path):
     return comment.decode(), width, height, rows
 
 
-def render_ppm(tmp_path, pairs, spec, config_hash=""):
-    """``read_ppm`` of the image ``render_heatmap`` writes for ``pairs``."""
-    path = tmp_path / "img.ppm"
-    render_heatmap(pairs, spec, str(path), str(tmp_path / "img.csv"), config_hash)
-    return read_ppm(path)
+def render(tmp_path, report, **options):
+    """Render ``report`` into ``tmp_path``; the (image, csv) paths."""
+    image, csv = tmp_path / "img.ppm", tmp_path / "img.csv"
+    render_heatmap(report, str(image), str(csv), **options)
+    return image, csv
+
+
+def render_ppm(tmp_path, report, **options):
+    """``read_ppm`` of the image ``render_heatmap`` writes for ``report``."""
+    return read_ppm(render(tmp_path, report, **options)[0])
+
+
+def assert_rejected(tmp_path, report, **options):
+    """``render_heatmap`` raises ValueError and writes no file."""
+    with pytest.raises(ValueError):
+        render(tmp_path, report, **options)
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestMatrix:
-    def test_values_placed_at_target_source(self):
-        matrix = matrix_from_pairs(THREE_PAIRS, 4, "dst")
-        assert matrix[2][1] == 0.5
-        assert matrix[3][1] == 0.0
-        assert matrix[3][2] == -0.2
+    def test_values_placed_at_target_source(self, tmp_path):
+        image, csv = render(tmp_path, pair_report(THREE_PAIRS, 4))
+        assert read_csv_rows(csv) == [(2, 1, 0.5), (3, 1, 0.0), (3, 2, -0.2)]
+        _, _, _, rows = read_ppm(image)
+        assert rows[2][1] == (255, 255, 255)
+        assert rows[3][2] == (0, 0, 0)
 
-    def test_uncovered_cells_are_none(self):
-        matrix = matrix_from_pairs(THREE_PAIRS, 4, "dst")
+    def test_uncovered_cells_are_none(self, tmp_path):
+        _, _, _, rows = render_ppm(tmp_path, pair_report(THREE_PAIRS, 4))
         covered = {(2, 1), (3, 1), (3, 2)}
         for i in range(4):
             for j in range(4):
-                if (i, j) not in covered:
-                    assert matrix[i][j] is None
+                assert (rows[i][j] == MASK_COLOR) == ((i, j) not in covered)
 
-    def test_pairwise_channel(self):
-        matrix = matrix_from_pairs([pair(1, 0, 0.5, pairwise=0.125)], 2, "pairwise")
-        assert matrix[1][0] == 0.125
+    def test_pairwise_channel(self, tmp_path):
+        # (alpha * dst + beta * ddi) * dsp = (0.5 + 1.0) * 0.5 under the
+        # reference multiplicative profile.
+        report = pair_report([(1, 0, 0.5)], 2, dsp_value=0.5)
+        _, csv = render(tmp_path, report, value="pairwise")
+        assert csv.read_text().splitlines()[1] == "i,j,pairwise"
+        assert read_csv_rows(csv) == [(1, 0, 0.75)]
 
-    def test_out_of_bounds_pair_rejected(self):
-        with pytest.raises(ValueError):
-            matrix_from_pairs([pair(5, 1, 0.5)], 4)
+    def test_out_of_bounds_pair_rejected(self, tmp_path):
+        assert_rejected(tmp_path, pair_report([(2, 1, 0.1), (5, 1, 0.5)], 4))
 
-    def test_empty_pairs_rejected(self):
-        with pytest.raises(ValueError):
-            matrix_from_pairs([], 4)
+    def test_empty_pairs_rejected(self, tmp_path):
+        assert_rejected(tmp_path, pair_report([], 4))
 
 
 class TestCsv:
     def test_round_trip_is_exact(self, tmp_path):
-        path = tmp_path / "pairs.csv"
         awkward = [
-            pair(1, 0, 0.1 + 0.2),
-            pair(2, 0, -0.0),
-            pair(2, 1, 1e-300),
-            pair(3, 0, 12345678.90123456789),
+            (1, 0, 0.1 + 0.2),
+            (2, 0, -0.0),
+            (2, 1, 1e-300),
+            (3, 0, 12345678.90123456789),
         ]
-        write_dst_csv(path, awkward, value="dst")
-        rows = read_dst_csv(path)
+        _, csv = render(tmp_path, pair_report(awkward, 4))
+        rows = read_csv_rows(csv)
         assert [(i, j) for i, j, _ in rows] == [(1, 0), (2, 0), (2, 1), (3, 0)]
-        for (_, _, got), want in zip(rows, awkward):
-            assert got == want.dst
+        for (_, _, got), (_, _, want) in zip(rows, awkward):
+            assert repr(got) == repr(want)
 
     def test_rows_sorted_target_major(self, tmp_path):
-        path = tmp_path / "pairs.csv"
-        write_dst_csv(path, [pair(3, 2, 0.3), pair(1, 0, 0.1), pair(3, 0, 0.2)])
-        rows = read_dst_csv(path)
-        assert [(i, j) for i, j, _ in rows] == [(1, 0), (3, 0), (3, 2)]
+        _, csv = render(tmp_path, pair_report([(3, 2, 0.3), (1, 0, 0.1), (3, 0, 0.2)], 4))
+        assert read_csv_rows(csv) == [(1, 0, 0.1), (3, 0, 0.2), (3, 2, 0.3)]
 
     def test_config_hash_comment_and_header(self, tmp_path):
-        path = tmp_path / "pairs.csv"
-        write_dst_csv(path, THREE_PAIRS, value="dst", config_hash="abc123")
-        lines = path.read_text().splitlines()
+        _, csv = render(tmp_path, pair_report(THREE_PAIRS, 4, config_hash="abc123"))
+        lines = csv.read_text().splitlines()
         assert lines[0] == "# config=abc123"
         assert lines[1] == "i,j,dst"
-
-    def test_reader_skips_blank_and_comment_lines(self, tmp_path):
-        path = tmp_path / "pairs.csv"
-        path.write_text("# config=x\ni,j,dst\n\n1,0,0.5\n\n2,0,0.25\n")
-        assert read_dst_csv(path) == [(1, 0, 0.5), (2, 0, 0.25)]
+        _, csv = render(tmp_path, pair_report(THREE_PAIRS, 4, config_hash=""))
+        assert csv.read_text().splitlines()[0] == "i,j,dst"
 
 
 class TestPpm:
     def test_header_and_dimensions(self, tmp_path):
-        spec = HeatmapSpec(doc_id="d7", n_segments=4, cell_size=3)
-        comment, width, height, _ = render_ppm(tmp_path, THREE_PAIRS, spec, config_hash="h9")
+        report = pair_report(THREE_PAIRS, 4, doc_id="d7", config_hash="h9")
+        comment, width, height, _ = render_ppm(tmp_path, report, cell_size=3)
         assert width == height == 12
-        assert "doc=d7" in comment
-        assert "config=h9" in comment
-        assert "scale=linear" in comment
+        assert comment == "# doc=d7 scale=linear value=dst config=h9"
 
     def test_masked_cells_use_sentinel_color(self, tmp_path):
-        spec = HeatmapSpec(doc_id="d", n_segments=4)
-        _, _, _, rows = render_ppm(tmp_path, THREE_PAIRS, spec)
+        _, _, _, rows = render_ppm(tmp_path, pair_report(THREE_PAIRS, 4))
         assert rows[0][0] == MASK_COLOR
         assert rows[0][3] == MASK_COLOR
         assert rows[2][1] != MASK_COLOR
 
     def test_linear_scale_is_grayscale_ramp(self, tmp_path):
-        spec = HeatmapSpec(doc_id="d", n_segments=4, scale="linear")
-        _, _, _, rows = render_ppm(tmp_path, THREE_PAIRS, spec)
+        _, _, _, rows = render_ppm(tmp_path, pair_report(THREE_PAIRS, 4), scale="linear")
         # Values -0.2, 0.0, 0.5 map to 0, 73, 255 gray levels.
         assert rows[3][2] == (0, 0, 0)
         assert rows[2][1] == (255, 255, 255)
@@ -139,13 +121,12 @@ class TestPpm:
         assert g == round(255 * 0.2 / 0.7)
 
     def test_constant_matrix_renders_mid_gray(self, tmp_path):
-        spec = HeatmapSpec(doc_id="d", n_segments=2)
-        _, _, _, rows = render_ppm(tmp_path, [pair(1, 0, 0.4)], spec)
+        _, _, _, rows = render_ppm(tmp_path, pair_report([(1, 0, 0.4)], 2))
         assert rows[1][0] == (128, 128, 128)
 
     def test_diverging_scale_signs_and_zero(self, tmp_path):
-        spec = HeatmapSpec(doc_id="d", n_segments=4, scale="signed-diverging")
-        _, _, _, rows = render_ppm(tmp_path, THREE_PAIRS, spec)
+        report = pair_report(THREE_PAIRS, 4)
+        _, _, _, rows = render_ppm(tmp_path, report, scale="signed-diverging")
         r, g, b = rows[2][1]
         assert r == 255 and g == b and g < 255
         r, g, b = rows[3][2]
@@ -153,8 +134,7 @@ class TestPpm:
         assert rows[3][1] == (255, 255, 255)
 
     def test_cells_upscale_as_blocks(self, tmp_path):
-        spec = HeatmapSpec(doc_id="d", n_segments=2, cell_size=4)
-        _, width, height, rows = render_ppm(tmp_path, [pair(1, 0, 0.4)], spec)
+        _, width, height, rows = render_ppm(tmp_path, pair_report([(1, 0, 0.4)], 2), cell_size=4)
         assert width == height == 8
         for r in range(4, 8):
             for c in range(0, 4):
@@ -165,29 +145,27 @@ class TestPpm:
 
 
 class TestSpecValidation:
-    def test_minimum_segments(self):
-        with pytest.raises(ValueError):
-            HeatmapSpec(doc_id="d", n_segments=1)
+    """``render_heatmap``'s own argument checks."""
 
-    def test_scale_and_value_enums(self):
-        with pytest.raises(ValueError):
-            HeatmapSpec(doc_id="d", n_segments=4, scale="log")
-        with pytest.raises(ValueError):
-            HeatmapSpec(doc_id="d", n_segments=4, value="ddi")
+    def test_minimum_segments(self, tmp_path):
+        assert_rejected(tmp_path, pair_report([(1, 0, 0.5)], 1))
 
-    def test_cell_size_positive(self):
-        with pytest.raises(ValueError):
-            HeatmapSpec(doc_id="d", n_segments=4, cell_size=0)
+    def test_scale_and_value_enums(self, tmp_path):
+        report = pair_report(THREE_PAIRS, 4)
+        assert_rejected(tmp_path, report, scale="log")
+        assert_rejected(tmp_path, report, value="ddi")
+
+    def test_cell_size_positive(self, tmp_path):
+        assert_rejected(tmp_path, pair_report(THREE_PAIRS, 4), cell_size=0)
 
 
 class TestRenderHeatmap:
     def test_writes_both_artifacts(self, tmp_path):
         img = tmp_path / "out" / "img.ppm"
         csv = tmp_path / "out" / "pairs.csv"
-        spec = HeatmapSpec(doc_id="d", n_segments=4)
-        render_heatmap(THREE_PAIRS, spec, str(img), str(csv), config_hash="zz")
+        render_heatmap(pair_report(THREE_PAIRS, 4, config_hash="zz"), str(img), str(csv))
         assert img.exists() and csv.exists()
-        assert len(read_dst_csv(csv)) == 3
+        assert len(read_csv_rows(csv)) == 3
         comment, width, _, _ = read_ppm(img)
         assert width == 4
         assert "config=zz" in comment

@@ -12,7 +12,7 @@ import numpy as np
 from longdep.cli import main
 from longdep.corpus import SegmentGrid
 from longdep.errors import ConfigError
-from longdep.heatmap import HeatmapSpec, render_heatmap
+from longdep.heatmap import render_heatmap
 from longdep.jsonio import canonical_dumps, read_json, write_canonical
 import longdep.lds
 from longdep.lds import (
@@ -441,9 +441,8 @@ class TestSidecarRoundTrip:
              "--value", value, "--scale", scale, "--cell-size", "2"]
         )
         assert code == 0
-        spec = HeatmapSpec(report.doc_id, report.n_segments, scale, value, cell_size=2)
         direct = [str(tmp_path / "direct.ppm"), str(tmp_path / "direct.csv")]
-        render_heatmap(report.pairs, spec, *direct, report.config_hash)
+        render_heatmap(report, *direct, scale=scale, value=value, cell_size=2)
         for mine, theirs in zip(cli_out, direct):
             assert open(mine, "rb").read() == open(theirs, "rb").read()
 

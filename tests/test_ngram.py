@@ -189,16 +189,21 @@ class TestTraining:
         with pytest.raises(ConfigError):
             train_ngram([[]])
 
+    @staticmethod
+    def _model(order, k):
+        empty = np.zeros(0, dtype=np.int64)
+        return NGramModel(order, k, "whitespace", ("a",), empty, empty)
+
     def test_order_bounds(self):
         with pytest.raises(ConfigError):
-            NGramModel(order=0, k=0.1)
+            self._model(order=0, k=0.1)
         with pytest.raises(ConfigError):
-            NGramModel(order=6, k=0.1)
+            self._model(order=6, k=0.1)
 
     def test_k_must_be_positive_finite(self):
         for bad in (0.0, -1.0, float("inf"), float("nan")):
             with pytest.raises(ConfigError):
-                NGramModel(order=2, k=bad)
+                self._model(order=2, k=bad)
 
 
 class TestSerialization:
