@@ -58,7 +58,7 @@ def pair_failed(target: int, source: int, exc: BackendError) -> BackendError:
     return BackendError(
         f"conditional scoring failed at pair ({target}, {source}): {exc}",
         retriable=exc.retriable,
-        segment_index=target,
+        segment_index=int(target),
     )
 
 
@@ -105,14 +105,17 @@ class PplCache:
         self._entries[segment] = value
 
 
-def cached_unconditional(backend: PerplexityBackend, grid: SegmentGrid) -> list[float]:
-    """Unconditional perplexity of every segment, at most one backend call
-    per distinct segment content of this grid. Nothing is kept across
-    calls, so memory does not grow with the corpus. Backend failures
-    carry the segment index."""
+def cached_unconditional(
+    backend: PerplexityBackend, grid: SegmentGrid, targets: Sequence[int]
+) -> list[float]:
+    """Unconditional perplexity of each segment of ``grid`` that
+    ``targets`` names, in order, at most one backend call per distinct
+    segment content. Nothing is kept across calls, so memory does not
+    grow with the corpus. Backend failures carry the segment index."""
     cache = PplCache()
     values: list[float] = []
-    for idx, seg in enumerate(grid.segments):
+    for idx in targets:
+        seg = grid.segments[idx]
         value = cache.lookup(seg)
         if value is None:
             try:

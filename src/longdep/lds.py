@@ -29,7 +29,7 @@ import functools
 import hashlib
 import math
 from dataclasses import dataclass, field, fields, replace
-from itertools import islice, repeat, starmap
+from itertools import starmap
 from typing import Iterator, NamedTuple, Sequence, get_type_hints
 
 import numpy as np
@@ -187,13 +187,14 @@ def pair_count(n_segments: int) -> int:
     return n_segments * (n_segments - 1) // 2
 
 
-def _pair_from_linear(linear: int) -> tuple[int, int]:
-    # Pairs enumerate target-major: linear = t*(t-1)/2 + s with s < t.
-    t = (1 + math.isqrt(1 + 8 * linear)) // 2
-    while t * (t - 1) // 2 > linear:
-        t -= 1
-    while (t + 1) * t // 2 <= linear:
-        t += 1
+def _pair_from_linear(linear: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Pairs enumerate target-major: linear = t*(t-1)/2 + s with s < t. The
+    # float root lands within a step or two of t; integer steps make it exact.
+    t = ((1.0 + np.sqrt(1.0 + 8.0 * linear)) // 2).astype(np.int64)
+    while (over := t * (t - 1) // 2 > linear).any():
+        t -= over
+    while (under := (t + 1) * t // 2 <= linear).any():
+        t += under
     return t, linear - t * (t - 1) // 2
 
 
@@ -203,9 +204,10 @@ def derive_seed(base_seed: int, doc_id: str) -> int:
     return int.from_bytes(digest[:8], "big") & ((1 << 63) - 1)
 
 
-def sample_pairs(n_segments: int, sample_size: int, seed: int) -> tuple[tuple[int, int], ...]:
-    """Uniform without-replacement sample of (target, source) pairs,
-    returned in canonical order: target ascending, source ascending.
+def sample_pairs(n_segments: int, sample_size: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform without-replacement sample of (target, source) pairs, as
+    int64 ``(targets, sources)`` arrays in canonical order: target
+    ascending, source ascending.
 
     A sample_size covering every pair returns exactly the full pair set.
     """
@@ -215,11 +217,62 @@ def sample_pairs(n_segments: int, sample_size: int, seed: int) -> tuple[tuple[in
         raise ValueError("sample_size must be >= 1")
     total = pair_count(n_segments)
     if sample_size >= total:
-        return tuple((t, s) for t in range(1, n_segments) for s in range(t))
+        return np.tril_indices(n_segments, -1)
     rng = np.random.Generator(np.random.PCG64(seed))
     chosen = rng.choice(total, size=sample_size, replace=False)
     chosen.sort()
-    return tuple(_pair_from_linear(int(ix)) for ix in chosen)
+    return _pair_from_linear(chosen)
+
+
+def _accumulate(
+    targets: np.ndarray,
+    sources: np.ndarray,
+    dst_values: np.ndarray,
+    dsp_per_row: np.ndarray,
+    n_segments: int,
+    cfg: LdsConfig,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+    """``(ddi, dsp, pairwise, gated, lds)`` of the pair columns
+    ``targets``, ``sources`` and ``dst_values`` of an ``n_segments`` grid,
+    one array entry per pair; ``dsp_per_row[t]`` is the dsp of target t's
+    row, NaN where t has none.
+
+    Each entry is the float that ``ddi``, ``lds_pair`` and the gate give
+    that pair, and ``lds`` adds the gated pairwise values in column order
+    from 0.0, so it has the bits of a Python loop over the pairs. A pair
+    outside the grid, or a target without a dsp row, raises ValueError.
+    """
+    outside = (sources < 0) | (sources >= targets) | (targets >= n_segments)
+    if outside.any():
+        i = outside.argmax()
+        raise ValueError(
+            f"need 0 <= source < target < {n_segments}, got ({targets[i]}, {sources[i]})"
+        )
+    dsp_values = dsp_per_row[targets]
+    missing = np.isnan(dsp_values)
+    if missing.any():
+        raise ValueError(f"target {targets[missing.argmax()]} has no dsp row")
+    ddi_values = (targets - sources) / (n_segments - 1)
+    pairwise = lds_pair(dst_values, ddi_values, dsp_values, cfg)
+    gated = dst_values > cfg.tau
+    lds = np.add.accumulate(np.concatenate(([0.0], pairwise[gated])))[-1]
+    return ddi_values, dsp_values, pairwise, gated, float(lds)
+
+
+def _pair_columns(report: ScoreReport) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``_accumulate``'s targets, sources, dst_values and dsp_per_row from
+    a report's pair columns. An index beyond int64 raises ValueError; a
+    dsp row of a target that no pair names is left out."""
+    targets, sources, dst_values = list(zip(*report.pair_triples)) or ((), (), ())
+    try:
+        targets, sources = np.array(targets, dtype=np.int64), np.array(sources, dtype=np.int64)
+    except OverflowError as exc:
+        raise ValueError(f"a pair index is out of range: {exc}") from exc
+    dsp_per_row = np.full(max(int(targets.max(initial=-1)) + 1, 0), np.nan)
+    for target, value in report.dsp_rows:
+        if 0 <= target < len(dsp_per_row):
+            dsp_per_row[target] = value
+    return targets, sources, np.array(dst_values, dtype=float), dsp_per_row
 
 
 class PairScore(NamedTuple):
@@ -253,18 +306,14 @@ class ScoreReport:
     @functools.cached_property
     def pairs(self) -> tuple[PairScore, ...]:
         """The pair columns as ``PairScore``s, with ddi, pairwise and the
-        gate computed as in ``score_document``, so every value equals the
-        scored one. A target without a dsp row, or a pair outside the
-        grid, raises ValueError."""
-        cfg, dsp_of, out = self.lds_config, dict(self.dsp_rows), []
-        for target, source, dst_value in self.pair_triples:
-            if target not in dsp_of:
-                raise ValueError(f"target {target} has no dsp row")
-            ddi_value, dsp_value = ddi(target, source, self.n_segments), dsp_of[target]
-            pairwise = lds_pair(dst_value, ddi_value, dsp_value, cfg)
-            out.append(PairScore(target, source, dst_value, ddi_value, dsp_value, pairwise,
-                                 dst_value > cfg.tau))
-        return tuple(out)
+        gate computed by ``score_document``'s ``_accumulate``, so every
+        value equals the scored one. A target without a dsp row, or a
+        pair outside the grid, raises ValueError."""
+        if not self.pair_triples:
+            return ()
+        columns = _pair_columns(self)
+        values = _accumulate(*columns, self.n_segments, self.lds_config)[:4]
+        return tuple(starmap(PairScore, zip(*(c.tolist() for c in (*columns[:3], *values)))))
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.repr}
@@ -318,8 +367,8 @@ def report_from_sidecar(data: dict) -> ScoreReport:
             "re-run `longdep score --emit-pairs` to rewrite it"
         )
     report = ScoreReport.from_dict(data)
-    if report.n_segments < 2:
-        raise ValueError(f"n_segments must be >= 2, got {report.n_segments}")
+    if not 2 <= report.n_segments < 2**63:
+        raise ValueError(f"n_segments must be in [2, 2**63), got {report.n_segments}")
     cfg = LdsConfig.from_dict(data["lds_config"])
     if cfg.fingerprint() != report.config_hash:
         raise ValueError("the fingerprint of lds_config differs from config_hash")
@@ -331,15 +380,10 @@ def report_from_sidecar(data: dict) -> ScoreReport:
         dsp_rows=_column(dsp_rows, (int, float), "a dsp row [target, dsp]"),
         lds_config=cfg,
     )
-    pairs = report.pairs  # checks every pair against the grid and the dsp rows
-    lds, gated = 0.0, 0
-    for pair in pairs:  # score_document's order, from 0.0: the same bits
-        if pair.gated:
-            lds += pair.pairwise
-            gated += 1
+    *_, gated, lds = _accumulate(*_pair_columns(report), report.n_segments, cfg)
     for name, stored, recomputed in (
-        ("pair_count", report.pair_count, len(pairs)),
-        ("gated_count", report.gated_count, gated),
+        ("pair_count", report.pair_count, len(report.pair_triples)),
+        ("gated_count", report.gated_count, int(np.count_nonzero(gated))),
         ("lds", report.lds, lds),
         ("mode", report.mode, cfg.mode),
     ):
@@ -362,9 +406,9 @@ def _one_at_a_time(backend: PerplexityBackend, segments, targets, sources) -> It
 
 
 def _conditional(
-    backend: PerplexityBackend, grid: SegmentGrid, rows: dict[int, list[int]]
+    backend: PerplexityBackend, grid: SegmentGrid, targets: np.ndarray, sources: np.ndarray
 ) -> Iterator[float]:
-    """Conditional perplexity of each pair of ``rows``, target-ascending.
+    """Conditional perplexity of each pair (``targets[i]``, ``sources[i]``).
 
     The backend's ``score_pairs``, or ``_one_at_a_time`` for a backend
     with only ``score``, is called here, before any unconditional value
@@ -372,70 +416,58 @@ def _conditional(
     is taken, so a lazy batch (an external scorer's windows, or one
     pair at a time) is scored no further than the document gets.
     """
-    order = sorted(rows)
     batch = getattr(backend, "score_pairs", None) or functools.partial(_one_at_a_time, backend)
-    return starmap(ppl_from_sum, batch(
-        grid.segments,
-        [t for t in order for _ in rows[t]],
-        [s for t in order for s in rows[t]],
-    ))
+    return starmap(ppl_from_sum, batch(grid.segments, targets, sources))
 
 
 def score_document(
     backend: PerplexityBackend, grid: SegmentGrid, cfg: LdsConfig, keep_pairs: bool = True
 ) -> ScoreReport:
     """The one scoring path: ``grid``'s score under ``cfg``. ``exact``
-    rows hold every source below each target; ``sampled`` rows hold the
-    pairs drawn from the document's own seed, ``derive_seed(cfg.seed,
-    grid.doc_id)``, so a document scores the same alone as in a corpus.
+    takes every pair; ``sampled`` takes the pairs drawn from the
+    document's own seed, ``derive_seed(cfg.seed, grid.doc_id)``, so a
+    document scores the same alone as in a corpus.
 
-    Rows are walked target-ascending and sources source-ascending, so a
-    sample that happens to cover all pairs performs the identical float
-    operations, in the identical order, as an exact run. keep_pairs=True
-    fills the report's pair columns, one extend per row and no
-    ``PairScore``; keep_pairs=False leaves them empty. The accumulated
+    Pairs are in canonical order, target-ascending and source-ascending,
+    and each step after the backend call is one array pass over them, so
+    a sample that happens to cover all pairs performs the identical float
+    operations, in the identical order, as an exact run. Only ``dsp``
+    runs per row, and only the targets' unconditional perplexities are
+    asked for. keep_pairs=True fills the report's pair columns and builds
+    no ``PairScore``; keep_pairs=False leaves them empty. The accumulated
     score is the same either way.
     """
     n = grid.n_segments
     if cfg.mode == "exact":
-        rows = {t: list(range(t)) for t in range(1, n)}
+        targets, sources = np.tril_indices(n, -1)
     else:
-        rows = {}
-        for target, source in sample_pairs(n, cfg.sample_size, derive_seed(cfg.seed, grid.doc_id)):
-            rows.setdefault(target, []).append(source)
-    conditional = _conditional(backend, grid, rows)
-    unconditional = cached_unconditional(backend, grid)
-    total = 0.0
-    gated_count = 0
-    n_pairs = 0
-    triples: list[tuple[int, int, float]] = []
-    dsp_rows: list[tuple[int, float]] = []
-    for target in sorted(rows):
-        sources = rows[target]
-        u = unconditional[target]
-        dst_row = [dst(u, value) for value in islice(conditional, len(sources))]
-        dsp_value = dsp(dst_row)
-        for source, dst_value in zip(sources, dst_row):
-            ddi_value = ddi(target, source, n)
-            pairwise = lds_pair(dst_value, ddi_value, dsp_value, cfg)
-            if dst_value > cfg.tau:
-                total += pairwise
-                gated_count += 1
-            n_pairs += 1
-        if keep_pairs:
-            triples.extend(zip(repeat(target), sources, dst_row))
-            dsp_rows.append((target, dsp_value))
+        targets, sources = sample_pairs(n, cfg.sample_size, derive_seed(cfg.seed, grid.doc_id))
+    conditional = _conditional(backend, grid, targets, sources)
+    starts = np.flatnonzero(np.diff(targets, prepend=-1))
+    rows = targets[starts].tolist()
+    per_segment = np.empty(n)
+    per_segment[rows] = cached_unconditional(backend, grid, rows)
+    unconditional = per_segment[targets]
+    dst_values = (
+        unconditional - np.fromiter(conditional, dtype=float, count=len(targets))
+    ) / unconditional
+    dst_list = dst_values.tolist()
+    bounds = [*starts.tolist(), len(dst_list)]
+    dsp_values = [dsp(dst_list[a:b]) for a, b in zip(bounds, bounds[1:])]
+    dsp_per_row = np.full(n, np.nan)
+    dsp_per_row[rows] = dsp_values
+    *_, gated, total = _accumulate(targets, sources, dst_values, dsp_per_row, n, cfg)
     return ScoreReport(
         doc_id=grid.doc_id,
         n_segments=n,
         mode=cfg.mode,
         lds=total,
-        pair_count=n_pairs,
-        gated_count=gated_count,
+        pair_count=len(targets),
+        gated_count=int(np.count_nonzero(gated)),
         config_hash=cfg.fingerprint(),
         source=grid.source,
-        pair_triples=tuple(triples),
-        dsp_rows=tuple(dsp_rows),
+        pair_triples=tuple(zip(targets.tolist(), sources.tolist(), dst_list)) if keep_pairs else (),
+        dsp_rows=tuple(zip(rows, dsp_values)) if keep_pairs else (),
         lds_config=cfg if keep_pairs else None,
     )
 

@@ -430,9 +430,9 @@ class NGramBackend:
     the context tails, and steps of each target head after its tail.
 
     ``score_pairs`` scores a whole document's pair set in one call and
-    keeps the unconditional sum of each of its distinct segments, keyed
-    by segment content, until the next call; ``score`` reads a target's
-    sum from there when it has one. Both give the same floats.
+    keeps the unconditional sum of each of its distinct target segments,
+    keyed by segment content, until the next call; ``score`` reads a
+    target's sum from there when it has one. Both give the same floats.
     """
 
     def __init__(self, model: NGramModel):
@@ -493,24 +493,39 @@ class NGramBackend:
         ``sources``, equal to ``score(segments[t], segments[s])``; the
         token count is the segment length, which every segment shares.
 
-        The grid's tokens are mapped to ids once. One walk scores every
-        distinct segment; the histories inside each distinct segment's
-        tail are looked up once, and each pair looks up only those that
-        reach into its target's head.
+        Only what the pairs read is mapped to ids: the distinct target
+        segments, walked in full, and the distinct last order - 1 tokens
+        of the sources. The histories inside each distinct tail are
+        looked up once, and each pair looks up only those that reach into
+        its target's head.
         """
         model = self.model
-        which: dict[tuple[Token, ...], int] = {}
-        row_of = [which.setdefault(tuple(seg), len(which)) for seg in segments]
-        distinct = list(which)
-        length = len(distinct[0]) if distinct else 0
-        if length == 0 or any(len(seg) != length for seg in distinct):
+        length = len(segments[0]) if len(segments) else 0
+        if length == 0 or any(len(seg) != length for seg in segments):
             raise ValueError("segments must be non-empty and of one length")
+        targets = np.asarray(targets, dtype=np.int64)
+        sources = np.asarray(sources, dtype=np.int64)
+        distinct, tgt = _distinct_rows(segments, targets)
         ids = model._to_ids(chain.from_iterable(distinct)).reshape(len(distinct), length)
         lps = model._walk(ids)
         sums = _row_sums(lps)
         self._segment_sums = dict(zip(distinct, sums.tolist()))
-        row_of = np.array(row_of, dtype=np.int64)
-        tgt = row_of[np.asarray(targets, dtype=np.int64)]
-        src = row_of[np.asarray(sources, dtype=np.int64)]
-        tails = ids[:, length - min(model.order - 1, length):]
+        start = length - min(model.order - 1, length)
+        tails, src = _distinct_rows(segments, sources, start)
+        tails = model._to_ids(chain.from_iterable(tails)).reshape(len(tails), length - start)
         return zip(self._swap_heads(lps, sums, tgt, ids, tails, src).tolist(), repeat(length))
+
+
+def _distinct_rows(
+    segments: Sequence[Sequence[Token]], index: np.ndarray, start: int = 0
+) -> tuple[list, np.ndarray]:
+    """The distinct ``segments[i][start:]`` over the values i of ``index``,
+    in ascending order of first i, and the row of each ``index`` entry
+    among them."""
+    present = np.zeros(len(segments), dtype=bool)
+    present[index] = True
+    at = np.flatnonzero(present)
+    which: dict = {}
+    row_of = np.empty(len(segments), dtype=np.int64)
+    row_of[at] = [which.setdefault(tuple(segments[i][start:]), len(which)) for i in at.tolist()]
+    return list(which), row_of[index]

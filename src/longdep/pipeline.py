@@ -9,6 +9,7 @@ document's score does not depend on what else the corpus holds.
 
 from __future__ import annotations
 
+import logging
 import math
 import statistics
 from dataclasses import dataclass
@@ -29,6 +30,8 @@ from .jsonio import fingerprint
 from .lds import LdsConfig, ScoreReport, derive_seed, score_document, typed_fields
 
 STRATEGIES = ("prolong", "random", "full")
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -162,6 +165,8 @@ def build_manifest(
     All three strategy arms (full, random, prolong) are summarized in the
     stats blocks for comparison; the chosen strategy decides the retained
     flags. Passthrough sources keep everything regardless of strategy.
+    A ranking group whose documents differ in segment count is logged as
+    a warning.
     """
     if not reports:
         raise ConfigError("no scored documents to rank")
@@ -183,6 +188,13 @@ def build_manifest(
     pooled: dict[str, list[float]] = {"full": [], "prolong": [], "random": []}
     for source in sorted(groups):
         group = groups[source]
+        n_segments = sorted({r.n_segments for r in group})
+        if len(n_segments) > 1:
+            logger.warning(
+                "ranking group %r mixes documents of %s segments; LDS sums a pair set "
+                "that grows with N squared, so their scores do not compare",
+                source, n_segments,
+            )
         ranked = sorted(((r.doc_id, r.lds) for r in group), key=lambda t: (-t[1], t[0]))
         source_fraction = 1.0 if source in passthrough_sources else fraction
         if strategy == "full":

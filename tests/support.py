@@ -18,6 +18,7 @@ import socket
 import statistics
 import threading
 import time
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -32,10 +33,11 @@ from longdep.lds import (
     LdsConfig,
     ScoreReport,
     ddi,
+    derive_seed,
     dsp,
     dst,
+    lds_pair,
     pair_count,
-    sample_pairs,
     score_document,
 )
 from longdep.ngram import NGramModel, train_ngram
@@ -269,6 +271,84 @@ def make_reports(
             )
         )
     return out
+
+
+# -- the per-pair reference scorer -------------------------------------------
+#
+# The per-pair loop ``score_document`` ran before its array path, kept as
+# it was, so tests can compare the two bit for bit. It asks for the
+# unconditional perplexity of every segment, not only of the targets.
+
+
+def reference_pair_from_linear(linear: int) -> tuple[int, int]:
+    # Pairs enumerate target-major: linear = t*(t-1)/2 + s with s < t.
+    t = (1 + math.isqrt(1 + 8 * linear)) // 2
+    while t * (t - 1) // 2 > linear:
+        t -= 1
+    while (t + 1) * t // 2 <= linear:
+        t += 1
+    return t, linear - t * (t - 1) // 2
+
+
+def reference_sample_pairs(n_segments: int, sample_size: int, seed: int):
+    total = pair_count(n_segments)
+    if sample_size >= total:
+        return tuple((t, s) for t in range(1, n_segments) for s in range(t))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    chosen = rng.choice(total, size=sample_size, replace=False)
+    chosen.sort()
+    return tuple(reference_pair_from_linear(int(ix)) for ix in chosen)
+
+
+def reference_score_document(backend, grid: SegmentGrid, cfg: LdsConfig,
+                             keep_pairs: bool = True) -> ScoreReport:
+    n = grid.n_segments
+    if cfg.mode == "exact":
+        rows = {t: list(range(t)) for t in range(1, n)}
+    else:
+        rows = {}
+        for target, source in reference_sample_pairs(
+            n, cfg.sample_size, derive_seed(cfg.seed, grid.doc_id)
+        ):
+            rows.setdefault(target, []).append(source)
+    order = sorted(rows)
+    conditional = iter([
+        ppl_given(backend, grid.segments[t], grid.segments[s]) for t in order for s in rows[t]
+    ])
+    unconditional = [ppl(backend, seg) for seg in grid.segments]
+    total = 0.0
+    gated_count = 0
+    n_pairs = 0
+    triples: list[tuple[int, int, float]] = []
+    dsp_rows: list[tuple[int, float]] = []
+    for target in sorted(rows):
+        sources = rows[target]
+        u = unconditional[target]
+        dst_row = [dst(u, value) for value in islice(conditional, len(sources))]
+        dsp_value = dsp(dst_row)
+        for source, dst_value in zip(sources, dst_row):
+            ddi_value = ddi(target, source, n)
+            pairwise = lds_pair(dst_value, ddi_value, dsp_value, cfg)
+            if dst_value > cfg.tau:
+                total += pairwise
+                gated_count += 1
+            n_pairs += 1
+        if keep_pairs:
+            triples.extend(zip(repeat(target), sources, dst_row))
+            dsp_rows.append((target, dsp_value))
+    return ScoreReport(
+        doc_id=grid.doc_id,
+        n_segments=n,
+        mode=cfg.mode,
+        lds=total,
+        pair_count=n_pairs,
+        gated_count=gated_count,
+        config_hash=cfg.fingerprint(),
+        source=grid.source,
+        pair_triples=tuple(triples),
+        dsp_rows=tuple(dsp_rows),
+        lds_config=cfg if keep_pairs else None,
+    )
 
 
 def _tiny_model(rng: np.random.Generator, vocab: int = 12, n_tokens: int = 400) -> NGramModel:

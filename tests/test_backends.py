@@ -21,7 +21,7 @@ from longdep.backends import (
 )
 from longdep.corpus import SegmentGrid
 from longdep.errors import BackendError, BackendUnreachable, ScoringError
-from longdep.lds import LdsConfig, score_document
+from longdep.lds import LdsConfig, derive_seed, sample_pairs, score_document
 
 
 class RateBackend:
@@ -99,16 +99,23 @@ class TestPplCache:
     def test_one_call_per_distinct_content(self):
         counting = CountingBackend(HashBackend())
         grid = _grid("d", [("a", "b"), ("c", "d"), ("a", "b"), ("a", "b")])
-        values = cached_unconditional(counting, grid)
+        values = cached_unconditional(counting, grid, range(4))
         assert counting.unconditional_calls == 2
         assert values[0] == values[2] == values[3]
         assert values[0] == ppl(HashBackend(), ("a", "b"))
 
     def test_nothing_is_kept_across_documents(self):
         counting = CountingBackend(HashBackend())
-        cached_unconditional(counting, _grid("one", [("a", "b"), ("c", "d")]))
-        cached_unconditional(counting, _grid("two", [("c", "d"), ("a", "b")]))
+        cached_unconditional(counting, _grid("one", [("a", "b"), ("c", "d")]), [0, 1])
+        cached_unconditional(counting, _grid("two", [("c", "d"), ("a", "b")]), [0, 1])
         assert counting.unconditional_calls == 4
+
+    def test_only_the_named_segments_are_scored(self):
+        counting = CountingBackend(HashBackend())
+        grid = _grid("d", [("a", "b"), ("c", "d"), ("e", "f"), ("c", "d")])
+        values = cached_unconditional(counting, grid, [1, 3])
+        assert counting.unconditional_calls == 1
+        assert values == [ppl(HashBackend(), ("c", "d"))] * 2
 
     def test_failure_carries_segment_index(self):
         class Poison:
@@ -119,8 +126,9 @@ class TestPplCache:
 
         grid = _grid("d", [("a", "b"), ("bad", "x")])
         with pytest.raises(BackendError) as info:
-            cached_unconditional(Poison(), grid)
+            cached_unconditional(Poison(), grid, [0, 1])
         assert info.value.segment_index == 1
+        assert cached_unconditional(Poison(), grid, [0]) == [ppl(Poison(), ("a", "b"))]
 
 
 # -- external scorer -------------------------------------------------------
@@ -617,8 +625,42 @@ for line in sys.stdin:
                                                         mode="exact"))
         finally:
             backend.close()
-        # The 16 unconditional requests, then the first window only.
-        assert len(log.read_text().splitlines()) == 16 + WINDOW_REQUESTS
+        # One unconditional request per target segment (1-15; segment 0
+        # is only ever a source), then the first window only.
+        assert len(log.read_text().splitlines()) == 15 + WINDOW_REQUESTS
+
+    def test_one_unconditional_request_per_distinct_target(self, tmp_path):
+        requests = tmp_path / "kinds.log"
+        endpoint, _ = _window_stub(tmp_path, f"""
+for line in sys.stdin:
+    req = json.loads(line)
+    with open({str(requests)!r}, "a") as handle:
+        handle.write(json.dumps([req["target"], req["context"]]) + "\\n")
+    sys.stdout.write(answer(req))
+    sys.stdout.flush()
+""")
+        # 12 segments, three of them repeats; segment 0 is never a target.
+        words = ["z", "a", "b", "a", "c", "d", "b", "e", "f", "a", "g", "h"]
+        grid = SegmentGrid(doc_id="d", segment_len=2, segments=tuple((w, w) for w in words))
+        cfg = LdsConfig(segment_len=2, truncate_len=24, sample_size=12, seed=3)
+        targets, sources = sample_pairs(12, 12, derive_seed(3, "d"))
+        backend = ExternalBackend(endpoint)
+        try:
+            report = score_document(backend, grid, cfg)
+        finally:
+            backend.close()
+        assert report.pair_count == 12
+        lines = [json.loads(line) for line in requests.read_text().splitlines()]
+        unconditional = [target for target, context in lines if context is None]
+        conditional = [(target, context) for target, context in lines if context is not None]
+        first_seen = list(dict.fromkeys(f"{words[t]} {words[t]}" for t in targets.tolist()))
+        assert unconditional == first_seen
+        assert len(first_seen) < len(set(words))
+        assert "z z" not in unconditional
+        assert conditional == [
+            (f"{words[t]} {words[t]}", f"{words[s]} {words[s]}")
+            for t, s in zip(targets.tolist(), sources.tolist())
+        ]
 
     def test_empty_segment_rejected_before_any_request(self):
         backend = ExternalBackend("tcp://127.0.0.1:1")

@@ -598,7 +598,7 @@ class TestScore:
 
         def crashing_score(self, target, context=None):
             calls.append(1)
-            if len(calls) > 45:
+            if len(calls) > 37:  # 5 calls per document: in the eighth of eight
                 raise RuntimeError("scorer blew up")
             return real_score(self, target, context)
 
@@ -618,6 +618,30 @@ class TestSelect:
         out_dir = tmp_path / "out"
         assert run_score(corpus, model, out_dir) == 0
         return str(out_dir / "reports.jsonl")
+
+    @pytest.mark.parametrize("global_ranking", [False, True])
+    def test_a_group_of_mixed_segment_counts_warns(self, tmp_path, capsys, global_ranking):
+        rows = [
+            {"status": "scored", "doc_id": f"d{i}", "source": source, "n_segments": n,
+             "mode": "exact", "lds": float(i), "pair_count": n * (n - 1) // 2,
+             "gated_count": 1, "config_hash": "cfg"}
+            for i, (source, n) in enumerate(
+                [("web", 4), ("web", 8), ("web", 4), ("book", 6), ("book", 6)])
+        ]
+        reports = tmp_path / "reports.jsonl"
+        reports.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        flags = ["--global-ranking"] if global_ranking else []
+        sel = tmp_path / "sel"
+        assert main(["select", "--reports", str(reports), "--out-dir", str(sel), *flags]) == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines() if "mixes" in line]
+        group, counts = ("'all'", "[4, 6, 8]") if global_ranking else ("'web'", "[4, 8]")
+        assert len(warnings) == 1
+        assert warnings[0].startswith("WARNING") and group in warnings[0] and counts in warnings[0]
+        uniform = tmp_path / "uniform.jsonl"
+        uniform.write_text("".join(json.dumps(row) + "\n" for row in rows[3:]))
+        assert main(["select", "--reports", str(uniform), "--out-dir", str(tmp_path / "u"),
+                     *flags]) == 0
+        assert "mixes" not in capsys.readouterr().err
 
     def test_prolong_manifest(self, reports, tmp_path, capsys):
         sel = tmp_path / "sel"
@@ -816,6 +840,8 @@ DAMAGED_SIDECARS = {
     "no pairs": _without("pairs"),
     "n_segments a string": _with("n_segments", "4"),
     "n_segments below 2": _with("n_segments", 1),
+    "n_segments beyond int64": _with("n_segments", 2**70),
+    "n_segments of a trillion": _with("n_segments", 10**12),
     "pair too short": _first_pair([1, 0]),
     "pair a string": _first_pair("1,0,0.5"),
     "dst a string": _first_pair([1, 0, "x"]),
@@ -824,6 +850,7 @@ DAMAGED_SIDECARS = {
     "target a float": _first_pair([1.0, 0, 0.5]),
     "source a bool": _first_pair([1, False, 0.5]),
     "pair outside the grid": _first_pair([1, 1, 0.5]),
+    "target beyond int64": _first_pair([2**70, 0, 0.5]),
     "no dsp": _without("dsp"),
     "a target without a dsp row": lambda sidecar: {**sidecar, "dsp": sidecar["dsp"][1:]},
     "dsp row mistyped": lambda sidecar: {**sidecar, "dsp": [[1, "x"], *sidecar["dsp"][1:]]},

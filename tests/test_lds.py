@@ -5,7 +5,15 @@ import json
 import math
 
 import pytest
-from support import CountingBackend, HashBackend, ScriptedBackend, make_grid
+from support import (
+    CountingBackend,
+    HashBackend,
+    ScriptedBackend,
+    make_grid,
+    reference_pair_from_linear,
+    reference_sample_pairs,
+    reference_score_document,
+)
 
 import numpy as np
 
@@ -13,9 +21,11 @@ from longdep.cli import main
 from longdep.corpus import SegmentGrid
 from longdep.errors import ConfigError
 from longdep.heatmap import render_heatmap
+from longdep.ngram import NGramBackend, train_ngram
 from longdep.jsonio import canonical_dumps, read_json, write_canonical
 import longdep.lds
 from longdep.lds import (
+    DSP_VARIANTS,
     LdsConfig,
     ddi,
     derive_seed,
@@ -126,6 +136,15 @@ class TestLdsPair:
         )
 
 
+def sampled(n_segments, sample_size, seed):
+    """``sample_pairs``'s two arrays as (target, source) tuples, after
+    checking that they are int64 columns of one length."""
+    targets, sources = sample_pairs(n_segments, sample_size, seed=seed)
+    assert targets.dtype == sources.dtype == np.int64
+    assert targets.shape == sources.shape == (min(sample_size, pair_count(n_segments)),)
+    return tuple(zip(targets.tolist(), sources.tolist()))
+
+
 class TestSamplePairs:
     def test_pair_count(self):
         assert pair_count(2) == 1
@@ -134,24 +153,24 @@ class TestSamplePairs:
 
     def test_covering_sample_is_the_full_canonical_set(self):
         full = tuple((t, s) for t in range(1, 5) for s in range(t))
-        assert sample_pairs(5, 10, seed=3) == full
-        assert sample_pairs(5, 999, seed=4) == full
+        assert sampled(5, 10, seed=3) == full
+        assert sampled(5, 999, seed=4) == full
 
     def test_partial_sample_shape(self):
-        pairs = sample_pairs(30, 50, seed=7)
+        pairs = sampled(30, 50, seed=7)
         assert len(pairs) == 50
         assert len(set(pairs)) == 50
         assert all(0 <= s < t < 30 for t, s in pairs)
         assert list(pairs) == sorted(pairs)
 
     def test_seed_determinism(self):
-        assert sample_pairs(30, 50, seed=7) == sample_pairs(30, 50, seed=7)
-        assert sample_pairs(30, 50, seed=7) != sample_pairs(30, 50, seed=8)
+        assert sampled(30, 50, seed=7) == sampled(30, 50, seed=7)
+        assert sampled(30, 50, seed=7) != sampled(30, 50, seed=8)
 
     def test_every_pair_reachable(self):
         seen = set()
         for seed in range(200):
-            seen.update(sample_pairs(5, 3, seed=seed))
+            seen.update(sampled(5, 3, seed=seed))
         assert len(seen) == pair_count(5)
 
     def test_validation(self):
@@ -159,6 +178,22 @@ class TestSamplePairs:
             sample_pairs(1, 5, seed=0)
         with pytest.raises(ValueError):
             sample_pairs(5, 0, seed=0)
+
+    def test_same_pairs_as_the_per_pair_sampler(self):
+        for n, size, seed in ((2, 1, 0), (5, 3, 1), (30, 50, 7), (256, 5000, 11), (256, 500, 12)):
+            assert sampled(n, size, seed) == reference_sample_pairs(n, size, seed)
+
+    def test_triangular_map_matches_the_integer_root(self):
+        # Each t's first and last linear index, t(t-1)/2 and t(t-1)/2 - 1,
+        # for t up to 2**16, then random indices up to 2**60.
+        t = np.arange(1, 2**16 + 1, dtype=np.int64)
+        first = t * (t - 1) // 2
+        linear = np.unique(np.concatenate((first, first[1:] - 1)))
+        random = np.random.default_rng(0).integers(0, 2**60, size=20000, dtype=np.int64)
+        for values in (linear, random):
+            want = [reference_pair_from_linear(v) for v in values.tolist()]
+            got_t, got_s = longdep.lds._pair_from_linear(values)
+            assert list(zip(got_t.tolist(), got_s.tolist())) == want
 
 
 class TestDeriveSeed:
@@ -313,7 +348,7 @@ class TestSampledScoring:
         grid = make_grid(rng, n_segments=10, segment_len=2)
         cfg = LdsConfig(segment_len=2, truncate_len=20, mode="sampled", sample_size=12)
         report = score_document(HashBackend(), grid, cfg.replace(seed=99))
-        want = sample_pairs(10, 12, seed=derive_seed(99, grid.doc_id))
+        want = sampled(10, 12, seed=derive_seed(99, grid.doc_id))
         assert report.pair_count == 12
         assert tuple((p.target, p.source) for p in report.pairs) == want
         assert report.mode == "sampled"
@@ -335,9 +370,9 @@ class TestSampledScoring:
             segment_len=2, truncate_len=20, mode="sampled", sample_size=9, seed=31
         )
         report = score_document(HashBackend(), grid, cfg)
-        want = sample_pairs(10, 9, seed=derive_seed(31, grid.doc_id))
+        want = sampled(10, 9, seed=derive_seed(31, grid.doc_id))
         assert tuple((p.target, p.source) for p in report.pairs) == want
-        assert want != sample_pairs(10, 9, seed=31)
+        assert want != sampled(10, 9, seed=31)
 
     def test_unconditional_calls_deduplicated(self):
         grid = SegmentGrid(
@@ -390,6 +425,86 @@ class TestReportSerialization:
         assert sidecar["pairs"] == tuple((p.target, p.source, p.dst) for p in report.pairs)
         assert [(t, s) for t, s, _ in sidecar["pairs"]] == [(1, 0), (2, 0), (2, 1)]
         assert sidecar["dsp"] == ((1, report.pairs[0].dsp), (2, report.pairs[1].dsp))
+
+
+class ShapedBackend(HashBackend):
+    """HashBackend, except for the rows the array path must get right: a
+    target segment whose first token starts with "u" scores the same
+    after any context (a uniform dst row), and one starting with "z"
+    after a context starting with "x" gets perplexity e**10, so its dst
+    is near -1000 and its softmax weight underflows to 0."""
+
+    def score(self, target, context=None):
+        if context and target[0].startswith("u"):
+            return super().score(target, ("u",))
+        if context and target[0].startswith("z") and context[0].startswith("x"):
+            return -10.0 * len(target), len(target)
+        return super().score(target, context)
+
+
+def shaped_grid() -> SegmentGrid:
+    kinds = "axuzbuxzcuzxdzuexzuxb"
+    segments = tuple((f"{kind}{i}", f"w{i % 5}") for i, kind in enumerate(kinds))
+    return SegmentGrid(doc_id="shaped", segment_len=2, segments=segments)
+
+
+def _bits_case(name):
+    """The backend factory and grid of one comparison case."""
+    if name == "shaped":
+        return ShapedBackend, shaped_grid()
+    grid = make_grid(np.random.default_rng(41), n_segments=21, segment_len=2, vocab=8)
+    if name == "hash":
+        return HashBackend, grid
+    model = train_ngram([sum(grid.segments[::2], ())], order=3, k=0.05)
+    return lambda: NGramBackend(model), grid
+
+
+class TestArrayPathBits:
+    """``score_document``'s array path against the per-pair loop it
+    replaced (``support.reference_score_document``), bit for bit."""
+
+    @pytest.mark.parametrize("backend", ["hash", "shaped", "ngram"])
+    @pytest.mark.parametrize("tau", [0.0, 0.05, 1.0])
+    @pytest.mark.parametrize("dsp_variant", DSP_VARIANTS)
+    @pytest.mark.parametrize("mode,sample_size", [("exact", 1), ("sampled", 25),
+                                                  ("sampled", 500)])
+    def test_equals_the_per_pair_loop(self, backend, tau, dsp_variant, mode, sample_size):
+        make_backend, grid = _bits_case(backend)
+        cfg = LdsConfig(segment_len=2, truncate_len=42, mode=mode, sample_size=sample_size,
+                        dsp_variant=dsp_variant, tau=tau, alpha=0.7, beta=1.3, gamma=0.4, seed=9)
+        got = score_document(make_backend(), grid, cfg)
+        want = reference_score_document(make_backend(), grid, cfg)
+        assert float.hex(got.lds) == float.hex(want.lds)
+        assert canonical_dumps(pair_sidecar(got)) == canonical_dumps(pair_sidecar(want))
+        assert got == want
+        bare = score_document(make_backend(), grid, cfg, keep_pairs=False)
+        assert float.hex(bare.lds) == float.hex(want.lds)
+        for pair in got.pairs:
+            assert pair.ddi == ddi(pair.target, pair.source, grid.n_segments)
+            assert pair.pairwise == lds_pair(pair.dst, pair.ddi, pair.dsp, cfg)
+            assert pair.gated == (pair.dst > tau)
+
+    def test_shaped_grid_holds_every_edge_row(self):
+        # The rows the comparison above must cover: a single-element row,
+        # a uniform row whose dsp is exactly 0.0, a row whose softmax
+        # underflows to p == 0, and negative dst values.
+        cfg = LdsConfig(segment_len=2, truncate_len=42, mode="exact")
+        report = score_document(ShapedBackend(), shaped_grid(), cfg)
+        rows = {}
+        for pair in report.pairs:
+            rows.setdefault(pair.target, []).append(pair.dst)
+        dsp_of = dict(report.dsp_rows)
+        assert len(rows[1]) == 1
+        assert any(len(row) > 1 and len(set(row)) == 1 and dsp_of[t] == 0.0
+                   for t, row in rows.items())
+        assert any(math.exp(min(row) - max(row)) == 0.0 for row in rows.values())
+        assert any(value < 0.0 for row in rows.values() for value in row)
+
+    def test_sampled_grid_holds_single_element_rows(self):
+        cfg = LdsConfig(segment_len=2, truncate_len=42, sample_size=25, seed=9)
+        report = score_document(HashBackend(), shaped_grid(), cfg)
+        targets = [t for t, _, _ in report.pair_triples]
+        assert sum(targets.count(t) == 1 for t in set(targets)) >= 3
 
 
 def written_and_read(tmp_path, report):

@@ -366,15 +366,16 @@ class TestBackend:
 
     def test_memo_stays_bounded_and_bit_identical(self, bigram):
         # score_pairs keeps the unconditional sums of one document's
-        # segments, keyed by content; the next document's replace them.
+        # target segments, keyed by content; the next document's replace
+        # them. A segment that is only a source is not kept.
         backend = NGramBackend(bigram)
         first = (("a", "b"), ("b", "c"), ("a", "b"))
         second = (("c", "a"), ("zz", "b"))
         want = [bigram.seq_logprob(seg) for seg in first + second]
         backend.score_pairs(first, [1, 2], [0, 1])
-        assert set(backend._segment_sums) == set(first)
+        assert set(backend._segment_sums) == {("b", "c"), ("a", "b")}
         backend.score_pairs(second, [1], [0])
-        assert set(backend._segment_sums) == set(second)
+        assert set(backend._segment_sums) == {("zz", "b")}
         assert [backend.score(seg) for seg in first + second] == want
 
     def test_empty_target_rejected(self, bigram):
@@ -413,8 +414,11 @@ class TestScorePairs:
             got = list(backend.score_pairs(segments, targets, sources))
             assert got == [NGramBackend(model).score(segments[t], segments[s]) for t, s in pairs]
             assert got == [ref.backend_score(segments[t], segments[s]) for t, s in pairs]
-            for seg in segments:
+            assert set(backend._segment_sums) == {segments[t] for t in targets}
+            for seg in backend._segment_sums:
                 assert backend._segment_sums[seg] == model.seq_logprob(seg)[0]
+            for seg in segments:
+                assert backend.score(seg) == model.seq_logprob(seg)
                 assert backend.score(seg) == ref.seq_logprob(seg)
 
     @pytest.mark.parametrize("mode", ["exact", "sampled"])

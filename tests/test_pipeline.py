@@ -125,6 +125,21 @@ class TestScoreCorpus:
         assert collections.Counter(o.status for o in outcomes) == {"scored": 4, "failed": 1}
         assert len(reports_only(outcomes)) == 4
 
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_unscorable_segment_that_no_pair_targets_is_never_scored(self, mode):
+        # Segment 0 is never a target, so only pairs that read it as a
+        # context touch it, and the document scores as if it were clean.
+        doc = Document(id="first", source="web", text="",
+                       tokens=("BOOM", "w1") + tuple(f"w{j % 13}" for j in range(2, 10)))
+        cfg = CFG.replace(mode=mode, sample_size=6)
+        [outcome] = score_corpus([doc], FailingBackend(HashBackend()), cfg)
+        assert outcome.status == "scored"
+        grid = segment(doc, cfg.segment_len, cfg.truncate_len)
+        assert outcome.report == score_document(HashBackend(), grid, cfg, keep_pairs=False)
+        last = Document(id="last", source="web", text="", tokens=doc.tokens[2:] + doc.tokens[:2])
+        [outcome] = score_corpus([last], FailingBackend(HashBackend()), CFG)
+        assert outcome.status == "failed"
+
     def test_outcome_rows_round_trip(self):
         docs = make_docs(2) + [
             Document(id="tiny", source="web", text="", tokens=("x",)),
@@ -157,7 +172,8 @@ class TestScoreCorpus:
         scored = tuple((p.target, p.source) for p in alone.pairs)
         if mode == "sampled":
             assert len(scored) == 10 < pair_count(grid.n_segments)
-            assert scored == sample_pairs(grid.n_segments, 10, derive_seed(3, doc.id))
+            targets, sources = sample_pairs(grid.n_segments, 10, derive_seed(3, doc.id))
+            assert scored == tuple(zip(targets.tolist(), sources.tolist()))
         else:
             assert len(scored) == pair_count(grid.n_segments) == 66
 
