@@ -20,7 +20,9 @@ import signal
 import socket
 import subprocess
 import threading
-from typing import Iterator, Protocol, Sequence
+from typing import Iterable, Iterator, Protocol, Sequence
+
+import numpy as np
 
 from .corpus import SegmentGrid, Token, detokenize
 from .errors import BackendError, BackendUnreachable, ScoringError
@@ -181,25 +183,32 @@ class _Connection:
         """Write the request lines, then read one answer line per
         request, in arrival order. Raises _ShortRead if the stream ends,
         breaks or times out first."""
-        lines: list[str] = []
+        failure = None
+        have = 0
         try:
             self._write(b"".join(requests))
-            while len(lines) < len(requests):
-                end = self._buffer.find(b"\n") + 1
-                if end:
-                    lines.append(self._buffer[:end].decode("utf-8", "replace"))
-                    del self._buffer[:end]
-                    continue
+            have = self._buffer.count(b"\n")
+            while have < len(requests):
                 chunk = self._read()
                 if not chunk:
-                    raise _ShortRead("scorer closed the stream", lines)
+                    failure = "scorer closed the stream"
+                    break
                 self._buffer += chunk
+                have += chunk.count(b"\n")
         except OSError as exc:
-            raise _ShortRead(f"transport failure: {exc}", lines) from exc
-        finally:
-            if lines:
-                self.answered = True
+            failure = f"transport failure: {exc}"
+        lines = self._take(min(have, len(requests)))
+        if lines:
+            self.answered = True
+        if failure is not None:
+            raise _ShortRead(failure, lines)
         return lines
+
+    def _take(self, count: int) -> list[str]:
+        """The first ``count`` lines of the buffer, each with its newline,
+        split off in one pass; the buffer keeps the rest."""
+        *lines, self._buffer = self._buffer.split(b"\n", count)
+        return [line.decode("utf-8", "replace") + "\n" for line in lines]
 
     def _write(self, data: bytes) -> None:
         raise NotImplementedError
@@ -301,18 +310,20 @@ class ExternalBackend:
     re-tokenizes with its own vocabulary. Context and target are sent as
     separate fields, so any separator policy is the scorer's own.
 
-    ``score`` sends a one-request window; ``score_pairs`` sends a
-    document's pairs in windows of up to WINDOW_REQUESTS. Every read
-    waits at most ``timeout`` seconds. An error answer from the scorer
-    fails its own request only and is not retried: ``score`` raises it,
-    and ``score_pairs`` raises it as ``pair_failed`` when that pair's
-    result is taken. Failed connects, transport failures, timeouts,
-    undecodable lines and unknown ``req_id``s drop the connection, and
-    the requests still unanswered are resent on a fresh one, up to
-    ``retries`` times. A call on which no connection could be opened, or
-    none ever answered, on any attempt raises BackendUnreachable; a call
-    that otherwise runs out of attempts fails its unanswered requests
-    with BackendError.
+    ``score_pairs`` sends a document's unconditional requests, one per
+    distinct target segment, and then its pairs, in windows of up to
+    WINDOW_REQUESTS. ``score`` answers an unconditional request from
+    the last ``score_pairs`` call's results when it can, and otherwise
+    sends a one-request window. Every read waits at most ``timeout``
+    seconds. An error answer from the scorer fails its own request only
+    and is not retried: ``score`` raises it, and ``score_pairs`` raises
+    it as ``pair_failed`` when that pair's result is taken. Failed
+    connects, transport failures, timeouts, undecodable lines and
+    unknown ``req_id``s drop the connection, and the requests still
+    unanswered are resent on a fresh one, up to ``retries`` times. A
+    call on which no connection could be opened, or none ever answered,
+    on any attempt raises BackendUnreachable; a call that otherwise runs
+    out of attempts fails its unanswered requests with BackendError.
     """
 
     def __init__(
@@ -338,6 +349,9 @@ class ExternalBackend:
         # lock, so two callers never share its stream.
         self._conn: _Connection | None = None
         self._lock = threading.Lock()
+        # The unconditional results of the last ``score_pairs`` call, by
+        # segment content.
+        self._kept: dict[tuple[Token, ...], ScoreResult] = {}
 
     def _connection(self) -> _Connection:
         if self._conn is None:
@@ -376,8 +390,10 @@ class ExternalBackend:
     ) -> tuple[float, int]:
         if not target:
             raise ValueError("target must be non-empty")
-        context_text = _json_text(context) if context else b"null"
-        [result] = self._exchange([self._request(_json_text(target), context_text)])
+        result = None if context else self._kept.get(tuple(target))
+        if result is None:
+            context_text = _json_text(context) if context else b"null"
+            [result] = self._exchange([self._request(_json_text(target), context_text)])
         if isinstance(result, BackendError):
             raise result
         return result
@@ -392,41 +408,44 @@ class ExternalBackend:
         ``segments[s]`` for each (t, s) of ``targets`` and ``sources``, in
         order. An empty segment raises ValueError here.
 
-        Pairs are sent in windows, and a window goes out only when its
-        first result is taken. A pair the scorer answers with an error
-        raises ``pair_failed`` when its result is taken; BackendUnreachable
-        is raised as it is.
+        First, in this call, the unconditional requests of the distinct
+        target segments go out in windows, in ascending row order and one
+        per distinct content. Their results are kept until the next call,
+        and ``score(target)`` with no context answers from there. A window
+        with a failed request is the last one sent, and the failure is
+        raised when ``score`` reads that target. BackendUnreachable is
+        raised as it is.
+
+        Then the pairs are sent in windows, and a window goes out only
+        when its first result is taken. A pair the scorer answers with an
+        error raises ``pair_failed`` when its result is taken;
+        BackendUnreachable is raised as it is.
         """
         if not all(segments):
             raise ValueError("segments must be non-empty")
-        return self._pair_results(segments, targets, sources)
-
-    def _pair_results(self, segments, targets, sources) -> Iterator[tuple[float, int]]:
         # Each segment is detokenized once; a document's pairs reuse it often.
         texts = list(map(_json_text, segments))
-        pairs: list[tuple[int, int]] = []
-        window: list[tuple[str, bytes]] = []
-        size = 0
-        for pair in zip(targets, sources):
-            request = self._request(texts[pair[0]], texts[pair[1]])
-            if window and (
-                len(window) == WINDOW_REQUESTS or size + len(request[1]) > WINDOW_BYTES
-            ):
-                yield from self._checked(pairs, window)
-                pairs, window, size = [], [], 0
-            pairs.append(pair)
-            window.append(request)
-            size += len(request[1])
-        if window:
-            yield from self._checked(pairs, window)
+        rows: dict[tuple[Token, ...], int] = {}
+        for row in np.unique(np.asarray(targets, dtype=np.int64)).tolist():
+            rows.setdefault(tuple(segments[row]), row)
+        self._kept = kept = {}
+        contents = list(rows)
+        for window in _windows(self._request(texts[row], b"null") for row in rows.values()):
+            results = self._exchange(window)
+            kept.update(zip(contents[len(kept):], results))
+            if any(isinstance(result, BackendError) for result in results):
+                break
+        return self._pair_results(texts, targets, sources)
 
-    def _checked(
-        self, pairs: list[tuple[int, int]], window: list[tuple[str, bytes]]
-    ) -> Iterator[tuple[float, int]]:
-        for (target, source), result in zip(pairs, self._exchange(window)):
-            if isinstance(result, BackendError):
-                raise pair_failed(target, source, result) from result
-            yield result
+    def _pair_results(self, texts, targets, sources) -> Iterator[tuple[float, int]]:
+        requests = (self._request(texts[t], texts[s]) for t, s in zip(targets, sources))
+        done = 0
+        for window in _windows(requests):
+            for i, result in enumerate(self._exchange(window), done):
+                if isinstance(result, BackendError):
+                    raise pair_failed(targets[i], sources[i], result) from result
+                yield result
+            done += len(window)
 
     def _exchange(self, window: list[tuple[str, bytes]]) -> list[ScoreResult]:
         results: list[ScoreResult | None] = [None] * len(window)
@@ -449,9 +468,9 @@ class ExternalBackend:
                 except _ShortRead as exc:
                     lines, failure = exc.lines, BackendError(str(exc), retriable=True)
                 reached = reached or conn.answered
-                for line in lines:
+                for line, payload in zip(lines, _decoded(lines)):
                     try:
-                        req_id, result = self._parse_response(line, pending)
+                        req_id, result = self._parse_response(line, payload, pending)
                     except BackendError as exc:
                         failure = exc
                         continue
@@ -471,13 +490,14 @@ class ExternalBackend:
         return results
 
     @staticmethod
-    def _parse_response(line: str, pending: dict[str, int]) -> tuple[str, ScoreResult]:
-        """The req_id of an answer and its result. Raises a retriable
-        BackendError for a line that answers no request in flight."""
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise BackendError(f"bad response line: {line!r}", retriable=True) from exc
+    def _parse_response(
+        line: str, payload: object, pending: dict[str, int]
+    ) -> tuple[str, ScoreResult]:
+        """The req_id of answer ``line``, decoded as ``payload``, and its
+        result. Raises a retriable BackendError for a line that is not
+        JSON or answers no request in flight."""
+        if payload is _UNDECODABLE:
+            raise BackendError(f"bad response line: {line!r}", retriable=True)
         req_id = payload.get("req_id") if isinstance(payload, dict) else None
         if not isinstance(req_id, str) or req_id not in pending:
             raise BackendError(
@@ -489,3 +509,43 @@ class ExternalBackend:
         if type(logprob_sum) in (int, float) and type(token_count) is int:
             return req_id, (float(logprob_sum), token_count)
         return req_id, BackendError(f"malformed response: {line!r}", retriable=False)
+
+
+_UNDECODABLE = object()
+
+
+def _decoded(lines: list[str]) -> list:
+    """The JSON value of each answer line, or _UNDECODABLE. One
+    ``json.loads`` reads the whole window; only when that fails, or
+    finds another count of values, is each line decoded alone, to find
+    the bad one."""
+    try:
+        payloads = json.loads("[%s]" % ",".join(lines))
+        if len(payloads) == len(lines):
+            return payloads
+    except ValueError:
+        pass
+    return list(map(_decoded_line, lines))
+
+
+def _decoded_line(line: str) -> object:
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError:
+        return _UNDECODABLE
+
+
+def _windows(requests: Iterable[tuple[str, bytes]]) -> Iterator[list[tuple[str, bytes]]]:
+    """``requests`` in windows of at most WINDOW_REQUESTS requests and
+    WINDOW_BYTES bytes; a longer request goes alone. A request is made
+    only when its window is being filled."""
+    window: list[tuple[str, bytes]] = []
+    size = 0
+    for request in requests:
+        if window and (len(window) == WINDOW_REQUESTS or size + len(request[1]) > WINDOW_BYTES):
+            yield window
+            window, size = [], 0
+        window.append(request)
+        size += len(request[1])
+    if window:
+        yield window

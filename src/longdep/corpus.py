@@ -72,7 +72,7 @@ def detokenize(tokens: Sequence[Token]) -> str:
     bytes, anything else is joined with spaces."""
     if tokens and all(isinstance(t, int) for t in tokens):
         return bytes(tokens).decode("utf-8", errors="replace")  # type: ignore[arg-type]
-    return " ".join(str(t) for t in tokens)
+    return " ".join(map(str, tokens))
 
 
 def tokenize(doc: Document, spec: TokenizerSpec) -> Document:

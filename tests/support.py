@@ -154,14 +154,16 @@ class DyingScorer:
         self.listener.close()
 
     def _serve(self, conn):
-        # A client may reset the connection that ``kill`` shut.
-        with contextlib.suppress(OSError), conn.makefile("rw", encoding="utf-8") as stream:
+        # A client may reset the connection that ``kill`` shut. The stream
+        # is binary: a text stream drops the lines it has read ahead, the
+        # rest of a window, when it is written to.
+        with contextlib.suppress(OSError), conn.makefile("rwb") as stream:
             for line in stream:
                 req = json.loads(line)
                 if self.answers > 0:
                     self.answers -= 1
                     out = {"req_id": req["req_id"], "logprob_sum": -1.0, "token_count": 1}
-                    stream.write(json.dumps(out) + "\n")
+                    stream.write(json.dumps(out).encode("utf-8") + b"\n")
                     stream.flush()
                 self.seen.release()
 

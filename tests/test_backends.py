@@ -547,6 +547,31 @@ def _expected(targets):
     return [(-0.5 * len(target), len(target)) for target in targets]
 
 
+def _record_windows(monkeypatch):
+    """The request lines of each window sent on a ``stdio://``
+    connection from now on, one list per window."""
+    windows = []
+    round_trip = _StdioConnection.round_trip
+
+    def recording(self, requests):
+        windows.append(list(requests))
+        return round_trip(self, requests)
+
+    monkeypatch.setattr(_StdioConnection, "round_trip", recording)
+    return windows
+
+
+def _unconditional(request):
+    return request.endswith(b'"context": null}\n')
+
+
+ANSWER_EACH_LINE = """
+for line in sys.stdin:
+    sys.stdout.write(answer(json.loads(line)))
+    sys.stdout.flush()
+"""
+
+
 def _targets_by_process(log):
     seen = {}
     for line in log.read_text().splitlines():
@@ -668,7 +693,8 @@ for line in sys.stdin:
             backend.score_pairs((("a",), ()), [1], [0])
 
     def test_garbage_line_resends_only_unanswered_requests(self, tmp_path):
-        # The first process answers t0, t1, garbage, t3, t4.
+        # The first process answers the unconditional requests, then the
+        # pairs t0, t1, garbage, t3, t4; only pairs are logged.
         marker = tmp_path / "garbled"
         endpoint, log = _window_stub(tmp_path, """
 first = not os.path.exists(MARKER)
@@ -676,6 +702,10 @@ open(MARKER, "a").close()
 window = []
 for line in sys.stdin:
     req = json.loads(line)
+    if req["context"] is None:
+        sys.stdout.write(answer(req))
+        sys.stdout.flush()
+        continue
     log(req)
     window.append(req)
     if first and len(window) < 5:
@@ -696,6 +726,36 @@ for line in sys.stdin:
         finally:
             backend.close()
 
+    def test_two_answers_on_one_line_are_a_bad_line(self, tmp_path):
+        # The first process answers both requests of its window on one
+        # line, then sends a line that answers nothing. Read together,
+        # the two lines hold as many values as the window has lines.
+        marker = tmp_path / "joined"
+        endpoint, log = _window_stub(tmp_path, """
+first = not os.path.exists(MARKER)
+open(MARKER, "a").close()
+window = []
+for line in sys.stdin:
+    req = json.loads(line)
+    log(req)
+    window.append(req)
+    if first and len(window) == 2:
+        sys.stdout.write(answer(window[0]).strip() + ", " + answer(window[1]) + "{}\\n")
+    elif not first:
+        sys.stdout.write(answer(req))
+    sys.stdout.flush()
+""".replace("MARKER", repr(str(marker))))
+        backend = ExternalBackend(endpoint)
+        targets = _targets(2)
+        try:
+            assert list(backend.score_pairs(*_batch(targets))) == _expected(targets)
+            assert [backend.score(target) for target in targets] == [(-2.0, 2)] * 2
+        finally:
+            backend.close()
+        # Neither answer of the joined line is taken: both unconditional
+        # requests go again to a fresh process, before the pairs.
+        assert _targets_by_process(log) == [["t0", "t1"], ["t0", "t1", "t0", "t1"]]
+
     def test_dropped_connection_resends_only_unanswered_requests(self):
         received = []
 
@@ -706,8 +766,14 @@ for line in sys.stdin:
                 dropping = len(received) == 1
                 window = []
                 for raw in self.rfile:
-                    window.append(json.loads(raw))
-                    seen.append(window[-1]["target"].split()[0])
+                    req = json.loads(raw)
+                    if req["context"] is None:
+                        # Unconditional requests are answered at once.
+                        self.wfile.write(_answer(req).encode("utf-8"))
+                        self.wfile.flush()
+                        continue
+                    window.append(req)
+                    seen.append(req["target"].split()[0])
                     if dropping and len(window) < 5:
                         continue
                     # The first connection answers two of five and closes.
@@ -732,19 +798,8 @@ for line in sys.stdin:
             server.server_close()
 
     def test_windows_stay_within_their_bounds(self, tmp_path, monkeypatch):
-        endpoint, _ = _window_stub(tmp_path, """
-for line in sys.stdin:
-    sys.stdout.write(answer(json.loads(line)))
-    sys.stdout.flush()
-""")
-        windows = []
-        round_trip = _StdioConnection.round_trip
-
-        def recording(self, requests):
-            windows.append((len(requests), sum(map(len, requests))))
-            return round_trip(self, requests)
-
-        monkeypatch.setattr(_StdioConnection, "round_trip", recording)
+        endpoint, _ = _window_stub(tmp_path, ANSWER_EACH_LINE)
+        windows = _record_windows(monkeypatch)
         backend = ExternalBackend(endpoint)
         # 100 small pairs, then seven of about 15 KiB and one of 90 KiB.
         targets = _targets(100) + _targets(7, width=5000) + _targets(1, width=30000)
@@ -752,9 +807,87 @@ for line in sys.stdin:
             assert list(backend.score_pairs(*_batch(targets))) == _expected(targets)
         finally:
             backend.close()
-        assert [count for count, _ in windows[:3]] == [32, 32, 32]
-        for count, size in windows:
-            assert count <= WINDOW_REQUESTS == 32
-            assert size <= WINDOW_BYTES == 64 * 1024 or count == 1
-        assert windows[-1][0] == 1 and windows[-1][1] > WINDOW_BYTES
-        assert sum(count for count, _ in windows) == len(targets)
+        # The unconditional requests of the 108 distinct targets go in
+        # windows of their own, under the same bounds as the pairs.
+        for unconditional in (True, False):
+            sizes = [
+                (len(window), sum(map(len, window)))
+                for window in windows
+                if _unconditional(window[0]) == unconditional
+            ]
+            assert [count for count, _ in sizes[:3]] == [32, 32, 32]
+            for count, size in sizes:
+                assert count <= WINDOW_REQUESTS == 32
+                assert size <= WINDOW_BYTES == 64 * 1024 or count == 1
+            assert sizes[-1][0] == 1 and sizes[-1][1] > WINDOW_BYTES
+            assert sum(count for count, _ in sizes) == len(targets)
+
+    def test_unconditional_requests_go_out_in_windows(self, tmp_path, monkeypatch):
+        endpoint, _ = _window_stub(tmp_path, ANSWER_EACH_LINE)
+        windows = _record_windows(monkeypatch)
+        backend = ExternalBackend(endpoint)
+        targets = _targets(40)
+        try:
+            results = backend.score_pairs(*_batch(targets))
+            # Sent in the call, before any pair result is taken.
+            assert [len(window) for window in windows] == [32, 8]
+            assert all(map(_unconditional, windows[0] + windows[1]))
+            assert list(results) == _expected(targets)
+        finally:
+            backend.close()
+        assert [len(window) for window in windows] == [32, 8, 32, 8]
+
+    def test_refused_unconditional_request_fails_its_document(self, tmp_path, monkeypatch):
+        endpoint, _ = _window_stub(tmp_path, """
+for line in sys.stdin:
+    req = json.loads(line)
+    if req["context"] is None and req["target"].startswith("BAD "):
+        sys.stdout.write(json.dumps({"req_id": req["req_id"], "error": "refused"}) + "\\n")
+    else:
+        sys.stdout.write(answer(req))
+    sys.stdout.flush()
+""")
+        windows = _record_windows(monkeypatch)
+        # 41 distinct segments, so targets 1-40 in two unconditional
+        # windows; the scorer refuses segment 5.
+        segments = tuple(("BAD",) * 2 if i == 5 else (f"s{i}",) * 2 for i in range(41))
+        grid = SegmentGrid(doc_id="d", segment_len=2, segments=segments)
+        backend = ExternalBackend(endpoint)
+        try:
+            with pytest.raises(BackendError) as raised:
+                score_document(backend, grid, LdsConfig(segment_len=2, truncate_len=82,
+                                                        mode="exact"))
+        finally:
+            backend.close()
+        assert str(raised.value) == (
+            "unconditional scoring failed at segment 5: scorer error: refused"
+        )
+        assert raised.value.retriable is False
+        assert raised.value.segment_index == 5
+        # The rest of the first window went out with it; no later window,
+        # unconditional or pair, did.
+        assert [len(window) for window in windows] == [WINDOW_REQUESTS]
+        assert all(map(_unconditional, windows[0]))
+
+    def test_score_reads_what_the_last_call_kept(self, tmp_path, monkeypatch):
+        endpoint, _ = _window_stub(tmp_path, ANSWER_EACH_LINE)
+        windows = _record_windows(monkeypatch)
+        backend = ExternalBackend(endpoint)
+        first, second = _targets(3), [("u",) * 2]
+        try:
+            list(backend.score_pairs(*_batch(first)))
+            sent = len(windows)
+            assert [backend.score(target) for target in first] == [(-2.0, 2)] * 3
+            assert len(windows) == sent
+            # With a context, ``score`` always asks the scorer.
+            assert backend.score(first[0], ("c",)) == (-1.0, 2)
+            assert len(windows) == sent + 1
+            # The next call replaces what was kept.
+            list(backend.score_pairs(*_batch(second)))
+            sent = len(windows)
+            assert backend.score(second[0]) == (-2.0, 2)
+            assert len(windows) == sent
+            assert backend.score(first[0]) == (-2.0, 2)
+            assert len(windows) == sent + 1
+        finally:
+            backend.close()

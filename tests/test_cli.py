@@ -3,6 +3,7 @@
 import argparse
 import errno
 import functools
+import hashlib
 import io
 import json
 import logging
@@ -1189,6 +1190,8 @@ class TestExternalBackendIntegration:
             ]
         )
         killer.join(timeout=10.0)
+        # The killer saw its two requests and shut the scorer.
+        assert not killer.is_alive() and scorer.dead.is_set()
         assert code == 3
         rows = [json.loads(l) for l in (out_dir / "reports.jsonl").read_text().splitlines()]
         # The request in flight at the kill fails its document; the next
@@ -1281,3 +1284,75 @@ class TestWindowedScoring:
         assert [row for row in rows if row["status"] == "scored"] == [
             json.loads(line) for line in clean.decode().splitlines()
         ]
+
+
+# The scorer behind TestRequestStream: it appends each request line, as
+# received, to the file named by its argument, and answers it.
+LOGGING_SCORER = """\
+import json, sys
+with open(sys.argv[1], "ab") as log:
+    for line in sys.stdin.buffer:
+        log.write(line)
+        log.flush()
+        req = json.loads(line)
+        n = len(req["target"].split())
+        rate = -0.5 if req["context"] else -1.0
+        out = {"req_id": req["req_id"], "logprob_sum": rate * n, "token_count": n}
+        sys.stdout.write(json.dumps(out) + "\\n")
+        sys.stdout.flush()
+"""
+
+STREAM_SEGMENT_LEN = 4
+STREAM_SAMPLE_SIZE = 200
+STREAM_SEED = 7
+
+
+def stream_segment(doc, i):
+    """Segment ``i`` of document ``doc`` of the request-stream corpus."""
+    if doc == "wide" and i % 12 == 5:
+        return ["rep"] * STREAM_SEGMENT_LEN  # one content, four times
+    return [f"{doc[0]}{i}x{j}" for j in range(STREAM_SEGMENT_LEN)]
+
+
+# (doc_id, segment count): 8 segments have 28 pairs, all of which the
+# sample takes (an exact document); 24 and 48 are sampled, and the
+# 48-segment document has more than WINDOW_REQUESTS distinct targets,
+# some of them one repeated segment.
+STREAM_DOCS = (("short", 8), ("mid", 24), ("wide", 48))
+
+# The sha256 of the request lines the corpus above sends, recorded when
+# every unconditional request still went out alone.
+STREAM_SHA256 = "525a5eee7a2e8dbdfc110145a9cd3aaeb5539d0c0c5c04af645a09e6ed157981"
+
+
+class TestRequestStream:
+    def test_request_lines_are_pinned(self, tmp_path):
+        from longdep.backends import WINDOW_REQUESTS
+        from longdep.lds import derive_seed, sample_pairs
+
+        corpus = tmp_path / "corpus.jsonl"
+        with open(corpus, "w", encoding="utf-8") as handle:
+            for doc, n in STREAM_DOCS:
+                words = [word for i in range(n) for word in stream_segment(doc, i)]
+                handle.write(json.dumps({"id": doc, "text": " ".join(words)}) + "\n")
+        targets, _ = sample_pairs(48, STREAM_SAMPLE_SIZE, derive_seed(STREAM_SEED, "wide"))
+        contents = [tuple(stream_segment("wide", t)) for t in set(targets.tolist())]
+        assert len(set(contents)) > WINDOW_REQUESTS and len(set(contents)) < len(contents)
+        assert 8 * 7 // 2 <= STREAM_SAMPLE_SIZE < 24 * 23 // 2
+        scorer = tmp_path / "scorer.py"
+        scorer.write_text(LOGGING_SCORER, encoding="utf-8")
+        log = tmp_path / "requests.log"
+        command = shlex.join([sys.executable, str(scorer), str(log)])
+        # A fresh process, so request ids start at 1.
+        cmd = [
+            sys.executable, "-m", "longdep.cli", "score", "--input", str(corpus),
+            "--backend", f"external:stdio://{command}", "--out-dir", str(tmp_path / "out"),
+            "--segment-len", str(STREAM_SEGMENT_LEN), "--truncate-len", "192",
+            "--mode", "sampled", "--sample-size", str(STREAM_SAMPLE_SIZE),
+            "--seed", str(STREAM_SEED),
+        ]
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        lines = log.read_bytes()
+        assert hashlib.sha256(lines).hexdigest() == STREAM_SHA256, len(lines.splitlines())
