@@ -30,7 +30,6 @@ from .corpus import (
     IngestStats,
     SegmentGrid,
     Token,
-    TokenizerSpec,
     ingest,
     segment,
     tokenize,
@@ -92,7 +91,6 @@ __all__ = [
     "SynthSpec",
     "TestSet",
     "Token",
-    "TokenizerSpec",
     "accuracy_at_k",
     "build_manifest",
     "cached_unconditional",

@@ -124,7 +124,7 @@ def _link_layout(
 
 
 def _gen_planted_key(
-    doc_id: str, spec: SynthSpec, rng: np.random.Generator, links: set
+    doc_id: str, spec: SynthSpec, rng: np.random.Generator, links: set, pool: list
 ) -> Document:
     """Several early segments end with (k1, k2); several far segments
     begin with (k3, k4); scattered copies of the four-token phrase give
@@ -148,7 +148,7 @@ def _gen_planted_key(
 
 
 def _gen_entity_chain(
-    doc_id: str, spec: SynthSpec, rng: np.random.Generator, links: set
+    doc_id: str, spec: SynthSpec, rng: np.random.Generator, links: set, pool: list
 ) -> Document:
     """A cycling three-token mention (a b c a b c ...) runs through
     several early segments, each breaking off mid-cycle; several far
@@ -185,7 +185,7 @@ def _short_pool(spec: SynthSpec) -> list[list[str]]:
 
 
 def _gen_concat_shorts(
-    doc_id: str, spec: SynthSpec, rng: np.random.Generator, pool: list[list[str]]
+    doc_id: str, spec: SynthSpec, rng: np.random.Generator, links: set, pool: list[list[str]]
 ) -> Document:
     """Independent short texts glued together. Each document draws its
     shorts without replacement, so nothing recurs at long range and only
@@ -202,7 +202,9 @@ def _gen_concat_shorts(
     )
 
 
-def _gen_local_markov(doc_id: str, spec: SynthSpec, rng: np.random.Generator) -> Document:
+def _gen_local_markov(
+    doc_id: str, spec: SynthSpec, rng: np.random.Generator, links: set, pool: list
+) -> Document:
     """A sticky random walk over a narrow vocabulary window that drifts
     steadily along the document: adjacent segments overlap in wording,
     anything further apart shares none, so the text is locally coherent
@@ -228,6 +230,16 @@ def repeated_token_document(doc_id: str, n_tokens: int, token: str = "r") -> Doc
     return Document(id=doc_id, source="repeated", text="", tokens=(token,) * n_tokens)
 
 
+# Every generator takes (doc_id, spec, rng, links, pool): it adds the
+# links it plants to ``links`` and may draw its shorts from ``pool``.
+_GENERATORS = {
+    "planted-key": _gen_planted_key,
+    "entity-chain": _gen_entity_chain,
+    "concat-shorts": _gen_concat_shorts,
+    "local-markov": _gen_local_markov,
+}
+
+
 def generate_testset(
     spec: SynthSpec,
     positive_kinds: Sequence[str] = POSITIVE_KINDS,
@@ -236,34 +248,25 @@ def generate_testset(
     """Deterministic labeled corpus; same spec and kinds, same bytes.
 
     Kinds cycle over the given sequences, so restricting a sequence to a
-    single entry yields a homogeneous arm."""
-    for kind in (*positive_kinds, *negative_kinds):
-        if kind not in POSITIVE_KINDS + NEGATIVE_KINDS:
-            raise ValueError(f"unknown document kind: {kind!r}")
+    single entry yields a homogeneous arm. Each arm takes only its own
+    kinds (POSITIVE_KINDS, NEGATIVE_KINDS)."""
+    arms = (
+        ("pos", 1, spec.n_positive, positive_kinds, POSITIVE_KINDS),
+        ("neg", 0, spec.n_negative, negative_kinds, NEGATIVE_KINDS),
+    )
+    for prefix, _, _, kinds, allowed in arms:
+        if not kinds or any(kind not in allowed for kind in kinds):
+            raise ValueError(f"{prefix} arm kinds must be drawn from {allowed}, got {tuple(kinds)}")
     docs: list[Document] = []
     labels: dict[str, int] = {}
     links: set = set()
     pool = _short_pool(spec)
-    for i in range(spec.n_positive):
-        doc_id = f"pos-{i:04d}"
-        rng = np.random.Generator(np.random.PCG64(derive_seed(spec.seed, doc_id)))
-        kind = positive_kinds[i % len(positive_kinds)]
-        if kind == "planted-key":
-            doc = _gen_planted_key(doc_id, spec, rng, links)
-        else:
-            doc = _gen_entity_chain(doc_id, spec, rng, links)
-        docs.append(doc)
-        labels[doc_id] = 1
-    for i in range(spec.n_negative):
-        doc_id = f"neg-{i:04d}"
-        rng = np.random.Generator(np.random.PCG64(derive_seed(spec.seed, doc_id)))
-        kind = negative_kinds[i % len(negative_kinds)]
-        if kind == "concat-shorts":
-            doc = _gen_concat_shorts(doc_id, spec, rng, pool)
-        else:
-            doc = _gen_local_markov(doc_id, spec, rng)
-        docs.append(doc)
-        labels[doc_id] = 0
+    for prefix, label, count, kinds, _ in arms:
+        for i in range(count):
+            doc_id = f"{prefix}-{i:04d}"
+            rng = np.random.Generator(np.random.PCG64(derive_seed(spec.seed, doc_id)))
+            docs.append(_GENERATORS[kinds[i % len(kinds)]](doc_id, spec, rng, links, pool))
+            labels[doc_id] = label
     return TestSet(spec=spec, docs=tuple(docs), labels=labels, links=frozenset(links))
 
 

@@ -36,7 +36,7 @@ from .bench import (
     run_bench,
 )
 from .config import REFERENCE_PROFILE, RunConfig, resolve_config
-from .corpus import IngestStats, TokenizerSpec, ingest, tokenized_corpus
+from .corpus import IngestStats, ingest, tokenize
 from .errors import BackendUnreachable, ConfigError, LongdepError
 from .heatmap import SCALES, VALUES, render_heatmap
 from .jsonio import (
@@ -102,17 +102,17 @@ def _external_endpoint(spec_str: str) -> str | None:
     return endpoint
 
 
-def _resolve_backend(spec_str: str, tokenizer: TokenizerSpec):
+def _resolve_backend(spec_str: str, tokenizer: str):
     """Backend selector: ngram:<model-file> or external[:<endpoint>]."""
     if spec_str.startswith("ngram:"):
         path = spec_str[len("ngram:"):]
         if not os.path.exists(path):
             raise ConfigError(f"model file not found: {path}")
         model = NGramModel.load(path)
-        if model.tokenizer_kind != tokenizer.kind:
+        if model.tokenizer_kind != tokenizer:
             raise ConfigError(
                 f"model {path} was trained on {model.tokenizer_kind!r} tokens, but this "
-                f"run uses the {tokenizer.kind!r} tokenizer; pass --tokenizer "
+                f"run uses the {tokenizer!r} tokenizer; pass --tokenizer "
                 f"{model.tokenizer_kind} or retrain the model"
             )
         return NGramBackend(model)
@@ -139,8 +139,9 @@ def cmd_train_ngram(args: argparse.Namespace, rc: RunConfig) -> int:
     if not os.path.exists(args.input):
         raise ConfigError(f"input not found: {args.input}")
     stats = IngestStats()
-    docs = tokenized_corpus(
-        ingest(args.input, format=rc.input_format, stats=stats), TokenizerSpec(rc.tokenizer)
+    docs = (
+        tokenize(doc, rc.tokenizer)
+        for doc in ingest(args.input, format=rc.input_format, stats=stats)
     )
     model = train_ngram(docs, order=rc.order, k=rc.k, tokenizer_kind=rc.tokenizer)
     ensure_parent(args.out)
@@ -166,19 +167,16 @@ def cmd_score(args: argparse.Namespace, rc: RunConfig) -> int:
         raise ConfigError("--input is required")
     if not os.path.exists(args.input):
         raise ConfigError(f"input not found: {args.input}")
-    tokenizer = TokenizerSpec(rc.tokenizer)
-    backend = _resolve_backend(rc.backend, tokenizer)
+    backend = _resolve_backend(rc.backend, rc.tokenizer)
     try:
-        return _score_into(args, rc, tokenizer, backend)
+        return _score_into(args, rc, backend)
     finally:
         close = getattr(backend, "close", None)
         if close is not None:
             close()
 
 
-def _score_into(
-    args: argparse.Namespace, rc: RunConfig, tokenizer: TokenizerSpec, backend
-) -> int:
+def _score_into(args: argparse.Namespace, rc: RunConfig, backend) -> int:
     if rc.workers > 1:
         log.info("workers=%d: documents are scored one at a time", rc.workers)
 
@@ -193,11 +191,7 @@ def _score_into(
     ingest_stats = IngestStats()
     docs = ingest(args.input, format=rc.input_format, stats=ingest_stats)
     outcomes = score_corpus(
-        docs,
-        backend,
-        rc.lds,
-        tokenizer=tokenizer,
-        keep_pairs=args.emit_pairs,
+        docs, backend, rc.lds, tokenizer=rc.tokenizer, keep_pairs=args.emit_pairs
     )
     # An earlier run's sidecar and pair files, and the .partial of a
     # killed pair write, must not outlive its rows.

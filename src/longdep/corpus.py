@@ -14,7 +14,7 @@ import logging
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .errors import DocumentTooShort
 
@@ -37,34 +37,6 @@ class Document:
     text: str
     tokens: tuple[Token, ...] | None = None
 
-    def with_tokens(self, tokens: Sequence[Token]) -> "Document":
-        return replace(self, tokens=tuple(tokens))
-
-
-@dataclass(frozen=True)
-class TokenizerSpec:
-    """Deterministic tokenizer configuration.
-
-    kind "whitespace" splits on runs of whitespace and falls back to raw
-    UTF-8 bytes for texts that do not split (single-blob code, CJK).
-    kind "byte" always yields the UTF-8 byte values.
-    """
-
-    kind: str = "whitespace"
-
-    def __post_init__(self):
-        if self.kind not in TOKENIZER_KINDS:
-            raise ValueError(f"tokenizer must be one of {TOKENIZER_KINDS}, got {self.kind!r}")
-
-    def tokenize(self, text: str) -> tuple[Token, ...]:
-        if self.kind == "byte":
-            return tuple(text.encode("utf-8"))
-        parts = text.split()
-        if len(parts) >= 2:
-            return tuple(parts)
-        # No usable whitespace structure: byte-level fallback.
-        return tuple(text.strip().encode("utf-8"))
-
 
 def detokenize(tokens: Sequence[Token]) -> str:
     """Best-effort inverse of either tokenizer, used when shipping
@@ -75,9 +47,23 @@ def detokenize(tokens: Sequence[Token]) -> str:
     return " ".join(map(str, tokens))
 
 
-def tokenize(doc: Document, spec: TokenizerSpec) -> Document:
-    """Return a copy of ``doc`` with tokens filled in."""
-    return doc.with_tokens(spec.tokenize(doc.text))
+def tokenize(doc: Document, kind: str = "whitespace") -> Document:
+    """``doc`` with tokens filled in; a document that already has tokens
+    comes back unchanged. "whitespace" splits on runs of whitespace, and
+    takes the UTF-8 bytes of the stripped text when that gives fewer than
+    two parts (single-blob code, CJK); "byte" takes the UTF-8 bytes of
+    the whole text."""
+    if doc.tokens is not None:
+        return doc
+    if kind not in TOKENIZER_KINDS:
+        raise ValueError(f"tokenizer must be one of {TOKENIZER_KINDS}, got {kind!r}")
+    if kind == "byte":
+        tokens = tuple(doc.text.encode("utf-8"))
+    else:
+        tokens = tuple(doc.text.split())
+        if len(tokens) < 2:
+            tokens = tuple(doc.text.strip().encode("utf-8"))
+    return replace(doc, tokens=tokens)
 
 
 @dataclass(frozen=True)
@@ -103,10 +89,11 @@ class SegmentGrid:
 def segment(doc: Document, segment_len: int, truncate_len: int) -> SegmentGrid:
     """Truncate ``doc`` to ``truncate_len`` tokens and split into segments.
 
-    Raises DocumentTooShort when fewer than two whole segments fit; such
-    documents are excluded from scoring and recorded in the manifest.
+    Raises DocumentTooShort when fewer than two whole segments fit,
+    including a document with no tokens at all; such documents are
+    excluded from scoring and recorded in the manifest.
     """
-    if doc.tokens is None or not doc.tokens:
+    if doc.tokens is None:
         raise ValueError(f"document {doc.id!r} has no tokens; tokenize first")
     if segment_len < 1:
         raise ValueError("segment_len must be >= 1")
@@ -170,7 +157,10 @@ def ingest(
 def _ingest_jsonl(path: Path, stats: IngestStats) -> Iterator[Document]:
     default_source = path.stem
     seen_ids: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
+    # A byte that is not UTF-8 decodes to a lone surrogate, which the
+    # UTF-8 check below (or json.loads) counts as malformed; a leading
+    # BOM is dropped.
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -245,11 +235,3 @@ def _ingest_plain_dir(root: Path, stats: IngestStats) -> Iterator[Document]:
             source=file.stem,
             text=text,
         )
-
-
-def tokenized_corpus(
-    docs: Iterable[Document], spec: TokenizerSpec
-) -> Iterator[Document]:
-    """Tokenize a document stream, leaving already-tokenized docs alone."""
-    for doc in docs:
-        yield doc if doc.tokens is not None else tokenize(doc, spec)

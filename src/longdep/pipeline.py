@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .backends import PerplexityBackend
-from .corpus import Document, TokenizerSpec, segment, tokenize
+from .corpus import Document, segment, tokenize
 from .errors import (
     BackendError,
     BackendUnreachable,
@@ -77,16 +77,14 @@ def _score_one(
     doc: Document,
     backend: PerplexityBackend,
     cfg: LdsConfig,
-    tokenizer: TokenizerSpec,
+    tokenizer: str,
     keep_pairs: bool,
 ) -> DocumentOutcome:
     try:
-        tokenized = doc if doc.tokens is not None else tokenize(doc, tokenizer)
-        grid = segment(tokenized, cfg.segment_len, cfg.truncate_len)
+        grid = segment(tokenize(doc, tokenizer), cfg.segment_len, cfg.truncate_len)
+        report = score_document(backend, grid, cfg, keep_pairs=keep_pairs)
     except DocumentTooShort as exc:
         return DocumentOutcome(doc.id, doc.source, "excluded", reason=str(exc))
-    try:
-        report = score_document(backend, grid, cfg, keep_pairs=keep_pairs)
     except BackendUnreachable:
         raise
     except (BackendError, ScoringError) as exc:
@@ -98,18 +96,18 @@ def score_corpus(
     docs: Iterable[Document],
     backend: PerplexityBackend,
     cfg: LdsConfig,
-    tokenizer: TokenizerSpec | None = None,
+    tokenizer: str = "whitespace",
     keep_pairs: bool = False,
 ) -> Iterator[DocumentOutcome]:
     """Score a document stream, yielding one outcome per document in
-    input order.
+    input order; a document without tokens is tokenized first, by the
+    ``tokenizer`` kind.
 
-    A document that is too short is excluded; a document whose scoring
-    fails is marked failed; both leave the run alive. Only an unreachable
-    backend is fatal. Per-pair records are dropped by default; corpus
-    runs only need the document totals.
+    A document that is too short, or empty, is excluded; a document whose
+    scoring fails is marked failed; both leave the run alive. Only an
+    unreachable backend is fatal. Per-pair records are dropped by
+    default; corpus runs only need the document totals.
     """
-    tokenizer = tokenizer or TokenizerSpec()
     for doc in docs:
         yield _score_one(doc, backend, cfg, tokenizer, keep_pairs)
 

@@ -88,6 +88,19 @@ class TestGenerateTestset:
         with pytest.raises(ValueError):
             generate_testset(TINY, positive_kinds=("planted-key", "surprise"))
 
+    @pytest.mark.parametrize(
+        "kinds",
+        [
+            {"positive_kinds": ("concat-shorts",)},
+            {"positive_kinds": ("planted-key", "local-markov")},
+            {"negative_kinds": ("entity-chain",)},
+            {"negative_kinds": ()},
+        ],
+    )
+    def test_kind_outside_its_arm_rejected(self, kinds):
+        with pytest.raises(ValueError, match="arm kinds must be drawn from"):
+            generate_testset(TINY, **kinds)
+
     def test_links_registered_for_positives(self, tiny_testset):
         assert tiny_testset.links
         for (bigram, head) in tiny_testset.links:

@@ -161,6 +161,22 @@ def write_corpus(path, n_docs=8, words=24):
     return path
 
 
+def write_lines(path, lines):
+    """A JSONL file of the given raw byte lines."""
+    path.write_bytes(b"".join(line + b"\n" for line in lines))
+    return str(path)
+
+
+TEXT = " ".join(f"w{j % 11}" for j in range(24))
+
+
+def record_line(doc_id):
+    return json.dumps({"id": doc_id, "text": TEXT, "source": "web"}).encode("utf-8")
+
+
+NOT_UTF8_LINE = b'{"id": "bad", "text": "w1 \xff w2", "source": "web"}'
+
+
 @pytest.fixture()
 def corpus(tmp_path):
     return str(write_corpus(tmp_path / "corpus.jsonl"))
@@ -264,6 +280,14 @@ class TestTrainNgram:
         assert main(["train-ngram", "--input", corpus, "--out", str(out), *TRAIN_FLAGS]) == 0
         meta = json.loads((tmp_path / "model.bin.meta.json").read_text())
         assert meta["documents"] == 9
+
+    def test_line_that_is_not_utf8_is_skipped(self, tmp_path):
+        lines = [record_line(f"d{i}") for i in range(4)]
+        corpus = write_lines(tmp_path / "c.jsonl", [*lines[:3], NOT_UTF8_LINE, lines[3]])
+        out = tmp_path / "model.bin"
+        assert main(["train-ngram", "--input", corpus, "--out", str(out), *TRAIN_FLAGS]) == 0
+        meta = json.loads((tmp_path / "model.bin.meta.json").read_text())
+        assert meta["documents"] == 4
 
     def test_show_config_prints_and_writes_nothing(self, tmp_path, corpus, capsys):
         out = tmp_path / "model.json"
@@ -469,6 +493,47 @@ class TestScore:
         meta = json.loads((out_dir / "reports.jsonl.meta.json").read_text())
         assert meta["complete"] is True
         assert meta["ingest"]["skipped_malformed"] == 1
+
+    def test_line_that_is_not_utf8_is_skipped(self, model, tmp_path):
+        lines = [record_line(f"d{i}") for i in range(4)]
+        corpus = write_lines(tmp_path / "c.jsonl", [*lines[:3], NOT_UTF8_LINE, lines[3]])
+        out_dir = tmp_path / "out"
+        assert run_score(corpus, model, out_dir) == 0
+        rows = [json.loads(line) for line in (out_dir / "reports.jsonl").read_text().splitlines()]
+        assert [(row["doc_id"], row["status"]) for row in rows] == [
+            (f"d{i}", "scored") for i in range(4)
+        ]
+        meta = json.loads((out_dir / "reports.jsonl.meta.json").read_text())
+        assert meta["complete"] is True
+        assert meta["ingest"] == {
+            "read": 5, "yielded": 4, "skipped_malformed": 1, "skipped_duplicate_id": 0
+        }
+
+    @pytest.mark.parametrize("input_format", ["jsonl", "plain-dir"])
+    def test_document_with_no_tokens_is_excluded(self, model, tmp_path, input_format):
+        # A whitespace-only JSONL text, or an empty plain-dir file, comes
+        # first; the documents after it are still scored.
+        if input_format == "jsonl":
+            blank = json.dumps({"id": "blank", "text": " \t \n ", "source": "web"})
+            lines = [blank.encode("utf-8")] + [record_line(f"d{i}") for i in range(3)]
+            corpus = write_lines(tmp_path / "c.jsonl", lines)
+        else:
+            corpus = tmp_path / "docs"
+            corpus.mkdir()
+            (corpus / "blank").write_bytes(b"")
+            for i in range(3):
+                (corpus / f"d{i}").write_text(TEXT)
+        out_dir = tmp_path / "out"
+        assert run_score(str(corpus), model, out_dir, extra=["--input-format", input_format]) == 0
+        rows = [json.loads(line) for line in (out_dir / "reports.jsonl").read_text().splitlines()]
+        assert [(row["doc_id"], row["status"]) for row in rows] == [
+            ("blank", "excluded"), ("d0", "scored"), ("d1", "scored"), ("d2", "scored")
+        ]
+        assert rows[0]["reason"] == (
+            "document 'blank' has 0 tokens, needs at least 8 for two segments of 4"
+        )
+        meta = json.loads((out_dir / "reports.jsonl.meta.json").read_text())
+        assert (meta["complete"], meta["scored"], meta["excluded"]) == (True, 3, 1)
 
     def test_pretokenized_record_is_scored(self, corpus, model, tmp_path):
         record = {"id": "pre", "text": "", "tokens": [f"w{j % 11}" for j in range(24)]}

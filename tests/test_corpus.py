@@ -8,33 +8,53 @@ from longdep.corpus import (
     Document,
     IngestStats,
     SegmentGrid,
-    TokenizerSpec,
     detokenize,
     ingest,
     segment,
-    tokenized_corpus,
+    tokenize,
 )
 from longdep.errors import DocumentTooShort
 
 
+def tokens_of(text, kind="whitespace"):
+    return tokenize(Document(id="d", source="s", text=text), kind).tokens
+
+
 class TestTokenizer:
     def test_whitespace_splits_on_any_run(self):
-        spec = TokenizerSpec("whitespace")
-        assert spec.tokenize("a  b\tc\nd") == ("a", "b", "c", "d")
+        assert tokens_of("a  b\tc\nd") == ("a", "b", "c", "d")
 
     def test_whitespace_single_word_falls_back_to_bytes(self):
-        spec = TokenizerSpec("whitespace")
-        assert spec.tokenize("  hi ") == (104, 105)
+        assert tokens_of("  hi ") == (104, 105)
 
     def test_byte_mode_yields_utf8_values(self):
-        spec = TokenizerSpec("byte")
-        assert spec.tokenize("hé") == tuple("hé".encode("utf-8"))
+        assert tokens_of(" hé ", "byte") == tuple(" hé ".encode("utf-8"))
 
     def test_detokenize_inverts_whitespace(self):
-        assert detokenize(TokenizerSpec("whitespace").tokenize("a b c")) == "a b c"
+        assert detokenize(tokens_of("a b c")) == "a b c"
 
     def test_detokenize_inverts_bytes(self):
-        assert detokenize(TokenizerSpec("byte").tokenize("hé")) == "hé"
+        assert detokenize(tokens_of("hé", "byte")) == "hé"
+
+    def test_tokenizes_text_documents(self):
+        doc = Document(id="a", source="s", text="one two three")
+        out = tokenize(doc)
+        assert out.tokens == ("one", "two", "three")
+        assert (out.id, out.source, out.text) == (doc.id, doc.source, doc.text)
+
+    def test_pretokenized_documents_pass_through(self):
+        doc = Document(id="a", source="s", text="ignored", tokens=(1, 2, 3))
+        assert tokenize(doc, "byte") is doc
+
+    @pytest.mark.parametrize(
+        "text, kind", [("", "whitespace"), (" \t\n ", "whitespace"), ("", "byte")]
+    )
+    def test_text_without_tokens_gives_no_tokens(self, text, kind):
+        assert tokens_of(text, kind) == ()
+
+    def test_unknown_kind_refused(self):
+        with pytest.raises(ValueError, match="tokenizer must be one of"):
+            tokenize(Document(id="a", source="s", text="one two"), "sentencepiece")
 
 
 class TestSegment:
@@ -61,6 +81,10 @@ class TestSegment:
     def test_short_document_raises(self):
         with pytest.raises(DocumentTooShort):
             segment(self._doc(7), 4, 100)
+
+    def test_document_with_no_tokens_is_too_short(self):
+        with pytest.raises(DocumentTooShort, match="'d' has 0 tokens, needs at least 8"):
+            segment(self._doc(0), 4, 100)
 
     def test_untokenized_document_rejected(self):
         doc = Document(id="d", source="s", text="a b")
@@ -182,6 +206,25 @@ class TestIngestJsonl:
         assert docs[0].tokens is None
         assert stats.skipped_malformed == len(bad)
 
+    def test_bytes_that_are_not_utf8_make_a_malformed_line(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        lines = [json.dumps({"id": f"d{i}", "text": "one two"}).encode("utf-8") for i in range(4)]
+        lines[1:1] = [b'{"id": "x", "text": "one \xff two"}', b'{"id": "y"\xfe, "text": "a b"}']
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        stats = IngestStats()
+        docs = list(ingest(path, stats=stats))
+        assert [d.id for d in docs] == ["d0", "d1", "d2", "d3"]
+        assert (stats.read, stats.skipped_malformed, stats.yielded) == (6, 2, 4)
+
+    def test_leading_bom_is_ignored(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        rows = [json.dumps({"id": "a", "text": "one"}), json.dumps({"id": "b", "text": "two"})]
+        path.write_bytes(b"\xef\xbb\xbf" + "\n".join(rows).encode("utf-8") + b"\n")
+        stats = IngestStats()
+        docs = list(ingest(path, stats=stats))
+        assert [d.id for d in docs] == ["a", "b"]
+        assert stats.skipped_malformed == 0
+
     def test_duplicate_ids_keep_first(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         self._write(
@@ -214,15 +257,3 @@ class TestIngestPlainDir:
         assert by_id["b.txt"].source == "b"
         nested = [d for d in docs if d.id.endswith("a.txt")]
         assert nested[0].text == "alpha"
-
-
-class TestTokenizedCorpus:
-    def test_tokenizes_text_documents(self):
-        docs = [Document(id="a", source="s", text="one two three")]
-        out = list(tokenized_corpus(docs, TokenizerSpec("whitespace")))
-        assert out[0].tokens == ("one", "two", "three")
-
-    def test_pretokenized_documents_pass_through(self):
-        doc = Document(id="a", source="s", text="ignored", tokens=(1, 2, 3))
-        out = list(tokenized_corpus([doc], TokenizerSpec("whitespace")))
-        assert out[0].tokens == (1, 2, 3)

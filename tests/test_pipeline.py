@@ -11,7 +11,7 @@ from support import FailingBackend, HashBackend, make_reports
 import numpy as np
 
 from longdep.cli import main
-from longdep.corpus import Document, TokenizerSpec, segment, tokenize
+from longdep.corpus import Document, segment, tokenize
 from longdep.errors import BackendUnreachable, ConfigError
 from longdep.jsonio import canonical_dumps
 from longdep.lds import (
@@ -109,10 +109,28 @@ class TestScoreCorpus:
 
     def test_untokenized_text_is_tokenized_in_stream(self):
         docs = [Document(id="t", source="web", text="one two three four")]
-        outcomes = list(
-            score_corpus(docs, HashBackend(), CFG, tokenizer=TokenizerSpec())
-        )
+        outcomes = list(score_corpus(docs, HashBackend(), CFG, tokenizer="whitespace"))
         assert outcomes[0].status == "scored"
+
+    def test_byte_tokenizer_kind_is_used(self):
+        doc = Document(id="t", source="web", text="ab cd")
+        [outcome] = score_corpus([doc], HashBackend(), CFG, tokenizer="byte", keep_pairs=True)
+        grid = segment(tokenize(doc, "byte"), CFG.segment_len, CFG.truncate_len)
+        assert grid.segments == ((97, 98), (32, 99))
+        assert outcome.report == score_document(HashBackend(), grid, CFG)
+
+    def test_document_without_tokens_is_excluded_and_the_run_goes_on(self):
+        docs = [
+            Document(id="blank", source="web", text=" \t\n "),
+            Document(id="empty", source="web", text="", tokens=()),
+            *make_docs(2),
+        ]
+        outcomes = list(score_corpus(docs, HashBackend(), CFG))
+        assert [o.status for o in outcomes] == ["excluded", "excluded", "scored", "scored"]
+        for outcome in outcomes[:2]:
+            assert outcome.reason == (
+                f"document {outcome.doc_id!r} has 0 tokens, needs at least 4 for two segments of 2"
+            )
 
     def test_backend_failure_marks_document_failed(self):
         docs = make_docs(4)
@@ -164,7 +182,7 @@ class TestScoreCorpus:
     def test_one_document_scores_as_in_a_corpus(self, mode):
         doc = Document(id="doc-7", source="web", text=" ".join(f"w{j * 5 % 13}" for j in range(24)))
         cfg = LdsConfig(segment_len=2, truncate_len=24, mode=mode, sample_size=10, seed=3)
-        grid = segment(tokenize(doc, TokenizerSpec()), cfg.segment_len, cfg.truncate_len)
+        grid = segment(tokenize(doc), cfg.segment_len, cfg.truncate_len)
         alone = score_document(HashBackend(), grid, cfg)
         [outcome] = score_corpus([doc], HashBackend(), cfg, keep_pairs=True)
         assert outcome.report == alone
