@@ -10,12 +10,13 @@ exp/normalize step, so rounding behavior is centralized here:
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import json
 import math
 import os
-import selectors
+import select
 import signal
 import socket
 import subprocess
@@ -143,19 +144,28 @@ def cached_unconditional(
 #   response: {"req_id": str, "logprob_sum": number, "token_count": integer}
 #          or {"req_id": str, "error": str}
 #
-# Requests go out in windows: the client writes every line of a window,
-# then reads one answer per request and matches them by ``req_id``, so
-# answers may come back in any order. A window holds at most
-# WINDOW_REQUESTS lines and WINDOW_BYTES bytes (one longer request goes
-# alone), so it fits in a pipe's buffer and the write cannot block on a
-# scorer that answers each line before it reads the next.
+# Requests go out in windows, and answers are matched by ``req_id``, so
+# they may come back in any order. The client writes a window's lines
+# while it reads answers, so no window size can deadlock it against a
+# scorer that answers each line before it reads the next. A window holds
+# at most WINDOW_REQUESTS lines and WINDOW_BYTES bytes (one longer
+# request goes alone). These bound the client's memory and the requests
+# that a refusal wastes, since the rest of a refused request's window has
+# already gone out. Within them, a larger window measured faster on the
+# external-stdio benchmark, whose scorer answers line by line on the
+# client's CPU: the client wakes for each answer only once the window is
+# all written, and a batching scorer sees more requests at once.
 
-WINDOW_REQUESTS = 32
-WINDOW_BYTES = 64 * 1024
+WINDOW_REQUESTS = 1024
+WINDOW_BYTES = 1 << 20
 # How long a ``stdio://`` scorer gets to exit once its stdin is closed.
 CLOSE_GRACE_S = 1.0
+# How long the client waits for room to write before it also wakes for
+# each answer (see ``_Connection.round_trip``).
+STALL_S = 0.002
 
 _REQ_IDS = itertools.count(1)
+_REQUEST = b'{"req_id": "%d", "target": %s, "context": %s}\n'
 
 ScoreResult = tuple[float, int] | BackendError
 
@@ -170,33 +180,73 @@ class _ShortRead(Exception):
 
 
 class _Connection:
-    """One open stream to the scorer. Subclasses supply ``_write`` and
-    ``_read``; a read that times out raises TimeoutError."""
+    """One open stream to the scorer: it is read from file descriptor
+    ``rfd`` and written to ``wfd`` (the same one for a socket), neither
+    blocking, and one poll watches both. A subclass may supply
+    ``_check_open``, run before each round trip."""
 
     # True once the scorer has sent any line on this stream.
     answered = False
 
-    def __init__(self):
+    def __init__(self, timeout: float, rfd: int, wfd: int):
+        os.set_blocking(rfd, False)
+        os.set_blocking(wfd, False)
+        self.timeout = timeout
+        self._rfd, self._wfd = rfd, wfd
         self._buffer = bytearray()
+        self._poll = select.poll()
 
     def round_trip(self, requests: list[bytes]) -> list[str]:
-        """Write the request lines, then read one answer line per
-        request, in arrival order. Raises _ShortRead if the stream ends,
-        breaks or times out first."""
+        """Write the request lines while reading answer lines, until
+        every line is out and one answer per request is in; the answers,
+        in arrival order. A failed write ends the writing, but the
+        answers already on their way are still read. Raises _ShortRead
+        if the stream fails or ends first, or if it neither takes nor
+        gives a byte for ``timeout`` seconds."""
         failure = None
-        have = 0
+        have = self._buffer.count(b"\n")
+        expected = len(requests)
+        unsent = memoryview(b"".join(requests))
+        stalled = False
         try:
-            self._write(b"".join(requests))
-            have = self._buffer.count(b"\n")
-            while have < len(requests):
-                chunk = self._read()
-                if not chunk:
-                    failure = "scorer closed the stream"
+            self._check_open()
+            while True:
+                if unsent:
+                    try:
+                        unsent = unsent[os.write(self._wfd, unsent):]
+                    except BlockingIOError:
+                        pass
+                    except OSError as exc:
+                        failure = f"transport failure: {exc}"
+                        expected -= unsent.tobytes().count(b"\n")
+                        unsent = unsent[:0]
+                try:
+                    chunk = os.read(self._rfd, 1 << 16)
+                except BlockingIOError:
+                    chunk = None
+                if chunk == b"":
+                    failure = failure or "scorer closed the stream"
                     break
-                self._buffer += chunk
-                have += chunk.count(b"\n")
+                if chunk:
+                    self._buffer += chunk
+                    have += chunk.count(b"\n")
+                if have >= expected and not unsent:
+                    break
+                # While lines remain unsent, the client waits for room to
+                # write them and then reads what has come, rather than
+                # waking for each answer line. A scorer that takes nothing
+                # for STALL_S may be blocked writing answers, so from then
+                # on answers wake the client too.
+                waiting_to_write = bool(unsent) and not stalled
+                self._watch(read=not waiting_to_write, write=bool(unsent))
+                ready = self._poll.poll((STALL_S if waiting_to_write else self.timeout) * 1000)
+                if not ready:
+                    if waiting_to_write:
+                        stalled = True
+                        continue
+                    raise TimeoutError(f"no answer within {self.timeout} s")
         except OSError as exc:
-            failure = f"transport failure: {exc}"
+            failure = failure or f"transport failure: {exc}"
         lines = self._take(min(have, len(requests)))
         if lines:
             self.answered = True
@@ -204,32 +254,35 @@ class _Connection:
             raise _ShortRead(failure, lines)
         return lines
 
+    def _watch(self, read: bool, write: bool) -> None:
+        """Poll for answers to read if ``read``, and for room to write if
+        ``write``; hang-ups and errors are reported either way."""
+        readable = select.POLLIN if read else 0
+        writable = select.POLLOUT if write else 0
+        if self._wfd == self._rfd:
+            self._poll.register(self._rfd, readable | writable)
+        else:
+            self._poll.register(self._rfd, readable)
+            self._poll.register(self._wfd, writable)
+
     def _take(self, count: int) -> list[str]:
         """The first ``count`` lines of the buffer, each with its newline,
         split off in one pass; the buffer keeps the rest."""
         *lines, self._buffer = self._buffer.split(b"\n", count)
         return [line.decode("utf-8", "replace") + "\n" for line in lines]
 
-    def _write(self, data: bytes) -> None:
-        raise NotImplementedError
-
-    def _read(self) -> bytes:
-        raise NotImplementedError
+    def _check_open(self) -> None:
+        """Raise OSError if the stream is known to be gone; by default
+        that is found by reading or writing."""
 
 
 class _TcpConnection(_Connection):
     def __init__(self, host: str, port: int, timeout: float):
-        super().__init__()
         try:
             self.sock = socket.create_connection((host, port), timeout=timeout)
         except OSError as exc:
             raise BackendError(f"connect to {host}:{port} failed: {exc}", retriable=True) from exc
-
-    def _write(self, data: bytes) -> None:
-        self.sock.sendall(data)
-
-    def _read(self) -> bytes:
-        return self.sock.recv(1 << 16)
+        super().__init__(timeout, self.sock.fileno(), self.sock.fileno())
 
     def close(self) -> None:
         try:
@@ -243,7 +296,6 @@ class _StdioConnection(_Connection):
     stops whatever its shell started."""
 
     def __init__(self, command: str, timeout: float):
-        super().__init__()
         try:
             self.proc = subprocess.Popen(
                 command,
@@ -254,20 +306,11 @@ class _StdioConnection(_Connection):
             )
         except OSError as exc:
             raise BackendError(f"spawn {command!r} failed: {exc}", retriable=True) from exc
-        self.timeout = timeout
-        self._selector = selectors.DefaultSelector()
-        self._selector.register(self.proc.stdout, selectors.EVENT_READ)
+        super().__init__(timeout, self.proc.stdout.fileno(), self.proc.stdin.fileno())
 
-    def _write(self, data: bytes) -> None:
+    def _check_open(self) -> None:
         if self.proc.poll() is not None:
             raise BrokenPipeError("scorer process exited")
-        self.proc.stdin.write(data)
-        self.proc.stdin.flush()
-
-    def _read(self) -> bytes:
-        if not self._selector.select(self.timeout):
-            raise TimeoutError(f"no answer within {self.timeout} s")
-        return os.read(self.proc.stdout.fileno(), 1 << 16)
 
     def close(self) -> None:
         """Close the scorer's stdin, give it CLOSE_GRACE_S to exit, then
@@ -285,7 +328,6 @@ class _StdioConnection(_Connection):
             except subprocess.TimeoutExpired:
                 self._signal_group(signal.SIGKILL)
                 self.proc.wait()
-        self._selector.close()
         self.proc.stdout.close()
 
     def _signal_group(self, sig: int) -> None:
@@ -314,9 +356,13 @@ class ExternalBackend:
     distinct target segment, and then its pairs, in windows of up to
     WINDOW_REQUESTS. ``score`` answers an unconditional request from
     the last ``score_pairs`` call's results when it can, and otherwise
-    sends a one-request window. Every read waits at most ``timeout``
-    seconds. An error answer from the scorer fails its own request only
-    and is not retried: ``score`` raises it, and ``score_pairs`` raises
+    sends a one-request window. A window's request lines are built
+    together and written while its answers are read, so a scorer may
+    take and answer them at any pace and no window size can deadlock;
+    the stream may go at most ``timeout`` seconds without taking or
+    giving a byte. The answers are checked and matched to their requests
+    in one pass. An error answer from the scorer fails its own request
+    only and is not retried: ``score`` raises it, and ``score_pairs`` raises
     it as ``pair_failed`` when that pair's result is taken. Failed
     connects, transport failures, timeouts, undecodable lines and
     unknown ``req_id``s drop the connection, and the requests still
@@ -378,13 +424,6 @@ class ExternalBackend:
             if self._conn is not None:
                 self._drop()
 
-    @staticmethod
-    def _request(target: bytes, context: bytes) -> tuple[str, bytes]:
-        """A request line for JSON texts ``target`` and ``context``."""
-        req_id = str(next(_REQ_IDS))
-        return req_id, b'{"req_id": "%s", "target": %s, "context": %s}\n' % (
-            req_id.encode("ascii"), target, context)
-
     def score(
         self, target: Sequence[Token], context: Sequence[Token] | None = None
     ) -> tuple[float, int]:
@@ -393,7 +432,9 @@ class ExternalBackend:
         result = None if context else self._kept.get(tuple(target))
         if result is None:
             context_text = _json_text(context) if context else b"null"
-            [result] = self._exchange([self._request(_json_text(target), context_text)])
+            req_id = next(_REQ_IDS)
+            line = _REQUEST % (req_id, _json_text(target), context_text)
+            [result] = self._exchange([req_id], [line])
         if isinstance(result, BackendError):
             raise result
         return result
@@ -425,32 +466,46 @@ class ExternalBackend:
             raise ValueError("segments must be non-empty")
         # Each segment is detokenized once; a document's pairs reuse it often.
         texts = list(map(_json_text, segments))
+        targets = np.asarray(targets, dtype=np.int64)
         rows: dict[tuple[Token, ...], int] = {}
-        for row in np.unique(np.asarray(targets, dtype=np.int64)).tolist():
+        for row in np.unique(targets).tolist():
             rows.setdefault(tuple(segments[row]), row)
         self._kept = kept = {}
         contents = list(rows)
-        for window in _windows(self._request(texts[row], b"null") for row in rows.values()):
-            results = self._exchange(window)
+        unconditional = zip(map(texts.__getitem__, rows.values()), itertools.repeat(b"null"))
+        for ids, lines in _windows(unconditional):
+            results = self._exchange(ids, lines)
             kept.update(zip(contents[len(kept):], results))
-            if any(isinstance(result, BackendError) for result in results):
+            if _failed(results):
                 break
-        return self._pair_results(texts, targets, sources)
+        sources = np.asarray(sources, dtype=np.int64)
+        return itertools.chain.from_iterable(
+            self._pair_windows(texts, targets.tolist(), sources.tolist())
+        )
 
-    def _pair_results(self, texts, targets, sources) -> Iterator[tuple[float, int]]:
-        requests = (self._request(texts[t], texts[s]) for t, s in zip(targets, sources))
+    def _pair_windows(self, texts, targets, sources) -> Iterator[list[tuple[float, int]]]:
+        """The results of each window of pairs. A window is sent when
+        this is advanced to it; one with a failed pair yields the results
+        before it and then raises that pair's ``pair_failed``."""
         done = 0
-        for window in _windows(requests):
-            for i, result in enumerate(self._exchange(window), done):
-                if isinstance(result, BackendError):
-                    raise pair_failed(targets[i], sources[i], result) from result
-                yield result
-            done += len(window)
+        parts = zip(map(texts.__getitem__, targets), map(texts.__getitem__, sources))
+        for ids, lines in _windows(parts):
+            results = self._exchange(ids, lines)
+            failed = _failed(results)
+            if failed:
+                i = failed[0]
+                yield results[:i]
+                raise pair_failed(targets[done + i], sources[done + i], results[i]) from results[i]
+            yield results
+            done += len(results)
 
-    def _exchange(self, window: list[tuple[str, bytes]]) -> list[ScoreResult]:
-        results: list[ScoreResult | None] = [None] * len(window)
+    def _exchange(self, ids: list[int], lines: list[bytes]) -> list[ScoreResult]:
+        """The result of each request of one window, by position: request
+        ``lines[i]`` carries ``req_id`` ``ids[i]``. Each answer is checked
+        and matched in one pass over the window's answers."""
+        results: list[ScoreResult | None] = [None] * len(ids)
         # req_id -> position of each request still unanswered, in order.
-        pending = {req_id: i for i, (req_id, _) in enumerate(window)}
+        pending = dict(zip(map(str, ids), range(len(ids))))
         last_error: BackendError | None = None
         reached = False
         with self._lock:
@@ -464,17 +519,33 @@ class ExternalBackend:
                     continue
                 failure: BackendError | None = None
                 try:
-                    lines = conn.round_trip([window[i][1] for i in pending.values()])
+                    answers = conn.round_trip([lines[i] for i in pending.values()])
                 except _ShortRead as exc:
-                    lines, failure = exc.lines, BackendError(str(exc), retriable=True)
+                    answers, failure = exc.lines, BackendError(str(exc), retriable=True)
                 reached = reached or conn.answered
-                for line, payload in zip(lines, _decoded(lines)):
-                    try:
-                        req_id, result = self._parse_response(line, payload, pending)
-                    except BackendError as exc:
-                        failure = exc
-                        continue
-                    results[pending.pop(req_id)] = result
+                for line, payload in zip(answers, _decoded(answers)):
+                    req_id = payload.get("req_id") if type(payload) is dict else None
+                    i = pending.pop(req_id, None) if type(req_id) is str else None
+                    if i is None:
+                        # Not JSON, or answers no request in flight.
+                        failure = BackendError(
+                            f"bad response line: {line!r}" if payload is _UNDECODABLE
+                            else f"response req_id {req_id!r} matches no request in flight",
+                            retriable=True,
+                        )
+                    elif "error" in payload:
+                        results[i] = BackendError(
+                            f"scorer error: {payload['error']}", retriable=False
+                        )
+                    else:
+                        logprob_sum = payload.get("logprob_sum")
+                        token_count = payload.get("token_count")
+                        if type(logprob_sum) in (int, float) and type(token_count) is int:
+                            results[i] = (float(logprob_sum), token_count)
+                        else:
+                            results[i] = BackendError(
+                                f"malformed response: {line!r}", retriable=False
+                            )
                 if failure is not None:
                     # The stream may be out of step with our requests.
                     self._drop()
@@ -488,27 +559,6 @@ class ExternalBackend:
             for i in pending.values():
                 results[i] = last_error
         return results
-
-    @staticmethod
-    def _parse_response(
-        line: str, payload: object, pending: dict[str, int]
-    ) -> tuple[str, ScoreResult]:
-        """The req_id of answer ``line``, decoded as ``payload``, and its
-        result. Raises a retriable BackendError for a line that is not
-        JSON or answers no request in flight."""
-        if payload is _UNDECODABLE:
-            raise BackendError(f"bad response line: {line!r}", retriable=True)
-        req_id = payload.get("req_id") if isinstance(payload, dict) else None
-        if not isinstance(req_id, str) or req_id not in pending:
-            raise BackendError(
-                f"response req_id {req_id!r} matches no request in flight", retriable=True
-            )
-        if "error" in payload:
-            return req_id, BackendError(f"scorer error: {payload['error']}", retriable=False)
-        logprob_sum, token_count = payload.get("logprob_sum"), payload.get("token_count")
-        if type(logprob_sum) in (int, float) and type(token_count) is int:
-            return req_id, (float(logprob_sum), token_count)
-        return req_id, BackendError(f"malformed response: {line!r}", retriable=False)
 
 
 _UNDECODABLE = object()
@@ -535,17 +585,27 @@ def _decoded_line(line: str) -> object:
         return _UNDECODABLE
 
 
-def _windows(requests: Iterable[tuple[str, bytes]]) -> Iterator[list[tuple[str, bytes]]]:
-    """``requests`` in windows of at most WINDOW_REQUESTS requests and
-    WINDOW_BYTES bytes; a longer request goes alone. A request is made
-    only when its window is being filled."""
-    window: list[tuple[str, bytes]] = []
-    size = 0
-    for request in requests:
-        if window and (len(window) == WINDOW_REQUESTS or size + len(request[1]) > WINDOW_BYTES):
-            yield window
-            window, size = [], 0
-        window.append(request)
-        size += len(request[1])
-    if window:
-        yield window
+def _failed(results: list[ScoreResult]) -> list[int]:
+    """The positions of the failed results."""
+    return [i for i, result in enumerate(results) if type(result) is not tuple]
+
+
+def _windows(parts: Iterable[tuple[bytes, bytes]]) -> Iterator[tuple[list[int], list[bytes]]]:
+    """The request lines of ``parts``, (target, context) pairs of JSON
+    texts, in windows of at most WINDOW_REQUESTS lines and WINDOW_BYTES
+    bytes (a longer line goes alone), each with its lines' req_ids. A
+    window's lines are built together, when it is about to be sent; the
+    lines past its byte bound open the next window."""
+    parts = iter(parts)
+    ids: list[int] = []
+    lines: list[bytes] = []
+    while True:
+        fresh = list(itertools.islice(parts, WINDOW_REQUESTS - len(lines)))
+        new_ids = list(itertools.islice(_REQ_IDS, len(fresh)))
+        lines += [_REQUEST % (i, t, c) for i, (t, c) in zip(new_ids, fresh)]
+        ids += new_ids
+        if not lines:
+            return
+        cut = max(1, bisect.bisect_right(list(itertools.accumulate(map(len, lines))), WINDOW_BYTES))
+        yield ids[:cut], lines[:cut]
+        ids, lines = ids[cut:], lines[cut:]

@@ -139,6 +139,10 @@ def ingest(
 
     plain-dir: every regular file under ``path`` is one document, id is
     the path relative to the root, source defaults to the file's stem.
+    A file that cannot be read or is not UTF-8 is skipped and counted as
+    malformed.
+
+    Both formats drop a leading UTF-8 byte order mark.
     """
     p = Path(path)
     if not p.exists():
@@ -224,10 +228,15 @@ def _ingest_plain_dir(root: Path, stats: IngestStats) -> Iterator[Document]:
         if not file.is_file():
             continue
         stats.read += 1
+        # The JSONL byte rules: a leading BOM is dropped, and a byte that
+        # is not UTF-8 decodes to a lone surrogate, which makes the file
+        # malformed.
         try:
-            text = file.read_text(encoding="utf-8", errors="replace")
-        except OSError:
+            text = file.read_text(encoding="utf-8-sig", errors="surrogateescape")
+            text.encode("utf-8")
+        except (OSError, UnicodeEncodeError):
             stats.skipped_malformed += 1
+            logger.debug("%s: unreadable or not UTF-8, skipped", file)
             continue
         stats.yielded += 1
         yield Document(

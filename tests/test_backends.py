@@ -2,17 +2,20 @@
 
 import json
 import math
+import shlex
 import socket
 import socketserver
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
+from scripted_scorer import Script, TcpScorer
 from support import CountingBackend, DyingScorer, HashBackend, ScriptedBackend, process_alive
 
+from longdep import backends
 from longdep.backends import (
-    WINDOW_BYTES,
-    WINDOW_REQUESTS,
     ExternalBackend,
     _StdioConnection,
     cached_unconditional,
@@ -561,6 +564,14 @@ def _record_windows(monkeypatch):
     return windows
 
 
+@pytest.fixture()
+def bounds_of_32(monkeypatch):
+    """The window bounds the shape tests below were written for: 32
+    requests and 64 KiB."""
+    monkeypatch.setattr(backends, "WINDOW_REQUESTS", 32)
+    monkeypatch.setattr(backends, "WINDOW_BYTES", 64 * 1024)
+
+
 def _unconditional(request):
     return request.endswith(b'"context": null}\n')
 
@@ -628,7 +639,7 @@ for line in sys.stdin:
         finally:
             backend.close()
 
-    def test_failing_pair_sends_no_later_window(self, tmp_path):
+    def test_failing_pair_sends_no_later_window(self, tmp_path, bounds_of_32):
         endpoint, log = _window_stub(tmp_path, """
 for line in sys.stdin:
     req = json.loads(line)
@@ -652,7 +663,7 @@ for line in sys.stdin:
             backend.close()
         # One unconditional request per target segment (1-15; segment 0
         # is only ever a source), then the first window only.
-        assert len(log.read_text().splitlines()) == 15 + WINDOW_REQUESTS
+        assert len(log.read_text().splitlines()) == 15 + 32
 
     def test_one_unconditional_request_per_distinct_target(self, tmp_path):
         requests = tmp_path / "kinds.log"
@@ -797,7 +808,7 @@ for line in sys.stdin:
             server.shutdown()
             server.server_close()
 
-    def test_windows_stay_within_their_bounds(self, tmp_path, monkeypatch):
+    def test_windows_stay_within_their_bounds(self, tmp_path, monkeypatch, bounds_of_32):
         endpoint, _ = _window_stub(tmp_path, ANSWER_EACH_LINE)
         windows = _record_windows(monkeypatch)
         backend = ExternalBackend(endpoint)
@@ -817,12 +828,12 @@ for line in sys.stdin:
             ]
             assert [count for count, _ in sizes[:3]] == [32, 32, 32]
             for count, size in sizes:
-                assert count <= WINDOW_REQUESTS == 32
-                assert size <= WINDOW_BYTES == 64 * 1024 or count == 1
-            assert sizes[-1][0] == 1 and sizes[-1][1] > WINDOW_BYTES
+                assert count <= 32
+                assert size <= 64 * 1024 or count == 1
+            assert sizes[-1][0] == 1 and sizes[-1][1] > 64 * 1024
             assert sum(count for count, _ in sizes) == len(targets)
 
-    def test_unconditional_requests_go_out_in_windows(self, tmp_path, monkeypatch):
+    def test_unconditional_requests_go_out_in_windows(self, tmp_path, monkeypatch, bounds_of_32):
         endpoint, _ = _window_stub(tmp_path, ANSWER_EACH_LINE)
         windows = _record_windows(monkeypatch)
         backend = ExternalBackend(endpoint)
@@ -837,7 +848,9 @@ for line in sys.stdin:
             backend.close()
         assert [len(window) for window in windows] == [32, 8, 32, 8]
 
-    def test_refused_unconditional_request_fails_its_document(self, tmp_path, monkeypatch):
+    def test_refused_unconditional_request_fails_its_document(
+        self, tmp_path, monkeypatch, bounds_of_32
+    ):
         endpoint, _ = _window_stub(tmp_path, """
 for line in sys.stdin:
     req = json.loads(line)
@@ -866,7 +879,7 @@ for line in sys.stdin:
         assert raised.value.segment_index == 5
         # The rest of the first window went out with it; no later window,
         # unconditional or pair, did.
-        assert [len(window) for window in windows] == [WINDOW_REQUESTS]
+        assert [len(window) for window in windows] == [32]
         assert all(map(_unconditional, windows[0]))
 
     def test_score_reads_what_the_last_call_kept(self, tmp_path, monkeypatch):
@@ -891,3 +904,121 @@ for line in sys.stdin:
             assert len(windows) == sent + 1
         finally:
             backend.close()
+
+
+# -- writing while reading ---------------------------------------------------
+
+
+SCRIPTED_SCORER = Path(__file__).parent / "scripted_scorer.py"
+
+
+@pytest.fixture()
+def bounds_of_256(monkeypatch):
+    """Window bounds of 256 requests and 1 MiB, so that ``BIG_TARGETS``
+    go out as one window."""
+    monkeypatch.setattr(backends, "WINDOW_REQUESTS", 256)
+    monkeypatch.setattr(backends, "WINDOW_BYTES", 1 << 20)
+
+
+@pytest.fixture(params=["stdio", "tcp"])
+def scripted(request, tmp_path):
+    """``scripted(script)``: the endpoint of a scripted scorer that
+    follows ``script``, over ``stdio://`` or ``tcp://``."""
+    closers = []
+
+    def start(script):
+        if request.param == "tcp":
+            scorer = TcpScorer(script)
+            closers.append(scorer.close)
+            return scorer.endpoint
+        args = [sys.executable, str(SCRIPTED_SCORER), "--pad", str(script.pad),
+                "--then", script.then, "--marker", str(tmp_path / "first")]
+        if script.log:
+            args += ["--log", script.log]
+        if script.stop_after is not None:
+            args += ["--stop-after", str(script.stop_after)]
+        return f"stdio://{shlex.join(args)}"
+
+    yield start
+    for close in closers:
+        close()
+
+
+# 100 targets of 600 tokens: each request line is about 2.4 KB, so one
+# window of them is about 240 KB, several times a 64 KiB pipe buffer.
+BIG_TARGETS = _targets(100, width=600)
+# What the scripted scorer answers for each pair of ``_batch(BIG_TARGETS)``.
+BIG_EXPECTED = [(-0.875 * 600, 600)] * 100
+
+
+def _ids_by_stream(log):
+    """The req_ids each stream of the scripted scorer answered, in order,
+    one list per stream."""
+    seen = {}
+    for line in log.read_text().splitlines():
+        stream, req_id = line.split()
+        seen.setdefault(stream, []).append(int(req_id))
+    return list(seen.values())
+
+
+class TestFullDuplex:
+    def test_window_beyond_every_buffer_does_not_block(self, scripted, monkeypatch):
+        # The scorer answers each line before it reads the next, and both
+        # the window's 100 requests and their padded answers come to about
+        # 6.4 MB: past a pipe's 64 KiB, and past what the socket buffers of
+        # both ends of a local TCP connection hold (4 MiB at most here).
+        monkeypatch.setattr(backends, "WINDOW_REQUESTS", 256)
+        monkeypatch.setattr(backends, "WINDOW_BYTES", 8 << 20)
+        targets = _targets(100, width=16000)
+        backend = ExternalBackend(scripted(Script(pad=64000)), timeout=5.0)
+        try:
+            call = _start_call(lambda: list(backend.score_pairs(*_batch(targets))))
+            assert _raised_in_time(call, timeout=30.0) is None
+            assert call[1]["result"] == [(-0.875 * 16000, 16000)] * 100
+            assert backend.score(targets[0]) == (-16000.0, 16000)
+        finally:
+            _raised_in_time(_start_call(backend.close))
+
+    @pytest.mark.parametrize("then", ["exit", "silent"])
+    def test_stream_that_stops_mid_window_is_a_retriable_failure(
+        self, scripted, bounds_of_256, tmp_path, then
+    ):
+        # The first stream answers 10 of the 100 unconditional requests,
+        # then ends or goes silent while the client is still writing.
+        endpoint = scripted(Script(stop_after=10, then=then))
+        backend = ExternalBackend(endpoint, timeout=1.0, retries=0)
+        try:
+            started = time.monotonic()
+            call = _start_call(lambda: backend.score_pairs(*_batch(BIG_TARGETS)))
+            assert _raised_in_time(call, timeout=30.0) is None
+            # A silent stream is given up on at the read deadline.
+            assert time.monotonic() - started < 8.0
+            assert backend.score(BIG_TARGETS[9]) == (-600.0, 600)
+            with pytest.raises(BackendError) as raised:
+                backend.score(BIG_TARGETS[10])
+            assert type(raised.value) is BackendError
+            assert raised.value.retriable is True
+            if then == "silent":
+                assert "no answer within 1.0 s" in str(raised.value)
+        finally:
+            _raised_in_time(_start_call(backend.close))
+
+    @pytest.mark.parametrize("then", ["exit", "silent"])
+    def test_stream_that_stops_mid_window_resends_only_unanswered(
+        self, scripted, bounds_of_256, tmp_path, then
+    ):
+        log = tmp_path / "answers.log"
+        endpoint = scripted(Script(log=str(log), stop_after=10, then=then))
+        backend = ExternalBackend(endpoint, timeout=1.0, retries=1)
+        try:
+            call = _start_call(lambda: list(backend.score_pairs(*_batch(BIG_TARGETS))))
+            assert _raised_in_time(call, timeout=30.0) is None
+            assert call[1]["result"] == BIG_EXPECTED
+        finally:
+            _raised_in_time(_start_call(backend.close))
+        first, second = _ids_by_stream(log)
+        # The first window's 100 requests: 10 answered by the first
+        # stream, and only the other 90 sent again, in order.
+        assert len(first) == 10
+        assert first + second[:90] == list(range(first[0], first[0] + 100))
+        assert len(second) == 90 + 100

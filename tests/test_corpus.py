@@ -257,3 +257,19 @@ class TestIngestPlainDir:
         assert by_id["b.txt"].source == "b"
         nested = [d for d in docs if d.id.endswith("a.txt")]
         assert nested[0].text == "alpha"
+
+    def test_leading_bom_is_dropped(self, tmp_path):
+        (tmp_path / "a.txt").write_bytes(b"\xef\xbb\xbfhello world")
+        stats = IngestStats()
+        [doc] = ingest(tmp_path, format="plain-dir", stats=stats)
+        assert doc.text == "hello world"
+        assert tokens_of(doc.text) == ("hello", "world")
+        assert stats.skipped_malformed == 0
+
+    def test_bytes_that_are_not_utf8_make_a_malformed_file(self, tmp_path):
+        (tmp_path / "a.txt").write_bytes(b"good words here")
+        (tmp_path / "b.txt").write_bytes(b"bad \xff\xfe bytes here")
+        stats = IngestStats()
+        docs = list(ingest(tmp_path, format="plain-dir", stats=stats))
+        assert [d.id for d in docs] == ["a.txt"]
+        assert (stats.read, stats.skipped_malformed, stats.yielded) == (2, 1, 1)
