@@ -15,7 +15,7 @@ the document score. ``exact`` mode evaluates every pair; ``sampled`` mode
 evaluates a uniform without-replacement subset and is bit-identical to
 exact whenever the requested sample covers all pairs.
 
-Kept pair records are columns, (target, source, dst) per pair and
+Kept pair records are array columns, (target, source, dst) per pair and
 (target, dsp) per row; only ``ScoreReport.pairs`` builds ``PairScore``s.
 
 Segment indices are 0-based everywhere, in code and in artifacts. Both
@@ -38,7 +38,7 @@ import numpy as np
 from .backends import PerplexityBackend, cached_unconditional, pair_failed, ppl_from_sum, ppl_given
 from .corpus import SegmentGrid
 from .errors import BackendError, BackendUnreachable, ConfigError
-from .jsonio import fingerprint
+from .jsonio import Columns, fingerprint
 
 DSP_VARIANTS = ("multiplicative", "additive", "none")
 MODES = ("exact", "sampled")
@@ -224,30 +224,40 @@ def sample_pairs(n_segments: int, sample_size: int, seed: int) -> tuple[np.ndarr
     return _pair_from_linear(chosen)
 
 
+class PairColumns(NamedTuple):
+    """Kept pairs as arrays: int64 ``targets`` and ``sources`` and float64
+    ``dst``, one entry per pair in scoring order; int64 ``rows`` and
+    float64 ``dsp``, one entry per target row."""
+
+    targets: np.ndarray
+    sources: np.ndarray
+    dst: np.ndarray
+    rows: np.ndarray
+    dsp: np.ndarray
+
+
 def _accumulate(
-    targets: np.ndarray,
-    sources: np.ndarray,
-    dst_values: np.ndarray,
-    dsp_per_row: np.ndarray,
-    n_segments: int,
-    cfg: LdsConfig,
+    columns: PairColumns, n_segments: int, cfg: LdsConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
-    """``(ddi, dsp, pairwise, gated, lds)`` of the pair columns
-    ``targets``, ``sources`` and ``dst_values`` of an ``n_segments`` grid,
-    one array entry per pair; ``dsp_per_row[t]`` is the dsp of target t's
-    row, NaN where t has none.
+    """``(ddi, dsp, pairwise, gated, lds)`` of the pair ``columns`` of an
+    ``n_segments`` grid, one array entry per pair.
 
     Each entry is the float that ``ddi``, ``lds_pair`` and the gate give
     that pair, and ``lds`` adds the gated pairwise values in column order
     from 0.0, so it has the bits of a Python loop over the pairs. A pair
-    outside the grid, or a target without a dsp row, raises ValueError.
+    outside the grid, or a target without a dsp row, raises ValueError;
+    a dsp row of a target that no pair names is left out.
     """
+    targets, sources, dst_values, rows, dsp_of_rows = columns
     outside = (sources < 0) | (sources >= targets) | (targets >= n_segments)
     if outside.any():
         i = outside.argmax()
         raise ValueError(
             f"need 0 <= source < target < {n_segments}, got ({targets[i]}, {sources[i]})"
         )
+    dsp_per_row = np.full(int(targets.max(initial=-1)) + 1, np.nan)
+    named = (rows >= 0) & (rows < len(dsp_per_row))
+    dsp_per_row[rows[named]] = dsp_of_rows[named]
     dsp_values = dsp_per_row[targets]
     missing = np.isnan(dsp_values)
     if missing.any():
@@ -257,22 +267,6 @@ def _accumulate(
     gated = dst_values > cfg.tau
     lds = np.add.accumulate(np.concatenate(([0.0], pairwise[gated])))[-1]
     return ddi_values, dsp_values, pairwise, gated, float(lds)
-
-
-def _pair_columns(report: ScoreReport) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``_accumulate``'s targets, sources, dst_values and dsp_per_row from
-    a report's pair columns. An index beyond int64 raises ValueError; a
-    dsp row of a target that no pair names is left out."""
-    targets, sources, dst_values = list(zip(*report.pair_triples)) or ((), (), ())
-    try:
-        targets, sources = np.array(targets, dtype=np.int64), np.array(sources, dtype=np.int64)
-    except OverflowError as exc:
-        raise ValueError(f"a pair index is out of range: {exc}") from exc
-    dsp_per_row = np.full(max(int(targets.max(initial=-1)) + 1, 0), np.nan)
-    for target, value in report.dsp_rows:
-        if 0 <= target < len(dsp_per_row):
-            dsp_per_row[target] = value
-    return targets, sources, np.array(dst_values, dtype=float), dsp_per_row
 
 
 class PairScore(NamedTuple):
@@ -285,11 +279,14 @@ class PairScore(NamedTuple):
     gated: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreReport:
     """One document's score; the repr=True fields are its reports.jsonl
     row. With pairs kept, it also holds the pair columns its sidecar
-    stores, and ``lds_config``, the config they were scored under."""
+    stores, and ``lds_config``, the config they were scored under.
+
+    Two reports are equal when their row fields and ``lds_config`` are
+    equal and their columns hold the same bits."""
 
     doc_id: str
     n_segments: int
@@ -299,9 +296,17 @@ class ScoreReport:
     gated_count: int
     config_hash: str
     source: str = ""
-    pair_triples: tuple[tuple[int, int, float], ...] = field(default=(), repr=False)
-    dsp_rows: tuple[tuple[int, float], ...] = field(default=(), repr=False)
+    columns: PairColumns | None = field(default=None, repr=False)
     lds_config: LdsConfig | None = field(default=None, repr=False)
+
+    def __eq__(self, other):
+        if type(other) is not ScoreReport:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def _key(self) -> tuple:
+        bits = None if self.columns is None else [(c.dtype.str, c.tobytes()) for c in self.columns]
+        return (*self.to_dict().values(), bits, self.lds_config)
 
     @functools.cached_property
     def pairs(self) -> tuple[PairScore, ...]:
@@ -309,11 +314,10 @@ class ScoreReport:
         gate computed by ``score_document``'s ``_accumulate``, so every
         value equals the scored one. A target without a dsp row, or a
         pair outside the grid, raises ValueError."""
-        if not self.pair_triples:
+        if self.columns is None:
             return ()
-        columns = _pair_columns(self)
-        values = _accumulate(*columns, self.n_segments, self.lds_config)[:4]
-        return tuple(starmap(PairScore, zip(*(c.tolist() for c in (*columns[:3], *values)))))
+        values = _accumulate(self.columns, self.n_segments, self.lds_config)[:4]
+        return tuple(starmap(PairScore, zip(*(c.tolist() for c in (*self.columns[:3], *values)))))
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.repr}
@@ -329,24 +333,30 @@ class ScoreReport:
 
 def pair_sidecar(report: ScoreReport) -> dict:
     """The pair sidecar of a report scored with ``keep_pairs=True``: its
-    row, plus its pair columns as ``lds_config`` (``to_dict()``),
-    ``pairs`` and ``dsp``, written as they are."""
+    row, plus ``lds_config`` (``to_dict()``) and its pair columns as
+    ``pairs``, [target, source, dst] rows, and ``dsp``, [target, dsp]
+    rows, which ``canonical_dumps`` writes straight from the arrays."""
     return {
         **report.to_dict(),
         "lds_config": report.lds_config.to_dict(),
-        "pairs": report.pair_triples,
-        "dsp": report.dsp_rows,
+        "pairs": Columns(report.columns[:3]),
+        "dsp": Columns(report.columns[3:]),
     }
 
 
-def _column(rows, kinds: tuple, shape: str) -> tuple:
-    """``rows`` as tuples, each checked to hold ``kinds`` exactly and to
-    end in a finite float."""
+def _columns(rows, kinds: tuple, shape: str) -> list[np.ndarray]:
+    """The JSON list ``rows`` as one array per position, int64 for an int
+    and float64 for a float. Each row must hold ``kinds`` exactly and end
+    in a finite float, and each int must fit in int64."""
     for row in rows:
         if not (isinstance(row, list) and tuple(map(type, row)) == kinds
                 and math.isfinite(row[-1])):
             raise ValueError(f"{row!r} is not {shape}")
-    return tuple(map(tuple, rows))
+    try:
+        return [np.array(column, dtype=kind if kind is float else np.int64)
+                for column, kind in zip(list(zip(*rows)) or [()] * len(kinds), kinds)]
+    except OverflowError as exc:
+        raise ValueError(f"an index is out of range: {exc}") from exc
 
 
 def report_from_sidecar(data: dict) -> ScoreReport:
@@ -374,22 +384,20 @@ def report_from_sidecar(data: dict) -> ScoreReport:
         raise ValueError("the fingerprint of lds_config differs from config_hash")
     if not (isinstance(triples, list) and isinstance(dsp_rows, list)):
         raise ValueError("pairs and dsp must be lists")
-    report = replace(
-        report,
-        pair_triples=_column(triples, (int, int, float), "a pair [target, source, dst]"),
-        dsp_rows=_column(dsp_rows, (int, float), "a dsp row [target, dsp]"),
-        lds_config=cfg,
+    columns = PairColumns(
+        *_columns(triples, (int, int, float), "a pair [target, source, dst]"),
+        *_columns(dsp_rows, (int, float), "a dsp row [target, dsp]"),
     )
-    *_, gated, lds = _accumulate(*_pair_columns(report), report.n_segments, cfg)
+    *_, gated, lds = _accumulate(columns, report.n_segments, cfg)
     for name, stored, recomputed in (
-        ("pair_count", report.pair_count, len(report.pair_triples)),
+        ("pair_count", report.pair_count, len(columns.targets)),
         ("gated_count", report.gated_count, int(np.count_nonzero(gated))),
         ("lds", report.lds, lds),
         ("mode", report.mode, cfg.mode),
     ):
         if stored != recomputed:
             raise ValueError(f"{name} is {stored!r}, but its columns give {recomputed!r}")
-    return report
+    return replace(report, columns=columns, lds_config=cfg)
 
 
 def _one_at_a_time(backend: PerplexityBackend, segments, targets, sources) -> Iterator:
@@ -434,7 +442,7 @@ def score_document(
     operations, in the identical order, as an exact run. Only ``dsp``
     runs per row, and only the targets' unconditional perplexities are
     asked for. keep_pairs=True fills the report's pair columns and builds
-    no ``PairScore``; keep_pairs=False leaves them empty. The accumulated
+    no ``PairScore``; keep_pairs=False leaves them None. The accumulated
     score is the same either way.
     """
     n = grid.n_segments
@@ -453,10 +461,9 @@ def score_document(
     ) / unconditional
     dst_list = dst_values.tolist()
     bounds = [*starts.tolist(), len(dst_list)]
-    dsp_values = [dsp(dst_list[a:b]) for a, b in zip(bounds, bounds[1:])]
-    dsp_per_row = np.full(n, np.nan)
-    dsp_per_row[rows] = dsp_values
-    *_, gated, total = _accumulate(targets, sources, dst_values, dsp_per_row, n, cfg)
+    dsp_values = np.array([dsp(dst_list[a:b]) for a, b in zip(bounds, bounds[1:])])
+    columns = PairColumns(targets, sources, dst_values, targets[starts], dsp_values)
+    *_, gated, total = _accumulate(columns, n, cfg)
     return ScoreReport(
         doc_id=grid.doc_id,
         n_segments=n,
@@ -466,8 +473,7 @@ def score_document(
         gated_count=int(np.count_nonzero(gated)),
         config_hash=cfg.fingerprint(),
         source=grid.source,
-        pair_triples=tuple(zip(targets.tolist(), sources.tolist(), dst_list)) if keep_pairs else (),
-        dsp_rows=tuple(zip(rows, dsp_values)) if keep_pairs else (),
+        columns=columns if keep_pairs else None,
         lds_config=cfg if keep_pairs else None,
     )
 

@@ -13,6 +13,7 @@ import logging
 import math
 import statistics
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -197,7 +198,9 @@ def build_manifest(
         source_fraction = 1.0 if source in passthrough_sources else fraction
         if strategy == "full":
             source_fraction = 1.0
-        n_keep = math.ceil(source_fraction * len(ranked))
+        # The decimal the fraction was written as, so that 0.07 of 100 is 7,
+        # not the 8 that the float product 7.000000000000001 rounds up to.
+        n_keep = math.ceil(Fraction(repr(source_fraction)) * len(ranked))
 
         prolong_ids = {doc_id for doc_id, _ in ranked[:n_keep]}
         random_ids = _random_member_ids(ranked, n_keep, seed, source)

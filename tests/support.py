@@ -31,6 +31,7 @@ from longdep.heatmap import MASK_COLOR, render_heatmap
 from longdep.jsonio import canonical_dumps, fingerprint
 from longdep.lds import (
     LdsConfig,
+    PairColumns,
     ScoreReport,
     ddi,
     derive_seed,
@@ -347,10 +348,18 @@ def reference_score_document(backend, grid: SegmentGrid, cfg: LdsConfig,
         gated_count=gated_count,
         config_hash=cfg.fingerprint(),
         source=grid.source,
-        pair_triples=tuple(triples),
-        dsp_rows=tuple(dsp_rows),
+        columns=pair_columns(triples, dsp_rows) if keep_pairs else None,
         lds_config=cfg if keep_pairs else None,
     )
+
+
+def pair_columns(triples, dsp_rows) -> PairColumns:
+    """``PairColumns`` of (target, source, dst) triples and (target, dsp)
+    rows."""
+    columns = (*(zip(*triples) if triples else [()] * 3),
+               *(zip(*dsp_rows) if dsp_rows else [()] * 2))
+    dtypes = (np.int64, np.int64, np.float64, np.int64, np.float64)
+    return PairColumns(*map(np.array, columns, dtypes))
 
 
 def _tiny_model(rng: np.random.Generator, vocab: int = 12, n_tokens: int = 400) -> NGramModel:
@@ -695,7 +704,7 @@ def pair_report(triples, n_segments: int, doc_id: str = "d", config_hash: str = 
     return ScoreReport(
         doc_id=doc_id, n_segments=n_segments, mode="exact", lds=0.0,
         pair_count=len(triples), gated_count=0, config_hash=config_hash,
-        pair_triples=tuple(triples), dsp_rows=tuple((t, dsp_value) for t in targets),
+        columns=pair_columns(triples, [(t, dsp_value) for t in targets]),
         lds_config=LdsConfig(),
     )
 

@@ -1033,6 +1033,46 @@ class TestHeatmap:
         assert "score --emit-pairs" in caplog.text
 
 
+def wide_dst_text(i):
+    # Doc i's phrase recurs after noise, so some sources help their
+    # targets and others hurt them: dst spans about -0.93 to 0.51.
+    phrase = [f"p{(i * 3 + k * k) % 13}" for k in range(8)]
+    noise = [f"n{(i * 11 + k * 7 + k * k * 5) % 29}" for k in range(24)]
+    return " ".join(phrase + noise[:12] + phrase + noise[12:] + phrase[::-1] + phrase)
+
+
+# sha256 of what `score --emit-pairs` and `heatmap` write for the corpus
+# of ``wide_dst_text``, by file name.
+CLI_PAIR_SHA256 = {
+    "doc0-f91335df.json": "c1580c7d7f869e7def7d9544205411b9b7b3ab398cfbd773341695595f367e6e",
+    "doc1-c63ebdcb.json": "8cfeac57af74f519b318731d1447e6bd132d6fad3c51c15095f599a273df2d48",
+    "doc2-7897a2d2.json": "3da543e938daeda5ab51f4ce6259d95457ee95a8aee00067b92226ad0373a30b",
+    "doc0.ppm": "0dc5e98af11b52b336f776912e45a3998b2e70c668956e60e08c6070b7b16f19",
+    "doc0.csv": "f7e40ee72f7ce48ab383f6c1aecd2b61f8f5c4346aeb6fd2dd6cccbe2d2c0e9c",
+}
+
+
+def test_pair_sidecar_and_heatmap_bytes_are_pinned(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(
+        json.dumps({"id": f"doc{i}", "text": wide_dst_text(i), "source": "web"}) + "\n"
+        for i in range(3)
+    ))
+    model = str(tmp_path / "model.json")
+    assert main(["train-ngram", "--input", str(corpus), "--out", model, *TRAIN_FLAGS]) == 0
+    out_dir = tmp_path / "out"
+    assert main(["score", "--input", str(corpus), "--backend", f"ngram:{model}",
+                 "--out-dir", str(out_dir), "--segment-len", "4", "--truncate-len", "64",
+                 "--mode", "exact", "--emit-pairs"]) == 0
+    files = sorted((out_dir / "pairs").iterdir())
+    assert main(["heatmap", "--pairs", str(files[0]), "--scale", "signed-diverging",
+                 "--out-image", str(tmp_path / "doc0.ppm"),
+                 "--out-csv", str(tmp_path / "doc0.csv")]) == 0
+    files += [tmp_path / "doc0.ppm", tmp_path / "doc0.csv"]
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in files}
+    assert digests == CLI_PAIR_SHA256
+
+
 class TestBench:
     BENCH_ARGS = [
         "bench",

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import pytest
 from support import (
@@ -422,9 +423,10 @@ class TestReportSerialization:
         sidecar = pair_sidecar(report)
         assert {k: sidecar[k] for k in report.to_dict()} == report.to_dict()
         assert sidecar["lds_config"] == cfg.to_dict()
-        assert sidecar["pairs"] == tuple((p.target, p.source, p.dst) for p in report.pairs)
-        assert [(t, s) for t, s, _ in sidecar["pairs"]] == [(1, 0), (2, 0), (2, 1)]
-        assert sidecar["dsp"] == ((1, report.pairs[0].dsp), (2, report.pairs[1].dsp))
+        pairs, dsp_rows = (json.loads(canonical_dumps(sidecar[key])) for key in ("pairs", "dsp"))
+        assert pairs == [[p.target, p.source, p.dst] for p in report.pairs]
+        assert [(t, s) for t, s, _ in pairs] == [(1, 0), (2, 0), (2, 1)]
+        assert dsp_rows == [[1, report.pairs[0].dsp], [2, report.pairs[1].dsp]]
 
 
 class ShapedBackend(HashBackend):
@@ -493,7 +495,7 @@ class TestArrayPathBits:
         rows = {}
         for pair in report.pairs:
             rows.setdefault(pair.target, []).append(pair.dst)
-        dsp_of = dict(report.dsp_rows)
+        dsp_of = dict(zip(report.columns.rows.tolist(), report.columns.dsp.tolist()))
         assert len(rows[1]) == 1
         assert any(len(row) > 1 and len(set(row)) == 1 and dsp_of[t] == 0.0
                    for t, row in rows.items())
@@ -503,7 +505,7 @@ class TestArrayPathBits:
     def test_sampled_grid_holds_single_element_rows(self):
         cfg = LdsConfig(segment_len=2, truncate_len=42, sample_size=25, seed=9)
         report = score_document(HashBackend(), shaped_grid(), cfg)
-        targets = [t for t, _, _ in report.pair_triples]
+        targets = report.columns.targets.tolist()
         assert sum(targets.count(t) == 1 for t in set(targets)) >= 3
 
 
@@ -595,6 +597,18 @@ def test_scoring_and_sidecar_build_no_pair_score(monkeypatch):
     for mode in ("exact", "sampled"):
         report = score_document(HashBackend(), grid, PIN_CFG.replace(mode=mode, truncate_len=24))
         sidecar = pair_sidecar(report)
-        assert len(sidecar["pairs"]) == report.pair_count
+        assert len(json.loads(canonical_dumps(sidecar))["pairs"]) == report.pair_count
         with pytest.raises(AssertionError, match="a PairScore was built"):
             report.pairs
+
+
+@pytest.mark.parametrize("column", ["dst", "dsp"])
+def test_sidecar_refuses_a_value_that_is_not_finite(tmp_path, column):
+    grid = make_grid(np.random.default_rng(33), n_segments=6, segment_len=2)
+    report = score_document(HashBackend(), grid, PIN_CFG.replace(mode="exact", truncate_len=12))
+    values = getattr(report.columns, column).copy()
+    values[-1] = math.nan if column == "dst" else math.inf
+    broken = replace(report, columns=report.columns._replace(**{column: values}))
+    with pytest.raises(ValueError, match="not finite"):
+        write_canonical(str(tmp_path / "sidecar.json"), pair_sidecar(broken))
+    assert not list(tmp_path.iterdir())

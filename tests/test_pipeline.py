@@ -215,6 +215,15 @@ class TestBuildManifest:
         manifest = build_manifest(reports, (), 0.5, "prolong", seed=0)
         assert len(retained_ids(manifest)) == math.ceil(5 * 0.5)
 
+    @pytest.mark.parametrize("fraction,count,kept", [(0.07, 100, 7), (0.14, 50, 7),
+                                                     (0.56, 25, 14), (0.55, 200, 110)])
+    def test_retention_count_is_the_decimal_fraction_rounded_up(self, fraction, count, kept):
+        # The float products (7.000000000000001, ...) lie just above the count.
+        assert fraction * count > kept
+        reports = [report(f"d{i}", float(i)) for i in range(count)]
+        manifest = build_manifest(reports, (), fraction, "prolong", seed=0)
+        assert len(retained_ids(manifest)) == kept
+
     def test_top_scores_retained_with_id_tie_break(self):
         reports = [
             report("b", 2.0),
