@@ -432,9 +432,7 @@ class ExternalBackend:
         result = None if context else self._kept.get(tuple(target))
         if result is None:
             context_text = _json_text(context) if context else b"null"
-            req_id = next(_REQ_IDS)
-            line = _REQUEST % (req_id, _json_text(target), context_text)
-            [result] = self._exchange([req_id], [line])
+            [result] = self._exchange(*next(_windows([(_json_text(target), context_text)])))
         if isinstance(result, BackendError):
             raise result
         return result

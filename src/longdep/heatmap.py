@@ -4,9 +4,10 @@ Renders a scored document's lower-triangular dst matrix as an
 uncompressed binary PPM raster plus a CSV of (i, j, dst) rows, keeping
 the component dependency-free. Row = target segment, column = source
 segment, both 0-based; the diagonal, the upper triangle, and any
-unsampled cells are masked with a sentinel color, never zero-filled. Each
-file is written all or nothing, and a failed write of either keeps both
-earlier files.
+unsampled cells are masked with a sentinel color, never zero-filled.
+Both are drawn from the report's pair columns as arrays, and the image
+is written one row of cells at a time. Each file is written all or
+nothing, and a failed write of either keeps both earlier files.
 
 Color scales:
   linear            per-document min-max mapped to a grayscale ramp
@@ -16,51 +17,35 @@ Color scales:
 
 from __future__ import annotations
 
-from .jsonio import ensure_parent, open_atomic
-from .lds import ScoreReport
+import numpy as np
+
+from .jsonio import Columns, ensure_parent, open_atomic
+from .lds import ScoreReport, _accumulate
 
 SCALES = ("linear", "signed-diverging")
 VALUES = ("dst", "pairwise")
 MASK_COLOR = (255, 0, 255)
 
 
-def _linear_color(v: float, vmin: float, vmax: float) -> tuple[int, int, int]:
-    if vmax <= vmin:
-        return (128, 128, 128)
-    g = round(255 * (v - vmin) / (vmax - vmin))
-    g = min(255, max(0, g))
-    return (g, g, g)
-
-
-def _diverging_color(v: float, limit: float) -> tuple[int, int, int]:
-    if limit <= 0.0:
-        return (255, 255, 255)
-    t = min(1.0, max(-1.0, v / limit))
-    fade = round(255 * (1.0 - abs(t)))
-    fade = min(255, max(0, fade))
-    if t >= 0.0:
-        return (255, fade, fade)
-    return (fade, fade, 255)
-
-
-def _cell_colors(
-    matrix: list[list[float | None]], scale: str
-) -> list[list[tuple[int, int, int]]]:
-    present = [v for row in matrix for v in row if v is not None]
-    vmin, vmax = min(present), max(present)
-    limit = max(abs(vmin), abs(vmax))
-    out = []
-    for row in matrix:
-        colored = []
-        for v in row:
-            if v is None:
-                colored.append(MASK_COLOR)
-            elif scale == "linear":
-                colored.append(_linear_color(v, vmin, vmax))
-            else:
-                colored.append(_diverging_color(v, limit))
-        out.append(colored)
-    return out
+@np.errstate(over="ignore", invalid="ignore")
+def _colors(values: np.ndarray, scale: str) -> np.ndarray:
+    """The uint8 (r, g, b) row of each value under ``scale``, from the
+    float operations of a per-value loop, rounded half to even as
+    ``round`` does. A level that is not finite raises ValueError."""
+    vmin, vmax = values.min(), values.max()
+    if scale == "linear":
+        gray = 255 * (values - vmin) / (vmax - vmin) if vmax > vmin else np.full_like(values, 128.0)
+        channels = (gray, gray, gray)
+    else:
+        limit = max(abs(vmin), abs(vmax))
+        t = np.clip(values / limit, -1.0, 1.0) if limit > 0.0 else np.zeros_like(values)
+        fade = 255 * (1.0 - abs(t))
+        red = t >= 0.0
+        channels = (np.where(red, 255.0, fade), fade, np.where(red, fade, 255.0))
+    rgb = np.stack(channels, axis=1)
+    if not np.isfinite(rgb).all():
+        raise ValueError("a color level is not finite: the range of values overflows")
+    return np.clip(np.rint(rgb), 0, 255).astype(np.uint8)
 
 
 def render_heatmap(
@@ -77,8 +62,9 @@ def render_heatmap(
     cell of the N x N matrix of ``value``. The CSV holds (i, j, value)
     rows, target-major, with floats written by repr, so parsing it
     reproduces the values exactly. Both carry the report's config hash.
-    A report without pairs raises ValueError, and so does a pair outside
-    the grid (through ``report.pairs``).
+    A report without pairs raises ValueError, and so do a pair outside
+    the grid, a target without a dsp row (through ``_accumulate``) and a
+    value that is not finite.
 
     The files are written in ``select``'s order: the image's .partial is
     written and closed, the CSV is written and replaced, and only then
@@ -90,13 +76,17 @@ def render_heatmap(
         raise ValueError(f"value must be one of {VALUES}, got {value!r}")
     if cell_size < 1:
         raise ValueError("cell_size must be >= 1")
-    pairs = report.pairs
-    if not pairs:
+    columns = report.columns
+    if columns is None or not len(columns.targets):
         raise ValueError(f"report {report.doc_id!r} holds no pairs; nothing to render")
     n = report.n_segments
-    matrix: list[list[float | None]] = [[None] * n for _ in range(n)]
-    for pair in pairs:
-        matrix[pair.target][pair.source] = getattr(pair, value)
+    pairwise = _accumulate(columns, n, report.lds_config)[2]
+    order = np.lexsort((columns.sources, columns.targets))
+    targets, sources = columns.targets[order], columns.sources[order]
+    values = (columns.dst if value == "dst" else pairwise)[order]
+    rows = Columns((targets, sources, values)).lines("%d,%d,%s\n")
+    raster = np.full((n, n, 3), MASK_COLOR, dtype=np.uint8)
+    raster[targets, sources] = _colors(values, scale)
     side = n * cell_size
     header = (
         f"P6\n# doc={report.doc_id} scale={scale} value={value} config={report.config_hash}\n"
@@ -105,13 +95,12 @@ def render_heatmap(
     ensure_parent(image_path)
     with open_atomic(image_path, "wb") as image:
         image.write(header.encode("ascii"))
-        for row in _cell_colors(matrix, scale):
-            image.write(b"".join(bytes(rgb) * cell_size for rgb in row) * cell_size)
+        for cells in raster:
+            image.write(cells.repeat(cell_size, axis=0).tobytes() * cell_size)
         image.close()
         ensure_parent(csv_path)
         with open_atomic(csv_path) as table:
             if report.config_hash:
                 table.write(f"# config={report.config_hash}\n")
             table.write(f"i,j,{value}\n")
-            for pair in sorted(pairs, key=lambda p: (p.target, p.source)):
-                table.write(f"{pair.target},{pair.source},{getattr(pair, value)!r}\n")
+            table.writelines(rows)

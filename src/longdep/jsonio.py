@@ -12,7 +12,7 @@ import hashlib
 import json
 import os
 import time
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -25,13 +25,18 @@ class Columns(tuple):
     ValueError."""
 
     def dumps(self) -> str:
+        return "[%s]" % ",".join(self.lines("[" + "%d," * (len(self) - 1) + "%s]"))
+
+    def lines(self, template: str) -> Iterator[str]:
+        """Each row as ``template % row``: the ints, then the float's
+        repr as a ``%s``."""
         *ints, floats = self
         if not np.isfinite(floats).all():
             raise ValueError("a float column holds a value that is not finite")
         distinct, index = np.unique(floats.view(np.int64), return_inverse=True)
         texts = list(map(float.__repr__, distinct.view(np.float64).tolist()))
         rows = zip(*(column.tolist() for column in ints), map(texts.__getitem__, index.tolist()))
-        return "[%s]" % ",".join(map(("[" + "%d," * len(ints) + "%s]").__mod__, rows))
+        return map(template.__mod__, rows)
 
 
 def canonical_dumps(obj: Any) -> str:

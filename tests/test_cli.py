@@ -18,13 +18,14 @@ from pathlib import Path
 
 import pytest
 from scripted_scorer import TcpScorer
-from support import DyingScorer, fill_disk_after, process_alive
+from support import DyingScorer, fill_disk_after, pair_columns, process_alive
 
 from longdep.backends import ExternalBackend
 from longdep.cli import build_parser, main
 from longdep.config import resolve_config
 from longdep.corpus import ingest
 from longdep.jsonio import canonical_dumps
+from longdep.lds import LdsConfig, _accumulate
 from longdep.ngram import NGramBackend, NGramModel
 from longdep.pipeline import score_corpus
 
@@ -899,6 +900,20 @@ def _config_with(key, value):
     return lambda sidecar: {**sidecar, "lds_config": {**sidecar["lds_config"], key: value}}
 
 
+def _recounted(damage):
+    """``damage``, then the row's pair_count, gated_count and lds
+    recounted from the damaged columns, so that the damage is the only
+    fault left."""
+    def apply(sidecar):
+        sidecar = damage(sidecar)
+        columns = pair_columns(sidecar["pairs"], sidecar["dsp"])
+        cfg = LdsConfig.from_dict(sidecar["lds_config"])
+        *_, gated, lds = _accumulate(columns, sidecar["n_segments"], cfg)
+        return {**sidecar, "pair_count": len(columns.targets),
+                "gated_count": int(gated.sum()), "lds": lds}
+    return apply
+
+
 # Each makes a damaged copy of a sidecar written by `score --emit-pairs`.
 DAMAGED_SIDECARS = {
     "old pair objects": lambda sidecar: OLD_SIDECAR,
@@ -935,6 +950,12 @@ DAMAGED_SIDECARS = {
     },
     "lds doubled": lambda sidecar: {**sidecar, "lds": sidecar["lds"] * 2},
     "mode sampled on exact pairs": _with("mode", "sampled"),
+    "a pair listed twice": _recounted(lambda sidecar: {
+        **sidecar, "pairs": [*sidecar["pairs"], [*sidecar["pairs"][-1][:2], 0.9]]
+    }),
+    "a target with two dsp rows": _recounted(lambda sidecar: {
+        **sidecar, "dsp": [*sidecar["dsp"][:-1], [sidecar["dsp"][-1][0], 0.123], sidecar["dsp"][-1]]
+    }),
 }
 
 
@@ -1052,7 +1073,11 @@ CLI_PAIR_SHA256 = {
 }
 
 
-def test_pair_sidecar_and_heatmap_bytes_are_pinned(tmp_path):
+@pytest.fixture(scope="module")
+def wide_dst_pairs(tmp_path_factory):
+    """The pair sidecars `score --mode exact --emit-pairs` writes for the
+    corpus of ``wide_dst_text``, sorted by name."""
+    tmp_path = tmp_path_factory.mktemp("wide")
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text("".join(
         json.dumps({"id": f"doc{i}", "text": wide_dst_text(i), "source": "web"}) + "\n"
@@ -1064,13 +1089,75 @@ def test_pair_sidecar_and_heatmap_bytes_are_pinned(tmp_path):
     assert main(["score", "--input", str(corpus), "--backend", f"ngram:{model}",
                  "--out-dir", str(out_dir), "--segment-len", "4", "--truncate-len", "64",
                  "--mode", "exact", "--emit-pairs"]) == 0
-    files = sorted((out_dir / "pairs").iterdir())
+    return sorted((out_dir / "pairs").iterdir())
+
+
+def test_pair_sidecar_and_heatmap_bytes_are_pinned(tmp_path, wide_dst_pairs):
+    files = list(wide_dst_pairs)
     assert main(["heatmap", "--pairs", str(files[0]), "--scale", "signed-diverging",
                  "--out-image", str(tmp_path / "doc0.ppm"),
                  "--out-csv", str(tmp_path / "doc0.csv")]) == 0
     files += [tmp_path / "doc0.ppm", tmp_path / "doc0.csv"]
     digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in files}
     assert digests == CLI_PAIR_SHA256
+
+
+# sha256 of the PPM and the CSV `heatmap` writes, under each option, for
+# doc0's sidecar of ``wide_dst_text`` with its pairs listed in reverse.
+DST_CSV = "f7e40ee72f7ce48ab383f6c1aecd2b61f8f5c4346aeb6fd2dd6cccbe2d2c0e9c"
+PAIRWISE_CSV = "9880f98f9cf91bfa8b5d6fbed761a6bdccd639b2ad95f01dde2d6c9aa83ce877"
+HEATMAP_OPTION_SHA256 = {
+    ("linear", "dst", 1): (
+        "57d821428ff38940cb3d33e5ba4f2efdcaad5875591d6c919185f3bff4c67d2c",
+        DST_CSV,
+    ),
+    ("linear", "dst", 3): (
+        "73bd2e5621716dbc17710c289e643eb055629d814641fcc375824b8914dea091",
+        DST_CSV,
+    ),
+    ("linear", "pairwise", 1): (
+        "fd5161c679f928f2c0ef5db8281f36b422592b9c2ca5bc7ad23fc88d5242cd2d",
+        PAIRWISE_CSV,
+    ),
+    ("linear", "pairwise", 3): (
+        "f665cf8eb5188d7e7742ca9f4d3c4cff1f6e268abde69453ec5816fd2b3b3d84",
+        PAIRWISE_CSV,
+    ),
+    ("signed-diverging", "dst", 1): (
+        "944c645964b2fabf7ae1c4b2a3f728cf921d806b0e3f1c1ae9a0aded52681b6c",
+        DST_CSV,
+    ),
+    ("signed-diverging", "dst", 3): (
+        "b573b66a241effc72c084fd828a36116dd7aa2d629518fc1f1bff0acd140b71c",
+        DST_CSV,
+    ),
+    ("signed-diverging", "pairwise", 1): (
+        "0871000ffd9d8d692ae44c4feef15ce55d842bdcf0aa8b15467ad4e648c206a9",
+        PAIRWISE_CSV,
+    ),
+    ("signed-diverging", "pairwise", 3): (
+        "3669ee13d66b0ddd68380adc99ce3089c2c977af9133d98128fdfc82f16d8c19",
+        PAIRWISE_CSV,
+    ),
+}
+
+
+@pytest.mark.parametrize("scale", ["linear", "signed-diverging"])
+@pytest.mark.parametrize("value", ["dst", "pairwise"])
+@pytest.mark.parametrize("cell_size", [1, 3])
+def test_heatmap_bytes_are_pinned_for_every_option(tmp_path, wide_dst_pairs, scale, value,
+                                                   cell_size):
+    sidecar = json.loads(wide_dst_pairs[0].read_text())
+    reversed_pairs = tmp_path / "doc0.json"
+    reversed_pairs.write_text(json.dumps(
+        _recounted(lambda s: {**s, "pairs": s["pairs"][::-1]})(sidecar)
+    ))
+    image, csv = tmp_path / "doc0.ppm", tmp_path / "doc0.csv"
+    assert main(["heatmap", "--pairs", str(reversed_pairs), "--scale", scale, "--value", value,
+                 "--cell-size", str(cell_size), "--out-image", str(image),
+                 "--out-csv", str(csv)]) == 0
+    digests = tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in (image, csv))
+    assert digests == HEATMAP_OPTION_SHA256[scale, value, cell_size]
 
 
 class TestBench:

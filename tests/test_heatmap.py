@@ -1,8 +1,14 @@
 """Pair-matrix rendering: CSV sidecar and PPM image."""
 
-import pytest
+import hashlib
 
-from longdep.heatmap import MASK_COLOR, render_heatmap
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from longdep.heatmap import MASK_COLOR, SCALES, _colors, render_heatmap
+from longdep.lds import ScoreReport
 
 from support import pair_report, read_csv_rows
 
@@ -158,6 +164,16 @@ class TestSpecValidation:
     def test_cell_size_positive(self, tmp_path):
         assert_rejected(tmp_path, pair_report(THREE_PAIRS, 4), cell_size=0)
 
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_value_not_finite(self, tmp_path, scale):
+        assert_rejected(tmp_path, pair_report([(1, 0, float("inf")), (2, 1, 0.2)], 3), scale=scale)
+        overflowing = pair_report([(1, 0, 1e308)], 2, dsp_value=1e308)
+        assert_rejected(tmp_path, overflowing, scale=scale, value="pairwise")
+
+    def test_linear_range_that_overflows(self, tmp_path):
+        assert_rejected(tmp_path, pair_report([(1, 0, -1e308), (2, 0, 1e308)], 3))
+        assert_rejected(tmp_path, pair_report([(1, 0, 0.0), (2, 0, 1e307)], 3))
+
 
 class TestRenderHeatmap:
     def test_writes_both_artifacts(self, tmp_path):
@@ -169,3 +185,80 @@ class TestRenderHeatmap:
         comment, width, _, _ = read_ppm(img)
         assert width == 4
         assert "config=zz" in comment
+
+
+# sha256 of the (PPM, CSV) of a uniform matrix under the scale that
+# paints it one flat color: mid gray for linear, white for diverging.
+UNIFORM_SHA256 = {
+    "linear": (
+        "494225c6607109520e1e8754bd0620c8515b14149e4bec8d5dc51e73bfabd7fe",
+        "7e791772c841b0a62764a28031c78d81d1abd00869b4544dd6c3b82b76491e0f",
+    ),
+    "signed-diverging": (
+        "eebdc3771c6c2ff23bd3dc409dfb4b22ce246a8ada138a7e6289792842d0108d",
+        "f983664ade597c0139ae77b7b42aeab062d12d9245ec236a6f17af7815ecd489",
+    ),
+}
+UNIFORM = {
+    "linear": ([(1, 0, 0.4), (2, 0, 0.4), (2, 1, 0.4)], (128, 128, 128)),
+    "signed-diverging": ([(1, 0, 0.0), (2, 0, -0.0), (2, 1, 0.0)], (255, 255, 255)),
+}
+
+
+@pytest.mark.parametrize("scale", sorted(UNIFORM))
+def test_uniform_matrix_bytes_are_pinned(tmp_path, scale):
+    triples, color = UNIFORM[scale]
+    image, csv = render(tmp_path, pair_report(triples, 3), scale=scale, cell_size=2)
+    _, _, _, rows = read_ppm(image)
+    assert {rows[2 * i][2 * j] for i, j, _ in triples} == {color}
+    digests = tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in (image, csv))
+    assert digests == UNIFORM_SHA256[scale]
+
+
+@pytest.mark.parametrize("value", ["dst", "pairwise"])
+def test_renders_without_pair_objects(tmp_path, monkeypatch, value):
+    def refused(report):
+        raise AssertionError("render_heatmap built PairScores")
+
+    monkeypatch.setattr(ScoreReport, "pairs", property(refused))
+    image, csv = render(tmp_path, pair_report(THREE_PAIRS, 4), value=value)
+    assert len(read_csv_rows(csv)) == 3
+    assert read_ppm(image)[3][2][1] != MASK_COLOR
+
+
+def scalar_color(v, present, scale):
+    """``v``'s color among the values ``present``, one value at a time
+    with Python floats and ``round``: the reference for ``_colors``."""
+    vmin, vmax = min(present), max(present)
+    if scale == "linear":
+        if vmax <= vmin:
+            return (128, 128, 128)
+        g = min(255, max(0, round(255 * (v - vmin) / (vmax - vmin))))
+        return (g, g, g)
+    limit = max(abs(vmin), abs(vmax))
+    if limit <= 0.0:
+        return (255, 255, 255)
+    t = min(1.0, max(-1.0, v / limit))
+    fade = min(255, max(0, round(255 * (1.0 - abs(t)))))
+    return (255, fade, fade) if t >= 0.0 else (fade, fade, 255)
+
+
+# Signed zeros, halves, subnormals and values whose range overflows,
+# drawn often; the example puts linear levels on .5 (half to even).
+EDGE_VALUES = [0.0, -0.0, 0.5, 1.5, 2.5, 255.0, -255.0, 5e-324, 1e-300, 1e307, -1e308, 1e308]
+
+
+@settings(deadline=None)
+@example(values=[0.0, 0.5, 1.5, 2.5, 254.5, 255.0], scale="linear")
+@given(values=st.lists(st.one_of(st.sampled_from(EDGE_VALUES),
+                                 st.floats(allow_nan=False, allow_infinity=False)),
+                       min_size=1, max_size=30),
+       scale=st.sampled_from(SCALES))
+def test_colors_match_the_scalar_formula(values, scale):
+    try:
+        want = [scalar_color(v, values, scale) for v in values]
+    except (ValueError, OverflowError):
+        with pytest.raises(ValueError):
+            _colors(np.array(values), scale)
+        return
+    assert list(map(tuple, _colors(np.array(values), scale).tolist())) == want

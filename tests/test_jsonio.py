@@ -56,6 +56,8 @@ def test_columns_write_the_text_of_their_rows(pairs, dsp):
     got = canonical_dumps({**head, "pairs": columns_of(pairs, 3), "dsp": columns_of(dsp, 2)})
     assert got == want
     assert canonical_dumps(columns_of(pairs, 3)) == canonical_dumps(pairs)
+    csv = "".join(f"{target},{source},{value!r}\n" for target, source, value in pairs)
+    assert "".join(columns_of(pairs, 3).lines("%d,%d,%s\n")) == csv
 
 
 def test_columns_keep_signed_zeros_and_repeats_apart():
