@@ -28,6 +28,10 @@ from .pipeline import reports_only, score_corpus
 POSITIVE_KINDS = ("planted-key", "entity-chain")
 NEGATIVE_KINDS = ("concat-shorts", "local-markov")
 
+# Background vocabulary size, and the bounds of a document's link count.
+BACKGROUND_VOCAB = 200
+MIN_LINKS, MAX_LINKS = 4, 12
+
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -35,9 +39,6 @@ class SynthSpec:
     n_negative: int = 100
     n_segments: int = 256
     segment_len: int = 32
-    background_vocab: int = 200
-    min_links: int = 4
-    max_links: int = 12
     seed: int = 0
 
     def __post_init__(self):
@@ -47,10 +48,6 @@ class SynthSpec:
             raise ConfigError("n_segments must be >= 8")
         if self.segment_len < 8:
             raise ConfigError("segment_len must be >= 8")
-        if self.background_vocab < 16:
-            raise ConfigError("background_vocab must be >= 16")
-        if not 1 <= self.min_links <= self.max_links:
-            raise ConfigError("need 1 <= min_links <= max_links")
 
     @property
     def doc_token_len(self) -> int:
@@ -69,8 +66,8 @@ class TestSet:
         return sum(self.labels.values())
 
 
-def _background(rng: np.random.Generator, n: int, vocab: int) -> list[str]:
-    return [f"w{v:03d}" for v in rng.integers(0, vocab, size=n)]
+def _background(rng: np.random.Generator, n: int) -> list[str]:
+    return [f"w{v:03d}" for v in rng.integers(0, BACKGROUND_VOCAB, size=n)]
 
 
 def _place_copies(
@@ -108,7 +105,7 @@ def _link_layout(
     which spreads the resulting scores instead of clustering them.
     """
     n = spec.n_segments
-    n_links = int(rng.integers(spec.min_links, spec.max_links + 1))
+    n_links = int(rng.integers(MIN_LINKS, MAX_LINKS + 1))
     early_slots = rng.permutation(np.arange(0, n // 4))
     late_slots = rng.permutation(np.arange(n // 2, n))
     n_links = min(n_links, len(early_slots), len(late_slots))
@@ -130,7 +127,7 @@ def _gen_planted_key(
     begin with (k3, k4); scattered copies of the four-token phrase give
     the scorer training support for P(k3 | k1, k2)."""
     L = spec.segment_len
-    tokens = _background(rng, spec.doc_token_len, spec.background_vocab)
+    tokens = _background(rng, spec.doc_token_len)
     reserved: list[tuple[int, int]] = []
     for li, (earlies, lates) in enumerate(_link_layout(spec, rng)):
         k1, k2, k3, k4 = (f"{doc_id}k{li}{s}" for s in "abcd")
@@ -155,7 +152,7 @@ def _gen_entity_chain(
     segments resume the cycle, so context supplies exactly the missing
     continuation."""
     L = spec.segment_len
-    tokens = _background(rng, spec.doc_token_len, spec.background_vocab)
+    tokens = _background(rng, spec.doc_token_len)
     reserved: list[tuple[int, int]] = []
     for li, (earlies, lates) in enumerate(_link_layout(spec, rng)):
         ea, eb, ec = (f"{doc_id}e{li}{s}" for s in "abc")
@@ -180,7 +177,7 @@ def _short_pool(spec: SynthSpec) -> list[list[str]]:
     pool = []
     for _ in range(max(200, spec.n_segments * 2)):
         length = int(rng.integers((3 * L) // 2, 3 * L + 1))
-        pool.append(_background(rng, length, spec.background_vocab))
+        pool.append(_background(rng, length))
     return pool
 
 
@@ -225,9 +222,9 @@ def _gen_local_markov(
     return Document(id=doc_id, source="local-markov", text="", tokens=tuple(tokens))
 
 
-def repeated_token_document(doc_id: str, n_tokens: int, token: str = "r") -> Document:
+def repeated_token_document(doc_id: str, n_tokens: int) -> Document:
     """The degenerate pathology fixture: one token repeated throughout."""
-    return Document(id=doc_id, source="repeated", text="", tokens=(token,) * n_tokens)
+    return Document(id=doc_id, source="repeated", text="", tokens=("r",) * n_tokens)
 
 
 # Every generator takes (doc_id, spec, rng, links, pool): it adds the

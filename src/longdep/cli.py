@@ -127,8 +127,9 @@ def _resolve_backend(spec_str: str, tokenizer: str):
 
 
 def _sidecar_name(doc_id: str) -> str:
+    # The whole digest, so that ids with one 80-character prefix get two files.
     safe = re.sub(r"[^-._a-zA-Z0-9]", "_", doc_id)[:80]
-    tag = hashlib.sha256(doc_id.encode("utf-8")).hexdigest()[:8]
+    tag = hashlib.sha256(doc_id.encode("utf-8")).hexdigest()
     return f"{safe}-{tag}.json"
 
 
@@ -362,13 +363,9 @@ def cmd_bench(args: argparse.Namespace, rc: RunConfig) -> int:
 # -- parser ----------------------------------------------------------------
 
 
-# Config keys every config-taking command has a flag for.
-_COMMON_KEYS = ("seed", "tokenizer", "input_format", "workers")
-
-
 def _add_config_flags(sub: argparse.ArgumentParser, *keys: str) -> None:
     """``--config``, ``--show-config``, and a flag for each config key of
-    ``keys`` and _COMMON_KEYS, typed and checked as its field declares."""
+    ``keys``, typed and checked as its field declares."""
     sub.add_argument("--config", help="JSON config file (flags override it)")
     sub.add_argument(
         "--show-config",
@@ -378,7 +375,7 @@ def _add_config_flags(sub: argparse.ArgumentParser, *keys: str) -> None:
     for cls in (LdsConfig, RunConfig):
         types = field_types(cls)
         for f in dataclasses.fields(cls):
-            if f.name in keys or f.name in _COMMON_KEYS:
+            if f.name in keys:
                 sub.add_argument(
                     "--" + f.name.replace("_", "-"),
                     dest=f.name,
@@ -399,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     train = commands.add_parser("train-ngram", help="train the built-in scorer model")
     train.add_argument("--input", required=True)
     train.add_argument("--out", required=True)
-    _add_config_flags(train, "order", "k")
+    _add_config_flags(train, "tokenizer", "input_format", "order", "k")
     train.set_defaults(func=cmd_train_ngram)
 
     score = commands.add_parser("score", help="score a corpus")
@@ -410,7 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="write per-document pair sidecars (heatmap input)",
     )
-    _add_config_flags(score, "backend", *(f.name for f in dataclasses.fields(LdsConfig)))
+    lds_keys = (f.name for f in dataclasses.fields(LdsConfig))
+    _add_config_flags(score, "backend", "tokenizer", "input_format", "workers", *lds_keys)
     score.set_defaults(func=cmd_score)
 
     select = commands.add_parser("select", help="rank and select documents")
@@ -428,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         help="source retained whole regardless of strategy (repeatable)",
     )
-    _add_config_flags(select, "fraction")
+    _add_config_flags(select, "seed", "fraction")
     select.set_defaults(func=cmd_select)
 
     heat = commands.add_parser("heatmap", help="render a scored document's dst matrix")
@@ -450,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--segment-len", dest="bench_segment_len", type=int, default=16
     )
     bench.add_argument("--out", default="")
-    _add_config_flags(bench, "order", "k")
+    _add_config_flags(bench, "seed", "order", "k")
     bench.set_defaults(func=cmd_bench)
 
     return parser

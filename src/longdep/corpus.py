@@ -129,8 +129,9 @@ def ingest(
 ) -> Iterator[Document]:
     """Stream documents from ``path`` in input order.
 
-    jsonl: one object per line with required string fields id and text;
-    source is optional and defaults to the file's stem, and tokens, when
+    jsonl: one object per line with required string fields id and text
+    (an integer id, not a bool, stands for its decimal text); source is
+    optional and defaults to the file's stem, and tokens, when
     present, must be a non-empty list of strings and is used instead of
     tokenizing the text. Malformed lines (bad JSON, missing/empty fields,
     a tokens value of any other kind, fields that do not encode as UTF-8,
@@ -172,7 +173,7 @@ def _ingest_jsonl(path: Path, stats: IngestStats) -> Iterator[Document]:
             stats.read += 1
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError:
+            except ValueError:  # not JSON, or an integer too long to read
                 stats.skipped_malformed += 1
                 logger.debug("%s:%d: bad JSON, skipped", path, lineno)
                 continue
@@ -197,10 +198,9 @@ def _record_to_document(record: object, default_source: str) -> Document | None:
         return None
     doc_id = record.get("id")
     text = record.get("text")
-    if doc_id is None or text is None or not isinstance(text, str):
-        return None
-    doc_id = str(doc_id)
-    if not doc_id:
+    if type(doc_id) is int:
+        doc_id = str(doc_id)
+    if not (isinstance(doc_id, str) and doc_id and isinstance(text, str)):
         return None
     source = record.get("source")
     if not isinstance(source, str) or not source:

@@ -364,9 +364,11 @@ def report_from_sidecar(data: dict) -> ScoreReport:
     dict; it equals the scored report, and so do its ``pairs``.
 
     A malformed sidecar, one in the old format with an object per pair,
-    one that lists a pair or a target's dsp row twice, and one whose row
-    (``pair_count``, ``gated_count``, ``lds``, ``mode``) disagrees with
-    its own columns, raises KeyError, ValueError or ConfigError.
+    one that lists a pair or a target's dsp row twice, one with a value
+    that scoring cannot give (a dst above 1, a dsp outside [0, 1]), and
+    one whose row (``pair_count``, ``gated_count``, ``lds``, ``mode``)
+    disagrees with its own columns, raises KeyError, ValueError or
+    ConfigError.
     """
     if not isinstance(data, dict):
         raise ValueError("a pair sidecar is a JSON object")
@@ -388,6 +390,8 @@ def report_from_sidecar(data: dict) -> ScoreReport:
         *_columns(triples, (int, int, float), "a pair [target, source, dst]"),
         *_columns(dsp_rows, (int, float), "a dsp row [target, dsp]"),
     )
+    if (columns.dst > 1.0).any() or ((columns.dsp < 0.0) | (columns.dsp > 1.0)).any():
+        raise ValueError("it holds a dst above 1 or a dsp outside [0, 1], which no score gives")
     for what, keys in (("pair [{}, {}]", columns[:2]), ("dsp row of target {}", columns[3:4])):
         distinct, counts = np.unique(np.stack(keys, axis=1), axis=0, return_counts=True)
         if (counts > 1).any():

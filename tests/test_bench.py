@@ -44,9 +44,6 @@ class TestSynthSpec:
             {"n_negative": 0},
             {"n_segments": 4},
             {"segment_len": 4},
-            {"background_vocab": 8},
-            {"min_links": 0},
-            {"min_links": 5, "max_links": 4},
         ],
     )
     def test_validation(self, changes):

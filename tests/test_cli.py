@@ -43,8 +43,8 @@ SCORE_FLAGS = [
 TRAIN_FLAGS = ["--order", "2", "--k", "0.1"]
 
 # Every option of the parser and of each subcommand: option strings ->
-# (dest, choices, default), as the parser declared them when each config
-# flag was still written out by hand.
+# (dest, choices, default). A command has a flag for each config key it
+# reads, and for no other.
 CLI_OPTIONS = {
     "longdep": {
         "-h --help": ("help", None, "==SUPPRESS=="),
@@ -57,10 +57,8 @@ CLI_OPTIONS = {
         "--k": ("k", None, None),
         "--order": ("order", None, None),
         "--out": ("out", None, None),
-        "--seed": ("seed", None, None),
         "--show-config": ("show_config", None, False),
         "--tokenizer": ("tokenizer", ("whitespace", "byte"), None),
-        "--workers": ("workers", None, None),
         "-h --help": ("help", None, "==SUPPRESS=="),
     },
     "score": {
@@ -89,15 +87,12 @@ CLI_OPTIONS = {
         "--config": ("config", None, None),
         "--fraction": ("fraction", None, None),
         "--global-ranking": ("global_ranking", None, False),
-        "--input-format": ("input_format", ("jsonl", "plain-dir"), None),
         "--out-dir": ("out_dir", None, "longdep-out"),
         "--passthrough": ("passthrough", None, None),
         "--reports": ("reports", None, None),
         "--seed": ("seed", None, None),
         "--show-config": ("show_config", None, False),
         "--strategy": ("strategy", ("prolong", "random", "full"), "prolong"),
-        "--tokenizer": ("tokenizer", ("whitespace", "byte"), None),
-        "--workers": ("workers", None, None),
         "-h --help": ("help", None, "==SUPPRESS=="),
     },
     "heatmap": {
@@ -112,7 +107,6 @@ CLI_OPTIONS = {
     "bench": {
         "--backends": ("backends", None, "ngram"),
         "--config": ("config", None, None),
-        "--input-format": ("input_format", ("jsonl", "plain-dir"), None),
         "--k": ("k", None, None),
         "--n-negative": ("n_negative", None, 100),
         "--n-positive": ("n_positive", None, 100),
@@ -123,8 +117,6 @@ CLI_OPTIONS = {
         "--seed": ("seed", None, None),
         "--segment-len": ("bench_segment_len", None, 16),
         "--show-config": ("show_config", None, False),
-        "--tokenizer": ("tokenizer", ("whitespace", "byte"), None),
-        "--workers": ("workers", None, None),
         "-h --help": ("help", None, "==SUPPRESS=="),
     },
 }
@@ -148,6 +140,23 @@ def score_pairs(self, *args, **kwargs):
 NGramBackend.score_pairs = score_pairs
 sys.exit(main(sys.argv[1:]))
 """
+
+
+# For each command, keys that other commands have flags for but that it
+# does not read, and a valid value of each.
+UNREAD_KEYS = {
+    "train-ngram": ("seed", "workers"),
+    "select": ("tokenizer", "input_format", "workers"),
+    "bench": ("tokenizer", "input_format", "workers"),
+}
+UNREAD_VALUES = {"seed": 7, "workers": 2, "tokenizer": "byte", "input_format": "plain-dir"}
+
+# Arguments with which each command, run, exits 2 at once.
+FAILING_AT_ONCE = {
+    "train-ngram": ["--input", "missing.jsonl", "--out", "model.json"],
+    "select": ["--reports", "missing.jsonl"],
+    "bench": ["--n-positive", "0"],
+}
 
 
 def write_corpus(path, n_docs=8, words=24):
@@ -220,6 +229,41 @@ class TestUsage:
             for name, sub in {"longdep": parser, **commands.choices}.items()
         }
         assert options == CLI_OPTIONS
+
+    @pytest.mark.parametrize(
+        "command,key", [(command, key) for command, keys in UNREAD_KEYS.items() for key in keys]
+    )
+    def test_a_flag_for_a_key_the_command_does_not_read_is_refused(self, command, key, capsys):
+        flag = "--" + key.replace("_", "-")
+        with pytest.raises(SystemExit) as info:
+            main([command, *FAILING_AT_ONCE[command], flag, str(UNREAD_VALUES[key])])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag} " in capsys.readouterr().err
+
+    def test_a_config_file_may_still_hold_those_keys(self, corpus, model, tmp_path, capsys):
+        configs = {}
+        for command, keys in UNREAD_KEYS.items():
+            configs[command] = tmp_path / f"{command}.json"
+            configs[command].write_text(json.dumps({key: UNREAD_VALUES[key] for key in keys}))
+        trained = tmp_path / "trained.json"
+        assert main(["train-ngram", "--input", corpus, "--out", str(trained), *TRAIN_FLAGS,
+                     "--config", str(configs["train-ngram"])]) == 0
+        assert trained.read_bytes() == Path(model).read_bytes()
+        assert run_score(corpus, model, tmp_path / "out") == 0
+        reports = str(tmp_path / "out" / "reports.jsonl")
+        for out, config in (("plain", []), ("configured", ["--config", str(configs["select"])])):
+            args = ["select", "--reports", reports, "--out-dir", str(tmp_path / out)]
+            assert main([*args, *config]) == 0
+        manifests = [(tmp_path / out / "manifest.json").read_bytes()
+                     for out in ("plain", "configured")]
+        assert manifests[0] == manifests[1]
+        assert main([*TestBench.BENCH_ARGS, "--config", str(configs["bench"])]) == 0
+        for command, keys in UNREAD_KEYS.items():
+            capsys.readouterr()
+            assert main([command, *FAILING_AT_ONCE[command], "--show-config",
+                         "--config", str(configs[command])]) == 0
+            shown = json.loads(capsys.readouterr().out)["config"]
+            assert {key: shown[key] for key in keys} == {key: UNREAD_VALUES[key] for key in keys}
 
     def test_no_arguments_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -394,6 +438,16 @@ class TestScore:
         assert payload["pairs"][0] == [1, 0, payload["pairs"][0][2]]
         assert [t for t, _ in payload["dsp"]] == list(range(1, payload["n_segments"]))
         assert set(payload["lds_config"]) >= {"tau", "alpha", "dsp_variant"}
+
+    def test_ids_with_one_long_prefix_keep_their_own_sidecars(self, model, tmp_path, capsys):
+        # Both ids give the same first 80 safe characters.
+        ids = [f"https://example.com/{'a' * 70}/{n}" for n in (19649, 35476)]
+        corpus = write_lines(tmp_path / "c.jsonl", [record_line(doc_id) for doc_id in ids])
+        out_dir = tmp_path / "out"
+        assert run_score(corpus, model, out_dir, extra=["--emit-pairs"]) == 0
+        assert "scored=2 " in capsys.readouterr().out
+        sidecars = [json.loads(p.read_text()) for p in (out_dir / "pairs").iterdir()]
+        assert sorted(p["doc_id"] for p in sidecars) == ids
 
     def test_rerun_clears_stale_pair_sidecars(self, corpus, model, tmp_path):
         out_dir = tmp_path / "out"
@@ -956,6 +1010,15 @@ DAMAGED_SIDECARS = {
     "a target with two dsp rows": _recounted(lambda sidecar: {
         **sidecar, "dsp": [*sidecar["dsp"][:-1], [sidecar["dsp"][-1][0], 0.123], sidecar["dsp"][-1]]
     }),
+    "a dsp above 1": _recounted(lambda sidecar: {
+        **sidecar, "dsp": [*sidecar["dsp"][:-1], [sidecar["dsp"][-1][0], 7.5]]
+    }),
+    "a dsp below 0": _recounted(lambda sidecar: {
+        **sidecar, "dsp": [*sidecar["dsp"][:-1], [sidecar["dsp"][-1][0], -0.5]]
+    }),
+    "a dst above 1": _recounted(lambda sidecar: {
+        **sidecar, "pairs": [*sidecar["pairs"][:-1], [*sidecar["pairs"][-1][:2], 5.0]]
+    }),
 }
 
 
@@ -1065,9 +1128,12 @@ def wide_dst_text(i):
 # sha256 of what `score --emit-pairs` and `heatmap` write for the corpus
 # of ``wide_dst_text``, by file name.
 CLI_PAIR_SHA256 = {
-    "doc0-f91335df.json": "c1580c7d7f869e7def7d9544205411b9b7b3ab398cfbd773341695595f367e6e",
-    "doc1-c63ebdcb.json": "8cfeac57af74f519b318731d1447e6bd132d6fad3c51c15095f599a273df2d48",
-    "doc2-7897a2d2.json": "3da543e938daeda5ab51f4ce6259d95457ee95a8aee00067b92226ad0373a30b",
+    "doc0-f91335dfc8fb48175d98bdcf105519cd6cbb03985ee72762e05a46444d732e65.json":
+        "c1580c7d7f869e7def7d9544205411b9b7b3ab398cfbd773341695595f367e6e",
+    "doc1-c63ebdcbe00c06b7d93143056be2bb37d7edc77c5076c1dd3b1c9931f36ddb8a.json":
+        "8cfeac57af74f519b318731d1447e6bd132d6fad3c51c15095f599a273df2d48",
+    "doc2-7897a2d21d9787e908f88cbda8d72101023da9866859ec8827d80467188c143e.json":
+        "3da543e938daeda5ab51f4ce6259d95457ee95a8aee00067b92226ad0373a30b",
     "doc0.ppm": "0dc5e98af11b52b336f776912e45a3998b2e70c668956e60e08c6070b7b16f19",
     "doc0.csv": "f7e40ee72f7ce48ab383f6c1aecd2b61f8f5c4346aeb6fd2dd6cccbe2d2c0e9c",
 }

@@ -152,15 +152,21 @@ class TestIngestJsonl:
                 json.dumps({"id": "a"}),
                 json.dumps({"id": "", "text": "empty id"}),
                 json.dumps({"id": "b", "text": 5}),
+                json.dumps({"id": True, "text": "a bool id"}),
+                '{"id": 1e2, "text": "a float id"}',
+                json.dumps({"id": {"x": 1}, "text": "an object id"}),
+                json.dumps({"id": ["c"], "text": "a list id"}),
+                '{"id": %s, "text": "an integer id too long to read"}' % ("1" * 5000),
                 json.dumps({"id": "ok", "text": "fine"}),
+                json.dumps({"id": 7, "text": "an integer id"}),
             ],
         )
         stats = IngestStats()
         docs = list(ingest(path, stats=stats))
-        assert [d.id for d in docs] == ["ok"]
-        assert stats.read == 6
-        assert stats.skipped_malformed == 5
-        assert stats.yielded == 1
+        assert [d.id for d in docs] == ["ok", "7"]
+        assert stats.read == 12
+        assert stats.skipped_malformed == 10
+        assert stats.yielded == 2
 
     def test_fields_that_do_not_encode_as_utf8_are_skipped(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
