@@ -7,13 +7,7 @@ data. Ships a built-in n-gram scorer, a wire protocol for external
 scorers, a selection pipeline, heatmap rendering, and a synthetic bench.
 """
 
-from .backends import (
-    ExternalBackend,
-    PerplexityBackend,
-    cached_unconditional,
-    ppl,
-    ppl_given,
-)
+from .backends import ExternalBackend, PerplexityBackend, ppl
 from .bench import (
     BenchResult,
     OracleBackend,
@@ -93,7 +87,6 @@ __all__ = [
     "Token",
     "accuracy_at_k",
     "build_manifest",
-    "cached_unconditional",
     "ddi",
     "derive_seed",
     "dsp",
@@ -103,7 +96,6 @@ __all__ = [
     "lds_pair",
     "pair_count",
     "ppl",
-    "ppl_given",
     "render_heatmap",
     "repeated_token_document",
     "reports_only",

@@ -296,7 +296,6 @@ class BenchResult:
     backend: str
     sample_size: int
     n_docs: int
-    wall_time_s: float
     docs_per_second: float
     accuracy_at_k: float | None
     status: str = "ok"
@@ -315,6 +314,14 @@ def accuracy_at_k(reports, labels: dict[str, int], k: int | None = None) -> floa
     return sum(labels.get(r.doc_id, 0) for r in top) / k
 
 
+def cell_config(spec: SynthSpec, base_cfg: LdsConfig) -> LdsConfig:
+    """What every bench cell scores under but its T: ``base_cfg`` in
+    sampled mode, with the segment geometry of ``spec``."""
+    return base_cfg.replace(
+        segment_len=spec.segment_len, truncate_len=spec.doc_token_len, mode="sampled"
+    )
+
+
 def run_bench(
     testset: TestSet,
     backends: Sequence[tuple[str, Callable[[], object]]],
@@ -322,21 +329,19 @@ def run_bench(
     base_cfg: LdsConfig | None = None,
 ) -> list[BenchResult]:
     """One cell per (backend, T): score every document in sampled mode,
-    rank, and measure accuracy plus scoring throughput.
+    rank, and measure accuracy plus scoring throughput. Each cell scores
+    under ``cell_config`` of ``base_cfg`` (``LdsConfig()`` if not given).
 
     Cells run sequentially so timings do not contend; each cell builds a
     fresh backend so no memo carries over, and closes it (if it has a
     ``close``) when done. A failing cell is recorded and the remaining
     cells proceed.
     """
-    base_cfg = base_cfg or LdsConfig(
-        segment_len=testset.spec.segment_len,
-        truncate_len=testset.spec.doc_token_len,
-    )
+    shared = cell_config(testset.spec, base_cfg or LdsConfig())
     results: list[BenchResult] = []
     for label, factory in backends:
         for t in sample_sizes:
-            cfg = base_cfg.replace(mode="sampled", sample_size=t)
+            cfg = shared.replace(sample_size=t)
             backend = None
             try:
                 backend = factory()
@@ -352,7 +357,6 @@ def run_bench(
                         backend=label,
                         sample_size=t,
                         n_docs=len(reports),
-                        wall_time_s=wall,
                         docs_per_second=len(reports) / wall if wall > 0 else float("inf"),
                         accuracy_at_k=acc,
                     )
@@ -363,7 +367,6 @@ def run_bench(
                         backend=label,
                         sample_size=t,
                         n_docs=0,
-                        wall_time_s=0.0,
                         docs_per_second=0.0,
                         accuracy_at_k=None,
                         status="failed",

@@ -32,6 +32,7 @@ from .bench import (
     SynthSpec,
     bench_csv,
     bench_table,
+    cell_config,
     generate_testset,
     run_bench,
 )
@@ -43,6 +44,7 @@ from .jsonio import (
     canonical_dumps,
     drop_meta_sidecar,
     ensure_parent,
+    fingerprint,
     open_atomic,
     read_json,
     write_canonical,
@@ -331,9 +333,6 @@ def cmd_bench(args: argparse.Namespace, rc: RunConfig) -> int:
         seed=rc.lds.seed,
     )
     testset = generate_testset(spec)
-    base_cfg = rc.lds.replace(
-        segment_len=spec.segment_len, truncate_len=spec.doc_token_len
-    )
     backends = []
     for token in args.backends.split(","):
         token = token.strip()
@@ -348,16 +347,22 @@ def cmd_bench(args: argparse.Namespace, rc: RunConfig) -> int:
             raise ConfigError(f"unknown bench backend {token!r}")
 
     sample_sizes = [int(t) for t in args.sample_sizes.split(",")]
-    results = run_bench(testset, backends, sample_sizes, base_cfg)
+    results = run_bench(testset, backends, sample_sizes, rc.lds)
+    failed = [r for r in results if r.status != "ok"]
+    for r in failed:
+        log.error("bench cell %s T=%d failed: %s", r.backend, r.sample_size, r.error)
     print(bench_table(results), end="")
     if args.out:
         ensure_parent(args.out)
         drop_meta_sidecar(args.out)
         with open_atomic(args.out) as handle:
             handle.write(bench_csv(results))
-        write_meta_sidecar(args.out, complete=True, extra={"config_hash": rc.fingerprint()})
+        # What the numbers depend on; each row states its own T.
+        hashed = {**cell_config(spec, rc.lds).to_dict(), "order": rc.order, "k": rc.k}
+        del hashed["sample_size"]
+        write_meta_sidecar(args.out, complete=True, extra={"config_hash": fingerprint(hashed)})
         print(f"wrote {args.out}")
-    return EXIT_PARTIAL if any(r.status != "ok" for r in results) else EXIT_OK
+    return EXIT_PARTIAL if failed else EXIT_OK
 
 
 # -- parser ----------------------------------------------------------------

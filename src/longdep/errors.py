@@ -11,9 +11,6 @@ class DocumentTooShort(LongdepError):
     """Document yields fewer than two segments and cannot be pair-scored."""
 
     def __init__(self, doc_id: str, n_tokens: int, segment_len: int):
-        self.doc_id = doc_id
-        self.n_tokens = n_tokens
-        self.segment_len = segment_len
         super().__init__(
             f"document {doc_id!r} has {n_tokens} tokens, needs at least "
             f"{2 * segment_len} for two segments of {segment_len}"

@@ -56,7 +56,7 @@ import numpy as np
 
 from .corpus import Document, Token
 from .errors import ConfigError
-from .jsonio import open_atomic
+from .jsonio import canonical_dumps, open_atomic
 
 MODEL_FORMAT = "longdep-ngram"
 MODEL_VERSION = 2
@@ -298,9 +298,8 @@ class NGramModel:
             "vocab": list(self.vocab),
             "entries": len(self.keys),
         }
-        line = json.dumps(header, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
         with open_atomic(path, "wb") as fh:
-            fh.write(line.encode("utf-8") + b"\n")
+            fh.write(canonical_dumps(header).encode("utf-8") + b"\n")
             fh.write(self.keys.astype(_FILE_INT).tobytes())
             fh.write(self.counts.astype(_FILE_INT).tobytes())
 

@@ -14,6 +14,7 @@ import math
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -132,8 +133,6 @@ def retained_ids(manifest: dict) -> list[str]:
 
 
 def _arm_stats(values: Sequence[float]) -> dict:
-    if not values:
-        return {"count": 0, "mean": None, "median": None}
     return {
         "count": len(values),
         "mean": statistics.fmean(values),
@@ -165,7 +164,8 @@ def build_manifest(
     stats blocks for comparison; the chosen strategy decides the retained
     flags. Passthrough sources keep everything regardless of strategy.
     A ranking group whose documents differ in segment count is logged as
-    a warning.
+    a warning. A doc id on two rows, scored, excluded or failed, raises
+    ConfigError.
     """
     if not reports:
         raise ConfigError("no scored documents to rank")
@@ -173,6 +173,12 @@ def build_manifest(
         raise ConfigError(f"fraction must be in (0, 1], got {fraction}")
     if strategy not in STRATEGIES:
         raise ConfigError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+    seen: set[str] = set()
+    unscored_ids = (o.doc_id for o in outcomes if o.status != "scored")
+    for doc_id in chain((r.doc_id for r in reports), unscored_ids):
+        if doc_id in seen:
+            raise ConfigError(f"document {doc_id!r} is listed on more than one row")
+        seen.add(doc_id)
     hashes = {r.config_hash for r in reports}
     if len(hashes) > 1:
         raise ConfigError(f"reports span {len(hashes)} config hashes; scores incomparable")

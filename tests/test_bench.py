@@ -214,6 +214,15 @@ class TestRunBench:
         assert "no model file" in results[0].error
         assert results[1].status == "ok"
 
+    def test_a_cell_that_scores_no_document_fails(self, tiny_testset):
+        class Refusing:
+            def score(self, target, context=None):
+                raise BackendError("refused")
+
+        results = run_bench(tiny_testset, [("refusing", Refusing)], sample_sizes=(5,))
+        assert [(r.status, r.n_docs, r.accuracy_at_k) for r in results] == [("failed", 0, None)]
+        assert results[0].error == "no documents scored"
+
     def test_each_cell_closes_its_scorer(self, tiny_testset, tmp_path):
         # Each cell's scorer appends its pid; the factory keeps every
         # backend alive, so only a close can end the processes.

@@ -778,6 +778,19 @@ class TestSelect:
         assert [row["doc_id"] for row in manifest["excluded"]] == ["tiny"]
         assert "retained=4/8" in capsys.readouterr().out
 
+    def test_a_document_listed_twice_is_refused(self, reports, tmp_path, capsys):
+        twice = tmp_path / "twice.jsonl"
+        rows = Path(reports).read_text()
+        twice.write_text(rows + rows)
+        first = next(row["doc_id"] for row in map(json.loads, rows.splitlines())
+                     if row["status"] == "scored")
+        sel = tmp_path / "sel"
+        code = main(["select", "--reports", str(twice), "--out-dir", str(sel),
+                     "--fraction", "0.5"])
+        assert code == 2
+        assert f"document {first!r} is listed on more than one row" in capsys.readouterr().err
+        assert not sel.exists()
+
     def test_full_strategy_ignores_fraction(self, reports, tmp_path):
         sel = tmp_path / "sel"
         code = main(
@@ -1252,6 +1265,47 @@ class TestBench:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "T,backend,docs_per_s,accuracy_at_k,status"
         assert len(lines) == 3
+
+    def test_default_ngram_backend_runs_beside_the_oracle(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        assert main([*self.BENCH_ARGS, "--backends", "ngram,oracle", "--out", str(out)]) == 0
+        header, *rows = out.read_text().splitlines()
+        assert header == "T,backend,docs_per_s,accuracy_at_k,status"
+        assert [row.split(",")[:2] for row in rows] == [
+            ["3", "ngram"], ["10", "ngram"], ["3", "oracle"], ["10", "oracle"]
+        ]
+        for row in rows:
+            *_, accuracy, status = row.split(",")
+            assert 0.0 <= float(accuracy) <= 1.0 and status == "ok"
+
+    def test_a_failed_cell_says_why_on_stderr(self, capsys):
+        code = main([*self.BENCH_ARGS, "--backends", "external:stdio://false",
+                     "--sample-sizes", "3"])
+        assert code == 4
+        out, err = capsys.readouterr()
+        assert "failed" in out
+        assert (
+            "ERROR longdep: bench cell external T=3 failed: scorer endpoint "
+            "'stdio://false' unreachable"
+        ) in err
+
+    def test_the_csv_hash_covers_only_what_bench_reads(self, tmp_path):
+        def config_hash(name, config):
+            out, path = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+            path.write_text(json.dumps(config))
+            assert main([*self.BENCH_ARGS, "--out", str(out), "--config", str(path)]) == 0
+            return json.loads((tmp_path / f"{name}.csv.meta.json").read_text())["config_hash"]
+
+        base = config_hash("base", {})
+        for name, unread in [
+            ("fraction", {"fraction": 0.25}),
+            ("workers", {"workers": 3}),
+            ("geometry", {"segment_len": 64, "truncate_len": 8192}),
+            ("budget", {"sample_size": 7, "mode": "exact"}),
+        ]:
+            assert config_hash(name, unread) == base, name
+        for name, read in [("tau", {"tau": 0.2}), ("order", {"order": 2}), ("k", {"k": 0.5})]:
+            assert config_hash(name, read) != base, name
 
     def test_unknown_backend_rejected(self):
         assert main(["bench", "--backends", "quantum"]) == 2

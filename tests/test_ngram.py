@@ -1,5 +1,6 @@
 """Add-k n-gram model: probabilities, serialization, and its backend."""
 
+import hashlib
 import json
 import math
 
@@ -212,6 +213,15 @@ class TestSerialization:
         bigram.save(a)
         NGramModel.load(a).save(b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_file_bytes_are_pinned(self, tmp_path):
+        # Recorded when the header was written by its own json.dumps call;
+        # the vocabulary's non-ASCII tokens are stored as UTF-8.
+        model = train_ngram([["a", "é", "b", "a", "日本", "b"], ["b", "a", "é"]], order=3, k=0.25)
+        data = saved(model, tmp_path / "model.bin").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == (
+            "8ee921c797561945efa535c97a12ec1b5cc1f3eab9f1e2c3f040c96f42ab6d18"
+        )
 
     def test_loaded_model_scores_bit_identically(self, bigram, tmp_path):
         path = tmp_path / "model.json"

@@ -312,6 +312,21 @@ class TestBuildManifest:
         with pytest.raises(ConfigError):
             build_manifest(reports, (), 0.5, "best")
 
+    @pytest.mark.parametrize(
+        "extra_reports,outcomes,repeated",
+        [
+            ([report("d0", 3.0)], [], "d0"),
+            ([], [DocumentOutcome("d1", "web", "failed", reason="backend")], "d1"),
+            ([], [DocumentOutcome("x", "web", "excluded", reason="too short"),
+                  DocumentOutcome("x", "web", "failed", reason="backend")], "x"),
+        ],
+        ids=["scored twice", "scored and failed", "excluded and failed"],
+    )
+    def test_a_document_on_two_rows_is_refused(self, extra_reports, outcomes, repeated):
+        reports = [report("d0", 1.0), report("d1", 2.0), *extra_reports]
+        with pytest.raises(ConfigError, match=f"'{repeated}' is listed on more than one row"):
+            build_manifest(reports, outcomes, 0.5, "prolong")
+
     def test_mixed_config_hashes_rejected(self):
         reports = [report("d0", 1.0, config_hash="one"), report("d1", 2.0, config_hash="two")]
         with pytest.raises(ConfigError):
