@@ -32,6 +32,10 @@ NEGATIVE_KINDS = ("concat-shorts", "local-markov")
 BACKGROUND_VOCAB = 200
 MIN_LINKS, MAX_LINKS = 4, 12
 
+# The background words by draw, so a draw becomes a word without a
+# per-token format.
+_BACKGROUND_WORDS = np.array([f"w{v:03d}" for v in range(BACKGROUND_VOCAB)], dtype=object)
+
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -67,7 +71,7 @@ class TestSet:
 
 
 def _background(rng: np.random.Generator, n: int) -> list[str]:
-    return [f"w{v:03d}" for v in rng.integers(0, BACKGROUND_VOCAB, size=n)]
+    return _BACKGROUND_WORDS[rng.integers(0, BACKGROUND_VOCAB, size=n)].tolist()
 
 
 def _place_copies(
@@ -214,12 +218,11 @@ def _gen_local_markov(
     sticky = rng.random(size) < 0.6
     steps = rng.integers(1, 4, size=size) * rng.choice((-1, 1), size=size)
     offset = int(rng.integers(0, window))
-    tokens = []
-    for i in range(size):
-        if not sticky[i]:
-            offset = (offset + int(steps[i])) % window
-        tokens.append(f"m{(i * span) // size + offset:04d}")
-    return Document(id=doc_id, source="local-markov", text="", tokens=tuple(tokens))
+    # Token i moves the window offset by steps[i] unless it is sticky.
+    offsets = (offset + np.cumsum(np.where(sticky, 0, steps))) % window
+    words = np.array([f"m{v:04d}" for v in range(span + window)], dtype=object)
+    tokens = words[np.arange(size) * span // size + offsets]
+    return Document(id=doc_id, source="local-markov", text="", tokens=tuple(tokens.tolist()))
 
 
 def repeated_token_document(doc_id: str, n_tokens: int) -> Document:

@@ -37,7 +37,7 @@ import numpy as np
 # ppl_given is not called here; perfbench's tracer times longdep.lds.ppl_given.
 from .backends import PerplexityBackend, cached_unconditional, pair_failed, ppl_from_sum, ppl_given
 from .corpus import SegmentGrid
-from .errors import BackendError, BackendUnreachable, ConfigError
+from .errors import BackendError, BackendUnreachable, ConfigError, ScoringError
 from .jsonio import Columns, fingerprint
 
 DSP_VARIANTS = ("multiplicative", "additive", "none")
@@ -263,9 +263,12 @@ def _accumulate(
     if missing.any():
         raise ValueError(f"target {targets[missing.argmax()]} has no dsp row")
     ddi_values = (targets - sources) / (n_segments - 1)
-    pairwise = lds_pair(dst_values, ddi_values, dsp_values, cfg)
     gated = dst_values > cfg.tau
-    lds = np.add.accumulate(np.concatenate(([0.0], pairwise[gated])))[-1]
+    # Large weights can overflow a pairwise value or the sum. The result
+    # is then inf or nan, which the callers refuse, so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairwise = lds_pair(dst_values, ddi_values, dsp_values, cfg)
+        lds = np.add.accumulate(np.concatenate(([0.0], pairwise[gated])))[-1]
     return ddi_values, dsp_values, pairwise, gated, float(lds)
 
 
@@ -452,7 +455,8 @@ def score_document(
     runs per row, and only the targets' unconditional perplexities are
     asked for. keep_pairs=True fills the report's pair columns and builds
     no ``PairScore``; keep_pairs=False leaves them None. The accumulated
-    score is the same either way.
+    score is the same either way. A score that is not finite, as weights
+    large enough to overflow give, raises ScoringError.
     """
     n = grid.n_segments
     if cfg.mode == "exact":
@@ -473,6 +477,8 @@ def score_document(
     dsp_values = np.array([dsp(dst_list[a:b]) for a, b in zip(bounds, bounds[1:])])
     columns = PairColumns(targets, sources, dst_values, targets[starts], dsp_values)
     *_, gated, total = _accumulate(columns, n, cfg)
+    if not math.isfinite(total):
+        raise ScoringError(f"document {grid.doc_id!r} scores {total}, which is not finite")
     return ScoreReport(
         doc_id=grid.doc_id,
         n_segments=n,

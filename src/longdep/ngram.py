@@ -33,10 +33,11 @@ each as ``entries`` little-endian int64 values. Identical input gives a
 byte-identical file. Version 1 files (nested JSON counts) are refused
 with a request to retrain.
 
-Scoring reads arrays built once per model: the natural log-probability
-of every entry, in key order; one log-probability per history id for
-tokens that history never preceded; and, indexed by token id, the entry
-and log-probability of each token after the empty history. They are
+Scoring reads arrays built once per model, on first use: the natural
+log-probability of every entry, in key order; one log-probability per
+history id for tokens that history never preceded; and, indexed by token
+id, the entry and log-probability of each token after the empty
+history. Training never builds them. They are
 computed with ``math.log`` over the same float operations as the formula
 above, so a score does not depend on how the model was stored. A
 sequence is scored by walking it: each position's history id extends
@@ -46,9 +47,10 @@ entry keys.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -157,8 +159,9 @@ class NGramModel:
 
     ``vocab`` lists the token types in id order; ``keys`` (ascending)
     and ``counts`` are the int64 entry arrays described in the module
-    docstring. The scoring tables are built here, so a model is ready to
-    score however it was made.
+    docstring. The scoring tables are built on first use, so a model
+    that is only trained and saved never builds them; ``load`` builds
+    them at once, so a bad file fails there.
     """
 
     def __init__(
@@ -177,7 +180,10 @@ class NGramModel:
         self.vocab: tuple[Token, ...] = tuple(vocab)
         self.keys = keys
         self.counts = counts
-        self._tables = _Tables(self)
+
+    @functools.cached_property
+    def _tables(self) -> _Tables:
+        return _Tables(self)
 
     def _to_ids(self, tokens: Iterable[Token]) -> np.ndarray:
         tables = self._tables
@@ -306,7 +312,9 @@ class NGramModel:
     @classmethod
     def load(cls, path: str | Path) -> "NGramModel":
         """Read a version 2 model file; anything else raises ConfigError."""
-        return cls(*_read_model_file(path))
+        model = cls(*_read_model_file(path))
+        model._tables  # built here, so entries that spell no history fail at load
+        return model
 
 
 def _read_model_file(path: str | Path) -> tuple:
@@ -377,22 +385,24 @@ def train_ngram(
     """Train an add-k model from a document stream (or raw token
     sequences). Fatal on an empty corpus."""
     check_order_and_k(order, k)
-    first_seen: dict[Token, int] = {}
-    intern = first_seen.setdefault
+    # Provisional ids, one per distinct token: each document's new tokens
+    # are numbered in set order. Only the sorted vocabulary's ids reach
+    # the model, so that order never shows in it.
+    index: dict[Token, int] = {}
     sequences = []
     for item in corpus:
         tokens = item.tokens if isinstance(item, Document) else item
         if tokens is None:
             raise ValueError("documents must be tokenized before training")
         if len(tokens):
-            sequences.append(
-                np.array([intern(tok, len(first_seen)) for tok in tokens], dtype=np.int64)
-            )
+            new = dict.fromkeys(tokens).keys() - index.keys()
+            index.update(zip(new, count(len(index))))
+            sequences.append(np.fromiter(map(index.__getitem__, tokens), np.int64, len(tokens)))
     if not sequences:
         raise ConfigError("cannot train an n-gram model on an empty corpus")
-    vocab = sorted(first_seen, key=_token_sort_key)
+    vocab = sorted(index, key=_token_sort_key)
     rank = np.empty(len(vocab), dtype=np.int64)
-    rank[[first_seen[tok] for tok in vocab]] = np.arange(len(vocab))
+    rank[[index[tok] for tok in vocab]] = np.arange(len(vocab))
     ids = rank[np.concatenate(sequences)]
     lengths = [len(seq) for seq in sequences]
     doc_end = np.repeat(np.cumsum(lengths), lengths)
@@ -408,8 +418,10 @@ def train_ngram(
         inside = starts + level < doc_end[starts]
         starts, hist = starts[inside], hist[inside]
         window = hist * width + ids[starts + level]
-        level_keys, level_counts = np.unique(window, return_counts=True)
-        hist = n_entries + 1 + np.searchsorted(level_keys, window)
+        level_keys, which, level_counts = np.unique(
+            window, return_inverse=True, return_counts=True
+        )
+        hist = n_entries + 1 + which
         keys.append(level_keys)
         counts.append(level_counts.astype(np.int64))
         n_entries += len(level_keys)

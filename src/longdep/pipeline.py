@@ -83,7 +83,7 @@ def _score_one(
     keep_pairs: bool,
 ) -> DocumentOutcome:
     try:
-        grid = segment(tokenize(doc, tokenizer), cfg.segment_len, cfg.truncate_len)
+        grid = segment(tokenize(doc, tokenizer, cfg.truncate_len), cfg.segment_len, cfg.truncate_len)
         report = score_document(backend, grid, cfg, keep_pairs=keep_pairs)
     except DocumentTooShort as exc:
         return DocumentOutcome(doc.id, doc.source, "excluded", reason=str(exc))
@@ -103,7 +103,7 @@ def score_corpus(
 ) -> Iterator[DocumentOutcome]:
     """Score a document stream, yielding one outcome per document in
     input order; a document without tokens is tokenized first, by the
-    ``tokenizer`` kind.
+    ``tokenizer`` kind, as far as its first ``cfg.truncate_len`` tokens.
 
     A document that is too short, or empty, is excluded; a document whose
     scoring fails is marked failed; both leave the run alive. Only an

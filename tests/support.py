@@ -23,7 +23,7 @@ from itertools import islice, repeat
 import numpy as np
 
 from longdep.backends import PerplexityBackend, ppl, ppl_given
-from longdep.bench import accuracy_at_k
+from longdep.bench import SynthSpec, accuracy_at_k
 from longdep.config import REFERENCE_PROFILE, resolve_config
 from longdep.corpus import Document, SegmentGrid, segment
 from longdep.errors import BackendError, DocumentTooShort
@@ -43,6 +43,25 @@ from longdep.lds import (
 )
 from longdep.ngram import NGramModel, train_ngram
 from longdep.pipeline import DocumentOutcome, build_manifest, retained_ids
+
+# A generated corpus above smoke size, with all four kinds and documents
+# drawn from the shorts pool; the sha256 of its JSONL lines
+# (``corpus_lines``), and of the order-3, k=0.01 model trained on it.
+# Both were recorded while the generator and the trainer still made each
+# token in a Python loop.
+PINNED_SPEC = SynthSpec(n_positive=4, n_negative=4, n_segments=64)
+PINNED_CORPUS_SHA256 = "92048cbe3fa26ec02a8e9c2cfbaae4533fa7516e2e1c0f99c309f49a22623573"
+PINNED_MODEL_SHA256 = "2f43e361c95d08324f67c40863886e9cd2499c2e109c19ac18504054646bc375"
+
+
+def corpus_lines(docs) -> list[bytes]:
+    """Generated documents as JSONL lines, each token joined by a space:
+    the form the benchmark writes its corpora in."""
+    return [
+        json.dumps({"id": d.id, "source": d.source, "text": " ".join(d.tokens)},
+                   sort_keys=True, ensure_ascii=False).encode("utf-8")
+        for d in docs
+    ]
 
 
 # -- test doubles ----------------------------------------------------------

@@ -1,11 +1,18 @@
 """Synthetic labeled corpus, oracle calibration, and the bench harness."""
 
+import hashlib
 import shlex
 import sys
 from pathlib import Path
 
 import pytest
-from support import process_alive
+from support import (
+    PINNED_CORPUS_SHA256,
+    PINNED_MODEL_SHA256,
+    PINNED_SPEC,
+    corpus_lines,
+    process_alive,
+)
 
 from longdep.backends import ExternalBackend
 from longdep.bench import (
@@ -103,6 +110,24 @@ class TestGenerateTestset:
         for (bigram, head) in tiny_testset.links:
             assert len(bigram) == 2
             assert isinstance(head, str)
+
+
+class TestPinnedBytes:
+    @pytest.fixture(scope="class")
+    def pinned_testset(self):
+        return generate_testset(PINNED_SPEC)
+
+    def test_every_kind_is_pinned(self, pinned_testset):
+        assert {d.source for d in pinned_testset.docs} == {*POSITIVE_KINDS, *NEGATIVE_KINDS}
+
+    def test_corpus_bytes_are_pinned(self, pinned_testset):
+        lines = b"".join(line + b"\n" for line in corpus_lines(pinned_testset.docs))
+        assert hashlib.sha256(lines).hexdigest() == PINNED_CORPUS_SHA256
+
+    def test_model_bytes_are_pinned(self, pinned_testset, tmp_path):
+        train_ngram(pinned_testset.docs, order=3, k=0.01).save(tmp_path / "model.bin")
+        digest = hashlib.sha256((tmp_path / "model.bin").read_bytes()).hexdigest()
+        assert digest == PINNED_MODEL_SHA256
 
 
 class TestOracleBackend:

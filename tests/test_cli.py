@@ -18,9 +18,18 @@ from pathlib import Path
 
 import pytest
 from scripted_scorer import TcpScorer
-from support import DyingScorer, fill_disk_after, pair_columns, process_alive
+from support import (
+    PINNED_MODEL_SHA256,
+    PINNED_SPEC,
+    DyingScorer,
+    corpus_lines,
+    fill_disk_after,
+    pair_columns,
+    process_alive,
+)
 
 from longdep.backends import ExternalBackend
+from longdep.bench import generate_testset
 from longdep.cli import build_parser, main
 from longdep.config import resolve_config
 from longdep.corpus import ingest
@@ -370,6 +379,25 @@ class TestTrainNgram:
         assert NGramModel.load(out).order == 2
         assert sorted(os.listdir(tmp_path)) == ["corpus.jsonl", "model.json"]
 
+    def test_model_bytes_follow_neither_hash_seed_nor_document_order(self, tmp_path):
+        # Training numbers each document's new tokens in set order, which
+        # moves with PYTHONHASHSEED; the model file must not.
+        lines = corpus_lines(generate_testset(PINNED_SPEC).docs)
+        forward = write_lines(tmp_path / "forward.jsonl", lines)
+        backward = write_lines(tmp_path / "backward.jsonl", lines[::-1])
+        digests = set()
+        for hash_seed, corpus in (("1", forward), ("2", forward), ("1", backward)):
+            out = tmp_path / "model.bin"
+            cmd = [
+                sys.executable, "-m", "longdep.cli", "train-ngram", "--input", corpus,
+                "--out", str(out), "--order", "3", "--k", "0.01",
+            ]
+            env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": hash_seed}
+            done = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+            assert done.returncode == 0, done.stderr
+            digests.add(hashlib.sha256(out.read_bytes()).hexdigest())
+        assert digests == {PINNED_MODEL_SHA256}
+
 
 class TestScore:
     def test_scores_corpus_and_reports_outcomes(self, corpus, model, tmp_path, capsys):
@@ -385,6 +413,19 @@ class TestScore:
         assert all(r["mode"] == "exact" for r in scored)
         assert len({r["config_hash"] for r in scored}) == 1
         assert "scored=8 excluded=1" in capsys.readouterr().out
+
+    def test_a_score_that_is_not_finite_fails_its_document(self, corpus, model, tmp_path):
+        # Eight segments under alpha=1e308: the gated pairwise values
+        # add up past the largest float.
+        out_dir = tmp_path / "out"
+        extra = ["--segment-len", "3", "--truncate-len", "24", "--alpha", "1e308",
+                 "--dsp-variant", "none"]
+        assert run_score(corpus, model, out_dir, extra) == 4
+        text = (out_dir / "reports.jsonl").read_text()
+        assert "Infinity" not in text
+        rows = [json.loads(line) for line in text.splitlines()]
+        reasons = {row["status"]: row["reason"] for row in rows if row["doc_id"] != "tiny"}
+        assert list(reasons) == ["failed"] and reasons["failed"].endswith("which is not finite")
 
     def test_rerun_is_byte_identical(self, corpus, model, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

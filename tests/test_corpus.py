@@ -56,6 +56,24 @@ class TestTokenizer:
         with pytest.raises(ValueError, match="tokenizer must be one of"):
             tokenize(Document(id="a", source="s", text="one two"), "sentencepiece")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a  b\tc\nd e", "  lead and trail  \n", "hé ll ö\u3000日本 x", "  one-blob  ",
+            "ab", "",
+        ],
+    )
+    @pytest.mark.parametrize("kind", ["whitespace", "byte"])
+    def test_a_limit_keeps_the_first_tokens(self, text, kind):
+        doc = Document(id="d", source="s", text=text)
+        full = tokenize(doc, kind).tokens
+        for limit in range(2, len(full) + 3):
+            assert tokenize(doc, kind, limit).tokens == full[:limit]
+
+    def test_a_limit_below_two_is_refused(self):
+        with pytest.raises(ValueError, match="limit must be at least 2"):
+            tokenize(Document(id="d", source="s", text="a b c"), "whitespace", 1)
+
 
 class TestSegment:
     def _doc(self, n_tokens):

@@ -20,7 +20,7 @@ import numpy as np
 
 from longdep.cli import main
 from longdep.corpus import SegmentGrid
-from longdep.errors import ConfigError
+from longdep.errors import ConfigError, ScoringError
 from longdep.heatmap import render_heatmap
 from longdep.ngram import NGramBackend, train_ngram
 from longdep.jsonio import canonical_dumps, read_json, write_canonical
@@ -427,6 +427,24 @@ class TestReportSerialization:
         assert pairs == [[p.target, p.source, p.dst] for p in report.pairs]
         assert [(t, s) for t, s, _ in pairs] == [(1, 0), (2, 0), (2, 1)]
         assert dsp_rows == [[1, report.pairs[0].dsp], [2, report.pairs[1].dsp]]
+
+
+def test_a_score_that_is_not_finite_is_refused():
+    # Eight single-token segments; after source j every target has
+    # perplexity 1 + j instead of 8. Under weights of 1e308 the pairwise
+    # values, or their sum, overflow.
+    segments = tuple((f"s{i}",) for i in range(8))
+    table = {(seg, None): 8.0 for seg in segments}
+    table.update(
+        {(t, s): 1.0 + j for i, t in enumerate(segments) for j, s in enumerate(segments[:i])}
+    )
+    grid = SegmentGrid(doc_id="big", segment_len=1, segments=segments)
+    for dsp_variant in DSP_VARIANTS:
+        cfg = LdsConfig(segment_len=1, truncate_len=8, mode="exact", dsp_variant=dsp_variant)
+        assert math.isfinite(score_document(ScriptedBackend(table), grid, cfg).lds)
+        huge = cfg.replace(alpha=1e308, beta=1e308, gamma=1e308)
+        with pytest.raises(ScoringError, match="'big' scores .*, which is not finite"):
+            score_document(ScriptedBackend(table), grid, huge)
 
 
 class ShapedBackend(HashBackend):

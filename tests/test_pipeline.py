@@ -70,6 +70,42 @@ def cli_score(corpus_and_model, out_dir, workers):
     )
 
 
+def letters(n):
+    return "".join("abcdefghijklm"[j % 13] for j in range(n))
+
+
+# A text of n tokens for each tokenizer path, and the tokenizer kind.
+TEXT_OF_N_TOKENS = {
+    "whitespace": (lambda n: " ".join(f"w{j % 13}" for j in range(n)), "whitespace"),
+    "byte": (letters, "byte"),
+    "byte fallback": (lambda n: f"  {letters(n)}\n", "whitespace"),
+}
+
+
+@pytest.mark.parametrize("path", sorted(TEXT_OF_N_TOKENS))
+def test_a_long_document_is_tokenized_only_to_truncate_len(path, monkeypatch):
+    # A document of 10 x truncate_len tokens scores the same row as its
+    # first truncate_len tokens, and no more than those are made.
+    made = []
+
+    def counting_tokenize(*args):
+        doc = tokenize(*args)
+        made.append(len(doc.tokens))
+        return doc
+
+    monkeypatch.setattr("longdep.pipeline.tokenize", counting_tokenize)
+    cfg = LdsConfig(segment_len=4, truncate_len=32, mode="sampled", sample_size=20)
+    text_of, tokenizer = TEXT_OF_N_TOKENS[path]
+    rows = []
+    for n in (10 * cfg.truncate_len, cfg.truncate_len):
+        doc = Document(id="long", source="web", text=text_of(n))
+        (outcome,) = score_corpus([doc], HashBackend(), cfg, tokenizer=tokenizer)
+        rows.append(outcome.to_row())
+    assert rows[0] == rows[1]
+    assert rows[0]["status"] == "scored"
+    assert made == [cfg.truncate_len, cfg.truncate_len]
+
+
 class TestScoreCorpus:
     def test_outcomes_in_input_order(self):
         docs = make_docs(9)
