@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Protocol, Sequence
 import numpy as np
 
 from .corpus import SegmentGrid, Token, detokenize
-from .errors import BackendError, BackendUnreachable, ScoringError
+from .errors import BackendError, BackendUnreachable, LongdepError, ScoringError
 
 
 class PerplexityBackend(Protocol):
@@ -35,7 +35,7 @@ class PerplexityBackend(Protocol):
     Optional calls, looked up with ``getattr``: ``close`` and
     ``score_pairs(segments, targets, sources)``, an iterable of the
     ``score(segments[t], segments[s])`` of each (t, s) pair, in order; a
-    pair that fails raises ``pair_failed`` when its result is taken."""
+    pair that fails raises its ``failed_at`` when its result is taken."""
 
     def score(
         self, target: Sequence[Token], context: Sequence[Token] | None = None
@@ -56,13 +56,14 @@ def ppl_from_sum(logprob_sum: float, token_count: int) -> float:
     return value
 
 
-def pair_failed(target: int, source: int, exc: BackendError) -> BackendError:
-    """``exc`` as the failure of conditional pair (target, source)."""
-    return BackendError(
-        f"conditional scoring failed at pair ({target}, {source}): {exc}",
-        retriable=exc.retriable,
-        segment_index=int(target),
-    )
+def failed_at(exc: LongdepError, target: int, source: int | None = None) -> LongdepError:
+    """``exc``, a BackendError or ScoringError, as one of the same class
+    that names where it happened: pair (target, source), or segment
+    ``target`` scored alone if ``source`` is None. Callers let
+    BackendUnreachable pass unwrapped."""
+    where = (f"conditional scoring failed at pair ({target}, {source})" if source is not None
+             else f"unconditional scoring failed at segment {target}")
+    return (ScoringError if isinstance(exc, ScoringError) else BackendError)(f"{where}: {exc}")
 
 
 def ppl(backend: PerplexityBackend, target: Sequence[Token]) -> float:
@@ -114,7 +115,7 @@ def cached_unconditional(
     """Unconditional perplexity of each segment of ``grid`` that
     ``targets`` names, in order, at most one backend call per distinct
     segment content. Nothing is kept across calls, so memory does not
-    grow with the corpus. Backend failures carry the segment index."""
+    grow with the corpus. A failure names its segment (``failed_at``)."""
     cache = PplCache()
     values: list[float] = []
     for idx in targets:
@@ -125,12 +126,8 @@ def cached_unconditional(
                 value = ppl(backend, seg)
             except BackendUnreachable:
                 raise
-            except BackendError as exc:
-                raise BackendError(
-                    f"unconditional scoring failed at segment {idx}: {exc}",
-                    retriable=exc.retriable,
-                    segment_index=idx,
-                ) from exc
+            except (BackendError, ScoringError) as exc:
+                raise failed_at(exc, idx) from exc
             cache.store(seg, value)
         values.append(value)
     return values
@@ -170,15 +167,6 @@ _REQUEST = b'{"req_id": "%d", "target": %s, "context": %s}\n'
 ScoreResult = tuple[float, int] | BackendError
 
 
-class _ShortRead(Exception):
-    """The stream failed before every answer of a window was read;
-    ``lines`` holds the answers read until then."""
-
-    def __init__(self, message: str, lines: list[str]):
-        super().__init__(message)
-        self.lines = lines
-
-
 class _Connection:
     """One open stream to the scorer: it is read from file descriptor
     ``rfd`` and written to ``wfd`` (the same one for a socket), neither
@@ -196,13 +184,14 @@ class _Connection:
         self._buffer = bytearray()
         self._poll = select.poll()
 
-    def round_trip(self, requests: list[bytes]) -> list[str]:
+    def round_trip(self, requests: list[bytes]) -> tuple[list[str], BackendError | None]:
         """Write the request lines while reading answer lines, until
-        every line is out and one answer per request is in; the answers,
-        in arrival order. A failed write ends the writing, but the
-        answers already on their way are still read. Raises _ShortRead
-        if the stream fails or ends first, or if it neither takes nor
-        gives a byte for ``timeout`` seconds."""
+        every line is out and one answer per request is in. Returns the
+        answers read, in arrival order, and the failure that cut them
+        short, if any: the stream failed or ended first, or it neither
+        took nor gave a byte for ``timeout`` seconds. A failed write ends
+        the writing, but the answers already on their way are still
+        read."""
         failure = None
         have = self._buffer.count(b"\n")
         expected = len(requests)
@@ -248,11 +237,8 @@ class _Connection:
         except OSError as exc:
             failure = failure or f"transport failure: {exc}"
         lines = self._take(min(have, len(requests)))
-        if lines:
-            self.answered = True
-        if failure is not None:
-            raise _ShortRead(failure, lines)
-        return lines
+        self.answered = self.answered or bool(lines)
+        return lines, BackendError(failure) if failure else None
 
     def _watch(self, read: bool, write: bool) -> None:
         """Poll for answers to read if ``read``, and for room to write if
@@ -277,11 +263,13 @@ class _Connection:
 
 
 class _TcpConnection(_Connection):
-    def __init__(self, host: str, port: int, timeout: float):
+    """A socket to ``address``, (host, port), which messages call ``name``."""
+
+    def __init__(self, address: tuple[str, int], name: str, timeout: float):
         try:
-            self.sock = socket.create_connection((host, port), timeout=timeout)
+            self.sock = socket.create_connection(address, timeout=timeout)
         except OSError as exc:
-            raise BackendError(f"connect to {host}:{port} failed: {exc}", retriable=True) from exc
+            raise BackendError(f"connect to {name} failed: {exc}") from exc
         super().__init__(timeout, self.sock.fileno(), self.sock.fileno())
 
     def close(self) -> None:
@@ -305,7 +293,7 @@ class _StdioConnection(_Connection):
                 start_new_session=True,
             )
         except OSError as exc:
-            raise BackendError(f"spawn {command!r} failed: {exc}", retriable=True) from exc
+            raise BackendError(f"spawn {command!r} failed: {exc}") from exc
         super().__init__(timeout, self.proc.stdout.fileno(), self.proc.stdin.fileno())
 
     def _check_open(self) -> None:
@@ -345,12 +333,13 @@ def _json_text(tokens: Sequence[Token]) -> bytes:
 class ExternalBackend:
     """Client for an external perplexity scorer.
 
-    Endpoints: ``tcp://host:port`` (one socket) or ``stdio://command``
-    (one child process). The connection opens on first use or in
-    ``connect_check``, and calls from several threads take turns on it.
-    Segments are detokenized to text before shipping; the scorer
-    re-tokenizes with its own vocabulary. Context and target are sent as
-    separate fields, so any separator policy is the scorer's own.
+    Endpoints: ``tcp://host:port``, or ``tcp://[addr]:port`` for an IPv6
+    address (one socket), or ``stdio://command`` (one child process). The
+    connection opens on first use or in ``connect_check``, and calls from
+    several threads take turns on it. Segments are detokenized to text
+    before shipping; the scorer re-tokenizes with its own vocabulary.
+    Context and target are sent as separate fields, so any separator
+    policy is the scorer's own.
 
     ``score_pairs`` sends a document's unconditional requests, one per
     distinct target segment, and then its pairs, in windows of up to
@@ -361,9 +350,10 @@ class ExternalBackend:
     take and answer them at any pace and no window size can deadlock;
     the stream may go at most ``timeout`` seconds without taking or
     giving a byte. The answers are checked and matched to their requests
-    in one pass. An error answer from the scorer fails its own request
-    only and is not retried: ``score`` raises it, and ``score_pairs`` raises
-    it as ``pair_failed`` when that pair's result is taken. Failed
+    in one pass. An error or malformed answer from the scorer fails its
+    own request only and is not resent: ``score`` raises it, and
+    ``score_pairs`` raises it, named by ``failed_at``, when that pair's
+    result is taken. Failed
     connects, transport failures, timeouts, undecodable lines and
     unknown ``req_id``s drop the connection, and the requests still
     unanswered are resent on a fresh one, up to ``retries`` times. A
@@ -385,12 +375,16 @@ class ExternalBackend:
             self._open = functools.partial(_StdioConnection, endpoint[len("stdio://"):])
         else:
             addr = endpoint[len("tcp://"):] if endpoint.startswith("tcp://") else endpoint
-            host, _, port = addr.rpartition(":")
-            if not (host and port.isascii() and port.isdigit() and 1 <= int(port) <= 65535):
+            shown, _, port = addr.rpartition(":")
+            # An IPv6 address comes in one pair of brackets: [::1]:port.
+            host = shown[1:-1] if shown[:1] == "[" and shown[-1:] == "]" else shown
+            if not (host and "[" not in host and "]" not in host
+                    and port.isascii() and port.isdigit() and 1 <= int(port) <= 65535):
                 raise BackendError(
                     f"bad endpoint {endpoint!r}; expected tcp://host:port, port 1-65535"
                 )
-            self._open = functools.partial(_TcpConnection, host, int(port))
+            port = int(port)
+            self._open = functools.partial(_TcpConnection, (host, port), f"{shown}:{port}")
         # The open connection, or None. Used and replaced only under the
         # lock, so two callers never share its stream.
         self._conn: _Connection | None = None
@@ -457,7 +451,7 @@ class ExternalBackend:
 
         Then the pairs are sent in windows, and a window goes out only
         when its first result is taken. A pair the scorer answers with an
-        error raises ``pair_failed`` when its result is taken;
+        error raises its ``failed_at`` when its result is taken;
         BackendUnreachable is raised as it is.
         """
         if not all(segments):
@@ -484,7 +478,7 @@ class ExternalBackend:
     def _pair_windows(self, texts, targets, sources) -> Iterator[list[tuple[float, int]]]:
         """The results of each window of pairs. A window is sent when
         this is advanced to it; one with a failed pair yields the results
-        before it and then raises that pair's ``pair_failed``."""
+        before it and then raises that pair's ``failed_at``."""
         done = 0
         parts = zip(map(texts.__getitem__, targets), map(texts.__getitem__, sources))
         for ids, lines in _windows(parts):
@@ -493,7 +487,7 @@ class ExternalBackend:
             if failed:
                 i = failed[0]
                 yield results[:i]
-                raise pair_failed(targets[done + i], sources[done + i], results[i]) from results[i]
+                raise failed_at(results[i], targets[done + i], sources[done + i]) from results[i]
             yield results
             done += len(results)
 
@@ -515,11 +509,7 @@ class ExternalBackend:
                 except BackendError as exc:
                     last_error = exc
                     continue
-                failure: BackendError | None = None
-                try:
-                    answers = conn.round_trip([lines[i] for i in pending.values()])
-                except _ShortRead as exc:
-                    answers, failure = exc.lines, BackendError(str(exc), retriable=True)
+                answers, failure = conn.round_trip([lines[i] for i in pending.values()])
                 reached = reached or conn.answered
                 for line, payload in zip(answers, _decoded(answers)):
                     req_id = payload.get("req_id") if type(payload) is dict else None
@@ -528,22 +518,17 @@ class ExternalBackend:
                         # Not JSON, or answers no request in flight.
                         failure = BackendError(
                             f"bad response line: {line!r}" if payload is _UNDECODABLE
-                            else f"response req_id {req_id!r} matches no request in flight",
-                            retriable=True,
+                            else f"response req_id {req_id!r} matches no request in flight"
                         )
                     elif "error" in payload:
-                        results[i] = BackendError(
-                            f"scorer error: {payload['error']}", retriable=False
-                        )
+                        results[i] = BackendError(f"scorer error: {payload['error']}")
                     else:
                         logprob_sum = payload.get("logprob_sum")
                         token_count = payload.get("token_count")
                         if type(logprob_sum) in (int, float) and type(token_count) is int:
                             results[i] = (float(logprob_sum), token_count)
                         else:
-                            results[i] = BackendError(
-                                f"malformed response: {line!r}", retriable=False
-                            )
+                            results[i] = BackendError(f"malformed response: {line!r}")
                 if failure is not None:
                     # The stream may be out of step with our requests.
                     self._drop()

@@ -18,26 +18,14 @@ class DocumentTooShort(LongdepError):
 
 
 class BackendError(LongdepError):
-    """A perplexity backend call failed.
-
-    ``retriable`` distinguishes transient transport faults (worth retrying)
-    from scorer-reported request errors (not worth retrying).
-    """
-
-    def __init__(self, message: str, *, retriable: bool = False, segment_index: int | None = None):
-        self.retriable = retriable
-        self.segment_index = segment_index
-        super().__init__(message)
+    """A perplexity backend call failed. The external client resends a
+    request after a fault of the stream, never after the scorer's own
+    error or malformed answer (see ``ExternalBackend``)."""
 
 
 class BackendUnreachable(BackendError):
-    """The external scorer could not be reached: no connection opened, or
-    none answered, on any attempt of a call. A transport fault, so
-    ``retriable`` is true, but it stops a run instead of failing one
-    document."""
-
-    def __init__(self, message: str):
-        super().__init__(message, retriable=True)
+    """No attempt of a call opened a connection to the external scorer, or
+    none was answered; it stops a run instead of failing one document."""
 
 
 class ScoringError(LongdepError):

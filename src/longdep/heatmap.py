@@ -17,6 +17,8 @@ Color scales:
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .jsonio import Columns, ensure_parent, open_atomic
@@ -62,9 +64,9 @@ def render_heatmap(
     cell of the N x N matrix of ``value``. The CSV holds (i, j, value)
     rows, target-major, with floats written by repr, so parsing it
     reproduces the values exactly. Both carry the report's config hash.
-    A report without pairs raises ValueError, and so do a pair outside
-    the grid, a target without a dsp row (through ``_accumulate``) and a
-    value that is not finite.
+    A report without pairs raises ValueError, and so do two paths that
+    name one file, a pair outside the grid, a target without a dsp row
+    (through ``_accumulate``) and a value that is not finite.
 
     The files are written in ``select``'s order: the image's .partial is
     written and closed, the CSV is written and replaced, and only then
@@ -76,6 +78,8 @@ def render_heatmap(
         raise ValueError(f"value must be one of {VALUES}, got {value!r}")
     if cell_size < 1:
         raise ValueError("cell_size must be >= 1")
+    if os.path.realpath(image_path) == os.path.realpath(csv_path):
+        raise ValueError(f"the image and the CSV need two files, but both are {csv_path!r}")
     columns = report.columns
     if columns is None or not len(columns.targets):
         raise ValueError(f"report {report.doc_id!r} holds no pairs; nothing to render")

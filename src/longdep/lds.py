@@ -30,12 +30,12 @@ import hashlib
 import math
 from dataclasses import dataclass, field, fields, replace
 from itertools import starmap
-from typing import Iterator, NamedTuple, Sequence, get_type_hints
+from typing import Callable, Iterator, NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
 # ppl_given is not called here; perfbench's tracer times longdep.lds.ppl_given.
-from .backends import PerplexityBackend, cached_unconditional, pair_failed, ppl_from_sum, ppl_given
+from .backends import PerplexityBackend, cached_unconditional, failed_at, ppl_from_sum, ppl_given
 from .corpus import SegmentGrid
 from .errors import BackendError, BackendUnreachable, ConfigError, ScoringError
 from .jsonio import Columns, fingerprint
@@ -415,29 +415,43 @@ def report_from_sidecar(data: dict) -> ScoreReport:
 def _one_at_a_time(backend: PerplexityBackend, segments, targets, sources) -> Iterator:
     """``score_pairs`` for a backend with only ``score``: each pair is
     scored when its result is taken, and a failing one raises
-    ``pair_failed``; BackendUnreachable is raised as it is."""
+    its ``failed_at``; BackendUnreachable is raised as it is."""
     for target, source in zip(targets, sources):
         try:
             yield backend.score(segments[target], segments[source])
         except BackendUnreachable:
             raise
         except BackendError as exc:
-            raise pair_failed(target, source, exc) from exc
+            raise failed_at(exc, target, source) from exc
 
 
 def _conditional(
     backend: PerplexityBackend, grid: SegmentGrid, targets: np.ndarray, sources: np.ndarray
-) -> Iterator[float]:
+) -> Callable[[], np.ndarray]:
     """Conditional perplexity of each pair (``targets[i]``, ``sources[i]``).
 
     The backend's ``score_pairs``, or ``_one_at_a_time`` for a backend
     with only ``score``, is called here, before any unconditional value
-    is read. Each (sum, count) it returns becomes a perplexity when it
-    is taken, so a lazy batch (an external scorer's windows, or one
-    pair at a time) is scored no further than the document gets.
+    is read; the function returned takes its results as an array. Each
+    (sum, count) becomes a perplexity when it is taken, so a lazy batch
+    (an external scorer's windows, or one pair at a time) is scored no
+    further than the document gets. A ScoringError is raised as its
+    pair's ``failed_at``.
     """
     batch = getattr(backend, "score_pairs", None) or functools.partial(_one_at_a_time, backend)
-    return starmap(ppl_from_sum, batch(grid.segments, targets, sources))
+    results = batch(grid.segments, targets, sources)
+
+    def values() -> np.ndarray:
+        taken: list[float] = []
+        try:
+            # extend keeps the values taken before an error, so the failing
+            # pair is found with no step per pair.
+            taken.extend(starmap(ppl_from_sum, results))
+        except ScoringError as exc:
+            raise failed_at(exc, targets[len(taken)], sources[len(taken)]) from exc
+        return np.fromiter(taken, dtype=float, count=len(targets))
+
+    return values
 
 
 def score_document(
@@ -469,9 +483,7 @@ def score_document(
     per_segment = np.empty(n)
     per_segment[rows] = cached_unconditional(backend, grid, rows)
     unconditional = per_segment[targets]
-    dst_values = (
-        unconditional - np.fromiter(conditional, dtype=float, count=len(targets))
-    ) / unconditional
+    dst_values = (unconditional - conditional()) / unconditional
     dst_list = dst_values.tolist()
     bounds = [*starts.tolist(), len(dst_list)]
     dsp_values = np.array([dsp(dst_list[a:b]) for a, b in zip(bounds, bounds[1:])])

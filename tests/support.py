@@ -136,14 +136,13 @@ class FailingBackend:
     """Delegates to an inner backend but fails whenever a poison token
     appears in the target; drives the pipeline's failed-document path."""
 
-    def __init__(self, inner, poison: str = "BOOM", retriable: bool = False):
+    def __init__(self, inner, poison: str = "BOOM"):
         self.inner = inner
         self.poison = poison
-        self.retriable = retriable
 
     def score(self, target, context=None):
         if self.poison in target:
-            raise BackendError("poisoned segment", retriable=self.retriable)
+            raise BackendError("poisoned segment")
         return self.inner.score(target, context)
 
 

@@ -124,13 +124,13 @@ class TestPplCache:
         class Poison:
             def score(self, target, context=None):
                 if "bad" in target:
-                    raise BackendError("refused", retriable=False)
+                    raise BackendError("refused")
                 return -1.0 * len(target), len(target)
 
         grid = _grid("d", [("a", "b"), ("bad", "x")])
         with pytest.raises(BackendError) as info:
             cached_unconditional(Poison(), grid, [0, 1])
-        assert info.value.segment_index == 1
+        assert str(info.value) == "unconditional scoring failed at segment 1: refused"
         assert cached_unconditional(Poison(), grid, [0]) == [ppl(Poison(), ("a", "b"))]
 
 
@@ -185,32 +185,29 @@ class TestExternalStdio:
             backend.close()
 
     def test_error_response_is_not_retriable(self, tmp_path):
-        body = """\
-    out = {"req_id": req["req_id"], "error": "no such model"}
-    sys.stdout.write(json.dumps(out) + "\\n")
-    sys.stdout.flush()
-"""
-        backend = ExternalBackend(_stub(tmp_path, body))
+        endpoint, log = _answering_stub(
+            tmp_path, 'json.dumps({"req_id": req["req_id"], "error": "no such model"})'
+        )
+        backend = ExternalBackend(endpoint)
         try:
-            with pytest.raises(BackendError) as info:
+            with pytest.raises(BackendError, match="scorer error: no such model"):
                 backend.score(("x",))
-            assert info.value.retriable is False
         finally:
             backend.close()
+        # One scorer process, which got the request once.
+        assert _targets_by_process(log) == [["x"]]
 
     def test_malformed_fields_are_not_retriable(self, tmp_path):
-        body = """\
-    out = {"req_id": req["req_id"], "logprob_sum": "soon"}
-    sys.stdout.write(json.dumps(out) + "\\n")
-    sys.stdout.flush()
-"""
-        backend = ExternalBackend(_stub(tmp_path, body))
+        endpoint, log = _answering_stub(
+            tmp_path, 'json.dumps({"req_id": req["req_id"], "logprob_sum": "soon"})'
+        )
+        backend = ExternalBackend(endpoint)
         try:
-            with pytest.raises(BackendError) as info:
+            with pytest.raises(BackendError, match="malformed response"):
                 backend.score(("x",))
-            assert info.value.retriable is False
         finally:
             backend.close()
+        assert _targets_by_process(log) == [["x"]]
 
     @pytest.mark.parametrize(
         "field, value",
@@ -220,31 +217,27 @@ class TestExternalStdio:
     def test_answer_of_the_wrong_type_is_malformed(self, tmp_path, field, value):
         # float() and int() would read these as a count of 1 or 12, or a sum of -3.5.
         answer = {"logprob_sum": -3.5, "token_count": 12, field: value}
-        body = f"""\
-    out = {{"req_id": req["req_id"], **{answer!r}}}
-    sys.stdout.write(json.dumps(out) + "\\n")
-    sys.stdout.flush()
-"""
-        backend = ExternalBackend(_stub(tmp_path, body))
+        endpoint, log = _answering_stub(
+            tmp_path, f'json.dumps({{"req_id": req["req_id"], **{answer!r}}})'
+        )
+        backend = ExternalBackend(endpoint)
         try:
-            with pytest.raises(BackendError, match="malformed response") as info:
+            with pytest.raises(BackendError, match="malformed response"):
                 backend.score(("x",))
-            assert info.value.retriable is False
         finally:
             backend.close()
+        assert _targets_by_process(log) == [["x"]]
 
     def test_garbage_line_is_retriable(self, tmp_path):
-        body = """\
-    sys.stdout.write("{broken\\n")
-    sys.stdout.flush()
-"""
-        backend = ExternalBackend(_stub(tmp_path, body))
+        endpoint, log = _answering_stub(tmp_path, '"{broken"')
+        backend = ExternalBackend(endpoint, retries=2)
         try:
-            with pytest.raises(BackendError) as info:
+            with pytest.raises(BackendError, match="bad response line"):
                 backend.score(("x",))
-            assert info.value.retriable is True
         finally:
             backend.close()
+        # Sent on the first connection, then resent on each of 2 fresh ones.
+        assert _targets_by_process(log) == [["x"]] * 3
 
     def test_one_garbage_line_is_retried_on_a_fresh_connection(self, tmp_path):
         marker = tmp_path / "garbled"
@@ -264,29 +257,29 @@ class TestExternalStdio:
             backend.close()
 
     def test_request_id_mismatch_is_retriable(self, tmp_path):
-        body = """\
-    out = {"req_id": "wrong", "logprob_sum": -1.0, "token_count": 1}
-    sys.stdout.write(json.dumps(out) + "\\n")
-    sys.stdout.flush()
-"""
-        backend = ExternalBackend(_stub(tmp_path, body))
+        endpoint, log = _answering_stub(
+            tmp_path, 'json.dumps({"req_id": "wrong", "logprob_sum": -1.0, "token_count": 1})'
+        )
+        backend = ExternalBackend(endpoint, retries=1)
         try:
-            with pytest.raises(BackendError) as info:
+            with pytest.raises(BackendError, match="matches no request in flight"):
                 backend.score(("x",))
-            assert info.value.retriable is True
         finally:
             backend.close()
+        assert _targets_by_process(log) == [["x"]] * 2
 
     def test_dead_process_exhausts_retries(self, tmp_path):
         path = tmp_path / "dead.py"
-        path.write_text("raise SystemExit(0)\n", encoding="utf-8")
+        starts = tmp_path / "starts.log"
+        path.write_text(f"open({str(starts)!r}, 'a').write('started\\n')\n", encoding="utf-8")
         backend = ExternalBackend(f"stdio://python3 {path}", retries=1)
         try:
-            with pytest.raises(BackendUnreachable) as info:
+            with pytest.raises(BackendUnreachable):
                 backend.score(("x",))
-            assert info.value.retriable is True
         finally:
             backend.close()
+        # The first attempt and one retry, each on a fresh process.
+        assert starts.read_text().splitlines() == ["started"] * 2
 
     def test_empty_target_rejected(self, tmp_path):
         backend = ExternalBackend(_stub(tmp_path, GOOD_BODY))
@@ -315,19 +308,26 @@ class TestStdioDeadline:
 
     def test_scorer_that_stops_answering_fails_the_call(self, tmp_path):
         # It has answered before, so it was reached: a plain failure.
-        body = """\
-    import time
+        endpoint, log = _window_stub(tmp_path, """
+import time
+for line in sys.stdin:
+    req = json.loads(line)
+    log(req)
     if req["context"]:
         time.sleep(600)
-""" + GOOD_BODY
-        backend = ExternalBackend(_stub(tmp_path, body), timeout=0.5, retries=0)
+    sys.stdout.write(answer(req))
+    sys.stdout.flush()
+""")
+        backend = ExternalBackend(endpoint, timeout=0.5, retries=1)
         try:
             assert backend.score(("x",)) == (-1.0, 1)
             error = _raised_in_time(_start_call(lambda: backend.score(("x",), ("c",))))
             assert type(error) is BackendError
-            assert error.retriable is True
+            assert "no answer within 0.5 s" in str(error)
         finally:
             _raised_in_time(_start_call(backend.close))
+        # The request that timed out was resent once, on a fresh process.
+        assert _targets_by_process(log) == [["x", "x"], ["x"]]
 
     def test_close_stops_the_whole_process_group(self, tmp_path):
         # The scorer runs under a shell and never reads its stdin again,
@@ -493,6 +493,40 @@ class TestExternalTcp:
         with pytest.raises(BackendError):
             ExternalBackend("just-words")
 
+    def test_ipv6_address_in_brackets(self):
+        class Server(socketserver.ThreadingTCPServer):
+            address_family = socket.AF_INET6
+
+        server = Server(("::1", 0), _ScorerHandler)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        port = server.server_address[1]
+        try:
+            for endpoint in (f"tcp://[::1]:{port}", f"[::1]:{port}"):
+                backend = ExternalBackend(endpoint)
+                try:
+                    backend.connect_check()
+                    assert backend.score(("x",)) == (-0.75, 1)
+                finally:
+                    backend.close()
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_ipv6_connect_failure_shows_the_brackets(self):
+        probe = socket.socket(socket.AF_INET6)
+        probe.bind(("::1", 0))
+        port = probe.getsockname()[1]
+        probe.close()
+        backend = ExternalBackend(f"tcp://[::1]:{port}", timeout=0.5)
+        with pytest.raises(BackendUnreachable, match=rf"connect to \[::1\]:{port} failed"):
+            backend.connect_check()
+
+    @pytest.mark.parametrize("host", ["[::1", "::1]", "[]", "[[::1]]", "[::1]x"])
+    def test_unmatched_bracket_is_a_bad_endpoint(self, host):
+        with pytest.raises(BackendError, match="bad endpoint") as info:
+            ExternalBackend(f"tcp://{host}:9")
+        assert not isinstance(info.value, BackendUnreachable)
+
     @pytest.mark.parametrize("port", ["0", "65536", "99999"])
     def test_port_outside_range_is_a_bad_endpoint(self, port):
         # getaddrinfo would wrap 99999 to port 34463 and connect there.
@@ -526,6 +560,18 @@ def _window_stub(tmp_path, body):
     log = tmp_path / "requests.log"
     path.write_text(WINDOW_STUB_HEAD.replace("LOG", repr(str(log))) + body, encoding="utf-8")
     return f"stdio://python3 {path}", log
+
+
+def _answering_stub(tmp_path, answer):
+    """A ``_window_stub`` that logs each request and answers it with the
+    line ``answer``, a Python expression of ``req``; its endpoint and log."""
+    return _window_stub(tmp_path, f"""
+for line in sys.stdin:
+    req = json.loads(line)
+    log(req)
+    sys.stdout.write({answer} + "\\n")
+    sys.stdout.flush()
+""")
 
 
 def _answer(req):
@@ -630,14 +676,15 @@ for line in sys.stdin:
             assert str(raised.value) == (
                 "conditional scoring failed at pair (3, 0): scorer error: refused"
             )
-            assert raised.value.retriable is False
-            assert raised.value.segment_index == 3
             # The stream is still in step: the same process answers on.
             assert backend.score(("x",)) == (-1.0, 1)
             assert list(backend.score_pairs(*_batch(targets[3:]))) == _expected(targets[3:])
-            assert len(_targets_by_process(log)) == 1
         finally:
             backend.close()
+        # One process, and the refused pair was not resent: t2 went out
+        # once alone and once after c.
+        [sent] = _targets_by_process(log)
+        assert sent.count("t2") == 2
 
     def test_failing_pair_sends_no_later_window(self, tmp_path, bounds_of_32):
         endpoint, log = _window_stub(tmp_path, """
@@ -875,10 +922,8 @@ for line in sys.stdin:
         assert str(raised.value) == (
             "unconditional scoring failed at segment 5: scorer error: refused"
         )
-        assert raised.value.retriable is False
-        assert raised.value.segment_index == 5
         # The rest of the first window went out with it; no later window,
-        # unconditional or pair, did.
+        # unconditional or pair, did, and the refused request was not resent.
         assert [len(window) for window in windows] == [32]
         assert all(map(_unconditional, windows[0]))
 
@@ -985,7 +1030,8 @@ class TestFullDuplex:
     ):
         # The first stream answers 10 of the 100 unconditional requests,
         # then ends or goes silent while the client is still writing.
-        endpoint = scripted(Script(stop_after=10, then=then))
+        log = tmp_path / "answers.log"
+        endpoint = scripted(Script(log=str(log), stop_after=10, then=then))
         backend = ExternalBackend(endpoint, timeout=1.0, retries=0)
         try:
             started = time.monotonic()
@@ -997,11 +1043,13 @@ class TestFullDuplex:
             with pytest.raises(BackendError) as raised:
                 backend.score(BIG_TARGETS[10])
             assert type(raised.value) is BackendError
-            assert raised.value.retriable is True
             if then == "silent":
                 assert "no answer within 1.0 s" in str(raised.value)
         finally:
             _raised_in_time(_start_call(backend.close))
+        # With retries=0 the unanswered 90 are not resent on a fresh stream.
+        [answered] = _ids_by_stream(log)
+        assert len(answered) == 10
 
     @pytest.mark.parametrize("then", ["exit", "silent"])
     def test_stream_that_stops_mid_window_resends_only_unanswered(

@@ -28,11 +28,13 @@ from support import (
     process_alive,
 )
 
+from longdep import cli
 from longdep.backends import ExternalBackend
 from longdep.bench import generate_testset
 from longdep.cli import build_parser, main
 from longdep.config import resolve_config
 from longdep.corpus import ingest
+from longdep.errors import BackendUnreachable
 from longdep.jsonio import canonical_dumps
 from longdep.lds import LdsConfig, _accumulate
 from longdep.ngram import NGramBackend, NGramModel
@@ -292,6 +294,28 @@ class TestUsage:
         )
         assert code == 2
 
+    def test_endpoint_with_an_unmatched_bracket(self, corpus, tmp_path, capsys):
+        code = main(["score", "--input", corpus, "--backend", "external:tcp://[::1:9",
+                     "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert "bad endpoint 'tcp://[::1:9'" in capsys.readouterr().err
+
+    def test_train_ngram_on_a_missing_input(self, tmp_path, caplog):
+        out = tmp_path / "model.bin"
+        args = ["train-ngram", "--input", str(tmp_path / "nope.jsonl"), "--out", str(out)]
+        assert main([*args, *TRAIN_FLAGS]) == 2
+        assert "input not found" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("missing", ["--backend", "--input"])
+    def test_score_without_backend_or_input(self, corpus, tmp_path, caplog, missing):
+        given = {"--input": corpus, "--backend": "ngram:model.bin"}
+        del given[missing]
+        args = [arg for pair in given.items() for arg in pair]
+        assert main(["score", *args, "--out-dir", str(tmp_path / "o")]) == 2
+        assert f"{missing} is required" in caplog.text
+        assert not (tmp_path / "o").exists()
+
     def test_missing_model_file(self, corpus, tmp_path):
         code = run_score(corpus, tmp_path / "missing-model.json", tmp_path / "o")
         assert code == 2
@@ -426,6 +450,55 @@ class TestScore:
         rows = [json.loads(line) for line in text.splitlines()]
         reasons = {row["status"]: row["reason"] for row in rows if row["doc_id"] != "tiny"}
         assert list(reasons) == ["failed"] and reasons["failed"].endswith("which is not finite")
+
+    def test_interrupt_keeps_finished_rows_and_marks_the_run_incomplete(
+        self, corpus, model, tmp_path, monkeypatch, capsys
+    ):
+        real_score_pairs = NGramBackend.score_pairs
+        calls = []
+
+        def score_pairs(self, *args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return real_score_pairs(self, *args, **kwargs)
+
+        monkeypatch.setattr(NGramBackend, "score_pairs", score_pairs)
+        out_dir = tmp_path / "out"
+        assert run_score(corpus, model, out_dir) == 130
+        rows = [json.loads(line) for line in (out_dir / "reports.jsonl").read_text().splitlines()]
+        assert [(row["doc_id"], row["status"]) for row in rows] == [
+            ("d000", "scored"), ("d001", "scored")
+        ]
+        meta = json.loads((out_dir / "reports.jsonl.meta.json").read_text())
+        assert meta["complete"] is False
+        assert (meta["scored"], meta["excluded"], meta["failed"]) == (2, 0, 0)
+        assert "scored=2 excluded=0 failed=0" in capsys.readouterr().out
+
+    def test_score_only_backend_unreachable_on_a_pair_stops_the_run(
+        self, corpus, model, tmp_path, monkeypatch
+    ):
+        class UnreachableOnPairs:
+            """Only ``score``: it answers each segment alone and finds the
+            scorer gone on every pair."""
+
+            def __init__(self, inner):
+                self.inner = inner
+
+            def score(self, target, context=None):
+                if context:
+                    raise BackendUnreachable("scorer gone")
+                return self.inner.score(target)
+
+        backend = UnreachableOnPairs(NGramBackend(NGramModel.load(model)))
+        monkeypatch.setattr(cli, "_resolve_backend", lambda spec, tokenizer: backend)
+        out_dir = tmp_path / "out"
+        assert run_score(corpus, model, out_dir) == 3
+        # No document is failed for it: the run stops at the first pair.
+        assert (out_dir / "reports.jsonl").read_text() == ""
+        meta = json.loads((out_dir / "reports.jsonl.meta.json").read_text())
+        assert meta["complete"] is False
+        assert (meta["scored"], meta["excluded"], meta["failed"]) == (0, 0, 0)
 
     def test_rerun_is_byte_identical(self, corpus, model, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -697,6 +770,18 @@ class TestScore:
         assert payload["config"]["tau"] == 0.9
         assert payload["config"]["alpha"] == 2.0
 
+    @pytest.mark.parametrize(
+        "content, problem",
+        [(None, "cannot read config file"), ("{not json", "cannot read config file"),
+         ("[1, 2]", "must hold a JSON object"), ('"tau"', "must hold a JSON object")],
+    )
+    def test_config_file_unreadable_or_not_an_object(self, tmp_path, caplog, content, problem):
+        config = tmp_path / "conf.json"
+        if content is not None:
+            config.write_text(content)
+        assert main(["score", "--show-config", "--config", str(config)]) == 2
+        assert problem in caplog.text
+
     def test_unknown_config_file_key_rejected(self, tmp_path):
         config = tmp_path / "conf.json"
         config.write_text(json.dumps({"tau": 0.5, "typo_key": 1}))
@@ -780,6 +865,15 @@ class TestSelect:
         out_dir = tmp_path / "out"
         assert run_score(corpus, model, out_dir) == 0
         return str(out_dir / "reports.jsonl")
+
+    def test_blank_lines_are_skipped(self, reports, tmp_path):
+        assert main(["select", "--reports", reports, "--out-dir", str(tmp_path / "plain")]) == 0
+        lines = Path(reports).read_text().splitlines(keepends=True)
+        Path(reports).write_text("\n" + "".join(line + "  \n" for line in lines))
+        assert main(["select", "--reports", reports, "--out-dir", str(tmp_path / "blank")]) == 0
+        for name in ("manifest.json", "retained_ids.txt"):
+            blank, plain = (tmp_path / out / name for out in ("blank", "plain"))
+            assert blank.read_bytes() == plain.read_bytes()
 
     @pytest.mark.parametrize("global_ranking", [False, True])
     def test_a_group_of_mixed_segment_counts_warns(self, tmp_path, capsys, global_ranking):
@@ -1119,6 +1213,19 @@ class TestHeatmap:
         fill_disk_after(monkeypatch, 50, "h.csv")
         assert main([*args, "--value", "pairwise"]) == 2
         assert {f: (tmp_path / f).read_bytes() for f in earlier} == earlier
+        assert not list(tmp_path.glob("*.partial"))
+
+    def test_one_path_for_image_and_csv_is_refused(self, corpus, model, tmp_path, caplog):
+        out_dir = tmp_path / "out"
+        assert run_score(corpus, model, out_dir, extra=["--emit-pairs"]) == 0
+        sidecar = sorted((out_dir / "pairs").iterdir())[0]
+        same = tmp_path / "same.out"
+        same.write_bytes(b"earlier")
+        code = main(["heatmap", "--pairs", str(sidecar), "--out-image", str(same),
+                     "--out-csv", str(same)])
+        assert code == 2
+        assert "need two files" in caplog.text
+        assert same.read_bytes() == b"earlier"
         assert not list(tmp_path.glob("*.partial"))
 
     def test_missing_sidecar_names_the_fix(self, tmp_path, caplog):

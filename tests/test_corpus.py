@@ -186,6 +186,18 @@ class TestIngestJsonl:
         assert stats.skipped_malformed == 10
         assert stats.yielded == 2
 
+    def test_json_that_is_not_an_object_is_malformed(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        self._write(path, ['["a", "list"]', '"a string"', "7", "null",
+                           json.dumps({"id": "ok", "text": "fine"})])
+        stats = IngestStats()
+        assert [d.id for d in ingest(path, stats=stats)] == ["ok"]
+        assert (stats.read, stats.skipped_malformed, stats.yielded) == (5, 4, 1)
+
+    def test_missing_path_raises(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="input path does not exist"):
+            list(ingest(tmp_path / "nope.jsonl"))
+
     def test_fields_that_do_not_encode_as_utf8_are_skipped(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         lone = "\ud800"

@@ -186,6 +186,16 @@ class TestRenderHeatmap:
         assert width == 4
         assert "config=zz" in comment
 
+    def test_one_file_for_both_artifacts_is_refused(self, tmp_path):
+        same = tmp_path / "same.out"
+        same.write_bytes(b"earlier")
+        (tmp_path / "link.csv").symlink_to(same)
+        for csv in ("same.out", "sub/../same.out", "link.csv"):
+            with pytest.raises(ValueError, match="need two files"):
+                render_heatmap(pair_report(THREE_PAIRS, 4), str(same), str(tmp_path / csv))
+            assert same.read_bytes() == b"earlier"
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "same.out"]
+
 
 # sha256 of the (PPM, CSV) of a uniform matrix under the scale that
 # paints it one flat color: mid gray for linear, white for diverging.

@@ -9,7 +9,7 @@ import pytest
 from support import CountingBackend
 
 from longdep.corpus import Document, SegmentGrid
-from longdep.errors import ConfigError
+from longdep.errors import ConfigError, ScoringError
 from longdep.lds import LdsConfig, derive_seed, score_document
 from longdep.ngram import UNK, NGramBackend, NGramModel, train_ngram
 from longdep.pipeline import score_corpus
@@ -249,6 +249,28 @@ class TestSerialization:
         with pytest.raises(ConfigError, match="unsupported model version 99"):
             NGramModel.load(path)
 
+    def test_unreadable_file_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read model file"):
+            NGramModel.load(tmp_path)
+
+    @pytest.mark.parametrize("data", [b"not json\n" + bytes(16), b'{"format": "longdep-ngram"}'])
+    def test_file_without_a_json_header_line_rejected(self, tmp_path, data):
+        path = tmp_path / "model.bin"
+        path.write_bytes(data)
+        with pytest.raises(ConfigError, match="not a longdep-ngram model file"):
+            NGramModel.load(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("order", "2"), ("order", True), ("k", "0.5"), ("tokenizer_kind", 1),
+         ("vocab", "abc"), ("vocab", ["a", 1.5, "c"]), ("entries", 6.0)],
+    )
+    def test_header_field_of_the_wrong_type_rejected(self, bigram, tmp_path, field, value):
+        path = saved(bigram, tmp_path / "model.bin")
+        rewrite_header(path, **{field: value})
+        with pytest.raises(ConfigError, match="malformed model header"):
+            NGramModel.load(path)
+
     def test_payload_round_trip_preserves_counts(self, bigram, tmp_path):
         clone = NGramModel.load(saved(bigram, tmp_path / "model.bin"))
         assert np.array_equal(clone.keys, bigram.keys)
@@ -467,6 +489,28 @@ class TestScorePairs:
         assert outcomes[0] == outcomes[1]
         assert [status for status, _, _ in outcomes[0]] == ["failed", "failed", "scored"]
         assert all("non-finite perplexity" in reason for _, reason, _ in outcomes[0][:2])
+
+    def test_non_finite_perplexity_names_its_pair_or_segment(self):
+        # The documents of the test above: "cond" first fails at a pair,
+        # "uncond" at a segment scored alone.
+        model = train_ngram([["a", "b", "a", "b", "c"]], order=2, k=1e-310)
+        cfg = LdsConfig(segment_len=1, truncate_len=8, mode="exact")
+        cases = [
+            (("a", "b", "c", "a", "c", "c"), "conditional scoring failed at pair (2, 0): "
+             "non-finite perplexity from logprob_sum=-714.494526008714", 2),
+            (("a", "zz", "b", "a"), "unconditional scoring failed at segment 1: "
+             "non-finite perplexity from logprob_sum=-715.4108167405883", 0),
+        ]
+        for tokens, reason, pairs_scored in cases:
+            grid = SegmentGrid(doc_id="d", segment_len=1, segments=tuple((t,) for t in tokens))
+            counting = CountingBackend(NGramBackend(model))
+            for backend in (NGramBackend(model), counting):
+                with pytest.raises(ScoringError) as raised:
+                    score_document(backend, grid, cfg)
+                assert type(raised.value) is ScoringError
+                assert str(raised.value) == reason
+            # Pair by pair, scoring stops at the failing pair.
+            assert counting.conditional_calls == pairs_scored
 
     def test_segments_of_different_lengths_rejected(self, bigram):
         with pytest.raises(ValueError):
