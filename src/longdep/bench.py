@@ -14,6 +14,7 @@ so length never leaks the label.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -124,54 +125,45 @@ def _link_layout(
     return [(sorted(e), sorted(l)) for e, l in zip(earlies, lates)]
 
 
-def _gen_planted_key(
-    doc_id: str, spec: SynthSpec, rng: np.random.Generator, links: set, pool: list
-) -> Document:
+def _key_cells(doc_id: str, link: int):
     """Several early segments end with (k1, k2); several far segments
     begin with (k3, k4); scattered copies of the four-token phrase give
     the scorer training support for P(k3 | k1, k2)."""
-    L = spec.segment_len
-    tokens = _background(rng, spec.doc_token_len)
-    reserved: list[tuple[int, int]] = []
-    for li, (earlies, lates) in enumerate(_link_layout(spec, rng)):
-        k1, k2, k3, k4 = (f"{doc_id}k{li}{s}" for s in "abcd")
-        for late in lates:
-            head = late * L
-            tokens[head : head + 2] = [k3, k4]
-            reserved.append((head, head + 2))
-        for early in earlies:
-            tail = early * L + L - 2
-            tokens[tail : tail + 2] = [k1, k2]
-            reserved.append((tail, tail + 2))
-        _place_copies(tokens, (k1, k2, k3, k4), 4, rng, reserved)
-        links.add(((k1, k2), k3))
-    return Document(id=doc_id, source="planted-key", text="", tokens=tuple(tokens))
+    k1, k2, k3, k4 = (f"{doc_id}k{link}{s}" for s in "abcd")
+    return [k1, k2], [k3, k4], [k1, k2, k3, k4], 4
 
 
-def _gen_entity_chain(
-    doc_id: str, spec: SynthSpec, rng: np.random.Generator, links: set, pool: list
-) -> Document:
+def _chain_cells(doc_id: str, link: int):
     """A cycling three-token mention (a b c a b c ...) runs through
     several early segments, each breaking off mid-cycle; several far
     segments resume the cycle, so context supplies exactly the missing
     continuation."""
+    ea, eb, ec = (f"{doc_id}e{link}{s}" for s in "abc")
+    return [ea, eb, ec, ea, eb, ec, ea, eb], [ec, ea, eb, ec], [ea, eb, ec, ea, eb, ec], 2
+
+
+def _gen_planted(
+    cells: Callable, doc_id: str, spec: SynthSpec, rng: np.random.Generator, links: set, pool: list
+) -> list[str]:
+    """Plant each link of ``_link_layout`` in a background: ``cells(doc_id,
+    link)`` gives its tail cell, which closes the link's early segments,
+    its head cell, which opens its late ones, and the phrase and count of
+    its scattered copies. The link is the tail's closing bigram and the
+    head's opening token."""
     L = spec.segment_len
     tokens = _background(rng, spec.doc_token_len)
     reserved: list[tuple[int, int]] = []
     for li, (earlies, lates) in enumerate(_link_layout(spec, rng)):
-        ea, eb, ec = (f"{doc_id}e{li}{s}" for s in "abc")
-        cycle = [ea, eb, ec, ea, eb, ec, ea, eb]
-        for late in lates:
-            head = late * L
-            tokens[head : head + 4] = [ec, ea, eb, ec]
-            reserved.append((head, head + 4))
-        for early in earlies:
-            tail = early * L + L - len(cycle)
-            tokens[tail : tail + len(cycle)] = cycle
-            reserved.append((tail, tail + len(cycle)))
-        _place_copies(tokens, (ea, eb, ec, ea, eb, ec), 2, rng, reserved)
-        links.add(((ea, eb), ec))
-    return Document(id=doc_id, source="entity-chain", text="", tokens=tuple(tokens))
+        tail, head, phrase, n_copies = cells(doc_id, li)
+        for start in (late * L for late in lates):
+            tokens[start : start + len(head)] = head
+            reserved.append((start, start + len(head)))
+        for start in ((early + 1) * L - len(tail) for early in earlies):
+            tokens[start : start + len(tail)] = tail
+            reserved.append((start, start + len(tail)))
+        _place_copies(tokens, phrase, n_copies, rng, reserved)
+        links.add(((tail[-2], tail[-1]), head[0]))
+    return tokens
 
 
 def _short_pool(spec: SynthSpec) -> list[list[str]]:
@@ -187,7 +179,7 @@ def _short_pool(spec: SynthSpec) -> list[list[str]]:
 
 def _gen_concat_shorts(
     doc_id: str, spec: SynthSpec, rng: np.random.Generator, links: set, pool: list[list[str]]
-) -> Document:
+) -> list[str]:
     """Independent short texts glued together. Each document draws its
     shorts without replacement, so nothing recurs at long range and only
     near-diagonal segment pairs relate."""
@@ -198,14 +190,12 @@ def _gen_concat_shorts(
         if len(tokens) >= size:
             break
         tokens.extend(pool[int(ix)])
-    return Document(
-        id=doc_id, source="concat-shorts", text="", tokens=tuple(tokens[:size])
-    )
+    return tokens[:size]
 
 
 def _gen_local_markov(
     doc_id: str, spec: SynthSpec, rng: np.random.Generator, links: set, pool: list
-) -> Document:
+) -> list[str]:
     """A sticky random walk over a narrow vocabulary window that drifts
     steadily along the document: adjacent segments overlap in wording,
     anything further apart shares none, so the text is locally coherent
@@ -221,8 +211,7 @@ def _gen_local_markov(
     # Token i moves the window offset by steps[i] unless it is sticky.
     offsets = (offset + np.cumsum(np.where(sticky, 0, steps))) % window
     words = np.array([f"m{v:04d}" for v in range(span + window)], dtype=object)
-    tokens = words[np.arange(size) * span // size + offsets]
-    return Document(id=doc_id, source="local-markov", text="", tokens=tuple(tokens.tolist()))
+    return words[np.arange(size) * span // size + offsets].tolist()
 
 
 def repeated_token_document(doc_id: str, n_tokens: int) -> Document:
@@ -230,11 +219,12 @@ def repeated_token_document(doc_id: str, n_tokens: int) -> Document:
     return Document(id=doc_id, source="repeated", text="", tokens=("r",) * n_tokens)
 
 
-# Every generator takes (doc_id, spec, rng, links, pool): it adds the
-# links it plants to ``links`` and may draw its shorts from ``pool``.
+# Every generator takes (doc_id, spec, rng, links, pool) and returns the
+# document's tokens: it adds the links it plants to ``links`` and may draw
+# its shorts from ``pool``.
 _GENERATORS = {
-    "planted-key": _gen_planted_key,
-    "entity-chain": _gen_entity_chain,
+    "planted-key": functools.partial(_gen_planted, _key_cells),
+    "entity-chain": functools.partial(_gen_planted, _chain_cells),
     "concat-shorts": _gen_concat_shorts,
     "local-markov": _gen_local_markov,
 }
@@ -265,7 +255,9 @@ def generate_testset(
         for i in range(count):
             doc_id = f"{prefix}-{i:04d}"
             rng = np.random.Generator(np.random.PCG64(derive_seed(spec.seed, doc_id)))
-            docs.append(_GENERATORS[kinds[i % len(kinds)]](doc_id, spec, rng, links, pool))
+            kind = kinds[i % len(kinds)]
+            tokens = _GENERATORS[kind](doc_id, spec, rng, links, pool)
+            docs.append(Document(id=doc_id, source=kind, text="", tokens=tuple(tokens)))
             labels[doc_id] = label
     return TestSet(spec=spec, docs=tuple(docs), labels=labels, links=frozenset(links))
 
@@ -346,6 +338,7 @@ def run_bench(
         for t in sample_sizes:
             cfg = shared.replace(sample_size=t)
             backend = None
+            n_docs, docs_per_second, acc, error = 0, 0.0, None, None
             try:
                 backend = factory()
                 start = time.perf_counter()
@@ -355,31 +348,16 @@ def run_bench(
                 if not reports:
                     raise BackendError("no documents scored")
                 acc = accuracy_at_k(reports, testset.labels)
-                results.append(
-                    BenchResult(
-                        backend=label,
-                        sample_size=t,
-                        n_docs=len(reports),
-                        docs_per_second=len(reports) / wall if wall > 0 else float("inf"),
-                        accuracy_at_k=acc,
-                    )
-                )
+                n_docs = len(reports)
+                docs_per_second = n_docs / wall if wall > 0 else float("inf")
             except BackendError as exc:
-                results.append(
-                    BenchResult(
-                        backend=label,
-                        sample_size=t,
-                        n_docs=0,
-                        docs_per_second=0.0,
-                        accuracy_at_k=None,
-                        status="failed",
-                        error=str(exc),
-                    )
-                )
+                error = str(exc)
             finally:
                 close = getattr(backend, "close", None)
                 if close is not None:
                     close()
+            status = "ok" if error is None else "failed"
+            results.append(BenchResult(label, t, n_docs, docs_per_second, acc, status, error))
     return results
 
 

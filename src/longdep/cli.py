@@ -2,9 +2,11 @@
 
 Subcommands cover the full workflow: train-ngram, score, select,
 heatmap, bench. Configuration resolves as flags > config file >
-built-in "reference" profile; every artifact carries the resolved
-config's hash, and identical inputs reproduce identical bytes (run
-metadata such as timestamps lives in .meta.json sidecars).
+built-in "reference" profile. Report rows, pair sidecars and the
+manifest carry the LDS parameters' hash; the reports' .meta.json
+sidecar carries the resolved run config's hash. Identical inputs
+reproduce identical bytes (run metadata such as timestamps lives in
+.meta.json sidecars).
 
 Exit codes: 0 success, 2 validation or usage error, or a file that
 cannot be read or written, 3 scorer endpoint unreachable (at startup,
@@ -266,6 +268,11 @@ def _marked_complete(path: str) -> bool:
 
 
 def cmd_select(args: argparse.Namespace, rc: RunConfig) -> int:
+    if args.passthrough and args.global_ranking:
+        raise ConfigError(
+            "--passthrough keeps a source whole, but --global-ranking ranks every "
+            "source as one group; pass one of the two"
+        )
     if not os.path.exists(args.reports):
         raise ConfigError(f"reports file not found: {args.reports}")
     input_complete = _marked_complete(args.reports)
@@ -429,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     select.add_argument(
         "--passthrough",
         action="append",
-        help="source retained whole regardless of strategy (repeatable)",
+        help="source retained whole regardless of strategy; per-source ranking only (repeatable)",
     )
     _add_config_flags(select, "seed", "fraction")
     select.set_defaults(func=cmd_select)

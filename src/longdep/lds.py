@@ -30,7 +30,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field, fields, replace
 from itertools import starmap
-from typing import Callable, Iterator, NamedTuple, Sequence, get_type_hints
+from typing import Iterator, NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
@@ -425,35 +425,6 @@ def _one_at_a_time(backend: PerplexityBackend, segments, targets, sources) -> It
             raise failed_at(exc, target, source) from exc
 
 
-def _conditional(
-    backend: PerplexityBackend, grid: SegmentGrid, targets: np.ndarray, sources: np.ndarray
-) -> Callable[[], np.ndarray]:
-    """Conditional perplexity of each pair (``targets[i]``, ``sources[i]``).
-
-    The backend's ``score_pairs``, or ``_one_at_a_time`` for a backend
-    with only ``score``, is called here, before any unconditional value
-    is read; the function returned takes its results as an array. Each
-    (sum, count) becomes a perplexity when it is taken, so a lazy batch
-    (an external scorer's windows, or one pair at a time) is scored no
-    further than the document gets. A ScoringError is raised as its
-    pair's ``failed_at``.
-    """
-    batch = getattr(backend, "score_pairs", None) or functools.partial(_one_at_a_time, backend)
-    results = batch(grid.segments, targets, sources)
-
-    def values() -> np.ndarray:
-        taken: list[float] = []
-        try:
-            # extend keeps the values taken before an error, so the failing
-            # pair is found with no step per pair.
-            taken.extend(starmap(ppl_from_sum, results))
-        except ScoringError as exc:
-            raise failed_at(exc, targets[len(taken)], sources[len(taken)]) from exc
-        return np.fromiter(taken, dtype=float, count=len(targets))
-
-    return values
-
-
 def score_document(
     backend: PerplexityBackend, grid: SegmentGrid, cfg: LdsConfig, keep_pairs: bool = True
 ) -> ScoreReport:
@@ -477,13 +448,26 @@ def score_document(
         targets, sources = np.tril_indices(n, -1)
     else:
         targets, sources = sample_pairs(n, cfg.sample_size, derive_seed(cfg.seed, grid.doc_id))
-    conditional = _conditional(backend, grid, targets, sources)
+    # The batch call comes first, so an external scorer's unconditional
+    # requests go out before any unconditional value is read.
+    batch = getattr(backend, "score_pairs", None) or functools.partial(_one_at_a_time, backend)
+    results = batch(grid.segments, targets, sources)
     starts = np.flatnonzero(np.diff(targets, prepend=-1))
     rows = targets[starts].tolist()
     per_segment = np.empty(n)
     per_segment[rows] = cached_unconditional(backend, grid, rows)
     unconditional = per_segment[targets]
-    dst_values = (unconditional - conditional()) / unconditional
+    # The pair results are taken last, so a refused unconditional request
+    # sends no pair window, and a lazy batch (an external scorer's
+    # windows, or one pair at a time) is scored no further than the
+    # document gets. extend keeps the values taken before an error, so
+    # the failing pair is found with no step per pair.
+    conditional: list[float] = []
+    try:
+        conditional.extend(starmap(ppl_from_sum, results))
+    except ScoringError as exc:
+        raise failed_at(exc, targets[len(conditional)], sources[len(conditional)]) from exc
+    dst_values = (unconditional - np.fromiter(conditional, float, len(targets))) / unconditional
     dst_list = dst_values.tolist()
     bounds = [*starts.tolist(), len(dst_list)]
     dsp_values = np.array([dsp(dst_list[a:b]) for a, b in zip(bounds, bounds[1:])])

@@ -162,7 +162,8 @@ def build_manifest(
 
     All three strategy arms (full, random, prolong) are summarized in the
     stats blocks for comparison; the chosen strategy decides the retained
-    flags. Passthrough sources keep everything regardless of strategy.
+    flags. Under per-source ranking, passthrough sources keep everything
+    regardless of strategy; with per_source false they do nothing.
     A ranking group whose documents differ in segment count is logged as
     a warning. A doc id on two rows, scored, excluded or failed, raises
     ConfigError.

@@ -4,9 +4,10 @@
 names and read these fields. If one of them goes away, a benchmark run
 crashes before it prints its result line, so each is checked here, on a
 2-document corpus that scores in well under a second. The names
-``perfbench/tracer.py`` wraps are checked too, the benchmark's own
-smoke run must end with its JSON result line, and a traced smoke run
-must measure every per-layer metric that ``BENCHMARK.json`` declares.
+``perfbench/tracer.py`` wraps are checked too, and one traced smoke run
+of the benchmark, shared by two tests, must end with its JSON result line
+and measure every per-layer metric that ``BENCHMARK.json`` declares. Its
+first pass runs untraced, so that run also stands for a plain smoke run.
 """
 
 import importlib
@@ -97,38 +98,43 @@ def test_every_name_the_tracer_wraps_resolves():
         assert callable(getattr(owner, name)), key
 
 
-def _smoke_run(tmp_path, *flags) -> dict:
-    # The benchmark prints no result line when it refuses a run or
-    # crashes, e.g. on a name it calls that is gone or a set-up step that
-    # fails. It runs from a copy, so its work directory is its own.
+@pytest.fixture(scope="module")
+def smoke_run(tmp_path_factory):
+    # One traced smoke run serves both tests below; its first pass runs
+    # untraced, so it also stands for a plain smoke run. The benchmark
+    # prints no result line when it refuses a run or crashes, e.g. on a
+    # name it calls that is gone or a set-up step that fails. It runs
+    # from a copy, so its work directory is its own.
+    work = tmp_path_factory.mktemp("smoke")
     for part in ("perfbench", "src"):
-        shutil.copytree(ROOT / part, tmp_path / part,
+        shutil.copytree(ROOT / part, work / part,
                         ignore=shutil.ignore_patterns("__pycache__", ".perfbench-work"))
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--smoke", "--workload", "all", "--seconds", "1",
-         *flags],
-        cwd=tmp_path, capture_output=True, text=True, timeout=600,
+         "--trace", "1"],
+        cwd=work, capture_output=True, text=True, timeout=600,
     )
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return proc, declared
+
+
+def test_benchmark_smoke_run_prints_a_result_line(smoke_run):
+    proc, declared = smoke_run
     assert proc.returncode == 0, proc.stderr
     results = json.loads(proc.stdout.strip().splitlines()[-1])
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]
-    assert set(results) == {w["name"] for w in declared}
+    assert set(results) == {w["name"] for w in declared["workloads"]}
     for name, result in results.items():
         assert result["correct"] is True, (name, proc.stderr)
         assert result["failed"] == 0, (name, proc.stderr)
-    return results
 
 
-def test_benchmark_smoke_run_prints_a_result_line(tmp_path):
-    _smoke_run(tmp_path)
-
-
-def test_traced_smoke_run_measures_every_layer(tmp_path):
+def test_traced_smoke_run_measures_every_layer(smoke_run):
     # A per-layer metric is null when a name the tracer wraps is gone or
     # a wrapped call no longer runs (e.g. fewer than two backend calls).
-    results = _smoke_run(tmp_path, "--trace", "1")
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
+    proc, declared = smoke_run
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout.strip().splitlines()[-1])
     for name, result in results.items():
-        for metric in declared:
+        for metric in declared["per_layer"]:
             value = result["metrics"][metric["name"]]["value"]
             assert isinstance(value, (int, float)) and math.isfinite(value), (name, metric)

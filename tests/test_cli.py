@@ -926,6 +926,25 @@ class TestSelect:
         assert f"document {first!r} is listed on more than one row" in capsys.readouterr().err
         assert not sel.exists()
 
+    def test_passthrough_under_global_ranking_is_refused(self, tmp_path, capsys):
+        # Global ranking puts every document in one group, so a passthrough
+        # source would be ranked like any other: the pair is a usage error.
+        rows = [
+            {"status": "scored", "doc_id": f"d{i}", "source": "c", "n_segments": 4,
+             "mode": "exact", "lds": float(i), "pair_count": 6, "gated_count": 1,
+             "config_hash": "cfg"}
+            for i in range(2)
+        ]
+        reports = tmp_path / "reports.jsonl"
+        reports.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        sel = tmp_path / "sel"
+        code = main(["select", "--reports", str(reports), "--out-dir", str(sel),
+                     "--global-ranking", "--passthrough", "c", "--fraction", "0.5"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--passthrough" in err and "--global-ranking" in err
+        assert not sel.exists()
+
     def test_full_strategy_ignores_fraction(self, reports, tmp_path):
         sel = tmp_path / "sel"
         code = main(
