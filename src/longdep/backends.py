@@ -35,7 +35,9 @@ class PerplexityBackend(Protocol):
     Optional calls, looked up with ``getattr``: ``close`` and
     ``score_pairs(segments, targets, sources)``, an iterable of the
     ``score(segments[t], segments[s])`` of each (t, s) pair, in order; a
-    pair that fails raises its ``failed_at`` when its result is taken."""
+    pair that fails raises BackendError or ScoringError when its result
+    is taken, after every result before it, and ``score_document`` names
+    the pair."""
 
     def score(
         self, target: Sequence[Token], context: Sequence[Token] | None = None
@@ -352,8 +354,7 @@ class ExternalBackend:
     giving a byte. The answers are checked and matched to their requests
     in one pass. An error or malformed answer from the scorer fails its
     own request only and is not resent: ``score`` raises it, and
-    ``score_pairs`` raises it, named by ``failed_at``, when that pair's
-    result is taken. Failed
+    ``score_pairs`` raises it when that pair's result is taken. Failed
     connects, transport failures, timeouts, undecodable lines and
     unknown ``req_id``s drop the connection, and the requests still
     unanswered are resent on a fresh one, up to ``retries`` times. A
@@ -451,7 +452,7 @@ class ExternalBackend:
 
         Then the pairs are sent in windows, and a window goes out only
         when its first result is taken. A pair the scorer answers with an
-        error raises its ``failed_at`` when its result is taken;
+        error raises that error when its result is taken;
         BackendUnreachable is raised as it is.
         """
         if not all(segments):
@@ -470,26 +471,21 @@ class ExternalBackend:
             kept.update(zip(contents[len(kept):], results))
             if _failed(results):
                 break
-        sources = np.asarray(sources, dtype=np.int64)
-        return itertools.chain.from_iterable(
-            self._pair_windows(texts, targets.tolist(), sources.tolist())
-        )
+        text = texts.__getitem__
+        parts = zip(map(text, targets.tolist()), map(text, np.asarray(sources).tolist()))
+        return itertools.chain.from_iterable(self._pair_windows(parts))
 
-    def _pair_windows(self, texts, targets, sources) -> Iterator[list[tuple[float, int]]]:
-        """The results of each window of pairs. A window is sent when
-        this is advanced to it; one with a failed pair yields the results
-        before it and then raises that pair's ``failed_at``."""
-        done = 0
-        parts = zip(map(texts.__getitem__, targets), map(texts.__getitem__, sources))
+    def _pair_windows(self, parts) -> Iterator[list[tuple[float, int]]]:
+        """The results of each window of ``parts``, (target, context)
+        texts. A window is sent when this is advanced to it; one with a
+        failed pair yields the results before it and raises its error."""
         for ids, lines in _windows(parts):
             results = self._exchange(ids, lines)
             failed = _failed(results)
             if failed:
-                i = failed[0]
-                yield results[:i]
-                raise failed_at(results[i], targets[done + i], sources[done + i]) from results[i]
+                yield results[:failed[0]]
+                raise results[failed[0]]
             yield results
-            done += len(results)
 
     def _exchange(self, ids: list[int], lines: list[bytes]) -> list[ScoreResult]:
         """The result of each request of one window, by position: request

@@ -185,6 +185,9 @@ def _score_into(args: argparse.Namespace, rc: RunConfig, backend) -> int:
     if rc.workers > 1:
         log.info("workers=%d: documents are scored one at a time", rc.workers)
 
+    # The input is checked first, so a bad one leaves earlier outputs as they were.
+    ingest_stats = IngestStats()
+    docs = ingest(args.input, format=rc.input_format, stats=ingest_stats)
     os.makedirs(args.out_dir, exist_ok=True)
     pairs_dir = os.path.join(args.out_dir, "pairs")
     if args.emit_pairs:
@@ -193,8 +196,6 @@ def _score_into(args: argparse.Namespace, rc: RunConfig, backend) -> int:
 
     counts = collections.Counter()
     complete = interrupted = False
-    ingest_stats = IngestStats()
-    docs = ingest(args.input, format=rc.input_format, stats=ingest_stats)
     outcomes = score_corpus(
         docs, backend, rc.lds, tokenizer=rc.tokenizer, keep_pairs=args.emit_pairs
     )
@@ -282,6 +283,9 @@ def cmd_select(args: argparse.Namespace, rc: RunConfig) -> int:
             args.reports,
         )
     outcomes = _load_outcomes(args.reports)
+    unknown = sorted(set(args.passthrough or ()) - {outcome.source for outcome in outcomes})
+    if unknown:
+        raise ConfigError(f"--passthrough names sources no row of {args.reports} has: {unknown}")
     fraction = 1.0 if args.strategy == "full" else rc.fraction
     manifest = build_manifest(
         reports_only(outcomes),

@@ -147,20 +147,20 @@ def ingest(
     A file that cannot be read or is not UTF-8 is skipped and counted as
     malformed.
 
-    Both formats drop a leading UTF-8 byte order mark.
+    Both formats drop a leading UTF-8 byte order mark. A missing path,
+    one of the wrong kind or an unknown format raises here, at once.
     """
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"input path does not exist: {p}")
-    if stats is None:
-        stats = IngestStats()
-
-    if format == "jsonl":
-        yield from _ingest_jsonl(p, stats)
-    elif format == "plain-dir":
-        yield from _ingest_plain_dir(p, stats)
-    else:
+    if format not in INPUT_FORMATS:
         raise ValueError(f"input format must be one of {INPUT_FORMATS}, got {format!r}")
+    plain_dir = format == "plain-dir"
+    if p.is_dir() != plain_dir:
+        wrong, kind = (NotADirectoryError, "directory") if plain_dir else (IsADirectoryError, "file")
+        raise wrong(f"{format} input must be a {kind}: {p}")
+    read = _ingest_plain_dir if plain_dir else _ingest_jsonl
+    return read(p, IngestStats() if stats is None else stats)
 
 
 def _ingest_jsonl(path: Path, stats: IngestStats) -> Iterator[Document]:
@@ -226,8 +226,6 @@ def _record_to_document(record: object, default_source: str) -> Document | None:
 
 
 def _ingest_plain_dir(root: Path, stats: IngestStats) -> Iterator[Document]:
-    if not root.is_dir():
-        raise NotADirectoryError(f"plain-dir input must be a directory: {root}")
     for file in sorted(root.rglob("*")):
         if not file.is_file():
             continue

@@ -30,7 +30,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field, fields, replace
 from itertools import starmap
-from typing import Iterator, NamedTuple, Sequence, get_type_hints
+from typing import NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
@@ -412,19 +412,6 @@ def report_from_sidecar(data: dict) -> ScoreReport:
     return replace(report, columns=columns, lds_config=cfg)
 
 
-def _one_at_a_time(backend: PerplexityBackend, segments, targets, sources) -> Iterator:
-    """``score_pairs`` for a backend with only ``score``: each pair is
-    scored when its result is taken, and a failing one raises
-    its ``failed_at``; BackendUnreachable is raised as it is."""
-    for target, source in zip(targets, sources):
-        try:
-            yield backend.score(segments[target], segments[source])
-        except BackendUnreachable:
-            raise
-        except BackendError as exc:
-            raise failed_at(exc, target, source) from exc
-
-
 def score_document(
     backend: PerplexityBackend, grid: SegmentGrid, cfg: LdsConfig, keep_pairs: bool = True
 ) -> ScoreReport:
@@ -449,9 +436,12 @@ def score_document(
     else:
         targets, sources = sample_pairs(n, cfg.sample_size, derive_seed(cfg.seed, grid.doc_id))
     # The batch call comes first, so an external scorer's unconditional
-    # requests go out before any unconditional value is read.
-    batch = getattr(backend, "score_pairs", None) or functools.partial(_one_at_a_time, backend)
-    results = batch(grid.segments, targets, sources)
+    # requests go out before any unconditional value is read. A backend
+    # with only ``score`` is scored one pair at a time, lazily.
+    pairs = getattr(backend, "score_pairs", None)
+    segment = grid.segments.__getitem__
+    results = (pairs(grid.segments, targets, sources) if pairs
+               else map(backend.score, map(segment, targets), map(segment, sources)))
     starts = np.flatnonzero(np.diff(targets, prepend=-1))
     rows = targets[starts].tolist()
     per_segment = np.empty(n)
@@ -461,11 +451,13 @@ def score_document(
     # sends no pair window, and a lazy batch (an external scorer's
     # windows, or one pair at a time) is scored no further than the
     # document gets. extend keeps the values taken before an error, so
-    # the failing pair is found with no step per pair.
+    # the failing pair is found, and named here alone, with no step per pair.
     conditional: list[float] = []
     try:
         conditional.extend(starmap(ppl_from_sum, results))
-    except ScoringError as exc:
+    except BackendUnreachable:
+        raise
+    except (BackendError, ScoringError) as exc:
         raise failed_at(exc, targets[len(conditional)], sources[len(conditional)]) from exc
     dst_values = (unconditional - np.fromiter(conditional, float, len(targets))) / unconditional
     dst_list = dst_values.tolist()

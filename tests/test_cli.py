@@ -585,12 +585,32 @@ class TestScore:
         assert sorted(os.listdir(pairs)) == names[:3]
 
     def test_unreadable_input_is_a_usage_error(self, corpus, model, tmp_path, caplog):
-        # A file given as a plain-dir input cannot be listed.
+        # A file given as a plain-dir input cannot be listed. It is
+        # refused before the run starts, so no output is made.
         code = run_score(corpus, model, tmp_path / "o", extra=["--input-format", "plain-dir"])
         assert code == 2
         assert corpus in caplog.text
-        meta = json.loads((tmp_path / "o" / "reports.jsonl.meta.json").read_text())
-        assert meta["complete"] is False
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("input_format", ["jsonl", "plain-dir"])
+    def test_input_of_the_wrong_kind_keeps_earlier_outputs(
+        self, corpus, model, tmp_path, caplog, input_format
+    ):
+        out_dir = tmp_path / "out"
+        assert run_score(corpus, model, out_dir, extra=["--emit-pairs"]) == 0
+        before = {path: path.read_bytes() for path in sorted(out_dir.rglob("*"))
+                  if path.is_file()}
+        assert out_dir / "reports.jsonl.meta.json" in before
+        assert any(path.parent.name == "pairs" for path in before)
+        # A directory given as jsonl, or a file given as plain-dir.
+        wrong = str(tmp_path) if input_format == "jsonl" else corpus
+        code = run_score(wrong, model, out_dir,
+                         extra=["--emit-pairs", "--input-format", input_format])
+        assert code == 2
+        assert wrong in caplog.text
+        after = {path: path.read_bytes() for path in sorted(out_dir.rglob("*"))
+                 if path.is_file()}
+        assert after == before
 
     def test_model_trained_on_other_tokens_is_refused(self, corpus, tmp_path, caplog):
         byte_model = tmp_path / "byte-model.bin"
@@ -944,6 +964,26 @@ class TestSelect:
         err = capsys.readouterr().err
         assert "--passthrough" in err and "--global-ranking" in err
         assert not sel.exists()
+
+    def test_passthrough_of_a_source_no_row_names_is_refused(self, tmp_path, capsys):
+        rows = [
+            {"status": "scored", "doc_id": "d0", "source": "c", "n_segments": 4,
+             "mode": "exact", "lds": 0.0, "pair_count": 6, "gated_count": 1,
+             "config_hash": "cfg"},
+            {"status": "failed", "doc_id": "d1", "source": "gone", "reason": "refused"},
+        ]
+        reports = tmp_path / "reports.jsonl"
+        reports.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        sel = tmp_path / "sel"
+        code = main(["select", "--reports", str(reports), "--out-dir", str(sel),
+                     "--passthrough", "nosuch", "--passthrough", "c", "--fraction", "0.5"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'nosuch'" in err and "'c'" not in err
+        assert not sel.exists()
+        # A source whose every row failed is real, and is accepted.
+        assert main(["select", "--reports", str(reports), "--out-dir", str(sel),
+                     "--passthrough", "gone", "--fraction", "0.5"]) == 0
 
     def test_full_strategy_ignores_fraction(self, reports, tmp_path):
         sel = tmp_path / "sel"
@@ -1543,6 +1583,8 @@ class TestExternalBackendIntegration:
         monkeypatch.setattr(
             "longdep.cli.ExternalBackend", functools.partial(ExternalBackend, timeout=0.5)
         )
+        # The silent scorer ignores the end of its stdin: stop it sooner.
+        monkeypatch.setattr("longdep.backends.CLOSE_GRACE_S", 0.05)
         out_dir = tmp_path / "out"
         outcome = {}
         thread = threading.Thread(

@@ -12,7 +12,7 @@ import numpy as np
 
 from longdep.cli import main
 from longdep.corpus import Document, segment, tokenize
-from longdep.errors import BackendUnreachable, ConfigError
+from longdep.errors import BackendError, BackendUnreachable, ConfigError, ScoringError
 from longdep.jsonio import canonical_dumps
 from longdep.lds import (
     LdsConfig,
@@ -205,6 +205,34 @@ class TestScoreCorpus:
             row = outcome.to_row()
             assert DocumentOutcome.from_row(row) == outcome
             assert DocumentOutcome.from_row(json.loads(canonical_dumps(row))) == outcome
+
+    @pytest.mark.parametrize("error", [BackendError, ScoringError])
+    def test_a_pair_refused_by_a_batch_call_is_named(self, error):
+        # A third-party score_pairs raises its own error, naming no pair,
+        # when the fifth result is taken; score_document names the pair.
+        class RefusesFifthPair(HashBackend):
+            def score_pairs(self, segments, targets, sources):
+                for k, (t, s) in enumerate(zip(targets, sources)):
+                    if k == 4:
+                        raise error("refused")
+                    yield self.score(segments[t], segments[s])
+
+        grid = segment(make_docs(1)[0], CFG.segment_len, CFG.truncate_len)
+        reason = "conditional scoring failed at pair (3, 1): refused"
+        with pytest.raises(error) as raised:
+            score_document(RefusesFifthPair(), grid, CFG)
+        assert type(raised.value) is error and str(raised.value) == reason
+        [outcome] = score_corpus(make_docs(1), RefusesFifthPair(), CFG)
+        assert (outcome.status, outcome.reason) == ("failed", reason)
+
+    def test_an_error_of_the_batch_call_itself_is_left_as_it_is(self):
+        class RefusesTheCall(HashBackend):
+            def score_pairs(self, segments, targets, sources):
+                raise BackendError("refused")
+
+        grid = segment(make_docs(1)[0], CFG.segment_len, CFG.truncate_len)
+        with pytest.raises(BackendError, match="^refused$"):
+            score_document(RefusesTheCall(), grid, CFG)
 
     def test_unreachable_backend_is_fatal(self):
         class Unreachable:
