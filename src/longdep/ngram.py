@@ -33,13 +33,19 @@ each as ``entries`` little-endian int64 values. Identical input gives a
 byte-identical file. Version 1 files (nested JSON counts) are refused
 with a request to retrain.
 
-Scoring reads arrays built once per model, on first use: the natural
-log-probability of every entry, in key order; one log-probability per
-history id for tokens that history never preceded; and, indexed by token
-id, the entry and log-probability of each token after the empty
-history. Training never builds them. They are
+Scoring reads arrays built once per model, on first use. ``lps`` holds
+the natural log-probability of every distinct value of the formula,
+ascending; ``entry_code`` holds, in key order, the int32 index into
+``lps`` of every entry's log-probability, and ``unseen_code``, per
+history id, that of tokens the history never preceded. So a model keeps
+8 bytes per entry beside its keys and counts; int32 codes hold up to
+2^31 distinct values, and a model that would need more (a body of at
+least 16 GB) is refused. Indexed by token id, ``unigram_entry`` and
+``unigram_lp`` hold the entry and log-probability of each token after
+the empty history. Training never builds these arrays. They are
 computed with ``math.log`` over the same float operations as the formula
-above, so a score does not depend on how the model was stored. A
+above, so a score does not depend on how the model was stored; a ``k``
+that makes a probability 0 or not finite has no log and is refused. A
 sequence is scored by walking it: each position's history id extends
 the previous position's by one token, found by a sorted search of the
 entry keys.
@@ -89,12 +95,26 @@ def _check_key_space(n_entries: int, width: int) -> None:
         )
 
 
-def _logs(ratios: np.ndarray) -> np.ndarray:
-    """``math.log`` of each ratio. Ratios repeat a lot (every count-1
-    entry of a history shares one), so each distinct value is logged
-    once."""
-    distinct, which = np.unique(ratios, return_inverse=True)
-    return np.array(list(map(math.log, distinct.tolist())))[which]
+def _logs(k: float, *ratios: np.ndarray) -> tuple:
+    """The ``math.log`` of every distinct value among the arrays
+    ``ratios`` of a model with smoothing constant ``k``, in one float64
+    table, then for each array the int32 code of each of its values in
+    that table. Ratios repeat a lot (every count-1 entry of a history
+    shares one), so each distinct value is logged once."""
+    values = np.concatenate(ratios)
+    values.sort()
+    distinct = values[np.append(True, values[1:] != values[:-1])]
+    del values
+    if not (distinct[0] > 0 and math.isfinite(distinct[-1])):
+        bad = float(distinct[0] if distinct[0] <= 0 else distinct[-1])
+        raise ConfigError(
+            f"smoothing constant k={k!r} gives a probability of {bad!r}, which has no "
+            "finite log; retrain with another k"
+        )
+    if len(distinct) > 2**31:
+        raise ConfigError(f"{len(distinct)} distinct probabilities exceed 32-bit codes")
+    lps = np.array(list(map(math.log, distinct.tolist())))
+    return (lps, *(np.searchsorted(distinct, r).astype(np.int32) for r in ratios))
 
 
 def _row_sums(lps: np.ndarray) -> np.ndarray:
@@ -109,7 +129,7 @@ class _Tables:
     """What scoring looks up; see the module docstring."""
 
     __slots__ = (
-        "ids", "unk", "width", "entry_lp", "history_unseen", "unigram_entry", "unigram_lp",
+        "ids", "unk", "width", "lps", "entry_code", "unseen_code", "unigram_entry", "unigram_lp",
     )
 
     def __init__(self, model: "NGramModel"):
@@ -119,31 +139,54 @@ class _Tables:
         self.unk = self.ids.get(UNK, len(vocab))
         self.width = width = len(vocab) + 1
         denom = k * width
+        # Each temporary is dropped once used, which keeps a load's peak
+        # near three times the file's body. The entries of one history are
+        # adjacent: ``firsts`` holds the index of each history's first
+        # entry and ``hists`` its id.
         hids = keys // width
-        firsts = np.flatnonzero(np.diff(hids, prepend=-1))
-        totals = np.add.reduceat(counts, firsts)
+        begins = np.empty(len(keys), dtype=bool)
+        begins[0] = True
+        np.not_equal(hids[1:], hids[:-1], out=begins[1:])
+        firsts = np.flatnonzero(begins)
+        hists = hids[firsts]
+        del begins, hids
+        # Keys ascend, so every entry names an earlier entry's history
+        # exactly when the first entry of its history does.
+        if not (hists <= firsts).all():
+            raise ConfigError("inconsistent model entries")
         # Every history is at most order - 1 tokens long: following it
         # back one entry at a time reaches the empty history in that
         # many steps.
-        parent = hids[firsts]
+        parent = hists
         for _ in range(model.order - 1):
             parent = np.where(parent > 0, keys[parent - 1] // width, 0)
         if parent.any():
             raise ConfigError("model entries spell a history longer than order - 1")
-        per_entry = np.repeat(totals, np.diff(firsts, append=len(keys)))
-        # ``entry_lp`` follows ``keys``; ``history_unseen`` is indexed by
+        dens = np.add.reduceat(counts, firsts) + denom  # total + k * (V + 1)
+        unseen = k / dens
+        spread = np.repeat(dens, np.diff(firsts, append=len(keys)))
+        del dens, firsts
+        # In place where the sum is a float; an int k keeps int64 sums, as
+        # the formula's own operations do.
+        ratios = counts + k
+        ratios = np.divide(ratios, spread, out=ratios if ratios.dtype == np.float64 else None)
+        del spread
+        # ``entry_code`` follows ``keys``; ``unseen_code`` is indexed by
         # history id. Ids that begin no entry, and -1 (the last slot) for
         # a history never seen, hold the formula with count = total = 0.
-        self.entry_lp = _logs((counts + k) / (per_entry + denom))
-        self.history_unseen = np.full(len(keys) + 2, math.log((0 + k) / (0 + denom)))
-        self.history_unseen[hids[firsts]] = _logs(k / (totals + denom))
+        self.lps, self.entry_code, unseen, (fallback,) = _logs(
+            k, ratios, unseen, np.array([(0 + k) / (0 + denom)])
+        )
+        del ratios
+        self.unseen_code = np.full(len(keys) + 2, fallback, dtype=np.int32)
+        self.unseen_code[hists] = unseen
         # The first lookup of every token has the empty history: one slot
         # per token id, no search.
         unigrams = keys[: np.searchsorted(keys, width)]
         self.unigram_entry = np.full(width, -1)
         self.unigram_entry[unigrams] = np.arange(1, len(unigrams) + 1)
-        self.unigram_lp = np.full(width, self.history_unseen[0])
-        self.unigram_lp[unigrams] = self.entry_lp[: len(unigrams)]
+        self.unigram_lp = np.full(width, self.lps[self.unseen_code[0]])
+        self.unigram_lp[unigrams] = self.lps[self.entry_code[: len(unigrams)]]
 
 
 def check_order_and_k(order: int, k: float) -> None:
@@ -202,7 +245,7 @@ class NGramModel:
         pos[order] = np.searchsorted(keys, query.ravel()[order])
         pos = np.minimum(pos.reshape(query.shape), len(keys) - 1)
         found = keys[pos] == query
-        lp = np.where(found, tables.entry_lp[pos], tables.history_unseen[hist])
+        lp = tables.lps[np.where(found, tables.entry_code[pos], tables.unseen_code[hist])]
         return np.where(found, pos + 1, -1), lp
 
     def _walk(self, ids: np.ndarray) -> np.ndarray:
@@ -313,20 +356,59 @@ class NGramModel:
     def load(cls, path: str | Path) -> "NGramModel":
         """Read a version 2 model file; anything else raises ConfigError."""
         model = cls(*_read_model_file(path))
-        model._tables  # built here, so entries that spell no history fail at load
+        try:
+            model._tables  # built here, so entries that spell no history fail at load
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
         return model
 
 
 def _read_model_file(path: str | Path) -> tuple:
     """(order, k, tokenizer_kind, vocab, keys, counts) of a version 2
-    model file, checked."""
+    model file, checked. The body is read straight into one array, and
+    its length is found by the read itself, so a pipe loads as a file
+    does."""
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            order, k, kind, vocab, n = _read_header(fh.readline(), path)
+            _check_key_space(n, len(vocab) + 1)
+            try:
+                arrays = np.empty(2 * n, dtype=_FILE_INT)
+            except (MemoryError, ValueError):
+                raise ConfigError(f"{path}: {n} entries do not fit in memory") from None
+            # The body's bytes, counted to the end of the file.
+            view, body = memoryview(arrays.view(np.uint8)), 0
+            while body < len(view) and (got := fh.readinto(view[body:])):
+                body += got
+            while chunk := fh.read(1 << 16):
+                body += len(chunk)
     except OSError as exc:
         raise ConfigError(f"cannot read model file {path}: {exc}") from exc
-    line_end = data.find(b"\n")
+    if body != arrays.nbytes:
+        raise ConfigError(
+            f"{path}: model body holds {body} bytes, expected "
+            f"{arrays.nbytes} for {n} entries; the file is truncated or corrupt"
+        )
+    arrays = arrays.astype(np.int64, copy=False)
+    keys, counts = arrays[:n], arrays[n:]
+    # Keys ascend and name a vocabulary token; every count is positive.
+    # That each names a history spelled by an earlier entry is checked
+    # with the scoring tables.
+    if not (
+        keys[0] >= 0
+        and (keys[1:] > keys[:-1]).all()
+        and (keys % (len(vocab) + 1) < len(vocab)).all()
+        and (counts > 0).all()
+    ):
+        raise ConfigError(f"{path}: inconsistent model entries")
+    return order, k, kind, vocab, keys, counts
+
+
+def _read_header(line: bytes, path: str | Path) -> tuple:
+    """(order, k, tokenizer_kind, vocab, entries) of a model file's first
+    line, checked."""
     try:
-        header = json.loads(data[:line_end]) if line_end >= 0 else None
+        header = json.loads(line) if line.endswith(b"\n") else None
     except ValueError:
         header = None
     if not isinstance(header, dict) or header.get("format") != MODEL_FORMAT:
@@ -353,27 +435,7 @@ def _read_model_file(path: str | Path) -> tuple:
         and n > 0
     ):
         raise ConfigError(f"{path}: malformed model header")
-    _check_key_space(n, len(vocab) + 1)
-    body = len(data) - line_end - 1
-    if body != 2 * n * _FILE_INT.itemsize:
-        raise ConfigError(
-            f"{path}: model body holds {body} bytes, expected "
-            f"{2 * n * _FILE_INT.itemsize} for {n} entries; the file is truncated or corrupt"
-        )
-    arrays = np.frombuffer(data, dtype=_FILE_INT, offset=line_end + 1).astype(np.int64)
-    keys, counts = arrays[:n], arrays[n:]
-    width = len(vocab) + 1
-    # Keys ascend, name a vocabulary token, and name a history spelled by
-    # an earlier entry; every count is positive.
-    if not (
-        keys[0] >= 0
-        and (np.diff(keys) > 0).all()
-        and (keys % width < len(vocab)).all()
-        and (keys // width <= np.arange(n)).all()
-        and (counts > 0).all()
-    ):
-        raise ConfigError(f"{path}: inconsistent model entries")
-    return order, k, kind, vocab, keys, counts
+    return order, k, kind, vocab, n
 
 
 def train_ngram(
@@ -408,6 +470,14 @@ def train_ngram(
     doc_end = np.repeat(np.cumsum(lengths), lengths)
     width = len(vocab) + 1
     _check_key_space(order * len(ids), width)
+    # The smallest probability the model holds is that of a token never
+    # seen after the empty history, whose total is every token.
+    if not (math.isfinite(k * width) and k / (len(ids) + k * width) > 0):
+        raise ConfigError(
+            f"smoothing constant k={k!r} gives no finite log-probability over {len(ids)} "
+            f"tokens and a vocabulary of {len(vocab)}: k * (V + 1) must be finite and "
+            "k / (tokens + k * (V + 1)) above 0"
+        )
     # Windows of length level + 1, one per start position that leaves the
     # window inside its document; ``hist`` is the id of each window's
     # history, the entry of its first ``level`` tokens.

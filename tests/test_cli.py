@@ -403,6 +403,22 @@ class TestTrainNgram:
         assert NGramModel.load(out).order == 2
         assert sorted(os.listdir(tmp_path)) == ["corpus.jsonl", "model.json"]
 
+    @pytest.mark.parametrize(
+        "texts, k",
+        # k * (V + 1) overflows, so every probability is 0; or the unseen
+        # probability after the empty history, k / (6000 + 51k), is 0.
+        [(["x y z x", "y z"], "1e308"), ([" ".join(f"w{i % 50}" for i in range(6000))], "1e-320")],
+    )
+    def test_a_k_that_leaves_a_probability_with_no_log_is_refused(self, tmp_path, caplog, texts, k):
+        rows = [json.dumps({"id": f"d{i}", "text": text}).encode("utf-8")
+                for i, text in enumerate(texts)]
+        corpus = write_lines(tmp_path / "c.jsonl", rows)
+        out = tmp_path / "model.bin"
+        assert main(["train-ngram", "--input", corpus, "--out", str(out), "--order", "2",
+                     "--k", k]) == 2
+        assert f"smoothing constant k={float(k)!r} gives no finite log-probability" in caplog.text
+        assert not out.exists()
+
     def test_model_bytes_follow_neither_hash_seed_nor_document_order(self, tmp_path):
         # Training numbers each document's new tokens in set order, which
         # moves with PYTHONHASHSEED; the model file must not.
@@ -630,6 +646,7 @@ class TestScore:
             ("truncated body", "truncated or corrupt"),
             ("wrong format", "not a longdep-ngram model file"),
             ("wrong version", "unsupported model version 3"),
+            ("k with no log", "bad-model.bin: smoothing constant k=1e+308 gives a probability of 0.0"),
         ],
     )
     def test_malformed_model_file_is_a_usage_error(
@@ -648,6 +665,10 @@ class TestScore:
             path.write_text(json.dumps(v1, sort_keys=True, separators=(",", ":")) + "\n")
         elif damage == "truncated body":
             path.write_bytes(line + b"\n" + body[:-8])
+        elif damage == "k with no log":
+            # k * (V + 1) overflows, so every probability is 0.
+            header["k"] = 1e308
+            path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
         else:
             field = "format" if damage == "wrong format" else "version"
             header[field] = "other" if field == "format" else 3

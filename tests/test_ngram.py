@@ -3,6 +3,9 @@
 import hashlib
 import json
 import math
+import os
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -297,20 +300,24 @@ class TestSerialization:
 
     @pytest.mark.parametrize(
         "damage",
-        ["truncated", "extended", "unsorted", "unknown token", "orphan", "zero count", "too deep"],
+        ["truncated", "one entry short", "extended", "stray byte", "unsorted", "unknown token",
+         "orphan", "zero count", "too deep"],
     )
     def test_damaged_body_rejected(self, bigram, tmp_path, damage):
         path = saved(bigram, tmp_path / "model.bin")
         line, _, body = path.read_bytes().partition(b"\n")
         arrays = np.frombuffer(body, dtype="<i8").copy()
+        # "extended" is one entry long.
+        resized = {"truncated": body[:-3], "one entry short": body[:-16],
+                   "extended": body + bytes(16), "stray byte": body + b"\0"}
+        match = None
         if damage == "too deep":
             # The bigram entries spell one-token histories, too long for
             # an order-1 model.
             line = json.dumps({**json.loads(line), "order": 1}).encode("utf-8")
-        elif damage == "truncated":
-            body = body[:-3]
-        elif damage == "extended":
-            body += bytes(16)
+        elif damage in resized:
+            body = resized[damage]
+            match = f"model body holds {len(body)} bytes, expected 96 for 6 entries"
         else:
             if damage == "unsorted":
                 arrays[[0, 1]] = arrays[[1, 0]]
@@ -322,7 +329,7 @@ class TestSerialization:
                 arrays[6] = 0
             body = arrays.tobytes()
         path.write_bytes(line + b"\n" + body)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=match):
             NGramModel.load(path)
 
     def test_key_overflow_refused_before_reading_entries(self, tmp_path):
@@ -334,6 +341,70 @@ class TestSerialization:
         path.write_bytes(json.dumps(header).encode("utf-8") + b"\n")
         with pytest.raises(ConfigError, match="64-bit"):
             NGramModel.load(path)
+
+    def test_more_entries_than_memory_holds_refused(self, tmp_path):
+        # 2**58 entries are 2**62 bytes: the body's array cannot be made.
+        path = tmp_path / "model.bin"
+        header = {
+            "format": "longdep-ngram", "version": 2, "order": 1, "k": 0.01,
+            "tokenizer_kind": "whitespace", "vocab": ["a"], "entries": 2**58,
+        }
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + bytes(16))
+        with pytest.raises(ConfigError, match=f"{2**58} entries do not fit in memory"):
+            NGramModel.load(path)
+
+    @pytest.mark.parametrize("damage", [None, "extended", "one entry short"])
+    def test_model_loads_through_a_pipe(self, tmp_path, damage):
+        # The body is larger than a pipe's buffer, so it arrives in parts.
+        rng = np.random.default_rng(3)
+        model = train_ngram(random_corpus(rng, "str", n_docs=20, n_types=400, length=400), 3, 0.1)
+        data = saved(model, tmp_path / "model.bin").read_bytes()
+        assert len(data) > 65536
+        data = {None: data, "extended": data + bytes(16), "one entry short": data[:-16]}[damage]
+        read_fd, write_fd = os.pipe()
+
+        def feed():
+            with open(write_fd, "wb") as fh:
+                fh.write(data)
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        try:
+            if damage:
+                with pytest.raises(ConfigError, match="model body holds"):
+                    NGramModel.load(f"/dev/fd/{read_fd}")
+            else:
+                loaded = NGramModel.load(f"/dev/fd/{read_fd}")
+        finally:
+            os.close(read_fd)
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        if not damage:
+            assert np.array_equal(loaded.keys, model.keys)
+            assert np.array_equal(loaded.counts, model.counts)
+            assert loaded.seq_logprob(model.vocab[:9]) == model.seq_logprob(model.vocab[:9])
+
+    def test_load_memory_stays_near_the_body(self, tmp_path):
+        rng = np.random.default_rng(11)
+        corpus = [[f"w{i}" for i in rng.zipf(1.1, size=25_000) % 1_500] for _ in range(6)]
+        path = saved(train_ngram(corpus, order=3, k=0.01), tmp_path / "model.bin")
+        n = json.loads(path.read_bytes().partition(b"\n")[0])["entries"]
+        assert n >= 100_000
+        tracemalloc.start()
+        try:
+            model = NGramModel.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The file's body is 16 bytes per entry; the load peaks at under
+        # 3.5 times that.
+        assert peak <= 3.5 * 16 * n
+        # Beyond keys and counts, what scoring keeps per entry or per
+        # history id is two int32 codes.
+        tables = model._tables
+        arrays = [getattr(tables, name) for name in tables.__slots__]
+        per_entry = [a for a in arrays if isinstance(a, np.ndarray) and len(a) >= n]
+        assert 0 < sum(a.nbytes for a in per_entry) <= 8 * (n + 2)
 
 
 class TestMatchesLoopReference:
@@ -354,6 +425,33 @@ class TestMatchesLoopReference:
         corpus += random_corpus(rng, "str", n_docs=4, n_types=7200, length=2000)
         model = self.check(corpus, 5, 0.01, rng, tmp_path, n_probes=300)
         assert len(model.vocab) >= 7000 and (len(model.vocab) + 1) ** 5 > 2**63
+
+    @pytest.mark.parametrize("kind", ["str", "byte", "mixed"])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    def test_every_table_value_keeps_its_bits(self, kind, order, tmp_path):
+        # Each entry's log-probability, and each history id's for a token
+        # it never preceded (id V, the unknown symbol, is never an entry),
+        # against the formula over LoopNGram's counts, bit for bit.
+        rng = np.random.default_rng(order * 100 + len(kind))
+        corpus = random_corpus(rng, kind, n_docs=6, n_types=12, length=60)
+        k = 0.05
+        ref = LoopNGram(corpus, order, k)
+        denom = k * (len(ref.vocab) + 1)
+        model = NGramModel.load(saved(train_ngram(corpus, order=order, k=k), tmp_path / "m.bin"))
+        width = len(model.vocab) + 1
+        hists = [()]  # hists[h] spells history id h
+        want_entry = []
+        for key in model.keys.tolist():
+            hist, tok = hists[key // width], model.vocab[key % width]
+            hists.append(hist + (tok,))
+            want_entry.append(math.log((ref.counts[hist][tok] + k) / (ref.totals[hist] + denom)))
+        want_unseen = [math.log(k / (ref.totals.get(hist, 0) + denom)) for hist in hists]
+        want_unseen.append(math.log(k / (0 + denom)))  # -1, a history never seen
+        ids = np.array([*range(len(hists)), -1])
+        _, got_entry = model._step(model.keys // width, model.keys % width)
+        _, got_unseen = model._step(ids, np.full(len(ids), width - 1))
+        assert got_entry.view(np.int64).tolist() == np.array(want_entry).view(np.int64).tolist()
+        assert got_unseen.view(np.int64).tolist() == np.array(want_unseen).view(np.int64).tolist()
 
     @staticmethod
     def check(corpus, order, k, rng, tmp_path, n_probes):
